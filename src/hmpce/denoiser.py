@@ -18,8 +18,12 @@ learning ("tsgm-lvd"), subcarrier-pooled active-precision learning
 ("tsgm"), and a fixed-variance Bernoulli-Gaussian ("bg") whose near-zero
 component is an exact spike at zero.
 
-All probabilities are clamped to [floor, 1 - floor] and combined in the
-log-odds domain.
+All probabilities are clamped to [floor, 1 - floor].  The chain sweeps run
+on odds p / (1 - p), clamped to the equivalent interval
+[floor / (1 - floor), (1 - floor) / floor], and store probabilities; the
+other steps combine probabilities in the log-odds domain.  The pooled
+per-element evidence is computed once per pass (`pooled_evidence`) and
+handed to each step.
 """
 
 import math
@@ -151,62 +155,102 @@ def _activity_likelihood(h_pri, v_pri, large_shape, large_rate, small_shape, sma
     return _clamp(expit(log_odds), cfg.prob_floor)
 
 
-def _chain_llr(state):
-    """Per-element log-odds of activity pooled over subcarriers."""
-    return _logit(state.support_like).sum(axis=1)
+def pooled_evidence(state):
+    """Activity log-odds per (element, subcarrier) and pooled per element.
+
+    Returns (like_logit, llr): logit(support_like), shape (N, P), and its sum
+    over subcarriers, shape (N,).  `denoise` computes both once per pass and
+    hands them to every step below; a step called without them recomputes
+    them from `state.support_like`.
+    """
+    like_logit = _logit(state.support_like)
+    return like_logit, like_logit.sum(axis=1)
 
 
-def forward_pass(state, cfg):
-    """Forward sweep of the support chain (predict, then fold in evidence)."""
+def _evidence_odds(llr):
+    """exp(llr) as a list of floats; inf and 0 from overflow and underflow
+    are left to the sweep's clamp."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(llr).tolist()
+
+
+def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, floor):
+    """One pass of the two-state chain filter in the odds domain.
+
+    Starting from the predicted odds q of the first element visited, each step
+    filters x = q e (e = exp(pooled LLR)) and predicts the next element with
+    the linear-fractional map q = (x stay + enter) / (x leave + stay_out).
+    Both are clamped to the odds of [floor, 1 - floor], which also absorbs
+    e = inf or 0.  Returns the predicted and filtered odds as lists, in visit
+    order.
+    """
+    lo, hi = floor / (1.0 - floor), (1.0 - floor) / floor
+    pred, filt = [], []
+    for e in evidence_odds:
+        x = q * e
+        if x < lo:
+            x = lo
+        elif x > hi:
+            x = hi
+        pred.append(q)
+        filt.append(x)
+        q = (x * stay + enter) / (x * leave + stay_out)
+        if q < lo:
+            q = lo
+        elif q > hi:
+            q = hi
+    return pred, filt
+
+
+def _odds_to_prob(odds):
+    odds = np.fromiter(odds, float, len(odds))
+    return odds / (1.0 + odds)
+
+
+def forward_pass(state, cfg, evidence=None):
+    """Forward sweep of the support chain (predict, then fold in evidence).
+
+    Runs on odds p / (1 - p) (see `_odds_sweep`) from the first element,
+    whose prediction has odds turn_on / stay_quiet; the stored messages are
+    probabilities.
+    """
     stay_active, turn_on, stay_quiet, turn_off = (
         math.exp(v) for v in transition_log_expectations(state, cfg)
     )
-    llr = _chain_llr(state)
-    N = llr.shape[0]
-    fwd_pred = np.empty(N)
-    fwd_filt = np.empty(N)
-    floor = cfg.prob_floor
-    fwd_pred[0] = turn_on / (turn_on + stay_quiet)
-    for n in range(N):
-        if n > 0:
-            a = fwd_filt[n - 1]
-            num = a * stay_active + (1.0 - a) * turn_on
-            den = num + a * turn_off + (1.0 - a) * stay_quiet
-            fwd_pred[n] = min(max(num / den, floor), 1.0 - floor)
-        fwd_filt[n] = min(max(expit(_logit(fwd_pred[n]) + llr[n]), floor), 1.0 - floor)
-    state.fwd_pred, state.fwd_filt = fwd_pred, fwd_filt
+    _, llr = pooled_evidence(state) if evidence is None else evidence
+    pred, filt = _odds_sweep(
+        turn_on / stay_quiet, _evidence_odds(llr),
+        stay_active, turn_on, turn_off, stay_quiet, cfg.prob_floor,
+    )
+    state.fwd_pred, state.fwd_filt = _odds_to_prob(pred), _odds_to_prob(filt)
 
 
-def backward_pass(state, cfg):
-    """Backward sweep; the terminal message is uninformative (1/2)."""
+def backward_pass(state, cfg, evidence=None):
+    """Backward sweep; the terminal message is uninformative (1/2).
+
+    Runs on odds like `forward_pass`, from the last element down.  With
+    `init_backward_filtered` the terminal filtered message is also 1/2,
+    ignoring that element's evidence.
+    """
     stay_active, turn_on, stay_quiet, turn_off = (
         math.exp(v) for v in transition_log_expectations(state, cfg)
     )
-    llr = _chain_llr(state)
-    N = llr.shape[0]
-    bwd_pred = np.empty(N)
-    bwd_filt = np.empty(N)
-    floor = cfg.prob_floor
-    bwd_pred[N - 1] = 0.5
+    _, llr = pooled_evidence(state) if evidence is None else evidence
+    evidence_odds = _evidence_odds(llr[::-1])
     if cfg.init_backward_filtered:
-        bwd_filt[N - 1] = 0.5
-    else:
-        bwd_filt[N - 1] = min(max(expit(llr[N - 1]), floor), 1.0 - floor)
-    for n in range(N - 2, -1, -1):
-        b = bwd_filt[n + 1]
-        num = b * stay_active + (1.0 - b) * turn_off
-        den = num + b * turn_on + (1.0 - b) * stay_quiet
-        bwd_pred[n] = min(max(num / den, floor), 1.0 - floor)
-        bwd_filt[n] = min(max(expit(_logit(bwd_pred[n]) + llr[n]), floor), 1.0 - floor)
-    state.bwd_pred, state.bwd_filt = bwd_pred, bwd_filt
+        evidence_odds[0] = 1.0
+    pred, filt = _odds_sweep(
+        1.0, evidence_odds, stay_active, turn_off, turn_on, stay_quiet, cfg.prob_floor
+    )
+    state.bwd_pred, state.bwd_filt = _odds_to_prob(pred[::-1]), _odds_to_prob(filt[::-1])
 
 
-def update_transition_beliefs(state, cfg):
+def update_transition_beliefs(state, cfg, evidence=None):
     """First/pair support beliefs and the Beta pseudo-count refresh."""
     log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = (
         transition_log_expectations(state, cfg)
     )
-    llr = _chain_llr(state)
+    _, llr = pooled_evidence(state) if evidence is None else evidence
     floor = cfg.prob_floor
     state.first_active_belief = float(
         _clamp(expit(_logit(state.fwd_pred[0]) + _logit(state.bwd_pred[0]) + llr[0]), floor)
@@ -233,11 +277,11 @@ def update_transition_beliefs(state, cfg):
     state.p01_b = cfg.p01_b + float(state.pair_belief[:, 3].sum())
 
 
-def support_extrinsic(state, cfg):
+def support_extrinsic(state, cfg, evidence=None):
     """Chain-side activity message for each subcarrier, excluding its own
     likelihood (leave-one-out in the log-odds domain)."""
-    llr = _chain_llr(state)
-    loo = llr[:, None] - _logit(state.support_like)
+    like_logit, llr = pooled_evidence(state) if evidence is None else evidence
+    loo = llr[:, None] - like_logit
     chain = _logit(state.fwd_pred) + _logit(state.bwd_pred)
     state.support_ext = _clamp(expit(chain[:, None] + loo), cfg.prob_floor)
 
@@ -256,16 +300,15 @@ def _mixture_moments(h_pri, v_pri, large_shape, large_rate, small_shape, small_r
     return mean_large, var_large, mean_small, var_small
 
 
-def update_precision_beliefs(h_pri, v_pri, state, cfg):
+def update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=None):
     """Gamma belief refresh from the current support posterior.
 
     Uses the beliefs that entered this pass for the component moments, then
     rewrites the Gamma parameters anchored at their priors.  The bg variant
     has no precision beliefs to learn.
     """
-    state.support_post = _clamp(
-        expit(_logit(state.support_like) + _logit(state.support_ext)), cfg.prob_floor
-    )
+    like_logit, _ = pooled_evidence(state) if evidence is None else evidence
+    state.support_post = _clamp(expit(like_logit + _logit(state.support_ext)), cfg.prob_floor)
     if cfg.variant == VARIANT_BG:
         return
     mean_large, var_large, mean_small, var_small = _mixture_moments(
@@ -330,11 +373,12 @@ def denoise(h_pri, v_pri, cfg, state=None):
     if state is None:
         state = init_state(N, P, cfg)
     support_likelihood(h_pri, v_pri, state, cfg)
+    evidence = pooled_evidence(state)
     for _ in range(2):
-        forward_pass(state, cfg)
-        backward_pass(state, cfg)
-        update_transition_beliefs(state, cfg)
-    support_extrinsic(state, cfg)
-    update_precision_beliefs(h_pri, v_pri, state, cfg)
+        forward_pass(state, cfg, evidence=evidence)
+        backward_pass(state, cfg, evidence=evidence)
+        update_transition_beliefs(state, cfg, evidence=evidence)
+    support_extrinsic(state, cfg, evidence=evidence)
+    update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=evidence)
     h_post, v_post = posterior_moments(h_pri, v_pri, state, cfg)
     return h_post, v_post, state

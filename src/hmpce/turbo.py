@@ -103,9 +103,10 @@ def _roundtrip_error(h_ext, v_ext, h_pri, v_pri, h_post, v_post, clamped):
 def run_turbo(measurements, pilots, cfg, truth=None):
     """Run the turbo iterations; returns (final_estimate, trace).
 
-    `truth` enables the NMSE trace (and the early-stop criterion, which
-    compares consecutive NMSE values when available, otherwise consecutive
-    estimates).
+    `truth` enables the NMSE trace.  Early stopping compares consecutive
+    NMSE values when `truth` is given; otherwise it stops once the relative
+    change of the estimate, ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2, falls below
+    `nmse_tol`.
     """
     Y = measurements.Y
     sigma2 = measurements.noise_variance
@@ -150,7 +151,6 @@ def run_turbo(measurements, pilots, cfg, truth=None):
         if not (np.isfinite(h_pri_a).all() and np.isfinite(v_pri_a).all()):
             raise RuntimeError(f"non-finite turbo state at iteration {it}")
 
-        h_final = h_post_b
         trace.v_a_ext.append(v_pri_b.copy())
         trace.v_b_ext.append(v_pri_a.copy())
         trace.roundtrip_err.append(max(rt_a, rt_b))
@@ -158,13 +158,26 @@ def run_turbo(measurements, pilots, cfg, truth=None):
         trace.clamped_b.append(int(clamped_b.sum()))
         if truth is not None:
             metric = nmse(h_post_b, truth)
+            converged = it > 1 and abs(metric - prev_metric) < cfg.nmse_tol
+            prev_metric = metric
         else:
-            metric = float(np.mean(np.abs(h_post_b) ** 2))
-        trace.nmse.append(metric if truth is not None else float("nan"))
-        if cfg.early_stop and prev_metric is not None and abs(metric - prev_metric) < cfg.nmse_tol:
+            metric = float("nan")
+            converged = it > 1 and _relative_change(h_post_b, h_final) < cfg.nmse_tol
+        h_final = h_post_b
+        trace.nmse.append(metric)
+        if cfg.early_stop and converged:
             break
-        prev_metric = metric
     return h_final, trace
+
+
+def _relative_change(new, old):
+    """||new - old||^2 / ||old||^2; 0 when the two are equal, inf when only
+    `old` is zero."""
+    num = float(np.sum(np.abs(new - old) ** 2))
+    if num == 0.0:
+        return 0.0
+    den = float(np.sum(np.abs(old) ** 2))
+    return num / den if den > 0.0 else math.inf
 
 
 # --------------------------------------------------------------------------

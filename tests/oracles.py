@@ -1,7 +1,8 @@
 """Reference implementations used only to produce expected values in tests.
 
 Everything here is written independently of the package code paths it
-checks: brute-force enumeration for the support chain, a measurement-form
+checks: brute-force enumeration for the support chain, the probability-domain
+forward/backward sweeps (the package runs them on odds), a measurement-form
 dense LMMSE (the package uses the information form), closed-form scalar
 mixture posteriors plus a grid-integration cross-check.
 """
@@ -10,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import expit
 
 
 def chain_enumeration(first_w, trans_w, log_like):
@@ -87,6 +89,47 @@ def _span_marginal(lf, lt, log_like, lo, hi, target, with_first,
                 lw += log_like[k, s[pos]]
         out[s[target - lo]] += math.exp(lw)
     return out / out.sum()
+
+
+def _logit(p):
+    return np.log(p) - np.log1p(-p)
+
+
+def chain_sweeps_probability(weights, llr, floor, init_backward_filtered=False):
+    """Forward and backward support-chain sweeps on clamped probabilities.
+
+    weights: (stay_active, turn_on, stay_quiet, turn_off) transition weights;
+    llr: (N,) pooled activity log-odds.  Every message is clamped to
+    [floor, 1 - floor] and evidence is folded in through logit/expit.
+    Returns (fwd_pred, fwd_filt, bwd_pred, bwd_filt).
+    """
+    stay_active, turn_on, stay_quiet, turn_off = weights
+    N = llr.shape[0]
+    fwd_pred = np.empty(N)
+    fwd_filt = np.empty(N)
+    fwd_pred[0] = turn_on / (turn_on + stay_quiet)
+    for n in range(N):
+        if n > 0:
+            a = fwd_filt[n - 1]
+            num = a * stay_active + (1.0 - a) * turn_on
+            den = num + a * turn_off + (1.0 - a) * stay_quiet
+            fwd_pred[n] = min(max(num / den, floor), 1.0 - floor)
+        fwd_filt[n] = min(max(expit(_logit(fwd_pred[n]) + llr[n]), floor), 1.0 - floor)
+
+    bwd_pred = np.empty(N)
+    bwd_filt = np.empty(N)
+    bwd_pred[N - 1] = 0.5
+    if init_backward_filtered:
+        bwd_filt[N - 1] = 0.5
+    else:
+        bwd_filt[N - 1] = min(max(expit(llr[N - 1]), floor), 1.0 - floor)
+    for n in range(N - 2, -1, -1):
+        b = bwd_filt[n + 1]
+        num = b * stay_active + (1.0 - b) * turn_off
+        den = num + b * turn_on + (1.0 - b) * stay_quiet
+        bwd_pred[n] = min(max(num / den, floor), 1.0 - floor)
+        bwd_filt[n] = min(max(expit(_logit(bwd_pred[n]) + llr[n]), floor), 1.0 - floor)
+    return fwd_pred, fwd_filt, bwd_pred, bwd_filt
 
 
 def dense_lmmse_measurement_form(y, A, h_pri, v_pri, sigma2):

@@ -7,6 +7,7 @@ from scipy.special import expit
 
 from oracles import (
     chain_enumeration,
+    chain_sweeps_probability,
     mixture_posterior_closed_form,
     mixture_posterior_grid,
     spike_slab_weight,
@@ -21,6 +22,7 @@ from hmpce.denoiser import (
     posterior_moments,
     support_extrinsic,
     support_likelihood,
+    transition_log_expectations,
     update_precision_beliefs,
     update_transition_beliefs,
 )
@@ -206,6 +208,62 @@ def test_support_extrinsic_matches_leave_one_out_enumeration():
             reduced[n, 1] = np.log(state.support_like[n, keep]).sum()
             ref = chain_enumeration(first_w, trans_w, reduced)
             assert abs(state.support_ext[n, p] - ref["full"][n, 1]) < 1e-10
+
+
+def _sweep_case(rng, N, kind):
+    """A frozen chain state: random, clamp-binding, or with saturating
+    pooled evidence (|LLR| > 745, so exp overflows and underflows)."""
+    if kind == "random":
+        cfg = PriorConfig()
+        state = frozen_chain_state(rng, N, 2, cfg)
+    elif kind == "clamp":
+        # a near-certain stay-active transition pins the forward prediction,
+        # and strong evidence pins the filtered messages, to the
+        # [floor, 1 - floor] clamp
+        cfg = PriorConfig(prob_floor=1e-3)
+        state = frozen_chain_state(rng, N, 3, cfg)
+        state.p01_a = float(rng.uniform(0.02, 0.1))
+        state.p01_b = float(rng.uniform(20.0, 60.0))
+        state.support_like = np.where(
+            rng.random((N, 1)) < 0.5, 1e-5, 1.0 - 1e-5
+        ) * np.ones((1, 3))
+    else:
+        cfg = PriorConfig()
+        P = 32
+        state = frozen_chain_state(rng, N, P, cfg)
+        side = rng.integers(0, 3, size=(N, 1))
+        side[0], side[-1] = 1, 0
+        state.support_like = np.where(
+            side == 0, 1e-12, np.where(side == 1, 1.0 - 1e-12, state.support_like)
+        )
+    return state, cfg
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 64])
+@pytest.mark.parametrize("kind", ["random", "clamp", "saturate"])
+@pytest.mark.parametrize("init_filtered", [False, True])
+def test_odds_sweeps_match_probability_sweeps(N, kind, init_filtered):
+    rng = np.random.default_rng([N, len(kind), init_filtered])
+    for _ in range(5):
+        state, cfg = _sweep_case(rng, N, kind)
+        cfg.init_backward_filtered = init_filtered
+        weights = [math.exp(v) for v in transition_log_expectations(state, cfg)]
+        llr = logit(state.support_like).sum(axis=1)
+        ref = chain_sweeps_probability(weights, llr, cfg.prob_floor, init_filtered)
+        forward_pass(state, cfg)
+        backward_pass(state, cfg)
+        got = (state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt)
+        for g, r in zip(got, ref):
+            assert g.shape == (N,)
+            assert np.max(np.abs(g - r)) < 1e-12
+        if kind == "saturate":
+            assert np.abs(llr).max() > 745.0
+        if kind == "clamp" and N == 64:
+            floor = cfg.prob_floor
+            for msgs in ((ref[0], ref[2]), (ref[1], ref[3])):
+                pinned = np.concatenate(msgs)
+                assert np.any(np.isclose(pinned, floor, rtol=0, atol=1e-15)
+                              | np.isclose(pinned, 1 - floor, rtol=0, atol=1e-15))
 
 
 def test_symmetric_beta_gives_half_first_prediction():
@@ -622,3 +680,26 @@ def test_warm_start_changes_beliefs_reset_does_not():
     out3, vv3, _ = denoise(h, v, cfg, None)
     assert np.array_equal(out1, out3)
     assert not np.array_equal(out1, out2)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
+@pytest.mark.parametrize("N", [1, 2])
+def test_short_chains(variant, N):
+    rng = np.random.default_rng(45 + N)
+    P = 3
+    h = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
+    v = rng.uniform(0.1, 0.5, P)
+    cfg = PriorConfig(variant=variant)
+    state = None
+    for _ in range(2):
+        h_post, v_post, state = denoise(h, v, cfg, state)
+        assert h_post.shape == (N, P) and v_post.shape == (P,)
+        assert np.all(np.isfinite(h_post)) and np.all(np.isfinite(v_post))
+        assert state.pair_belief.shape == (N - 1, 4)
+        for arr in (
+            state.support_like, state.support_ext, state.support_post,
+            state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt,
+            state.pair_belief,
+        ):
+            assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
+        assert 0.0 <= state.first_active_belief <= 1.0

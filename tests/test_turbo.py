@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hmpce import turbo
 from hmpce.channels import (
     make_pilot_set,
     sample_channel,
@@ -126,6 +127,29 @@ def test_early_stop_flag():
     assert t_stop.iterations < 25
     # identical prefix up to the stopping point
     assert t_stop.nmse == t_full.nmse[: t_stop.iterations]
+
+
+def test_early_stop_without_truth_tracks_the_estimate(monkeypatch):
+    meas, pilots, _ = make_sim(64, 26, 4, 40.0, seed=23)
+    base = np.random.default_rng(0).standard_normal((64, 4)) + 0j
+    calls = []
+
+    def rotating(h_pri, v_pri, prior, state):
+        # the same mean power every call, but a different estimate
+        calls.append(None)
+        return base * np.exp(0.3j * len(calls)), 0.5 * v_pri, state
+
+    def frozen(h_pri, v_pri, prior, state):
+        return base, 0.5 * v_pri, state
+
+    monkeypatch.setattr(turbo, "denoise", rotating)
+    h, t_moving = run_turbo(meas, pilots, algo(max_iters=8))
+    assert t_moving.iterations == 8
+    assert np.array_equal(h, base * np.exp(0.3j * 8))
+    assert all(math.isnan(x) for x in t_moving.nmse)
+    monkeypatch.setattr(turbo, "denoise", frozen)
+    _, t_still = run_turbo(meas, pilots, algo(max_iters=8))
+    assert t_still.iterations == 2
 
 
 def test_collapsed_spread_variants_agree():
