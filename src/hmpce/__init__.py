@@ -11,6 +11,7 @@ from .channels import (
     ChannelRealization,
     MeasurementSet,
     PilotMatrix,
+    PilotSet,
     angle_transform,
     load_channel,
     make_pdft_rp,

@@ -5,6 +5,11 @@ the angular index, shared by all pilot subcarriers), per-(element, subcarrier)
 gains drawn from the large/small two-component Gaussian mixture, and
 partial-DFT plus random-permutation/phase pilot operators that are
 row-orthonormal by construction and admit FFT-based application.
+
+Each pilot subcarrier has its own operator (`PilotMatrix`).  The P operators
+of one pilot set are stored stacked (`PilotSet`: rows (P, M), perm and
+phases (P, N)), so applying them to an N x P channel is one gather, one
+batched FFT and one row selection for all subcarriers at once.
 """
 
 import struct
@@ -137,11 +142,86 @@ def make_pdft_rp(N, M, rng_seed=0):
     return PilotMatrix(N, M, rows, perm, phases)
 
 
+@dataclass
+class PilotSet:
+    """The pilot operators of P subcarriers, stacked along a leading axis.
+
+    Row p of `rows` (P, M), `perm` (P, N) and `phases` (P, N) holds the
+    fields of subcarrier p's `PilotMatrix`; `pilots[p]` returns that operator
+    as a view.  `apply` and `adjoint` act on all subcarriers at once: column
+    p of the input goes through operator p.  The batched FFTs run along the
+    rows of (P, N) work arrays, which are contiguous.
+    """
+
+    N: int
+    M: int
+    rows: np.ndarray
+    perm: np.ndarray
+    phases: np.ndarray
+
+    @classmethod
+    def stack(cls, pilots):
+        """Stack a sequence of `PilotMatrix` operators that share N and M."""
+        pilots = list(pilots)
+        if not pilots:
+            raise ValueError("need at least one pilot operator")
+        N, M = pilots[0].N, pilots[0].M
+        if any((p.N, p.M) != (N, M) for p in pilots):
+            raise ValueError("stacked pilot operators must share N and M")
+        return cls(
+            N, M,
+            np.stack([p.rows for p in pilots]),
+            np.stack([p.perm for p in pilots]),
+            np.stack([p.phases for p in pilots]),
+        )
+
+    def __len__(self):
+        return self.rows.shape[0]
+
+    def __getitem__(self, p):
+        return PilotMatrix(self.N, self.M, self.rows[p], self.perm[p], self.phases[p])
+
+    def __iter__(self):
+        return (self[p] for p in range(len(self)))
+
+    def apply(self, H):
+        """Column-wise A_p @ H[:, p]: (N, P) to (M, P)."""
+        cols = self._column_index(H, self.N)
+        scrambled = self.phases * H.T[cols, self.perm]
+        spectrum = np.fft.fft(scrambled, axis=1)
+        return (spectrum[cols, self.rows] / np.sqrt(self.N)).T
+
+    def adjoint(self, Y):
+        """Column-wise A_p^H @ Y[:, p]: (M, P) to (N, P)."""
+        cols = self._column_index(Y, self.M)
+        z = np.zeros((len(self), self.N), dtype=np.complex128)
+        z[cols, self.rows] = Y.T
+        w = np.fft.ifft(z, axis=1) * np.sqrt(self.N)
+        out = np.empty((self.N, len(self)), dtype=np.complex128)
+        out.T[cols, self.perm] = np.conj(self.phases) * w
+        return out
+
+    def _column_index(self, X, length):
+        """Subcarrier index as a (P, 1) column, after checking X is (length, P)."""
+        if X.shape != (length, len(self)):
+            raise ValueError(f"expected shape {(length, len(self))}, got {X.shape}")
+        return np.arange(len(self))[:, None]
+
+
+def as_pilot_set(pilots):
+    """`pilots` itself if it is a `PilotSet`, else the stack of the sequence."""
+    return pilots if isinstance(pilots, PilotSet) else PilotSet.stack(pilots)
+
+
 def make_pilot_set(N, M, P, rng_seed=0):
-    """Independent pilot operators for P subcarriers."""
+    """Independent pilot operators for P subcarriers, stacked.
+
+    Subcarrier p draws `make_pdft_rp(N, M, rng_seed=c_p)` from the p-th
+    child of `rng_seed`'s SeedSequence.
+    """
     ss = rng_seed if isinstance(rng_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(rng_seed)
-    return [make_pdft_rp(N, M, rng_seed=c) for c in ss.spawn(P)]
+    return PilotSet.stack(make_pdft_rp(N, M, rng_seed=c) for c in ss.spawn(P))
 
 
 @dataclass
@@ -155,14 +235,17 @@ class MeasurementSet:
 
 def synthesize_measurements(channel, pilots, snr_db, rng_seed=0):
     """Y = A H + noise with the noise variance set from the realized
-    per-sample signal power: snr = E||A h||^2 / (M sigma^2)."""
+    per-sample signal power: snr = E||A h||^2 / (M sigma^2).
+
+    `pilots` is a `PilotSet` or a sequence of `PilotMatrix`, one per
+    subcarrier.
+    """
+    pilots = as_pilot_set(pilots)
     P = channel.P
     if len(pilots) != P:
         raise ValueError("need one pilot operator per subcarrier")
-    M = pilots[0].M
-    clean = np.empty((M, P), dtype=np.complex128)
-    for p in range(P):
-        clean[:, p] = pilots[p].apply(channel.gains[:, p])
+    M = pilots.M
+    clean = pilots.apply(channel.gains)
     sig_power = float(np.mean(np.abs(clean) ** 2))
     if np.isinf(snr_db):
         sigma2 = 0.0

@@ -22,8 +22,9 @@ All probabilities are clamped to [floor, 1 - floor].  The chain sweeps run
 on odds p / (1 - p), clamped to the equivalent interval
 [floor / (1 - floor), (1 - floor) / floor], and store probabilities; the
 other steps combine probabilities in the log-odds domain.  The pooled
-per-element evidence is computed once per pass (`pooled_evidence`) and
-handed to each step.
+per-element evidence is computed once per pass (`pooled_evidence`), and the
+expected log transition weights once per chain round
+(`transition_log_expectations`); `denoise` hands both to each step.
 """
 
 import math
@@ -106,7 +107,9 @@ def transition_log_expectations(state, cfg):
     """Expected log transition weights under the current Beta beliefs.
 
     Returns (stay_active, turn_on, stay_quiet, turn_off) in the log domain:
-    E[ln(1-p01)], E[ln p10], E[ln(1-p10)], E[ln p01].
+    E[ln(1-p01)], E[ln p10], E[ln(1-p10)], E[ln p01].  `denoise` computes
+    them once per chain round and hands them to the sweeps and the Beta
+    update; a step called without them recomputes them from `state`.
     """
     psi = digamma_fn(cfg.exact_digamma)
     t10 = psi(state.p10_a + state.p10_b)
@@ -180,11 +183,12 @@ def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, floor):
     Starting from the predicted odds q of the first element visited, each step
     filters x = q e (e = exp(pooled LLR)) and predicts the next element with
     the linear-fractional map q = (x stay + enter) / (x leave + stay_out).
-    Both are clamped to the odds of [floor, 1 - floor], which also absorbs
-    e = inf or 0.  Returns the predicted and filtered odds as lists, in visit
-    order.
+    The start value and both of these are clamped to the odds of
+    [floor, 1 - floor], which also absorbs e = inf or 0.  Returns the
+    predicted and filtered odds as lists, in visit order.
     """
     lo, hi = floor / (1.0 - floor), (1.0 - floor) / floor
+    q = min(max(q, lo), hi)
     pred, filt = [], []
     for e in evidence_odds:
         x = q * e
@@ -207,16 +211,22 @@ def _odds_to_prob(odds):
     return odds / (1.0 + odds)
 
 
-def forward_pass(state, cfg, evidence=None):
+def _transition_weights(state, cfg, transitions):
+    """The four transition weights exp(E[ln .]), in the order of
+    `transition_log_expectations`."""
+    if transitions is None:
+        transitions = transition_log_expectations(state, cfg)
+    return [math.exp(v) for v in transitions]
+
+
+def forward_pass(state, cfg, evidence=None, transitions=None):
     """Forward sweep of the support chain (predict, then fold in evidence).
 
     Runs on odds p / (1 - p) (see `_odds_sweep`) from the first element,
-    whose prediction has odds turn_on / stay_quiet; the stored messages are
-    probabilities.
+    whose prediction has odds turn_on / stay_quiet, clamped like every other
+    message; the stored messages are probabilities.
     """
-    stay_active, turn_on, stay_quiet, turn_off = (
-        math.exp(v) for v in transition_log_expectations(state, cfg)
-    )
+    stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
     _, llr = pooled_evidence(state) if evidence is None else evidence
     pred, filt = _odds_sweep(
         turn_on / stay_quiet, _evidence_odds(llr),
@@ -225,16 +235,14 @@ def forward_pass(state, cfg, evidence=None):
     state.fwd_pred, state.fwd_filt = _odds_to_prob(pred), _odds_to_prob(filt)
 
 
-def backward_pass(state, cfg, evidence=None):
+def backward_pass(state, cfg, evidence=None, transitions=None):
     """Backward sweep; the terminal message is uninformative (1/2).
 
     Runs on odds like `forward_pass`, from the last element down.  With
     `init_backward_filtered` the terminal filtered message is also 1/2,
     ignoring that element's evidence.
     """
-    stay_active, turn_on, stay_quiet, turn_off = (
-        math.exp(v) for v in transition_log_expectations(state, cfg)
-    )
+    stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
     _, llr = pooled_evidence(state) if evidence is None else evidence
     evidence_odds = _evidence_odds(llr[::-1])
     if cfg.init_backward_filtered:
@@ -245,11 +253,11 @@ def backward_pass(state, cfg, evidence=None):
     state.bwd_pred, state.bwd_filt = _odds_to_prob(pred[::-1]), _odds_to_prob(filt[::-1])
 
 
-def update_transition_beliefs(state, cfg, evidence=None):
+def update_transition_beliefs(state, cfg, evidence=None, transitions=None):
     """First/pair support beliefs and the Beta pseudo-count refresh."""
-    log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = (
-        transition_log_expectations(state, cfg)
-    )
+    if transitions is None:
+        transitions = transition_log_expectations(state, cfg)
+    log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = transitions
     _, llr = pooled_evidence(state) if evidence is None else evidence
     floor = cfg.prob_floor
     state.first_active_belief = float(
@@ -375,9 +383,10 @@ def denoise(h_pri, v_pri, cfg, state=None):
     support_likelihood(h_pri, v_pri, state, cfg)
     evidence = pooled_evidence(state)
     for _ in range(2):
-        forward_pass(state, cfg, evidence=evidence)
-        backward_pass(state, cfg, evidence=evidence)
-        update_transition_beliefs(state, cfg, evidence=evidence)
+        transitions = transition_log_expectations(state, cfg)
+        forward_pass(state, cfg, evidence=evidence, transitions=transitions)
+        backward_pass(state, cfg, evidence=evidence, transitions=transitions)
+        update_transition_beliefs(state, cfg, evidence=evidence, transitions=transitions)
     support_extrinsic(state, cfg, evidence=evidence)
     update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=evidence)
     h_post, v_post = posterior_moments(h_pri, v_pri, state, cfg)

@@ -1,4 +1,4 @@
-"""Linear MMSE estimation against a row-orthonormal pilot operator.
+"""Linear MMSE estimation against row-orthonormal pilot operators.
 
 For A with A A^H = I_M and an i.i.d. prior CN(h_pri, v_pri I), the posterior
 mean and average variance have the closed forms
@@ -6,7 +6,11 @@ mean and average variance have the closed forms
     h_post = h_pri + v_pri / (v_pri + sigma2) * A^H (y - A h_pri)
     v_post = v_pri - (M / N) * v_pri^2 / (v_pri + sigma2)
 
-which the FFT-based pilot structure evaluates in O(N log N).
+which the FFT-based pilot structure evaluates in O(N log N).  The same code
+runs one subcarrier (a `PilotMatrix`, scalar variance) or all P subcarriers
+at once (a `PilotSet`, means (N, P) and one variance per column), and so
+does the extrinsic split that turns a posterior into the message for the
+other module.
 """
 
 import numpy as np
@@ -15,12 +19,16 @@ _VAR_FLOOR = 1e-30
 
 
 def lmmse_update(y, pilot, h_pri, v_pri, sigma2):
-    """One matrix-free LMMSE update for a single subcarrier.
+    """One matrix-free LMMSE update.
 
-    Returns (h_post, v_post) with a scalar posterior variance.  sigma2 = 0
-    with M = N pins the posterior variance to a tiny positive floor.
+    With a `PilotMatrix`, y is (M,), h_pri (N,) and v_pri a scalar; with a
+    `PilotSet`, Y is (M, P), H_pri (N, P) and v_pri (P,), one prior variance
+    per subcarrier.  Returns (h_post, v_post), v_post shaped like v_pri.
+    sigma2 = 0 with M = N pins the posterior variance to a tiny positive
+    floor.
     """
-    if v_pri <= 0.0:
+    v_pri = np.asarray(v_pri, dtype=float)
+    if np.any(v_pri <= 0.0):
         raise ValueError(f"prior variance must be positive, got {v_pri}")
     if sigma2 < 0.0:
         raise ValueError(f"noise variance must be non-negative, got {sigma2}")
@@ -28,21 +36,43 @@ def lmmse_update(y, pilot, h_pri, v_pri, sigma2):
     residual = y - pilot.apply(h_pri)
     h_post = h_pri + gain * pilot.adjoint(residual)
     v_post = v_pri * (1.0 - gain * pilot.M / pilot.N)
-    return h_post, max(v_post, _VAR_FLOOR)
+    return h_post, np.maximum(v_post, _VAR_FLOOR)
 
 
-def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8):
-    """Vectorized extrinsic division for one subcarrier (scalar variances).
+def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):
+    """Gaussian extrinsic division post / pri, with its round-trip check.
 
-    Computes the Gaussian quotient post / pri; when the posterior is not
-    informative enough (1/v_post - 1/v_pri <= 1/max_variance) the extrinsic
-    variance is clamped to max_variance.  Returns (h_ext, v_ext, clamped).
+    Means are (N,) with scalar variances, or (N, P) with one variance per
+    column.  Where the posterior is not informative enough
+    (1/v_post - 1/v_pri <= 1/max_variance) the extrinsic variance is clamped
+    to max_variance.
+
+    With `check`, the extrinsic message is multiplied back with the prior and
+    compared with the posterior over the unclamped columns: the error is the
+    worst relative variance mismatch or the worst mean mismatch relative to
+    max |h_post|, whichever is larger (0 when every column is clamped, or
+    without `check`).  Returns (h_ext, v_ext, clamped, roundtrip_err).
     """
+    v_post = np.asarray(v_post, dtype=float)
+    v_pri = np.asarray(v_pri, dtype=float)
     inv = 1.0 / v_post - 1.0 / v_pri
-    clamped = not (inv > 1.0 / max_variance)
-    v_ext = max_variance if clamped else 1.0 / inv
-    h_ext = v_ext * (h_post / v_post - h_pri / v_pri)
-    return h_ext, v_ext, clamped
+    clamped = ~(inv > 1.0 / max_variance)
+    v_ext = np.where(clamped, max_variance, 1.0 / np.where(clamped, 1.0, inv))
+    h_ext = h_post * (v_ext / v_post) - h_pri * (v_ext / v_pri)
+    err = 0.0
+    keep = ~clamped
+    if check and np.any(keep):
+        # per-column maxima first, then the mask: no (N, P) copies of the kept columns
+        v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
+        h_rec = h_ext * (v_rec / v_ext) + h_pri * (v_rec / v_pri)
+        h_rec -= h_post
+        col_err = np.abs(h_rec).max(axis=0)
+        col_scale = np.abs(h_post).max(axis=0)
+        scale = max(float(np.max(col_scale, where=keep, initial=0.0)), 1e-300)
+        err_m = np.max(col_err, where=keep, initial=0.0) / scale
+        err_v = np.max(np.abs(v_rec - v_post) / v_post, where=keep, initial=0.0)
+        err = float(max(err_v, err_m))
+    return h_ext, v_ext[()], clamped[()], err
 
 
 def dense_lmmse(y, A, h_pri, v_pri, sigma2):

@@ -1,10 +1,12 @@
 """Turbo loop coupling the linear estimator with the structured denoiser,
 plus the scalar state-evolution predictor.
 
-Each iteration runs the per-subcarrier LMMSE stage, converts its posterior
-to an extrinsic message, feeds the denoiser, and converts the denoiser
-posterior back.  Extrinsic variances are clamped to a cap instead of ever
-going non-positive or infinite; the round-trip identity
+Each iteration runs the LMMSE stage for all P subcarriers at once through
+the stacked pilot operator (one `lmmse_update` call on (N, P) means and (P,)
+variances), converts its posterior to an extrinsic message, feeds the
+denoiser, and converts the denoiser posterior back.  Both conversions are
+one column-wise `extrinsic_split`.  Extrinsic variances are clamped to a cap
+instead of ever going non-positive or infinite; the round-trip identity
 extrinsic * prior = posterior is monitored inline on the unclamped
 subcarriers.
 
@@ -20,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import as_pilot_set
 from .denoiser import PriorConfig, denoise
-from .lmmse import lmmse_update
+from .lmmse import extrinsic_split, lmmse_update
 from .priors import VARIANT_BG, ScalarPrior, posterior_moments_mixture
 
 
@@ -74,44 +77,24 @@ def to_db(x):
     return 10.0 * math.log10(max(float(x), 1e-300))
 
 
-def _extrinsic_columns(h_post, v_post, h_pri, v_pri, cap):
-    """Column-wise extrinsic division with a variance cap.
-
-    Means are (N, P), variances (P,).  Returns (h_ext, v_ext, clamped_mask).
-    """
-    inv = 1.0 / v_post - 1.0 / v_pri
-    clamped = ~(inv > 1.0 / cap)
-    v_ext = np.where(clamped, cap, 1.0 / np.where(clamped, 1.0, inv))
-    h_ext = v_ext[None, :] * (h_post / v_post[None, :] - h_pri / v_pri[None, :])
-    return h_ext, v_ext, clamped
-
-
-def _roundtrip_error(h_ext, v_ext, h_pri, v_pri, h_post, v_post, clamped):
-    """Worst norm-relative mismatch of extrinsic * prior vs posterior over
-    the unclamped subcarriers."""
-    keep = ~clamped
-    if not np.any(keep):
-        return 0.0
-    v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
-    h_rec = v_rec[None, :] * (h_ext / v_ext[None, :] + h_pri / v_pri[None, :])
-    err_v = np.abs(v_rec - v_post) / v_post
-    scale = np.maximum(np.abs(h_post[:, keep]).max(), 1e-300)
-    err_m = np.abs(h_rec[:, keep] - h_post[:, keep]).max() / scale
-    return float(max(err_v[keep].max(), err_m))
-
-
 def run_turbo(measurements, pilots, cfg, truth=None):
     """Run the turbo iterations; returns (final_estimate, trace).
+
+    `pilots` is a `PilotSet`, or a sequence of `PilotMatrix` (one per
+    subcarrier) that is stacked once here.
 
     `truth` enables the NMSE trace.  Early stopping compares consecutive
     NMSE values when `truth` is given; otherwise it stops once the relative
     change of the estimate, ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2, falls below
     `nmse_tol`.
     """
+    pilots = as_pilot_set(pilots)
     Y = measurements.Y
     sigma2 = measurements.noise_variance
-    M, P = Y.shape
-    N = pilots[0].N
+    P = Y.shape[1]
+    if len(pilots) != P:
+        raise ValueError("need one pilot operator per subcarrier")
+    N = pilots.N
     h_pri_a = np.zeros((N, P), dtype=np.complex128)
     v_pri_a = np.full(P, float(cfg.init_variance))
     state = None
@@ -119,20 +102,10 @@ def run_turbo(measurements, pilots, cfg, truth=None):
     h_final = np.zeros((N, P), dtype=np.complex128)
     prev_metric = None
     for it in range(1, cfg.max_iters + 1):
-        # linear stage, one subcarrier at a time (FFT-based)
-        h_post_a = np.empty((N, P), dtype=np.complex128)
-        v_post_a = np.empty(P)
-        for p in range(P):
-            h_post_a[:, p], v_post_a[p] = lmmse_update(
-                Y[:, p], pilots[p], h_pri_a[:, p], v_pri_a[p], sigma2
-            )
-        h_pri_b, v_pri_b, clamped_a = _extrinsic_columns(
-            h_post_a, v_post_a, h_pri_a, v_pri_a, cfg.ext_var_cap
-        )
-        rt_a = (
-            _roundtrip_error(h_pri_b, v_pri_b, h_pri_a, v_pri_a, h_post_a, v_post_a, clamped_a)
-            if cfg.check_roundtrip
-            else 0.0
+        # linear stage, all subcarriers at once (FFT-based)
+        h_post_a, v_post_a = lmmse_update(Y, pilots, h_pri_a, v_pri_a, sigma2)
+        h_pri_b, v_pri_b, clamped_a, rt_a = extrinsic_split(
+            h_post_a, v_post_a, h_pri_a, v_pri_a, cfg.ext_var_cap, cfg.check_roundtrip
         )
 
         # denoiser stage
@@ -140,13 +113,8 @@ def run_turbo(measurements, pilots, cfg, truth=None):
             h_pri_b, v_pri_b, cfg.prior, None if cfg.reset_beliefs else state
         )
         state = new_state
-        h_pri_a, v_pri_a, clamped_b = _extrinsic_columns(
-            h_post_b, v_post_b, h_pri_b, v_pri_b, cfg.ext_var_cap
-        )
-        rt_b = (
-            _roundtrip_error(h_pri_a, v_pri_a, h_pri_b, v_pri_b, h_post_b, v_post_b, clamped_b)
-            if cfg.check_roundtrip
-            else 0.0
+        h_pri_a, v_pri_a, clamped_b, rt_b = extrinsic_split(
+            h_post_b, v_post_b, h_pri_b, v_pri_b, cfg.ext_var_cap, cfg.check_roundtrip
         )
         if not (np.isfinite(h_pri_a).all() and np.isfinite(v_pri_a).all()):
             raise RuntimeError(f"non-finite turbo state at iteration {it}")

@@ -6,6 +6,7 @@ import pytest
 
 from hmpce.channels import (
     PilotMatrix,
+    PilotSet,
     angle_transform,
     load_channel,
     make_pdft_rp,
@@ -148,6 +149,51 @@ def test_make_pilot_set_deterministic():
     )
 
 
+@pytest.mark.parametrize("N, M, P", [(32, 13, 5), (32, 13, 1), (16, 16, 3), (8, 8, 1)])
+def test_pilot_set_matches_dense_per_subcarrier(N, M, P):
+    pilots = make_pilot_set(N, M, P, rng_seed=N + M + P)
+    rng = np.random.default_rng(P)
+    H = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
+    Y = rng.standard_normal((M, P)) + 1j * rng.standard_normal((M, P))
+    AH, AY = pilots.apply(H), pilots.adjoint(Y)
+    assert AH.shape == (M, P) and AY.shape == (N, P)
+    for p in range(P):
+        A = pilots[p].matrix
+        assert np.max(np.abs(AH[:, p] - A @ H[:, p])) < 1e-12
+        assert np.max(np.abs(AY[:, p] - A.conj().T @ Y[:, p])) < 1e-12
+
+
+def test_pilot_set_stacks_the_per_subcarrier_draws():
+    N, M, P = 32, 13, 4
+    pilots = make_pilot_set(N, M, P, rng_seed=9)
+    assert isinstance(pilots, PilotSet) and len(pilots) == P
+    assert pilots.rows.shape == (P, M)
+    assert pilots.perm.shape == pilots.phases.shape == (P, N)
+    children = np.random.SeedSequence(9).spawn(P)
+    for p, (view, child) in enumerate(zip(pilots, children)):
+        ref = make_pdft_rp(N, M, rng_seed=child)
+        for got in (view, pilots[p]):
+            assert (got.N, got.M) == (N, M)
+            assert np.array_equal(got.rows, ref.rows)
+            assert np.array_equal(got.perm, ref.perm)
+            assert np.array_equal(got.phases, ref.phases)
+    again = PilotSet.stack(list(pilots))
+    for field in ("rows", "perm", "phases"):
+        assert np.array_equal(getattr(again, field), getattr(pilots, field))
+
+
+def test_pilot_set_rejects_bad_inputs():
+    with pytest.raises(ValueError):
+        PilotSet.stack([])
+    with pytest.raises(ValueError):
+        PilotSet.stack([make_pdft_rp(16, 5), make_pdft_rp(16, 6)])
+    pilots = make_pilot_set(16, 5, 3)
+    with pytest.raises(ValueError):
+        pilots.apply(np.zeros((16, 4), complex))
+    with pytest.raises(ValueError):
+        pilots.adjoint(np.zeros((16, 3), complex))
+
+
 def _toy_setup(N=64, M=32, P=50, seed=0):
     support = sample_support(N, rng_seed=seed)
     channel = sample_channel(support, P, rng_seed=seed + 1)
@@ -163,6 +209,15 @@ def test_synthesize_noiseless():
         [pilots[p].apply(channel.gains[:, p]) for p in range(channel.P)], axis=1
     )
     assert np.array_equal(ms.Y, clean)
+
+
+def test_synthesize_accepts_a_list_of_pilot_operators():
+    channel, pilots = _toy_setup(P=6)
+    stacked = synthesize_measurements(channel, pilots, snr_db=10.0, rng_seed=3)
+    listed = synthesize_measurements(channel, list(pilots), snr_db=10.0, rng_seed=3)
+    assert np.array_equal(stacked.Y, listed.Y)
+    with pytest.raises(ValueError):
+        synthesize_measurements(channel, list(pilots)[:5], snr_db=10.0)
 
 
 def test_synthesize_zero_db_noise_power():

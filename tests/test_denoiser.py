@@ -211,8 +211,9 @@ def test_support_extrinsic_matches_leave_one_out_enumeration():
 
 
 def _sweep_case(rng, N, kind):
-    """A frozen chain state: random, clamp-binding, or with saturating
-    pooled evidence (|LLR| > 745, so exp overflows and underflows)."""
+    """A frozen chain state: random, clamp-binding, with a clamp-binding first
+    prediction, or with saturating pooled evidence (|LLR| > 745, so exp
+    overflows and underflows)."""
     if kind == "random":
         cfg = PriorConfig()
         state = frozen_chain_state(rng, N, 2, cfg)
@@ -227,6 +228,13 @@ def _sweep_case(rng, N, kind):
         state.support_like = np.where(
             rng.random((N, 1)) < 0.5, 1e-5, 1.0 - 1e-5
         ) * np.ones((1, 3))
+    elif kind == "sticky":
+        # sticky Beta beliefs on p10 put the first prediction
+        # turn_on / (turn_on + stay_quiet) within 1e-7 of 1, past 1 - floor
+        cfg = PriorConfig(prob_floor=1e-3)
+        state = frozen_chain_state(rng, N, 3, cfg)
+        state.p10_a = float(rng.uniform(20.0, 60.0))
+        state.p10_b = float(rng.uniform(0.02, 0.1))
     else:
         cfg = PriorConfig()
         P = 32
@@ -240,7 +248,7 @@ def _sweep_case(rng, N, kind):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 64])
-@pytest.mark.parametrize("kind", ["random", "clamp", "saturate"])
+@pytest.mark.parametrize("kind", ["random", "clamp", "sticky", "saturate"])
 @pytest.mark.parametrize("init_filtered", [False, True])
 def test_odds_sweeps_match_probability_sweeps(N, kind, init_filtered):
     rng = np.random.default_rng([N, len(kind), init_filtered])
@@ -258,6 +266,10 @@ def test_odds_sweeps_match_probability_sweeps(N, kind, init_filtered):
             assert np.max(np.abs(g - r)) < 1e-12
         if kind == "saturate":
             assert np.abs(llr).max() > 745.0
+        if kind == "sticky":
+            stay_active, turn_on, stay_quiet, turn_off = weights
+            assert turn_on / (turn_on + stay_quiet) > 1.0 - cfg.prob_floor
+            assert state.fwd_pred[0] == pytest.approx(1.0 - cfg.prob_floor, abs=1e-15)
         if kind == "clamp" and N == 64:
             floor = cfg.prob_floor
             for msgs in ((ref[0], ref[2]), (ref[1], ref[3])):
@@ -604,6 +616,22 @@ def test_denoise_equals_manual_schedule():
     h_ref, v_ref = posterior_moments(h, v, state, cfg)
     assert np.array_equal(h_post, h_ref)
     assert np.array_equal(v_post, v_ref)
+
+
+def test_denoise_computes_transition_weights_once_per_round(monkeypatch):
+    import hmpce.denoiser as denoiser
+
+    calls = []
+
+    def counted(state, cfg):
+        calls.append(1)
+        return transition_log_expectations(state, cfg)
+
+    monkeypatch.setattr(denoiser, "transition_log_expectations", counted)
+    rng = np.random.default_rng(34)
+    h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    denoise(h, rng.uniform(0.2, 0.6, 3), PriorConfig())
+    assert len(calls) == 2
 
 
 def test_zero_input_symmetry():

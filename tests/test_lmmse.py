@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_lmmse_measurement_form
+from oracles import dense_lmmse_measurement_form, roundtrip_error_columns
 from hmpce.channels import (
     PilotMatrix,
     make_pdft_rp,
@@ -75,8 +75,25 @@ def test_matches_dense_oracles():
         assert abs(v_post - v_inf) < 1e-8
 
 
+@pytest.mark.parametrize("N, M, P", [(32, 13, 6), (32, 13, 1), (16, 16, 4)])
+def test_batched_update_matches_per_subcarrier(N, M, P):
+    pilots = make_pilot_set(N, M, P, rng_seed=P)
+    rng = np.random.default_rng(N + P)
+    H_pri = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
+    Y = rng.standard_normal((M, P)) + 1j * rng.standard_normal((M, P))
+    v_pri = rng.uniform(0.1, 3.0, P)
+    H_post, v_post = lmmse_update(Y, pilots, H_pri, v_pri, 0.05)
+    assert H_post.shape == (N, P) and v_post.shape == (P,)
+    for p in range(P):
+        h_ref, v_ref = lmmse_update(Y[:, p], pilots[p], H_pri[:, p], v_pri[p], 0.05)
+        assert np.max(np.abs(H_post[:, p] - h_ref)) < 1e-12
+        assert v_post[p] == v_ref
+    with pytest.raises(ValueError):
+        lmmse_update(Y, pilots, H_pri, np.where(np.arange(P) == 0, 0.0, v_pri), 0.05)
+
+
 def test_extrinsic_variance_value():
-    h_ext, v_ext, clamped = extrinsic_split(
+    h_ext, v_ext, clamped, _ = extrinsic_split(
         np.array([1.0 + 0.0j]), 0.5, np.array([0.0 + 0.0j]), 1.0
     )
     assert v_ext == pytest.approx(1.0, abs=1e-14)
@@ -91,10 +108,11 @@ def test_extrinsic_roundtrip_recovers_posterior():
         v_post = v_pri * float(rng.uniform(0.05, 0.95))
         h_pri = complex(rng.standard_normal(), rng.standard_normal())
         h_post = complex(rng.standard_normal(), rng.standard_normal())
-        h_ext, v_ext, clamped = extrinsic_split(
+        h_ext, v_ext, clamped, err = extrinsic_split(
             np.array([h_post]), v_post, np.array([h_pri]), v_pri
         )
         assert not clamped
+        assert err < 1e-10
         back = gaussian_multiply(GaussianMsg(h_ext[0], v_ext), GaussianMsg(h_pri, v_pri))
         assert abs(back.mean - h_post) < 1e-10 * max(1.0, abs(h_post))
         assert abs(back.variance - v_post) < 1e-10 * v_post
@@ -104,17 +122,49 @@ def test_extrinsic_flat_prior_passthrough():
     rng = np.random.default_rng(9)
     h_post = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     h_pri = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    h_ext, v_ext, clamped = extrinsic_split(h_post, 0.4, h_pri, 1e14)
+    h_ext, v_ext, clamped, _ = extrinsic_split(h_post, 0.4, h_pri, 1e14)
     assert not clamped
     assert v_ext == pytest.approx(0.4, rel=1e-10)
     assert np.max(np.abs(h_ext - h_post)) < 1e-10
 
 
 def test_extrinsic_clamps_when_uninformative():
-    h_ext, v_ext, clamped = extrinsic_split(
+    h_ext, v_ext, clamped, err = extrinsic_split(
         np.array([1.0 + 0.0j]), 1.0, np.array([0.0 + 0.0j]), 1.0, max_variance=1e8
     )
     assert clamped and v_ext == 1e8
+    assert err == 0.0
+
+
+def test_extrinsic_split_columns_with_clamped_columns():
+    N, P, cap = 16, 6, 1e8
+    rng = np.random.default_rng(12)
+    h_post = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
+    h_pri = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
+    v_pri = rng.uniform(0.2, 3.0, P)
+    v_post = v_pri * rng.uniform(0.05, 0.95, P)
+    # columns 1 and 4 are uninformative; column 4 also carries a huge mean
+    # that must not enter the round-trip scale
+    v_post[[1, 4]] = v_pri[[1, 4]] * np.array([1.0, 1.5])
+    h_post[:, 4] *= 1e12
+    h_ext, v_ext, clamped, err = extrinsic_split(h_post, v_post, h_pri, v_pri, cap)
+    assert clamped.tolist() == [False, True, False, False, True, False]
+    assert np.all(v_ext[clamped] == cap)
+    for p in range(P):
+        col = extrinsic_split(h_post[:, p], v_post[p], h_pri[:, p], v_pri[p], cap)
+        assert np.array_equal(h_ext[:, p], col[0])
+        assert v_ext[p] == col[1] and clamped[p] == col[2]
+    h_old = v_ext * (h_post / v_post - h_pri / v_pri)
+    assert np.max(np.abs(h_ext - h_old)[:, ~clamped]) < 1e-12
+    ref = roundtrip_error_columns(h_ext, v_ext, h_pri, v_pri, h_post, v_post, clamped)
+    assert err < 1e-14 and ref < 1e-14
+    keep = ~clamped
+    kept = extrinsic_split(h_post[:, keep], v_post[keep], h_pri[:, keep], v_pri[keep], cap)
+    assert kept[3] == err > 0.0
+    unchecked = extrinsic_split(h_post, v_post, h_pri, v_pri, cap, check=False)
+    assert unchecked[3] == 0.0 and np.array_equal(unchecked[0], h_ext)
+    everything = extrinsic_split(h_post, v_pri, h_pri, v_pri, cap)
+    assert np.all(everything[2]) and everything[3] == 0.0
 
 
 def test_extrinsic_error_concentrates_on_se_map():
@@ -137,7 +187,7 @@ def test_extrinsic_error_concentrates_on_se_map():
         truth = channel.gains[:, 0]
         y = pilot.apply(truth) + noise
         h_post, v_post = lmmse_update(y, pilot, np.zeros(N, complex), v, sigma2)
-        h_ext, v_ext, _ = extrinsic_split(h_post, v_post, np.zeros(N, complex), v)
+        h_ext, v_ext, _, _ = extrinsic_split(h_post, v_post, np.zeros(N, complex), v)
         assert v_ext == pytest.approx(1.0 / eta, rel=1e-10)
         err_power.append(float(np.mean(np.abs(h_ext - truth) ** 2)))
     assert float(np.mean(err_power)) == pytest.approx(1.0 / eta, rel=0.05)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import run_turbo_per_subcarrier
 from hmpce import turbo
 from hmpce.channels import (
     make_pilot_set,
@@ -80,6 +81,42 @@ def test_noiseless_full_pilots_one_iteration():
     meas = synthesize_measurements(channel, pilots, np.inf)
     _, trace = run_turbo(meas, pilots, algo(max_iters=1), truth=channel.gains)
     assert trace.nmse[0] < 1e-20
+
+
+@pytest.mark.parametrize(
+    "N, M, P, snr_db, variant, iters, with_truth",
+    [
+        (64, 26, 4, 20.0, VARIANT_LVD, 10, True),
+        (64, 26, 1, 20.0, VARIANT_TSGM, 10, True),    # one subcarrier
+        (32, 32, 3, 30.0, VARIANT_BG, 10, True),      # M = N
+        (32, 32, 1, np.inf, VARIANT_LVD, 1, True),    # M = N, P = 1, noiseless
+        (64, 26, 4, 20.0, VARIANT_LVD, 10, False),    # early stop without truth
+    ],
+)
+def test_stacked_turbo_matches_per_subcarrier_oracle(N, M, P, snr_db, variant, iters,
+                                                     with_truth):
+    meas, pilots, truth = make_sim(N, M, P, snr_db, seed=N + M + P)
+    truth = truth if with_truth else None
+    for early_stop in (False, True):
+        cfg = algo(variant, max_iters=iters, early_stop=early_stop)
+        h, trace = run_turbo(meas, pilots, cfg, truth=truth)
+        h_ref, ref = run_turbo_per_subcarrier(meas, list(pilots), cfg, truth=truth)
+        assert trace.iterations == ref.iterations
+        assert trace.clamped_a == ref.clamped_a and trace.clamped_b == ref.clamped_b
+        if with_truth:
+            assert np.max(np.abs(np.subtract(trace.nmse, ref.nmse))) < 1e-12
+        assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
+        assert max(trace.roundtrip_err) <= 1e-10 and max(ref.roundtrip_err) <= 1e-10
+
+
+def test_run_turbo_stacks_a_list_of_pilot_operators():
+    meas, pilots, truth = make_sim(32, 13, 3, 20.0, seed=12)
+    cfg = algo(max_iters=4)
+    h_set, t_set = run_turbo(meas, pilots, cfg, truth=truth)
+    h_list, t_list = run_turbo(meas, list(pilots), cfg, truth=truth)
+    assert np.array_equal(h_set, h_list) and t_set.nmse == t_list.nmse
+    with pytest.raises(ValueError):
+        run_turbo(meas, list(pilots)[:2], cfg, truth=truth)
 
 
 def test_turbo_trace_determinism():
