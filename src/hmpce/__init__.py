@@ -45,11 +45,8 @@ from .messages import (
     BetaBelief,
     GammaBelief,
     GaussianMsg,
-    NonInformativePosteriorError,
     digamma_approx,
     digamma_exact,
-    gaussian_extrinsic,
-    gaussian_extrinsic_clamped,
     gaussian_multiply,
 )
 from .priors import (

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .messages import cgauss_logpdf, digamma_fn
+from .messages import beta_log_expectations, cgauss_logpdf, digamma_fn
 from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, VARIANTS
 
 
@@ -111,13 +111,12 @@ def transition_log_expectations(state, cfg):
     them once per chain round and hands them to the sweeps and the Beta
     update; a step called without them recomputes them from `state`.
     """
-    psi = digamma_fn(cfg.exact_digamma)
-    t10 = psi(state.p10_a + state.p10_b)
-    t01 = psi(state.p01_a + state.p01_b)
-    log_turn_on = psi(state.p10_a) - t10
-    log_stay_quiet = psi(state.p10_b) - t10
-    log_turn_off = psi(state.p01_a) - t01
-    log_stay_active = psi(state.p01_b) - t01
+    log_turn_on, log_stay_quiet = beta_log_expectations(
+        state.p10_a, state.p10_b, cfg.exact_digamma
+    )
+    log_turn_off, log_stay_active = beta_log_expectations(
+        state.p01_a, state.p01_b, cfg.exact_digamma
+    )
     return log_stay_active, log_turn_on, log_stay_quiet, log_turn_off
 
 

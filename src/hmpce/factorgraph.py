@@ -8,11 +8,13 @@ factor's bp neighborhood and the beliefs of the remaining mf neighbors.
 With all edges tagged "bp" the engine degenerates to loopy sum-product,
 with all edges "mf" to coordinate-ascent variational message passing.
 
-Supported variable families: finite-domain, Gamma-precision, Beta
-probability, and circular complex Gaussian.  Parametric (non-discrete)
+Supported variable families: finite-domain (`DiscreteMsg`), and from
+`messages`, Gamma-precision (`GammaBelief`), Beta probability (`BetaBelief`)
+and circular complex Gaussian (`GaussianMsg`).  Parametric (non-discrete)
 variables must sit on mf edges, except the complex-Gaussian variable of a
 precision factor which may take either tag.  Expectations are evaluated in
-closed form per family (exact digamma); there is no generic quadrature.
+closed form per family (`messages`' expected logs, exact digamma); there is
+no generic quadrature.
 
 The stretched-graph checker rebuilds a single-hybrid-factor graph in the
 classic combined form (hard-constraint factor plus one joint variable, the
@@ -20,12 +22,22 @@ original factor demoted to a pure mf factor) with an independent direct
 implementation, runs both, and reports the worst message discrepancy.
 """
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.special import digamma
+
+from .messages import (
+    BetaBelief,
+    GammaBelief,
+    GaussianMsg,
+    beta_log_expectations,
+    gamma_log_mean,
+    gaussian_multiply,
+)
 
 BP = "bp"
 MF = "mf"
@@ -54,24 +66,6 @@ FLAT = _Flat()
 @dataclass
 class DiscreteMsg:
     probs: np.ndarray
-
-
-@dataclass
-class GammaMsg:
-    shape: float
-    rate: float
-
-
-@dataclass
-class BetaMsg:
-    a: float
-    b: float
-
-
-@dataclass
-class CGaussMsg:
-    mean: complex
-    variance: float
 
 
 @dataclass
@@ -107,18 +101,13 @@ def _msg_product(kind, msgs):
     if kind == "gamma":
         shape = sum(m.shape for m in msgs) - (len(msgs) - 1)
         rate = sum(m.rate for m in msgs)
-        return GammaMsg(shape, rate)
+        return GammaBelief(shape, rate)
     if kind == "beta":
         a = sum(m.a for m in msgs) - (len(msgs) - 1)
         b = sum(m.b for m in msgs) - (len(msgs) - 1)
-        return BetaMsg(a, b)
+        return BetaBelief(a, b)
     if kind == "cgauss":
-        mean, var = msgs[0].mean, msgs[0].variance
-        for m in msgs[1:]:
-            denom = var + m.variance
-            mean = (mean * m.variance + m.mean * var) / denom
-            var = var * m.variance / denom
-        return CGaussMsg(mean, var)
+        return functools.reduce(gaussian_multiply, msgs)
     raise UnsupportedGraphError(f"unknown variable kind {kind}")
 
 
@@ -129,22 +118,8 @@ def _msg_delta(old, new):
         return 1.0
     if isinstance(new, DiscreteMsg):
         return float(np.max(np.abs(old.probs - new.probs)))
-    if isinstance(new, GammaMsg):
-        return abs(old.shape - new.shape) + abs(old.rate - new.rate)
-    if isinstance(new, BetaMsg):
-        return abs(old.a - new.a) + abs(old.b - new.b)
-    if isinstance(new, CGaussMsg):
-        return abs(old.mean - new.mean) + abs(old.variance - new.variance)
-    raise UnsupportedGraphError(f"unknown message type {type(new)}")
-
-
-def _gamma_log_mean(belief):
-    return digamma(belief.shape) - math.log(belief.rate)
-
-
-def _beta_log_means(belief):
-    tot = digamma(belief.a + belief.b)
-    return digamma(belief.a) - tot, digamma(belief.b) - tot
+    # parametric messages: summed absolute change of their fields
+    return sum(abs(o - n) for o, n in zip(astuple(old), astuple(new)))
 
 
 class Factor:
@@ -306,15 +281,15 @@ class MixtureObservationFactor(_DiscreteCoreFactor):
     def current_log_table(self, param_beliefs):
         LT = self.log_base.astype(float).copy()
         for e, q, b in zip(self.exponents, self.obs_sq, param_beliefs):
-            LT = LT + e * (_gamma_log_mean(b) - math.log(math.pi))
-            LT = LT - (b.shape / b.rate) * e * q
+            LT = LT + e * (gamma_log_mean(b.shape, b.rate, exact=True) - math.log(math.pi))
+            LT = LT - b.mean() * e * q
         return LT
 
     def param_message(self, idx, joint_weights):
         e, q = self.exponents[idx], self.obs_sq[idx]
         shape_inc = float((joint_weights * e).sum())
         rate = float((joint_weights * e * q).sum())
-        return GammaMsg(1.0 + shape_inc, rate)
+        return GammaBelief(1.0 + shape_inc, rate)
 
 
 class BernoulliMixFactor(_DiscreteCoreFactor):
@@ -330,13 +305,13 @@ class BernoulliMixFactor(_DiscreteCoreFactor):
     def current_log_table(self, param_beliefs):
         LT = self.log_base.astype(float).copy()
         for s, t, b in zip(self.succ, self.fail, param_beliefs):
-            lp, lq = _beta_log_means(b)
+            lp, lq = beta_log_expectations(b.a, b.b, exact=True)
             LT = LT + s * lp + t * lq
         return LT
 
     def param_message(self, idx, joint_weights):
         s, t = self.succ[idx], self.fail[idx]
-        return BetaMsg(
+        return BetaBelief(
             1.0 + float((joint_weights * s).sum()),
             1.0 + float((joint_weights * t).sum()),
         )
@@ -356,8 +331,7 @@ class PrecisionGaussFactor(Factor):
             raise UnsupportedGraphError(
                 f"factor '{self.name}': precision variable has no proper belief"
             )
-        mean_prec = vb.shape / vb.rate
-        to_h = CGaussMsg(0.0, 1.0 / mean_prec)
+        to_h = GaussianMsg(0.0, 1.0 / vb.mean())
         if graph.tag(self, self.cgauss_var) == BP:
             n = graph.n_message(self.cgauss_var, self)
             hb = to_h if n is FLAT else _msg_product("cgauss", [to_h, n])
@@ -366,13 +340,13 @@ class PrecisionGaussFactor(Factor):
             if hb is FLAT:
                 hb = to_h
         second = abs(hb.mean) ** 2 + hb.variance
-        return {self.cgauss_var: to_h, self.gamma_var: GammaMsg(2.0, second)}
+        return {self.cgauss_var: to_h, self.gamma_var: GammaBelief(2.0, second)}
 
 
 class GammaPriorFactor(Factor):
     def __init__(self, name, var, shape, rate):
         super().__init__(name, [var])
-        self.msg = GammaMsg(float(shape), float(rate))
+        self.msg = GammaBelief(float(shape), float(rate))
 
     def compute_messages(self, graph):
         return {self.vars[0]: self.msg}
@@ -381,7 +355,7 @@ class GammaPriorFactor(Factor):
 class BetaPriorFactor(Factor):
     def __init__(self, name, var, a, b):
         super().__init__(name, [var])
-        self.msg = BetaMsg(float(a), float(b))
+        self.msg = BetaBelief(float(a), float(b))
 
     def compute_messages(self, graph):
         return {self.vars[0]: self.msg}
@@ -390,18 +364,10 @@ class BetaPriorFactor(Factor):
 class CGaussPriorFactor(Factor):
     def __init__(self, name, var, mean, variance):
         super().__init__(name, [var])
-        self.msg = CGaussMsg(complex(mean), float(variance))
+        self.msg = GaussianMsg(complex(mean), float(variance))
 
     def compute_messages(self, graph):
         return {self.vars[0]: self.msg}
-
-
-_MSG_KIND = {
-    "discrete": DiscreteMsg,
-    "gamma": GammaMsg,
-    "beta": BetaMsg,
-    "cgauss": CGaussMsg,
-}
 
 
 class FactorGraph:
@@ -596,10 +562,7 @@ def stretched_graph_equivalence_check(graph, max_sweeps=200, tol=1e-10):
         others = [f for f in graph.neighbors(var) if f.name != hybrid.name]
         if not others:
             raise UnsupportedGraphError(f"parametric variable '{var}' needs a prior factor")
-        msg = others[0].compute_messages(graph)[var]
-        if isinstance(msg, GammaMsg):
-            return [msg.shape, msg.rate]
-        return [msg.a, msg.b]
+        return list(astuple(others[0].compute_messages(graph)[var]))
 
     # pipeline 1: hybrid rule on the original graph
     sweeps = graph.run(max_sweeps=max_sweeps, tol=tol)
@@ -700,17 +663,9 @@ def stretched_graph_equivalence_check(graph, max_sweeps=200, tol=1e-10):
         ))))
         count += 2
     for idx, v in enumerate(hybrid.param_vars):
-        msg = graph.message(hybrid, v)
-        kind, x, y = to_param[idx]
-        if kind == "gamma":
-            worst = max(worst, abs(msg.shape - x), abs(msg.rate - y))
-            b = graph.belief(v)
-            worst = max(worst, abs(b.shape - param_beliefs[idx][0]),
-                        abs(b.rate - param_beliefs[idx][1]))
-        else:
-            worst = max(worst, abs(msg.a - x), abs(msg.b - y))
-            b = graph.belief(v)
-            worst = max(worst, abs(b.a - param_beliefs[idx][0]),
-                        abs(b.b - param_beliefs[idx][1]))
+        # message then belief, each as (shape, rate) or (a, b)
+        engine = astuple(graph.message(hybrid, v)) + astuple(graph.belief(v))
+        direct = to_param[idx][1:] + tuple(param_beliefs[idx])
+        worst = max(worst, *(abs(e - d) for e, d in zip(engine, direct)))
         count += 4
     return {"max_discrepancy": worst, "messages_compared": count, "sweeps": sweeps}

@@ -1,11 +1,14 @@
-"""Scalar message types and algebra shared by the estimators.
+"""Scalar message types and algebra shared by the denoiser and the
+factor-graph engine.
 
 Complex-Gaussian messages are parameterized by (mean, variance) with the
 circularly-symmetric convention, Gamma beliefs by (shape, rate) on a
 precision, Beta beliefs by the usual pseudo-counts.  The digamma
 approximation ln(x) - 1/(2x) is the default everywhere an expected
 logarithm of a Gamma/Beta variable is needed; the exact digamma is
-available behind a flag.
+available behind a flag.  The expected logarithms take raw parameters.
+Discrete messages live in `factorgraph`; the Gaussian extrinsic division
+is `lmmse.extrinsic_split`.
 """
 
 import math
@@ -13,10 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma as _digamma_exact
-
-
-class NonInformativePosteriorError(ValueError):
-    """Raised when an extrinsic division sees v_post >= v_pri."""
 
 
 @dataclass(frozen=True)
@@ -35,14 +34,18 @@ class GaussianMsg:
 
 @dataclass(frozen=True)
 class GammaBelief:
-    """Gamma belief Ga(shape, rate) over a precision."""
+    """Gamma belief Ga(shape, rate) over a precision.
+
+    The rate may be 0: a mixture observation whose squared observations or
+    exponents vanish sends such a message, flat in the rate direction.
+    """
 
     shape: float
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.rate > 0.0):
-            raise ValueError(f"shape and rate must be positive, got ({self.shape}, {self.rate})")
+        if not (self.shape > 0.0 and self.rate >= 0.0):
+            raise ValueError(f"need shape > 0 and rate >= 0, got ({self.shape}, {self.rate})")
 
     def mean(self):
         return self.shape / self.rate
@@ -93,36 +96,6 @@ def gaussian_multiply(a, b):
     return GaussianMsg(mean, variance)
 
 
-def gaussian_extrinsic(post, pri):
-    """Extrinsic division: the message m with m * pri = post.
-
-    Raises NonInformativePosteriorError when v_post >= v_pri, in which
-    case there is no valid Gaussian quotient; callers that need to keep
-    running clamp the variance instead (see gaussian_extrinsic_clamped).
-    """
-    if post.variance >= pri.variance:
-        raise NonInformativePosteriorError(
-            f"non-informative posterior: v_post={post.variance} >= v_pri={pri.variance}"
-        )
-    inv_v = 1.0 / post.variance - 1.0 / pri.variance
-    variance = 1.0 / inv_v
-    mean = variance * (post.mean / post.variance - pri.mean / pri.variance)
-    return GaussianMsg(mean, variance)
-
-
-def gaussian_extrinsic_clamped(post, pri, max_variance=1e8):
-    """Extrinsic division with the variance clamped to (0, max_variance].
-
-    Returns (message, clamped_flag).  Used inside the turbo loop where a
-    barely-informative posterior must not inject an infinite variance.
-    """
-    inv_v = 1.0 / post.variance - 1.0 / pri.variance
-    clamped = not (inv_v > 1.0 / max_variance)
-    variance = 1.0 / inv_v if not clamped else max_variance
-    mean = variance * (post.mean / post.variance - pri.mean / pri.variance)
-    return GaussianMsg(mean, variance), clamped
-
-
 def cgauss_logpdf(x, mean, variance):
     """Log density of CN(mean, variance) at x.  Vectorized."""
     x = np.asarray(x)
@@ -133,24 +106,19 @@ def cgauss_logpdf(x, mean, variance):
     return out if out.ndim else float(out)
 
 
-def cgauss_pdf(x, mean, variance):
-    """Density of CN(mean, variance) at x."""
-    out = np.exp(cgauss_logpdf(x, mean, variance))
-    return out if np.ndim(out) else float(out)
-
-
-def beta_log_expectations(belief, exact=False):
-    """(E[ln p], E[ln(1-p)]) under a Beta belief.
+def beta_log_expectations(a, b, exact=False):
+    """(E[ln p], E[ln(1-p)]) under Beta(a, b).
 
     Uses the ln(x) - 1/(2x) approximation by default, the exact digamma
-    when exact=True.
+    when exact=True.  NaN pseudo-counts give NaN, not an error, so a
+    non-finite turbo state reaches the turbo loop's finiteness check.
     """
     psi = digamma_fn(exact)
-    tot = psi(belief.a + belief.b)
-    return psi(belief.a) - tot, psi(belief.b) - tot
+    tot = psi(a + b)
+    return psi(a) - tot, psi(b) - tot
 
 
-def gamma_log_mean(belief, exact=False):
-    """E[ln v] under Ga(shape, rate)."""
+def gamma_log_mean(shape, rate, exact=False):
+    """E[ln v] under Ga(shape, rate), for a scalar rate."""
     psi = digamma_fn(exact)
-    return psi(belief.shape) - math.log(belief.rate)
+    return psi(shape) - math.log(rate)

@@ -208,7 +208,8 @@ def test_synthesize_noiseless():
     clean = np.stack(
         [pilots[p].apply(channel.gains[:, p]) for p in range(channel.P)], axis=1
     )
-    assert np.array_equal(ms.Y, clean)
+    # batched and single-vector FFTs need not agree bit for bit
+    assert np.max(np.abs(ms.Y - clean)) <= 1e-12 * np.max(np.abs(clean))
 
 
 def test_synthesize_accepts_a_list_of_pilot_operators():

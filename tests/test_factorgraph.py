@@ -1,5 +1,7 @@
 import itertools
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hmpce.factorgraph import (
     BP,
     FLAT,
     MF,
+    BetaPriorFactor,
     CGaussPriorFactor,
     FactorGraph,
     GammaPriorFactor,
@@ -21,6 +24,8 @@ from hmpce.factorgraph import (
     exact_marginals,
     stretched_graph_equivalence_check,
 )
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def one_sweep_reference(table, anchors, tags):
@@ -176,30 +181,34 @@ def test_mixed_tag_messages_match_loop_reference():
 
 
 def test_gamma_message_shape_increment_one():
-    # unit exponents make the shape increment equal the total joint weight
-    g = FactorGraph()
-    g.add_variable("x", "discrete", 2)
-    g.add_variable("v", "gamma")
-    obs_sq = np.array([0.4, 1.3])
-    factor = MixtureObservationFactor(
-        "mix", ["x"], ["v"],
-        log_base=np.zeros(2), exponents=[np.ones(2)], obs_sq=[obs_sq],
-    )
-    g.add_factor(GammaPriorFactor("pv", "v", 1.5, 2.0))
-    g.add_factor(factor)
-    g.add_factor(TableFactor("ax", ["x"], np.array([0.3, 0.7])))
-    g.sweep()
-    msg = g.message(factor, "v")
-    assert msg.shape == pytest.approx(2.0, abs=1e-12)
-    # hand-computed joint weight over x at the first sweep
-    log_ev = digamma(1.5) - math.log(2.0)
-    lt = (log_ev - math.log(math.pi)) - 0.75 * obs_sq
-    w = np.exp(lt - lt.max()) * np.array([0.3, 0.7])
-    w /= w.sum()
-    assert msg.rate == pytest.approx(float(w @ obs_sq), rel=1e-12)
-    belief = g.belief("v")
-    assert belief.shape == pytest.approx(1.5 + 1.0, abs=1e-12)
-    assert belief.rate == pytest.approx(2.0 + float(w @ obs_sq), rel=1e-12)
+    # unit exponents make the shape increment equal the total joint weight;
+    # obs_sq = 0 gives the flat-in-rate message Ga(2, 0) and the belief
+    # Ga(2.5, 2), which must be accepted
+    for obs_sq in (np.array([0.4, 1.3]), np.zeros(2)):
+        g = FactorGraph()
+        g.add_variable("x", "discrete", 2)
+        g.add_variable("v", "gamma")
+        factor = MixtureObservationFactor(
+            "mix", ["x"], ["v"],
+            log_base=np.zeros(2), exponents=[np.ones(2)], obs_sq=[obs_sq],
+        )
+        g.add_factor(GammaPriorFactor("pv", "v", 1.5, 2.0))
+        g.add_factor(factor)
+        g.add_factor(TableFactor("ax", ["x"], np.array([0.3, 0.7])))
+        g.sweep()
+        msg = g.message(factor, "v")
+        assert msg.shape == pytest.approx(2.0, abs=1e-12)
+        # hand-computed joint weight over x at the first sweep
+        log_ev = digamma(1.5) - math.log(2.0)
+        lt = (log_ev - math.log(math.pi)) - 0.75 * obs_sq
+        w = np.exp(lt - lt.max()) * np.array([0.3, 0.7])
+        w /= w.sum()
+        assert msg.rate == pytest.approx(float(w @ obs_sq), rel=1e-12)
+        belief = g.belief("v")
+        assert belief.shape == pytest.approx(1.5 + 1.0, abs=1e-12)
+        assert belief.rate == pytest.approx(2.0 + float(w @ obs_sq), rel=1e-12)
+    assert (msg.shape, msg.rate) == (2.0, 0.0)
+    assert (belief.shape, belief.rate) == (2.5, 2.0)
 
 
 def test_precision_gauss_single_sweep():
@@ -222,6 +231,24 @@ def test_precision_gauss_single_sweep():
     vb = g.belief("v")
     assert vb.shape == pytest.approx(2.0, abs=1e-14)
     assert vb.rate == pytest.approx(2.5, abs=1e-14)
+
+
+def test_prior_factors_validate_parameters():
+    for mean, variance in ((0.0, 0.0), (0.0, -1.0), (0.0, math.inf),
+                           (math.nan, 1.0), (complex(0.0, math.inf), 1.0)):
+        with pytest.raises(ValueError):
+            CGaussPriorFactor("ph", "h", mean, variance)
+    for shape, rate in ((0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError):
+            GammaPriorFactor("pv", "v", shape, rate)
+    assert GammaPriorFactor("pv", "v", 1.0, 0.0).msg.rate == 0.0
+    with pytest.raises(ValueError):
+        BetaPriorFactor("pq", "q", 0.0, 1.0)
+
+
+def test_hybrid_rule_demo_reports_zero_discrepancy(capsys):
+    runpy.run_path(str(DEMOS / "demo_hybrid_rule.py"), run_name="__main__")
+    assert "max discrepancy 0.00e+00" in capsys.readouterr().out
 
 
 def test_variable_to_factor_rules():

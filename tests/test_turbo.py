@@ -83,6 +83,16 @@ def test_noiseless_full_pilots_one_iteration():
     assert trace.nmse[0] < 1e-20
 
 
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
+@pytest.mark.parametrize("M, P", [(1, 1), (1, 3), (2, 1), (2, 3)])
+def test_two_element_channel(M, P, variant):
+    meas, pilots, truth = make_sim(2, M, P, 20.0, seed=40 + 2 * M + P)
+    h, trace = run_turbo(meas, pilots, algo(variant, max_iters=6), truth=truth)
+    assert h.shape == (2, P) and np.all(np.isfinite(h))
+    assert 1 <= trace.iterations <= 6
+    assert max(trace.roundtrip_err) <= 1e-10
+
+
 @pytest.mark.parametrize(
     "N, M, P, snr_db, variant, iters, with_truth",
     [
