@@ -14,6 +14,7 @@ from hmpce.messages import (
     gamma_log_mean,
     gaussian_multiply,
 )
+from hmpce.lmmse import extrinsic_split
 
 
 def test_psi_hat_values():
@@ -65,6 +66,57 @@ def test_gaussian_multiply_commutative_associative():
         right = gaussian_multiply(msgs[0], gaussian_multiply(msgs[1], msgs[2]))
         assert abs(left.mean - right.mean) <= 1e-12 * max(1.0, abs(left.mean))
         assert abs(left.variance - right.variance) <= 1e-12 * left.variance
+
+
+def _extrinsic(post, pri, max_variance=1e8):
+    # the scalar case of the extrinsic division post / pri, through the one
+    # implementation of it (lmmse.extrinsic_split on a length-1 vector)
+    h_ext, v_ext, clamped, _ = extrinsic_split(
+        np.array([post.mean], dtype=complex), post.variance,
+        np.array([pri.mean], dtype=complex), pri.variance, max_variance,
+    )
+    return GaussianMsg(complex(h_ext[0]), float(v_ext)), bool(clamped)
+
+
+def test_extrinsic_examples():
+    out, clamped = _extrinsic(GaussianMsg(1.0, 0.5), GaussianMsg(0.0, 1.0))
+    assert out.mean == pytest.approx(2.0) and out.variance == pytest.approx(1.0)
+    assert not clamped
+    out, clamped = _extrinsic(GaussianMsg(0.7 + 0.1j, 0.3), GaussianMsg(0.7 + 0.1j, 0.6))
+    assert out.mean == pytest.approx(0.7 + 0.1j) and out.variance == pytest.approx(0.6)
+    assert not clamped
+    # a posterior no narrower than the prior has no proper extrinsic: it clamps
+    for post in (GaussianMsg(1.0, 1.0), GaussianMsg(1.0, 2.0)):
+        out, clamped = _extrinsic(post, GaussianMsg(0.0, 1.0))
+        assert clamped and out.variance == 1e8 and np.isfinite(out.mean)
+
+
+def test_extrinsic_roundtrip():
+    # the extrinsic division inverts the Gaussian product
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        v_pri = float(rng.uniform(0.1, 4.0))
+        v_post = float(rng.uniform(0.01, 0.99)) * v_pri
+        pri = GaussianMsg(complex(rng.standard_normal(), rng.standard_normal()), v_pri)
+        post = GaussianMsg(complex(rng.standard_normal(), rng.standard_normal()), v_post)
+        ext, clamped = _extrinsic(post, pri)
+        assert not clamped
+        back = gaussian_multiply(ext, pri)
+        assert abs(back.mean - post.mean) <= 1e-10 * max(1.0, abs(post.mean))
+        assert abs(back.variance - post.variance) <= 1e-10 * post.variance
+
+
+def test_extrinsic_clamped():
+    # barely informative posterior hits the cap and sets the flag
+    msg, clamped = _extrinsic(GaussianMsg(1.0, 0.999999999), GaussianMsg(0.0, 1.0))
+    assert clamped and msg.variance == 1e8
+    # clearly informative posterior matches the exact division
+    msg, clamped = _extrinsic(GaussianMsg(1.0, 0.5), GaussianMsg(0.0, 1.0))
+    assert not clamped
+    assert msg.mean == pytest.approx(2.0) and msg.variance == pytest.approx(1.0)
+    # equal variances (invalid division) also clamp rather than raise
+    _, clamped = _extrinsic(GaussianMsg(1.0, 1.0), GaussianMsg(0.0, 1.0))
+    assert clamped
 
 
 def test_cgauss_values():
