@@ -54,7 +54,7 @@ from .priors import (
     VARIANT_LVD,
     VARIANT_TSGM,
     ScalarPrior,
-    posterior_moments_mixture,
+    posterior_variance_mixture,
 )
 from .turbo import (
     AlgoConfig,

@@ -327,7 +327,8 @@ class PrecisionGaussFactor(Factor):
 
     def compute_messages(self, graph):
         vb = graph.belief(self.gamma_var)
-        if vb is FLAT:
+        if vb is FLAT or vb.rate == 0.0:
+            # a rate-0 Gamma belief has no finite mean precision to send
             raise UnsupportedGraphError(
                 f"factor '{self.name}': precision variable has no proper belief"
             )

@@ -6,6 +6,11 @@ and draws from a zero-mean complex Gaussian whose variance is itself random
 (log-uniform spread, normalized so active elements have the configured mean
 power); otherwise it draws from a common near-zero variance component
 (or is exactly zero for the Bernoulli-Gaussian variant).
+
+The posterior variance of a gain observed in AWGN depends on the
+observation r only through |r|^2, so `posterior_variance_mixture`, which
+the state evolution's Monte-Carlo MMSE averages, takes |r|^2 and works in
+real arithmetic.
 """
 
 import math
@@ -74,34 +79,48 @@ class ScalarPrior:
         return gains, active, vlarge
 
 
-def posterior_moments_mixture(r, tau, lam, v_large, v_small):
-    """Exact posterior mean/variance for h ~ lam CN(0, v_large) + (1-lam) CN(0, v_small)
-    observed through r = h + CN(0, tau).  v_small = 0 gives the spike-and-slab case.
-    Vectorized over r (and v_large).  Returns (mean, var, weight_large)."""
-    r = np.asarray(r)
-    v_large = np.asarray(v_large, dtype=float)
-    s_large = v_large + tau
+def posterior_variance_mixture(r_sq, tau, lam, v_large, v_small):
+    """Posterior variance of h ~ lam CN(0, v_large) + (1-lam) CN(0, v_small)
+    observed through r = h + CN(0, tau), as a function of r_sq = |r|^2.
+    v_small = 0 gives the spike-and-slab case.
+
+    With a = v/(v+tau) per component and w the posterior weight of the large
+    component, var = w v_large tau/(v_large+tau) + (1-w) v_small tau/(v_small+tau)
+    + r_sq w(1-w) (a_large - a_small)^2: the law of total variance, whose
+    between-component term is what E|m|^2 - |E m|^2 reduces to.  Real
+    arithmetic, vectorized over r_sq (and v_large); returns a new array of
+    at least one dimension.
+    """
+    r_sq = np.atleast_1d(np.asarray(r_sq, dtype=float))
     s_small = v_small + tau
-    if lam >= 1.0:
-        w = np.ones(np.broadcast(r, v_large).shape)
-    elif lam <= 0.0:
-        w = np.zeros(np.broadcast(r, v_large).shape)
-    else:
-        # log-odds of the active component
-        llr = (
-            math.log(lam / (1.0 - lam))
-            + np.log(s_small / s_large)
-            + np.abs(r) ** 2 * (1.0 / s_small - 1.0 / s_large)
-        )
-        w = 1.0 / (1.0 + np.exp(-llr))
-    m_large = (v_large / s_large) * r
-    m_small = (v_small / s_small) * r
-    v_l = v_large * tau / s_large
-    v_s = v_small * tau / s_small
-    mean = w * m_large + (1.0 - w) * m_small
-    var = (
-        w * (np.abs(m_large) ** 2 + v_l)
-        + (1.0 - w) * (np.abs(m_small) ** 2 + v_s)
-        - np.abs(mean) ** 2
-    )
-    return mean, var, w
+    c_small = v_small * tau / s_small
+    if lam >= 1.0 or lam <= 0.0:
+        shape = np.broadcast_shapes(r_sq.shape, np.shape(v_large))
+        return np.full(shape, v_large * tau / (v_large + tau) if lam >= 1.0 else c_small)
+    # a_large - a_small = tau q, and c_large - c_small = tau^2 q since c = a tau.
+    # q and odds are arrays when v_large is one, so they are built in place.
+    odds = v_large + tau
+    q = v_large - v_small
+    q /= odds
+    q /= s_small
+    odds *= (1.0 - lam) / (lam * s_small)
+    # e = (1-w)/w = odds exp(-r_sq q): the posterior odds against the large
+    # component, and w = 1/(1+e).  The cap keeps 1 - w = e w finite where w
+    # underflows.
+    e = r_sq * q
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e *= odds
+    np.minimum(e, 1e300, out=e)
+    w = e + 1.0
+    np.reciprocal(w, out=w)
+    # var = c_small + tau^2 q w (1 + r_sq q (1-w)), with 1 - w = e w
+    e *= w
+    e *= r_sq
+    e *= q
+    e += 1.0
+    e *= w
+    e *= q
+    e *= tau * tau
+    e += c_small
+    return e

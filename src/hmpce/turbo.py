@@ -14,7 +14,9 @@ The state-evolution recursion tracks a single variance scalar through the
 same two maps: the linear stage in closed form, the denoiser through a
 Monte-Carlo estimate of the scalar MMSE under the gain prior (common random
 numbers across eta evaluations, so the recursion is deterministic and
-smooth for a fixed seed).
+smooth for a fixed seed).  The sample bank is held as three real arrays from
+which |r|^2 is formed for each eta, the one statistic the posterior variance
+depends on.
 """
 
 import math
@@ -25,7 +27,7 @@ import numpy as np
 from .channels import as_pilot_set
 from .denoiser import PriorConfig, denoise
 from .lmmse import extrinsic_split, lmmse_update
-from .priors import VARIANT_BG, ScalarPrior, posterior_moments_mixture
+from .priors import VARIANT_BG, ScalarPrior, posterior_variance_mixture
 
 
 class SeUndefinedError(RuntimeError):
@@ -159,29 +161,46 @@ class MmseSampler:
     numbers), and the error is Rao-Blackwellized: the estimator averages the
     exact posterior variance given each noisy draw rather than a squared
     error, which removes most of the Monte-Carlo noise.
+
+    The posterior variance depends on the draw r = g + sqrt(tau) n only
+    through |r|^2 = |g|^2 + sqrt(tau) (2 Re(g conj(n)) + sqrt(tau) |n|^2), so
+    the bank keeps the three real arrays |g|^2, 2 Re(g conj(n)) and |n|^2 of
+    the drawn gains g and unit noise n, plus the active-component variances
+    (one scalar when they are all equal).
     """
 
     def __init__(self, prior: ScalarPrior, num_samples=200_000, seed=1234):
+        if num_samples < 2:
+            raise ValueError("num_samples must be at least 2")
         rng = np.random.default_rng(seed)
-        gains, active, vlarge = prior.sample(rng, num_samples)
+        gains, _, v_large = prior.sample(rng, num_samples)
+        # n = (a + i b) / sqrt(2)
+        a = rng.standard_normal(num_samples)
+        b = rng.standard_normal(num_samples)
         self.prior = prior
-        self.gains = gains
-        self.vlarge = vlarge
-        self.noise = (
-            rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)
-        ) / math.sqrt(2.0)
+        self.gain_sq = gains.real ** 2 + gains.imag ** 2
+        self.cross = math.sqrt(2.0) * (gains.real * a + gains.imag * b)
+        self.noise_sq = 0.5 * (a * a + b * b)
+        self.v_large = v_large[0] if (v_large == v_large[0]).all() else v_large
+        self.v_small = 0.0 if prior.variant == VARIANT_BG else prior.small_variance
 
     def __call__(self, eta):
         if eta <= 0.0:
             raise ValueError("eta must be positive")
         tau = 1.0 / eta
-        r = self.gains + self.noise * math.sqrt(tau)
-        small = 0.0 if self.prior.variant == VARIANT_BG else self.prior.small_variance
-        _, var, _ = posterior_moments_mixture(
-            r, tau, self.prior.activation, self.vlarge, small
+        root = math.sqrt(tau)
+        r_sq = self.noise_sq * root
+        r_sq += self.cross
+        r_sq *= root
+        r_sq += self.gain_sq
+        var = posterior_variance_mixture(
+            r_sq, tau, self.prior.activation, self.v_large, self.v_small
         )
         est = float(var.mean())
-        stderr = float(var.std(ddof=1) / math.sqrt(var.size))
+        var -= est
+        # einsum rather than a BLAS dot: a threaded BLAS can spend milliseconds
+        # waking its threads for this one product
+        stderr = math.sqrt(float(np.einsum("i,i->", var, var)) / ((var.size - 1) * var.size))
         return est, stderr
 
 
@@ -204,6 +223,10 @@ def se_step(v, sigma2, N, M, mmse_fn):
     """One state-evolution step; returns (eta, mmse_value, v_next)."""
     eta = linear_stage_eta(v, sigma2, N, M)
     m, _ = mmse_fn(eta)
+    if not (m > 0.0 and math.isfinite(m)):
+        raise SeUndefinedError(
+            f"SE map undefined at the denoiser stage: mmse = {m} is not positive and finite"
+        )
     inv_next = 1.0 / m - eta
     if inv_next <= 0.0:
         raise SeUndefinedError(

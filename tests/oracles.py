@@ -5,7 +5,10 @@ checks: brute-force enumeration for the support chain, the probability-domain
 forward/backward sweeps (the package runs them on odds), a measurement-form
 dense LMMSE (the package uses the information form), the turbo loop with
 module A run one subcarrier at a time (the package stacks the subcarriers),
-closed-form scalar mixture posteriors plus a grid-integration cross-check.
+closed-form scalar mixture posteriors plus a grid-integration cross-check,
+and the state evolution's Monte-Carlo MMSE computed from the complex
+observations with the complex mixture posterior (the package reduces both to
+real arithmetic on |r|^2).
 """
 
 import itertools
@@ -15,6 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from hmpce.denoiser import denoise
+from hmpce.priors import VARIANT_BG
 from hmpce.turbo import TurboTrace, nmse
 
 
@@ -292,3 +296,65 @@ def spike_slab_weight(r, tau, lam, v1):
     l1 = math.log(lam) - math.log(math.pi * (v1 + tau)) - abs(r) ** 2 / (v1 + tau)
     l0 = math.log(1.0 - lam) - math.log(math.pi * tau) - abs(r) ** 2 / tau
     return 1.0 / (1.0 + math.exp(l0 - l1))
+
+
+def posterior_moments_mixture(r, tau, lam, v_large, v_small):
+    """Exact posterior mean/variance for h ~ lam CN(0, v_large) + (1-lam) CN(0, v_small)
+    observed through r = h + CN(0, tau).  v_small = 0 gives the spike-and-slab case.
+    Vectorized over r (and v_large).  Returns (mean, var, weight_large)."""
+    r = np.asarray(r)
+    v_large = np.asarray(v_large, dtype=float)
+    s_large = v_large + tau
+    s_small = v_small + tau
+    if lam >= 1.0:
+        w = np.ones(np.broadcast(r, v_large).shape)
+    elif lam <= 0.0:
+        w = np.zeros(np.broadcast(r, v_large).shape)
+    else:
+        # log-odds of the active component
+        llr = (
+            math.log(lam / (1.0 - lam))
+            + np.log(s_small / s_large)
+            + np.abs(r) ** 2 * (1.0 / s_small - 1.0 / s_large)
+        )
+        w = 1.0 / (1.0 + np.exp(-llr))
+    m_large = (v_large / s_large) * r
+    m_small = (v_small / s_small) * r
+    v_l = v_large * tau / s_large
+    v_s = v_small * tau / s_small
+    mean = w * m_large + (1.0 - w) * m_small
+    var = (
+        w * (np.abs(m_large) ** 2 + v_l)
+        + (1.0 - w) * (np.abs(m_small) ** 2 + v_s)
+        - np.abs(mean) ** 2
+    )
+    return mean, var, w
+
+
+class ComplexMmseSampler:
+    """Reference for `turbo.MmseSampler`: the same frozen bank, kept as the
+    complex gains and noise, with the complex posterior moments above
+    evaluated at r = g + sqrt(tau) n."""
+
+    def __init__(self, prior, num_samples=200_000, seed=1234):
+        rng = np.random.default_rng(seed)
+        gains, active, vlarge = prior.sample(rng, num_samples)
+        self.prior = prior
+        self.gains = gains
+        self.vlarge = vlarge
+        self.noise = (
+            rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples)
+        ) / math.sqrt(2.0)
+
+    def __call__(self, eta):
+        if eta <= 0.0:
+            raise ValueError("eta must be positive")
+        tau = 1.0 / eta
+        r = self.gains + self.noise * math.sqrt(tau)
+        small = 0.0 if self.prior.variant == VARIANT_BG else self.prior.small_variance
+        _, var, _ = posterior_moments_mixture(
+            r, tau, self.prior.activation, self.vlarge, small
+        )
+        est = float(var.mean())
+        stderr = float(var.std(ddof=1) / math.sqrt(var.size))
+        return est, stderr

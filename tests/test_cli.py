@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -130,6 +131,24 @@ def test_se_only_outputs(tmp_path):
         finals[float(snr)] = float(pred)
     assert sorted(finals) == [10.0, 20.0, 30.0]
     assert finals[10.0] > finals[20.0] > finals[30.0]
+
+
+def test_se_only_noiseless_bg_runs_to_the_iteration_limit(tmp_path, capsys):
+    # with no noise the SE variance keeps shrinking geometrically: the run
+    # ends unconverged after its 100 iterations with finite, positive rows
+    out = str(tmp_path / "o")
+    rc = run_cli(
+        "--se-only", "--algos", "hmp-bg", "--snr", "inf", "--N", "64", "--M", "51",
+        "--P", "2", "--K", "64", "--out", out,
+    )
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in read_lines(os.path.join(out, "se_trace.csv"))[1:]]
+    assert [int(r[1]) for r in rows] == list(range(1, 101))
+    for _, _, v, eta, pred in rows:
+        assert 0.0 < float(v) < math.inf and 0.0 < float(eta) < math.inf
+        assert math.isfinite(float(pred))
+    assert float(rows[-1][2]) < float(rows[0][2])
 
 
 def test_unwritable_output_dir(tmp_path, capsys):

@@ -233,6 +233,17 @@ def test_precision_gauss_single_sweep():
     assert vb.rate == pytest.approx(2.5, abs=1e-14)
 
 
+def test_precision_gauss_rejects_a_rate_zero_precision_belief():
+    g = FactorGraph()
+    g.add_variable("h", "cgauss")
+    g.add_variable("v", "gamma")
+    g.add_factor(CGaussPriorFactor("ph", "h", 1.0, 1.0))
+    g.add_factor(GammaPriorFactor("pv", "v", 1.0, 0.0))
+    g.add_factor(PrecisionGaussFactor("pg", "h", "v"), tags={"h": BP})
+    with pytest.raises(UnsupportedGraphError, match="factor 'pg'"):
+        g.sweep()
+
+
 def test_prior_factors_validate_parameters():
     for mean, variance in ((0.0, 0.0), (0.0, -1.0), (0.0, math.inf),
                            (math.nan, 1.0), (complex(0.0, math.inf), 1.0)):

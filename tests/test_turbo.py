@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import run_turbo_per_subcarrier
+from oracles import ComplexMmseSampler, posterior_moments_mixture, run_turbo_per_subcarrier
 from hmpce import turbo
 from hmpce.channels import (
     make_pilot_set,
@@ -12,7 +12,14 @@ from hmpce.channels import (
     synthesize_measurements,
 )
 from hmpce.denoiser import PriorConfig
-from hmpce.priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, ScalarPrior
+from hmpce.priors import (
+    VARIANT_BG,
+    VARIANT_LVD,
+    VARIANT_TSGM,
+    VARIANTS,
+    ScalarPrior,
+    posterior_variance_mixture,
+)
 from hmpce.turbo import (
     AlgoConfig,
     MmseSampler,
@@ -258,6 +265,12 @@ def test_se_step_algebra():
     assert v_next == pytest.approx(1.0 / (1.0 / 0.3 - 2.0 / 3.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("mmse", (0.0, -1e-3, math.nan, math.inf))
+def test_se_step_rejects_a_non_positive_or_non_finite_mmse(mmse):
+    with pytest.raises(SeUndefinedError, match="denoiser stage"):
+        se_step(1.0, 0.25, 2, 1, lambda e: (mmse, 0.0))
+
+
 def test_se_map_undefined():
     with pytest.raises(SeUndefinedError, match="SE map undefined"):
         linear_stage_eta(1.0, 0.0, 8, 8)
@@ -293,6 +306,67 @@ def test_mmse_sampler_frozen_bank():
     s2 = MmseSampler(prior, num_samples=5000, seed=11)
     assert s1(2.0) == s2(2.0)
     assert s1(2.0) == mmse_oracle(2.0, prior, num_samples=5000, seed=11)
+
+
+def test_mmse_sampler_needs_two_samples():
+    with pytest.raises(ValueError, match="at least 2"):
+        MmseSampler(ScalarPrior(), num_samples=1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("activation", (0.0, 0.2, 1.0))
+def test_posterior_variance_matches_the_complex_oracle(variant, activation):
+    # The oracle forms the variance as E|m|^2 - |E m|^2 with |m|^2 up to
+    # |r|^2, so it carries an absolute error of a few ulps of |r|^2, about
+    # 1e-10 of the variance at eta = 1e6; the package's |r|^2 from the real
+    # bank rounds within ulps of |g|^2 + tau |n|^2.  Each draw may therefore
+    # differ by 16 ulps of |g|^2 + tau |n|^2 + var, the mean by the mean of
+    # that bound and the standard error by its maximum over sqrt(n).
+    prior = ScalarPrior(variant=variant, activation=activation)
+    sampler = MmseSampler(prior, num_samples=20_000, seed=7)
+    ref = ComplexMmseSampler(prior, num_samples=20_000, seed=7)
+    eps = np.finfo(float).eps
+    for eta in np.logspace(-8.0, 6.0, 15):
+        tau = 1.0 / eta
+        r = ref.gains + ref.noise * math.sqrt(tau)
+        _, var_ref, _ = posterior_moments_mixture(r, tau, activation, ref.vlarge, sampler.v_small)
+        var = posterior_variance_mixture(
+            np.abs(r) ** 2, tau, activation, ref.vlarge, sampler.v_small
+        )
+        bound = 16.0 * eps * (np.abs(ref.gains) ** 2 + tau * np.abs(ref.noise) ** 2 + var_ref)
+        assert np.all(np.abs(var - var_ref) <= bound), eta
+        est, stderr = sampler(eta)
+        est_ref, stderr_ref = ref(eta)
+        assert abs(est - est_ref) <= bound.mean(), eta
+        assert abs(stderr - stderr_ref) <= bound.max() / math.sqrt(var.size) + 1e-12 * stderr_ref
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("activation", (0.0, 1.0))
+@pytest.mark.parametrize("snr_db", (20.0, math.inf))
+def test_state_evolution_at_the_activation_edges(monkeypatch, variant, activation, snr_db):
+    # an all-quiet or all-active prior, run once with the package's sampler
+    # and once with the complex reference on the same bank
+    prior = ScalarPrior(variant=variant, activation=activation)
+
+    def outcome():
+        try:
+            trace = run_state_evolution(prior, snr_db, 64, 51, num_samples=20_000, seed=5)
+        except SeUndefinedError as err:
+            return str(err), err.iteration
+        return np.array(trace.rows), trace.converged
+
+    got = outcome()
+    monkeypatch.setattr(turbo, "MmseSampler", ComplexMmseSampler)
+    want = outcome()
+    if isinstance(want[0], str):
+        # a Bernoulli-Gaussian prior that is never active has zero power
+        assert (variant, activation) == (VARIANT_BG, 0.0)
+        assert got == want
+        return
+    assert got[1] == want[1]
+    assert got[0].shape == want[0].shape
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-10, atol=0.0)
 
 
 def test_state_evolution_fixed_points_decrease_with_snr():
