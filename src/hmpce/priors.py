@@ -92,13 +92,15 @@ def posterior_variance_mixture(r_sq, tau, lam, v_large, v_small):
     at least one dimension.
     """
     r_sq = np.atleast_1d(np.asarray(r_sq, dtype=float))
+    v_large = np.asarray(v_large, dtype=float)
     s_small = v_small + tau
     c_small = v_small * tau / s_small
     if lam >= 1.0 or lam <= 0.0:
         shape = np.broadcast_shapes(r_sq.shape, np.shape(v_large))
         return np.full(shape, v_large * tau / (v_large + tau) if lam >= 1.0 else c_small)
     # a_large - a_small = tau q, and c_large - c_small = tau^2 q since c = a tau.
-    # q and odds are arrays when v_large is one, so they are built in place.
+    # q and odds are arrays when v_large is one, so they are built in place
+    # (a 0-d v_large gives scalars, which the in-place operators rebind).
     odds = v_large + tau
     q = v_large - v_small
     q /= odds

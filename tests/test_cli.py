@@ -133,22 +133,30 @@ def test_se_only_outputs(tmp_path):
     assert finals[10.0] > finals[20.0] > finals[30.0]
 
 
-def test_se_only_noiseless_bg_runs_to_the_iteration_limit(tmp_path, capsys):
-    # with no noise the SE variance keeps shrinking geometrically: the run
-    # ends unconverged after its 100 iterations with finite, positive rows
+@pytest.mark.parametrize(
+    "algo, runs_to_limit",
+    [("hmp-tsgm-lvd", False), ("hmp-tsgm", False), ("hmp-bg", True)],
+)
+def test_se_only_small_noisy_and_noiseless(tmp_path, capsys, algo, runs_to_limit):
+    # every SE run exits cleanly with finite, positive rows; with no noise
+    # the Bernoulli-Gaussian variance keeps shrinking geometrically, so that
+    # run ends unconverged at its 100-iteration limit
     out = str(tmp_path / "o")
     rc = run_cli(
-        "--se-only", "--algos", "hmp-bg", "--snr", "inf", "--N", "64", "--M", "51",
+        "--se-only", "--algos", algo, "--snr", "10,inf", "--N", "64", "--M", "51",
         "--P", "2", "--K", "64", "--out", out,
     )
     assert rc == 0
     assert capsys.readouterr().err == ""
     rows = [line.split(",") for line in read_lines(os.path.join(out, "se_trace.csv"))[1:]]
-    assert [int(r[1]) for r in rows] == list(range(1, 101))
     for _, _, v, eta, pred in rows:
         assert 0.0 < float(v) < math.inf and 0.0 < float(eta) < math.inf
         assert math.isfinite(float(pred))
-    assert float(rows[-1][2]) < float(rows[0][2])
+    for snr in ("10", "inf"):
+        run = [r for r in rows if r[0] == snr]
+        assert [int(r[1]) for r in run] == list(range(1, len(run) + 1))
+        assert float(run[-1][2]) < float(run[0][2])
+        assert (len(run) == 100) == (runs_to_limit and snr == "inf")
 
 
 def test_unwritable_output_dir(tmp_path, capsys):

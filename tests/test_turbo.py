@@ -341,6 +341,19 @@ def test_posterior_variance_matches_the_complex_oracle(variant, activation):
         assert abs(stderr - stderr_ref) <= bound.max() / math.sqrt(var.size) + 1e-12 * stderr_ref
 
 
+@pytest.mark.parametrize("lam", (0.0, 0.3, 1.0))
+def test_posterior_variance_accepts_lists_and_integer_arrays(lam):
+    r_sq = [0.0, 0.5, 4.0]
+    want = posterior_variance_mixture(np.array(r_sq), 0.5, lam, np.array([1.0, 2.0, 3.0]), 0.0)
+    for v_large in ([1, 2, 3], np.array([1, 2, 3])):
+        got = posterior_variance_mixture(r_sq, 0.5, lam, v_large, 0)
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        posterior_variance_mixture(r_sq, 0.5, lam, 2, 0),
+        posterior_variance_mixture(np.array(r_sq), 0.5, lam, 2.0, 0.0),
+    )
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("activation", (0.0, 1.0))
 @pytest.mark.parametrize("snr_db", (20.0, math.inf))
