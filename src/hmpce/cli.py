@@ -31,7 +31,14 @@ from .channels import (
 )
 from .denoiser import PriorConfig
 from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, ScalarPrior
-from .turbo import AlgoConfig, SeUndefinedError, run_state_evolution, run_turbo, to_db
+from .turbo import (
+    AlgoConfig,
+    MmseSampler,
+    SeUndefinedError,
+    run_state_evolution,
+    run_turbo,
+    to_db,
+)
 
 ALGO_CHOICES = ("hmp-tsgm-lvd", "hmp-tsgm", "hmp-bg")
 
@@ -358,7 +365,8 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(cfg, path):
+def _write_manifest(cfg, path, se_rows):
+    """The run's knobs, plus `se_converged.<snr>` from each SNR's SE rows."""
     entries = {
         "version": __version__,
         "seed": cfg.seed,
@@ -385,6 +393,8 @@ def _write_manifest(cfg, path):
         "vl_hi": cfg.vl_hi,
         "se_samples": cfg.se_samples,
     }
+    for snr, *_, converged in se_rows:
+        entries[f"se_converged.{_fmt(snr)}"] = bool(converged)
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(entries):
             value = entries[key]
@@ -434,24 +444,24 @@ def run_sweep(cfg):
 
 
 def run_se(cfg):
-    """State-evolution traces, one block per SNR (ascending)."""
+    """State-evolution traces, one block per SNR (ascending), all from one
+    sample bank.
+
+    Each row is (snr, iter, v, eta, predicted_nmse_db, converged); the
+    last is 1 on every row of an SNR whose run met the tolerance, 0 when it
+    stopped at the 100-iteration limit.
+    """
     variant_algo = cfg.algos[0] if cfg.algos else "hmp-tsgm-lvd"
     prior = scalar_prior_for(cfg, variant_algo)
     se_seed = int(np.random.SeedSequence((cfg.seed, _KEY_SE)).generate_state(1)[0])
+    sampler = MmseSampler(prior, cfg.se_samples, se_seed)
     rows = []
     for snr in sorted(cfg.snr_db):
         trace = run_state_evolution(
-            prior,
-            snr,
-            cfg.N,
-            cfg.M_list[0],
-            max_iters=100,
-            tol=1e-8,
-            num_samples=cfg.se_samples,
-            seed=se_seed,
+            prior, snr, cfg.N, cfg.M_list[0], max_iters=100, tol=1e-8, sampler=sampler
         )
         for it, v, eta, pred in trace.rows:
-            rows.append((snr, it, v, eta, to_db(pred)))
+            rows.append((snr, it, v, eta, to_db(pred), int(trace.converged)))
     return rows
 
 
@@ -487,10 +497,10 @@ def run(cfg):
         se_rows = run_se(cfg)
         _write_csv(
             os.path.join(cfg.out, "se_trace.csv"),
-            ("snr_db", "iter", "v", "eta", "predicted_nmse_db"),
+            ("snr_db", "iter", "v", "eta", "predicted_nmse_db", "converged"),
             se_rows,
         )
-        _write_manifest(cfg, os.path.join(cfg.out, "manifest.txt"))
+        _write_manifest(cfg, os.path.join(cfg.out, "manifest.txt"), se_rows)
     except SeUndefinedError as err:
         print(f"error: state evolution undefined at iteration {err.iteration}: {err}",
               file=sys.stderr)

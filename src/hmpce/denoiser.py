@@ -25,6 +25,13 @@ other steps combine probabilities in the log-odds domain.  The pooled
 per-element evidence is computed once per pass (`pooled_evidence`), and the
 expected log transition weights once per chain round
 (`transition_log_expectations`); `denoise` hands both to each step.
+
+The wide (N, P) steps (likelihood, precision update, posterior moments) run
+in real arithmetic: the activity odds, the Gamma statistics and the
+posterior variance depend on h_pri only through r2 = |h_pri|^2, which
+`denoise` computes once per pass and hands to each of them, and h_post is a
+real gain times h_pri.  v_pri must be positive and finite; `denoise` raises
+ValueError otherwise.
 """
 
 import math
@@ -33,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .messages import beta_log_expectations, cgauss_logpdf, digamma_fn
+from .messages import beta_log_expectations, digamma_fn
 from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, VARIANTS
 
 
@@ -120,40 +127,57 @@ def transition_log_expectations(state, cfg):
     return log_stay_active, log_turn_on, log_stay_quiet, log_turn_off
 
 
-def support_likelihood(h_pri, v_pri, state, cfg):
+def _squared_magnitude(h):
+    """|h|^2 of a complex array, in real arithmetic."""
+    out = np.square(h.real)
+    out += np.square(h.imag)
+    return out
+
+
+def _gain(v_pri, var):
+    """Posterior-mean gain g = var / (v_pri + var) of a CN(0, var) component
+    seen through the pseudo-prior noise v_pri.  Given that component the
+    posterior is CN(g h_pri, g v_pri)."""
+    return var / (v_pri + var)
+
+
+def support_likelihood(h_pri, v_pri, state, cfg, r2=None):
     """Per-(element, subcarrier) likelihood that the element is active.
 
-    Weighs the active component CN(0, v_pri + rate/shape) against the
-    near-zero component using the expected-log Gamma weights; the bg variant
-    compares a fixed-variance active component against the spike at zero.
+    Weighs the active component CN(0, s) with s = v_pri + rate/shape against
+    the near-zero component, each with its expected-log Gamma weight; the bg
+    variant compares a fixed-variance active component against the spike at
+    zero.  Depends on h_pri only through r2 = |h_pri|^2, which `denoise`
+    computes once per pass and hands in; called without it, the step
+    computes it.  v_pri must be positive and finite (`denoise` checks it).
     """
-    state.support_like = _activity_likelihood(
-        h_pri, v_pri, state.large_shape, state.large_rate,
-        state.small_shape, state.small_rate, cfg,
-    )
+    if r2 is None:
+        r2 = _squared_magnitude(h_pri)
+    state.support_like = _activity_likelihood(r2, v_pri, state, cfg)
 
 
-def _activity_likelihood(h_pri, v_pri, large_shape, large_rate, small_shape, small_rate, cfg):
-    v_pri = np.asarray(v_pri)[None, :]
+def _activity_likelihood(r2, v_pri, state, cfg, s_large=None):
+    """clamp(expit(log-odds of the active component)) from r2 = |h_pri|^2.
+
+    A CN(0, s) component has log density -log(pi s) - r2 / s; pi cancels in
+    the odds.  s_large = v_pri + rate/shape of the active component, when the
+    caller already has it.
+    """
     if cfg.variant == VARIANT_BG:
-        log_odds = cgauss_logpdf(h_pri, 0.0, v_pri + cfg.bg_variance) - cgauss_logpdf(
-            h_pri, 0.0, v_pri
-        )
+        s = v_pri + cfg.bg_variance
+        log_odds = r2 * (1.0 / v_pri - 1.0 / s)
+        log_odds += np.log(v_pri / s)
     else:
+        if s_large is None:
+            s_large = v_pri + state.large_rate / state.large_shape
+        s_small = v_pri + state.small_rate / state.small_shape
         psi = digamma_fn(cfg.exact_digamma)
-        den_large = large_rate if cfg.std_gamma_weight else large_shape
-        den_small = small_rate if cfg.std_gamma_weight else small_shape
-        log_active = (
-            psi(large_shape)
-            - np.log(den_large)
-            + cgauss_logpdf(h_pri, 0.0, v_pri + large_rate / large_shape)
-        )
-        log_quiet = (
-            psi(small_shape)
-            - np.log(den_small)
-            + cgauss_logpdf(h_pri, 0.0, v_pri + small_rate / small_shape)
-        )
-        log_odds = log_active - log_quiet
+        den_large = state.large_rate if cfg.std_gamma_weight else state.large_shape
+        den_small = state.small_rate if cfg.std_gamma_weight else state.small_shape
+        log_odds = r2 * (1.0 / s_small - 1.0 / s_large)
+        log_odds += psi(state.large_shape)
+        log_odds -= np.log(den_large * s_large)
+        log_odds -= psi(state.small_shape) - np.log(den_small * s_small)
     return _clamp(expit(log_odds), cfg.prob_floor)
 
 
@@ -293,37 +317,27 @@ def support_extrinsic(state, cfg, evidence=None):
     state.support_ext = _clamp(expit(chain[:, None] + loo), cfg.prob_floor)
 
 
-def _mixture_moments(h_pri, v_pri, large_shape, large_rate, small_shape, small_rate, cfg):
-    """Per-component posterior moments against the Gaussian pseudo-prior."""
-    v_pri = np.asarray(v_pri)[None, :]
-    var_large = 1.0 / (1.0 / v_pri + large_shape / large_rate)
-    mean_large = var_large * h_pri / v_pri
-    if cfg.variant == VARIANT_BG:
-        var_small = np.zeros_like(v_pri)
-        mean_small = np.zeros_like(h_pri)
-    else:
-        var_small = 1.0 / (1.0 / v_pri + small_shape / small_rate)
-        mean_small = var_small * h_pri / v_pri
-    return mean_large, var_large, mean_small, var_small
-
-
-def update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=None):
+def update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=None, r2=None):
     """Gamma belief refresh from the current support posterior.
 
-    Uses the beliefs that entered this pass for the component moments, then
-    rewrites the Gamma parameters anchored at their priors.  The bg variant
-    has no precision beliefs to learn.
+    Uses the beliefs that entered this pass for the component posteriors
+    CN(g h_pri, g v_pri), then rewrites the Gamma parameters anchored at
+    their priors.  Each component's statistic E|h|^2 = g^2 r2 + g v_pri needs
+    only r2 = |h_pri|^2 (see `support_likelihood`).  The bg variant has no
+    precision beliefs to learn.
     """
     like_logit, _ = pooled_evidence(state) if evidence is None else evidence
     state.support_post = _clamp(expit(like_logit + _logit(state.support_ext)), cfg.prob_floor)
     if cfg.variant == VARIANT_BG:
         return
-    mean_large, var_large, mean_small, var_small = _mixture_moments(
-        h_pri, v_pri, state.large_shape, state.large_rate,
-        state.small_shape, state.small_rate, cfg,
-    )
+    if r2 is None:
+        r2 = _squared_magnitude(h_pri)
     w = state.support_post
-    large_stat = w * (np.abs(mean_large) ** 2 + var_large)
+    gain_large = _gain(v_pri, state.large_rate / state.large_shape)
+    large_stat = gain_large * r2
+    large_stat += v_pri
+    large_stat *= gain_large
+    large_stat *= w
     if cfg.variant == VARIANT_TSGM:
         state.large_shape = np.broadcast_to(
             cfg.large_shape + w.sum(axis=0, keepdims=True), w.shape
@@ -334,37 +348,51 @@ def update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=None):
     else:
         state.large_shape = cfg.large_shape + w
         state.large_rate = cfg.large_rate + large_stat
+    # the near-zero gain is one per subcarrier, so it leaves the sums
+    gain_small = _gain(v_pri, state.small_rate / state.small_shape)
     quiet = 1.0 - w
-    state.small_shape = cfg.small_shape + quiet.sum(axis=0)
-    state.small_rate = cfg.small_rate + (
-        quiet * (np.abs(mean_small) ** 2 + var_small)
-    ).sum(axis=0)
+    quiet_count = quiet.sum(axis=0)
+    quiet *= r2
+    state.small_shape = cfg.small_shape + quiet_count
+    state.small_rate = cfg.small_rate + gain_small * (
+        gain_small * quiet.sum(axis=0) + v_pri * quiet_count
+    )
 
 
-def posterior_moments(h_pri, v_pri, state, cfg):
+def posterior_moments(h_pri, v_pri, state, cfg, r2=None):
     """Posterior mean and per-subcarrier average variance of the gains.
 
-    Recomputes the activity weight and component moments with the updated
-    beliefs, then collapses the two-component mixture.
+    Recomputes the activity weight w with the updated beliefs and collapses
+    the two component posteriors CN(g_L h_pri, g_L v_pri) and
+    CN(g_S h_pri, g_S v_pri) (g_S = 0 for bg): h_post = g h_pri with
+    g = w g_L + (1 - w) g_S, and by the law of total variance each element's
+    variance is g v_pri + w (1 - w) (g_L - g_S)^2 r2, with r2 = |h_pri|^2
+    (see `support_likelihood`).  Only h_post is complex.
     """
+    if r2 is None:
+        r2 = _squared_magnitude(h_pri)
+    var_large = state.large_rate / state.large_shape
+    s_large = v_pri + var_large
     if cfg.variant == VARIANT_BG:
         weight = state.support_post
+        gain_small = 0.0
     else:
-        like = _activity_likelihood(
-            h_pri, v_pri, state.large_shape, state.large_rate,
-            state.small_shape, state.small_rate, cfg,
-        )
+        like = _activity_likelihood(r2, v_pri, state, cfg, s_large)
         weight = _clamp(expit(_logit(like) + _logit(state.support_ext)), cfg.prob_floor)
-    state.support_post = weight
-    mean_large, var_large, mean_small, var_small = _mixture_moments(
-        h_pri, v_pri, state.large_shape, state.large_rate,
-        state.small_shape, state.small_rate, cfg,
-    )
-    h_post = weight * mean_large + (1.0 - weight) * mean_small
-    second = weight * (np.abs(mean_large) ** 2 + var_large) + (1.0 - weight) * (
-        np.abs(mean_small) ** 2 + var_small
-    )
-    v_post = np.maximum((second - np.abs(h_post) ** 2).mean(axis=0), 1e-30)
+        state.support_post = weight
+        gain_small = _gain(v_pri, state.small_rate / state.small_shape)
+    spread = var_large / s_large
+    spread -= gain_small
+    gain = weight * spread
+    gain += gain_small
+    h_post = gain * h_pri
+    # w (1 - w) (g_L - g_S)^2 r2, the spread of the two component means
+    mix = 1.0 - weight
+    mix *= weight
+    mix *= spread
+    mix *= spread
+    mix *= r2
+    v_post = np.maximum(gain.mean(axis=0) * v_pri + mix.mean(axis=0), 1e-30)
     return h_post, v_post
 
 
@@ -372,14 +400,21 @@ def denoise(h_pri, v_pri, cfg, state=None):
     """One full denoiser pass; returns (h_post, v_post, state).
 
     Passing the returned state back in warm-starts the Gamma/Beta beliefs
-    on the next turbo iteration; passing state=None resets them.
+    on the next turbo iteration; passing state=None resets them.  Raises
+    ValueError unless every v_pri is positive and finite; h_pri is not
+    checked, so a non-finite h_pri comes back as a non-finite h_post and
+    v_post.
     """
     h_pri = np.asarray(h_pri, dtype=np.complex128)
     v_pri = np.asarray(v_pri, dtype=float)
+    valid = (v_pri > 0.0) & (v_pri < math.inf)
+    if not valid.all():
+        raise ValueError(f"v_pri must be positive and finite, got {v_pri[~valid][0]}")
     N, P = h_pri.shape
     if state is None:
         state = init_state(N, P, cfg)
-    support_likelihood(h_pri, v_pri, state, cfg)
+    r2 = _squared_magnitude(h_pri)
+    support_likelihood(h_pri, v_pri, state, cfg, r2=r2)
     evidence = pooled_evidence(state)
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
@@ -387,6 +422,6 @@ def denoise(h_pri, v_pri, cfg, state=None):
         backward_pass(state, cfg, evidence=evidence, transitions=transitions)
         update_transition_beliefs(state, cfg, evidence=evidence, transitions=transitions)
     support_extrinsic(state, cfg, evidence=evidence)
-    update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=evidence)
-    h_post, v_post = posterior_moments(h_pri, v_pri, state, cfg)
+    update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=evidence, r2=r2)
+    h_post, v_post = posterior_moments(h_pri, v_pri, state, cfg, r2=r2)
     return h_post, v_post, state

@@ -96,16 +96,6 @@ def gaussian_multiply(a, b):
     return GaussianMsg(mean, variance)
 
 
-def cgauss_logpdf(x, mean, variance):
-    """Log density of CN(mean, variance) at x.  Vectorized."""
-    x = np.asarray(x)
-    v = np.asarray(variance, dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("variance must be positive")
-    out = -np.log(np.pi * v) - np.abs(x - mean) ** 2 / v
-    return out if out.ndim else float(out)
-
-
 def beta_log_expectations(a, b, exact=False):
     """(E[ln p], E[ln(1-p)]) under Beta(a, b).
 

@@ -258,16 +258,20 @@ class SeTrace:
 
 
 def run_state_evolution(prior, snr_db, N, M, max_iters=100, tol=1e-8,
-                        num_samples=200_000, seed=1234, v_init=None):
+                        num_samples=200_000, seed=1234, v_init=None, sampler=None):
     """Iterate the two-map recursion to a fixed point.
 
     The noise variance is derived from the ensemble mean power of the prior
     (per-sample signal power equals the prior mean power for the
     row-orthonormal pilot family).  Rows carry the post-iteration variance.
+    `sampler` is an `MmseSampler` already built for `prior`, which lets
+    several runs share one sample bank; without it a bank of `num_samples`
+    is drawn from `seed`.
     """
     power = prior.mean_power()
     sigma2 = 0.0 if np.isinf(snr_db) else power / 10.0 ** (snr_db / 10.0)
-    sampler = MmseSampler(prior, num_samples, seed)
+    if sampler is None:
+        sampler = MmseSampler(prior, num_samples, seed)
     v = power if v_init is None else float(v_init)
     trace = SeTrace()
     for it in range(1, max_iters + 1):

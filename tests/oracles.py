@@ -6,9 +6,11 @@ forward/backward sweeps (the package runs them on odds), a measurement-form
 dense LMMSE (the package uses the information form), the turbo loop with
 module A run one subcarrier at a time (the package stacks the subcarriers),
 closed-form scalar mixture posteriors plus a grid-integration cross-check,
-and the state evolution's Monte-Carlo MMSE computed from the complex
-observations with the complex mixture posterior (the package reduces both to
-real arithmetic on |r|^2).
+the state evolution's Monte-Carlo MMSE computed from the complex
+observations with the complex mixture posterior, and the denoiser's
+likelihood, precision and moment steps on the complex h_pri through the
+complex Gaussian log density (the package reduces the last two to real
+arithmetic on |r|^2 and |h_pri|^2).
 """
 
 import itertools
@@ -17,8 +19,18 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from hmpce.denoiser import denoise
-from hmpce.priors import VARIANT_BG
+from hmpce.denoiser import (
+    backward_pass,
+    denoise,
+    forward_pass,
+    init_state,
+    pooled_evidence,
+    support_extrinsic,
+    transition_log_expectations,
+    update_transition_beliefs,
+)
+from hmpce.messages import digamma_fn
+from hmpce.priors import VARIANT_BG, VARIANT_TSGM
 from hmpce.turbo import TurboTrace, nmse
 
 
@@ -358,3 +370,144 @@ class ComplexMmseSampler:
         est = float(var.mean())
         stderr = float(var.std(ddof=1) / math.sqrt(var.size))
         return est, stderr
+
+
+# ---------------------------------------------------------------------------
+# the denoiser's wide steps on the complex h_pri
+
+
+def cgauss_logpdf(x, mean, variance):
+    """Log density of CN(mean, variance) at x.  Vectorized."""
+    x = np.asarray(x)
+    v = np.asarray(variance, dtype=float)
+    if np.any(v <= 0.0):
+        raise ValueError("variance must be positive")
+    out = -np.log(np.pi * v) - np.abs(x - mean) ** 2 / v
+    return out if out.ndim else float(out)
+
+
+def _clamp(p, floor):
+    return np.clip(p, floor, 1.0 - floor)
+
+
+def activity_likelihood_complex(h_pri, v_pri, large_shape, large_rate, small_shape,
+                                small_rate, cfg):
+    """Activity likelihood from the two complex Gaussian log densities."""
+    v_pri = np.asarray(v_pri)[None, :]
+    if cfg.variant == VARIANT_BG:
+        log_odds = cgauss_logpdf(h_pri, 0.0, v_pri + cfg.bg_variance) - cgauss_logpdf(
+            h_pri, 0.0, v_pri
+        )
+    else:
+        psi = digamma_fn(cfg.exact_digamma)
+        den_large = large_rate if cfg.std_gamma_weight else large_shape
+        den_small = small_rate if cfg.std_gamma_weight else small_shape
+        log_active = (
+            psi(large_shape)
+            - np.log(den_large)
+            + cgauss_logpdf(h_pri, 0.0, v_pri + large_rate / large_shape)
+        )
+        log_quiet = (
+            psi(small_shape)
+            - np.log(den_small)
+            + cgauss_logpdf(h_pri, 0.0, v_pri + small_rate / small_shape)
+        )
+        log_odds = log_active - log_quiet
+    return _clamp(expit(log_odds), cfg.prob_floor)
+
+
+def mixture_moments_complex(h_pri, v_pri, large_shape, large_rate, small_shape,
+                            small_rate, cfg):
+    """Per-component posterior moments against the Gaussian pseudo-prior."""
+    v_pri = np.asarray(v_pri)[None, :]
+    var_large = 1.0 / (1.0 / v_pri + large_shape / large_rate)
+    mean_large = var_large * h_pri / v_pri
+    if cfg.variant == VARIANT_BG:
+        var_small = np.zeros_like(v_pri)
+        mean_small = np.zeros_like(h_pri)
+    else:
+        var_small = 1.0 / (1.0 / v_pri + small_shape / small_rate)
+        mean_small = var_small * h_pri / v_pri
+    return mean_large, var_large, mean_small, var_small
+
+
+def support_likelihood_complex(h_pri, v_pri, state, cfg):
+    state.support_like = activity_likelihood_complex(
+        h_pri, v_pri, state.large_shape, state.large_rate,
+        state.small_shape, state.small_rate, cfg,
+    )
+
+
+def update_precision_beliefs_complex(h_pri, v_pri, state, cfg, evidence=None):
+    """Gamma belief refresh with the complex component means,
+    |m|^2 + var per component."""
+    like_logit, _ = pooled_evidence(state) if evidence is None else evidence
+    state.support_post = _clamp(expit(like_logit + _logit(state.support_ext)), cfg.prob_floor)
+    if cfg.variant == VARIANT_BG:
+        return
+    mean_large, var_large, mean_small, var_small = mixture_moments_complex(
+        h_pri, v_pri, state.large_shape, state.large_rate,
+        state.small_shape, state.small_rate, cfg,
+    )
+    w = state.support_post
+    large_stat = w * (np.abs(mean_large) ** 2 + var_large)
+    if cfg.variant == VARIANT_TSGM:
+        state.large_shape = np.broadcast_to(
+            cfg.large_shape + w.sum(axis=0, keepdims=True), w.shape
+        ).copy()
+        state.large_rate = np.broadcast_to(
+            cfg.large_rate + large_stat.sum(axis=0, keepdims=True), w.shape
+        ).copy()
+    else:
+        state.large_shape = cfg.large_shape + w
+        state.large_rate = cfg.large_rate + large_stat
+    quiet = 1.0 - w
+    state.small_shape = cfg.small_shape + quiet.sum(axis=0)
+    state.small_rate = cfg.small_rate + (
+        quiet * (np.abs(mean_small) ** 2 + var_small)
+    ).sum(axis=0)
+
+
+def posterior_moments_complex(h_pri, v_pri, state, cfg):
+    """Posterior mean and per-subcarrier average variance as
+    E|m|^2 - |E m|^2 over the complex component means."""
+    if cfg.variant == VARIANT_BG:
+        weight = state.support_post
+    else:
+        like = activity_likelihood_complex(
+            h_pri, v_pri, state.large_shape, state.large_rate,
+            state.small_shape, state.small_rate, cfg,
+        )
+        weight = _clamp(expit(_logit(like) + _logit(state.support_ext)), cfg.prob_floor)
+    state.support_post = weight
+    mean_large, var_large, mean_small, var_small = mixture_moments_complex(
+        h_pri, v_pri, state.large_shape, state.large_rate,
+        state.small_shape, state.small_rate, cfg,
+    )
+    h_post = weight * mean_large + (1.0 - weight) * mean_small
+    second = weight * (np.abs(mean_large) ** 2 + var_large) + (1.0 - weight) * (
+        np.abs(mean_small) ** 2 + var_small
+    )
+    v_post = np.maximum((second - np.abs(h_post) ** 2).mean(axis=0), 1e-30)
+    return h_post, v_post
+
+
+def denoise_complex(h_pri, v_pri, cfg, state=None):
+    """`denoise` with the complex likelihood, precision and moment steps
+    above around the package's chain steps."""
+    h_pri = np.asarray(h_pri, dtype=np.complex128)
+    v_pri = np.asarray(v_pri, dtype=float)
+    N, P = h_pri.shape
+    if state is None:
+        state = init_state(N, P, cfg)
+    support_likelihood_complex(h_pri, v_pri, state, cfg)
+    evidence = pooled_evidence(state)
+    for _ in range(2):
+        transitions = transition_log_expectations(state, cfg)
+        forward_pass(state, cfg, evidence=evidence, transitions=transitions)
+        backward_pass(state, cfg, evidence=evidence, transitions=transitions)
+        update_transition_beliefs(state, cfg, evidence=evidence, transitions=transitions)
+    support_extrinsic(state, cfg, evidence=evidence)
+    update_precision_beliefs_complex(h_pri, v_pri, state, cfg, evidence=evidence)
+    h_post, v_post = posterior_moments_complex(h_pri, v_pri, state, cfg)
+    return h_post, v_post, state

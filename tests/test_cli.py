@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
+from hmpce import turbo
 from hmpce.channels import sample_channel, sample_support, save_channel
-from hmpce.cli import main
+from hmpce.cli import build_parser, main, resolve_config, run_se
 
 
 def read_lines(path):
@@ -122,10 +124,10 @@ def test_se_only_outputs(tmp_path):
     assert rc == 0
     assert not os.path.exists(os.path.join(out, "nmse_vs_iter.csv"))
     lines = read_lines(os.path.join(out, "se_trace.csv"))
-    assert lines[0] == "snr_db,iter,v,eta,predicted_nmse_db"
+    assert lines[0] == "snr_db,iter,v,eta,predicted_nmse_db,converged"
     rows = [line.split(",") for line in lines[1:]]
     finals = {}
-    for snr, it, v, eta, pred in rows:
+    for snr, it, v, eta, pred, _ in rows:
         assert float(v) > 0 and float(eta) > 0
         assert int(it) <= 100
         finals[float(snr)] = float(pred)
@@ -149,14 +151,45 @@ def test_se_only_small_noisy_and_noiseless(tmp_path, capsys, algo, runs_to_limit
     assert rc == 0
     assert capsys.readouterr().err == ""
     rows = [line.split(",") for line in read_lines(os.path.join(out, "se_trace.csv"))[1:]]
-    for _, _, v, eta, pred in rows:
+    for _, _, v, eta, pred, _ in rows:
         assert 0.0 < float(v) < math.inf and 0.0 < float(eta) < math.inf
         assert math.isfinite(float(pred))
+    manifest = dict(
+        line.split("=", 1) for line in read_lines(os.path.join(out, "manifest.txt"))
+    )
     for snr in ("10", "inf"):
         run = [r for r in rows if r[0] == snr]
         assert [int(r[1]) for r in run] == list(range(1, len(run) + 1))
         assert float(run[-1][2]) < float(run[0][2])
-        assert (len(run) == 100) == (runs_to_limit and snr == "inf")
+        unconverged = runs_to_limit and snr == "inf"
+        assert (len(run) == 100) == unconverged
+        # the limit is reported, not passed off as a fixed point
+        assert {r[5] for r in run} == {"0" if unconverged else "1"}
+        assert manifest[f"se_converged.{snr}"] == ("false" if unconverged else "true")
+
+
+def test_se_shares_one_sample_bank_across_snrs(monkeypatch):
+    cfg = resolve_config(build_parser().parse_args(
+        ["--se-only", "--algos", "hmp-tsgm", "--snr", "10,20,inf", "--N", "64",
+         "--M", "51", "--seed", "4"]
+    ))
+    cfg.se_samples = 5000
+    built = []
+    init = turbo.MmseSampler.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(turbo.MmseSampler, "__init__", counted)
+    rows = run_se(cfg)
+    assert len(built) == 1
+    # the same rows as one run per SNR, each drawing its own bank
+    expect = []
+    for snr in cfg.snr_db:
+        expect += run_se(dataclasses.replace(cfg, snr_db=(snr,)))
+    assert len(built) == 4
+    assert rows == expect
 
 
 def test_unwritable_output_dir(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -10,7 +11,10 @@ from oracles import (
     chain_sweeps_probability,
     mixture_posterior_closed_form,
     mixture_posterior_grid,
+    posterior_moments_complex,
     spike_slab_weight,
+    support_likelihood_complex,
+    update_precision_beliefs_complex,
 )
 from hmpce.denoiser import (
     DenoiserState,
@@ -593,6 +597,74 @@ def test_bg_full_posterior_matches_enumeration():
     ref = chain_enumeration(first_w, trans_w, loglike)
     for p in range(P):
         assert np.max(np.abs(state.support_post[:, p] - ref["full"][:, 1])) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the wide steps against their complex oracles
+
+
+def _oracle_case(case, variant, std_weight, exact):
+    """Inputs and a random belief state for one step-by-step comparison."""
+    rng = np.random.default_rng(51)
+    N, P = (2, 1) if case == "N=2, P=1" else (6, 3)
+    h = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
+    v = rng.uniform(0.05, 1.0, P)
+    if case == "h=0":
+        h[:] = 0.0
+    elif case == "|h|=1e6":
+        h *= 1e6 / np.abs(h)
+    elif case == "v_pri=1e-12":
+        v[:] = 1e-12
+    cfg = PriorConfig(variant=variant, std_gamma_weight=std_weight, exact_digamma=exact)
+    state = init_state(N, P, cfg)
+    state.large_shape = rng.uniform(0.5, 4.0, (N, P))
+    state.large_rate = rng.uniform(0.2, 3.0, (N, P))
+    state.small_shape = rng.uniform(0.5, 4.0, P)
+    state.small_rate = rng.uniform(0.005, 0.1, P)
+    state.support_ext = rng.uniform(0.05, 0.95, (N, P))
+    return h, v, cfg, state
+
+
+def _assert_rel(a, b, rtol=1e-12):
+    assert np.all(np.abs(a - b) <= rtol * np.abs(b)), np.max(np.abs(a - b) / np.abs(b))
+
+
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
+@pytest.mark.parametrize("std_weight, exact", [(False, False), (True, False), (False, True)])
+@pytest.mark.parametrize("case", ["random", "h=0", "|h|=1e6", "v_pri=1e-12", "N=2, P=1"])
+def test_real_steps_match_their_complex_oracles(variant, std_weight, exact, case):
+    h, v, cfg, state = _oracle_case(case, variant, std_weight, exact)
+    ref = copy.deepcopy(state)
+
+    support_likelihood(h, v, state, cfg)
+    support_likelihood_complex(h, v, ref, cfg)
+    _assert_rel(state.support_like, ref.support_like)
+
+    # each step below starts from the oracle's state, so it is compared alone
+    state = copy.deepcopy(ref)
+    update_precision_beliefs(h, v, state, cfg)
+    update_precision_beliefs_complex(h, v, ref, cfg)
+    for name in ("support_post", "large_shape", "large_rate", "small_shape", "small_rate"):
+        _assert_rel(getattr(state, name), getattr(ref, name))
+
+    state = copy.deepcopy(ref)
+    h_post, v_post = posterior_moments(h, v, state, cfg)
+    h_ref, v_ref = posterior_moments_complex(h, v, ref, cfg)
+    _assert_rel(state.support_post, ref.support_post)
+    assert np.all(np.abs(h_post - h_ref) <= 1e-12 * np.abs(h_ref))
+    # the oracle's E|m|^2 - |E m|^2 cancels: its rounding error scales with
+    # E|m|^2, which is |h|^2 ~ 1e12 in the |h| = 1e6 case
+    second = (np.abs(h_ref) ** 2).mean(axis=0) + v_ref
+    assert np.all(np.abs(v_post - v_ref) <= 1e-12 * second)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_denoise_rejects_a_non_positive_or_non_finite_v_pri(variant, bad):
+    h = np.ones((4, 3), dtype=complex)
+    v = np.array([0.5, bad, 0.5])
+    with pytest.raises(ValueError, match="v_pri must be positive and finite"):
+        denoise(h, v, PriorConfig(variant=variant))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import cgauss_logpdf
 from hmpce.messages import (
     BetaBelief,
     GammaBelief,
     GaussianMsg,
     beta_log_expectations,
-    cgauss_logpdf,
     digamma_approx,
     digamma_exact,
     gamma_log_mean,

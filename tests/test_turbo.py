@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ComplexMmseSampler, posterior_moments_mixture, run_turbo_per_subcarrier
+from oracles import (
+    ComplexMmseSampler,
+    denoise_complex,
+    posterior_moments_mixture,
+    run_turbo_per_subcarrier,
+)
 from hmpce import turbo
 from hmpce.channels import (
     make_pilot_set,
@@ -124,6 +129,31 @@ def test_stacked_turbo_matches_per_subcarrier_oracle(N, M, P, snr_db, variant, i
             assert np.max(np.abs(np.subtract(trace.nmse, ref.nmse))) < 1e-12
         assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
         assert max(trace.roundtrip_err) <= 1e-10 and max(ref.roundtrip_err) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "N, M, P, snr_db, variant, iters",
+    [
+        (64, 26, 4, 20.0, VARIANT_LVD, 10),
+        (64, 26, 1, 20.0, VARIANT_TSGM, 10),
+        (64, 26, 4, np.inf, VARIANT_LVD, 10),
+        (32, 32, 3, 30.0, VARIANT_BG, 10),
+        # bg amplifies last-digit differences from about iteration 8 on
+        # (1e-11 relative by iteration 10 here), so it runs 7 iterations
+        (64, 26, 4, 20.0, VARIANT_BG, 7),
+    ],
+)
+def test_real_denoiser_reproduces_the_complex_trace(monkeypatch, N, M, P, snr_db, variant,
+                                                    iters):
+    meas, pilots, truth = make_sim(N, M, P, snr_db, seed=N + M + P)
+    cfg = algo(variant, max_iters=iters, early_stop=False)
+    h, trace = run_turbo(meas, pilots, cfg, truth=truth)
+    monkeypatch.setattr(turbo, "denoise", denoise_complex)
+    h_ref, ref = run_turbo(meas, pilots, cfg, truth=truth)
+    assert trace.iterations == ref.iterations == iters
+    assert trace.clamped_a == ref.clamped_a and trace.clamped_b == ref.clamped_b
+    assert np.all(np.abs(np.subtract(trace.nmse, ref.nmse)) <= 1e-12 * np.array(ref.nmse))
+    assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
 
 
 def test_run_turbo_stacks_a_list_of_pilot_operators():
