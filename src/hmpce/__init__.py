@@ -12,7 +12,6 @@ from .channels import (
     MeasurementSet,
     PilotMatrix,
     PilotSet,
-    angle_transform,
     load_channel,
     make_pdft_rp,
     make_pilot_set,
@@ -62,7 +61,6 @@ from .turbo import (
     SeTrace,
     SeUndefinedError,
     TurboTrace,
-    mmse_oracle,
     nmse,
     run_state_evolution,
     run_turbo,

@@ -259,21 +259,6 @@ def synthesize_measurements(channel, pilots, snr_db, rng_seed=0):
     return MeasurementSet(clean + noise, sigma2, float(snr_db))
 
 
-def angle_transform(h, direction):
-    """Unitary DFT between the frequency-domain and angular-domain bases.
-
-    direction: "to_angle" applies B^H, "to_frequency" applies B; both act
-    along axis 0 and preserve the Euclidean norm.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    n = h.shape[0]
-    if direction == "to_angle":
-        return np.fft.ifft(h, axis=0) * np.sqrt(n)
-    if direction == "to_frequency":
-        return np.fft.fft(h, axis=0) / np.sqrt(n)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def save_channel(path, channel):
     """Binary channel file: magic, u32 N, u32 P, u8 has_support, gains as
     interleaved little-endian float64 (re, im) in subcarrier-major order,

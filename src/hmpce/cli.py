@@ -270,6 +270,8 @@ def _validate(cfg):
         raise ConfigError(f"need 1 <= P <= K, got P={cfg.P}, K={cfg.K}")
     if not cfg.snr_db:
         raise ConfigError("need at least one SNR value")
+    if any(math.isnan(snr) for snr in cfg.snr_db):
+        raise ConfigError("snr: an SNR value is nan; give dB values or inf")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
     if cfg.max_iters < 1:

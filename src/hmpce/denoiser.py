@@ -21,10 +21,14 @@ component is an exact spike at zero.
 All probabilities are clamped to [floor, 1 - floor].  The chain sweeps run
 on odds p / (1 - p), clamped to the equivalent interval
 [floor / (1 - floor), (1 - floor) / floor], and store probabilities; the
-other steps combine probabilities in the log-odds domain.  The pooled
-per-element evidence is computed once per pass (`pooled_evidence`), and the
-expected log transition weights once per chain round
-(`transition_log_expectations`); `denoise` hands both to each step.
+other steps combine probabilities in the log-odds domain and map back with
+clamp(sigmoid(.)): `_sigmoid` runs on numpy's vectorised exp, and the clamp
+acts on the probability.  The pooled per-element evidence is
+computed once per pass (`pooled_evidence`), the expected log transition
+weights once per chain round (`transition_log_expectations`), and the
+log-odds of the extrinsic support message, logit(support_ext), once per
+pass after `support_extrinsic`; `denoise` hands each to the steps that use
+it.
 
 The wide (N, P) steps (likelihood, precision update, posterior moments) run
 in real arithmetic: the activity odds, the Gamma statistics and the
@@ -38,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .messages import beta_log_expectations, digamma_fn
 from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, VARIANTS
@@ -110,6 +113,14 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
+def _sigmoid(z):
+    """1 / (1 + exp(-z)) on numpy's vectorised exp.  For z < -709, exp(-z)
+    overflows to inf and the result is 0, which `_clamp` lifts to the floor;
+    NaN stays NaN."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def transition_log_expectations(state, cfg):
     """Expected log transition weights under the current Beta beliefs.
 
@@ -157,7 +168,7 @@ def support_likelihood(h_pri, v_pri, state, cfg, r2=None):
 
 
 def _activity_likelihood(r2, v_pri, state, cfg, s_large=None):
-    """clamp(expit(log-odds of the active component)) from r2 = |h_pri|^2.
+    """clamp(sigmoid(log-odds of the active component)) from r2 = |h_pri|^2.
 
     A CN(0, s) component has log density -log(pi s) - r2 / s; pi cancels in
     the odds.  s_large = v_pri + rate/shape of the active component, when the
@@ -178,7 +189,7 @@ def _activity_likelihood(r2, v_pri, state, cfg, s_large=None):
         log_odds += psi(state.large_shape)
         log_odds -= np.log(den_large * s_large)
         log_odds -= psi(state.small_shape) - np.log(den_small * s_small)
-    return _clamp(expit(log_odds), cfg.prob_floor)
+    return _clamp(_sigmoid(log_odds), cfg.prob_floor)
 
 
 def pooled_evidence(state):
@@ -284,7 +295,7 @@ def update_transition_beliefs(state, cfg, evidence=None, transitions=None):
     _, llr = pooled_evidence(state) if evidence is None else evidence
     floor = cfg.prob_floor
     state.first_active_belief = float(
-        _clamp(expit(_logit(state.fwd_pred[0]) + _logit(state.bwd_pred[0]) + llr[0]), floor)
+        _clamp(_sigmoid(_logit(state.fwd_pred[0]) + _logit(state.bwd_pred[0]) + llr[0]), floor)
     )
     up = state.bwd_filt[1:]
     dn = state.fwd_filt[:-1]
@@ -314,20 +325,25 @@ def support_extrinsic(state, cfg, evidence=None):
     like_logit, llr = pooled_evidence(state) if evidence is None else evidence
     loo = llr[:, None] - like_logit
     chain = _logit(state.fwd_pred) + _logit(state.bwd_pred)
-    state.support_ext = _clamp(expit(chain[:, None] + loo), cfg.prob_floor)
+    state.support_ext = _clamp(_sigmoid(chain[:, None] + loo), cfg.prob_floor)
 
 
-def update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=None, r2=None):
+def update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=None, r2=None,
+                             ext_logit=None):
     """Gamma belief refresh from the current support posterior.
 
     Uses the beliefs that entered this pass for the component posteriors
     CN(g h_pri, g v_pri), then rewrites the Gamma parameters anchored at
     their priors.  Each component's statistic E|h|^2 = g^2 r2 + g v_pri needs
-    only r2 = |h_pri|^2 (see `support_likelihood`).  The bg variant has no
-    precision beliefs to learn.
+    only r2 = |h_pri|^2 (see `support_likelihood`).  ext_logit is
+    logit(support_ext), which `denoise` computes once per pass and hands to
+    this step and `posterior_moments`; called without it, the step computes
+    it.  The bg variant has no precision beliefs to learn.
     """
     like_logit, _ = pooled_evidence(state) if evidence is None else evidence
-    state.support_post = _clamp(expit(like_logit + _logit(state.support_ext)), cfg.prob_floor)
+    if ext_logit is None:
+        ext_logit = _logit(state.support_ext)
+    state.support_post = _clamp(_sigmoid(like_logit + ext_logit), cfg.prob_floor)
     if cfg.variant == VARIANT_BG:
         return
     if r2 is None:
@@ -359,7 +375,7 @@ def update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=None, r2=None):
     )
 
 
-def posterior_moments(h_pri, v_pri, state, cfg, r2=None):
+def posterior_moments(h_pri, v_pri, state, cfg, r2=None, ext_logit=None):
     """Posterior mean and per-subcarrier average variance of the gains.
 
     Recomputes the activity weight w with the updated beliefs and collapses
@@ -367,7 +383,8 @@ def posterior_moments(h_pri, v_pri, state, cfg, r2=None):
     CN(g_S h_pri, g_S v_pri) (g_S = 0 for bg): h_post = g h_pri with
     g = w g_L + (1 - w) g_S, and by the law of total variance each element's
     variance is g v_pri + w (1 - w) (g_L - g_S)^2 r2, with r2 = |h_pri|^2
-    (see `support_likelihood`).  Only h_post is complex.
+    (see `support_likelihood`).  Only h_post is complex.  ext_logit =
+    logit(support_ext) as in `update_precision_beliefs`.
     """
     if r2 is None:
         r2 = _squared_magnitude(h_pri)
@@ -378,7 +395,9 @@ def posterior_moments(h_pri, v_pri, state, cfg, r2=None):
         gain_small = 0.0
     else:
         like = _activity_likelihood(r2, v_pri, state, cfg, s_large)
-        weight = _clamp(expit(_logit(like) + _logit(state.support_ext)), cfg.prob_floor)
+        if ext_logit is None:
+            ext_logit = _logit(state.support_ext)
+        weight = _clamp(_sigmoid(_logit(like) + ext_logit), cfg.prob_floor)
         state.support_post = weight
         gain_small = _gain(v_pri, state.small_rate / state.small_shape)
     spread = var_large / s_large
@@ -422,6 +441,9 @@ def denoise(h_pri, v_pri, cfg, state=None):
         backward_pass(state, cfg, evidence=evidence, transitions=transitions)
         update_transition_beliefs(state, cfg, evidence=evidence, transitions=transitions)
     support_extrinsic(state, cfg, evidence=evidence)
-    update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=evidence, r2=r2)
-    h_post, v_post = posterior_moments(h_pri, v_pri, state, cfg, r2=r2)
+    ext_logit = _logit(state.support_ext)
+    update_precision_beliefs(
+        h_pri, v_pri, state, cfg, evidence=evidence, r2=r2, ext_logit=ext_logit
+    )
+    h_post, v_post = posterior_moments(h_pri, v_pri, state, cfg, r2=r2, ext_logit=ext_logit)
     return h_post, v_post, state

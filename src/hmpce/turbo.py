@@ -216,11 +216,6 @@ class MmseSampler:
         return est, stderr
 
 
-def mmse_oracle(eta, prior, num_samples=200_000, seed=1234):
-    """One-shot scalar MMSE estimate; returns (value, standard_error)."""
-    return MmseSampler(prior, num_samples, seed)(eta)
-
-
 def linear_stage_eta(v, sigma2, N, M):
     """Effective precision after the linear stage's extrinsic division."""
     denom = (N / M) * (v + sigma2) - v

@@ -10,7 +10,9 @@ the state evolution's Monte-Carlo MMSE computed from the complex
 observations with the complex mixture posterior, and the denoiser's
 likelihood, precision and moment steps on the complex h_pri through the
 complex Gaussian log density (the package reduces the last two to real
-arithmetic on |r|^2 and |h_pri|^2).
+arithmetic on |r|^2 and |h_pri|^2).  Two helpers that only tests use live
+here too: `mmse_oracle`, a one-shot `MmseSampler` call, and
+`angle_transform`, the unitary DFT between the frequency and angular bases.
 """
 
 import itertools
@@ -31,7 +33,7 @@ from hmpce.denoiser import (
 )
 from hmpce.messages import digamma_fn
 from hmpce.priors import VARIANT_BG, VARIANT_TSGM
-from hmpce.turbo import TurboTrace, nmse
+from hmpce.turbo import MmseSampler, TurboTrace, nmse
 
 
 def chain_enumeration(first_w, trans_w, log_like):
@@ -370,6 +372,26 @@ class ComplexMmseSampler:
         est = float(var.mean())
         stderr = float(var.std(ddof=1) / math.sqrt(var.size))
         return est, stderr
+
+
+def mmse_oracle(eta, prior, num_samples=200_000, seed=1234):
+    """One-shot scalar MMSE estimate; returns (value, standard_error)."""
+    return MmseSampler(prior, num_samples, seed)(eta)
+
+
+def angle_transform(h, direction):
+    """Unitary DFT between the frequency-domain and angular-domain bases.
+
+    direction: "to_angle" applies B^H, "to_frequency" applies B; both act
+    along axis 0 and preserve the Euclidean norm.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    n = h.shape[0]
+    if direction == "to_angle":
+        return np.fft.ifft(h, axis=0) * np.sqrt(n)
+    if direction == "to_frequency":
+        return np.fft.fft(h, axis=0) / np.sqrt(n)
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 # ---------------------------------------------------------------------------

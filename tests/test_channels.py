@@ -4,10 +4,10 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import angle_transform
 from hmpce.channels import (
     PilotMatrix,
     PilotSet,
-    angle_transform,
     load_channel,
     make_pdft_rp,
     make_pilot_set,

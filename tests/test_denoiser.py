@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from oracles import (
 from hmpce.denoiser import (
     DenoiserState,
     PriorConfig,
+    _clamp,
+    _logit,
+    _sigmoid,
     backward_pass,
     denoise,
     forward_pass,
@@ -704,6 +708,52 @@ def test_denoise_computes_transition_weights_once_per_round(monkeypatch):
     h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
     denoise(h, rng.uniform(0.2, 0.6, 3), PriorConfig())
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
+def test_denoise_takes_extrinsic_logit_once_per_pass(monkeypatch, variant):
+    import hmpce.denoiser as denoiser
+
+    cfg = PriorConfig(variant=variant)
+    state = init_state(12, 3, cfg)
+    calls = []
+
+    def counted(p):
+        if p is state.support_ext:
+            calls.append(1)
+        return _logit(p)
+
+    monkeypatch.setattr(denoiser, "_logit", counted)
+    rng = np.random.default_rng(36)
+    v = rng.uniform(0.2, 0.6, 3)
+    for passes in (1, 2):
+        h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        denoise(h, v, cfg, state)
+        assert len(calls) == passes
+
+
+def test_sigmoid_matches_expit_within_4_ulp():
+    z = np.linspace(-800.0, 800.0, 1_600_001)
+    got, want = _sigmoid(z), expit(z)
+    # both are non-negative, so the integer views count the ulps between them
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert ulps.max() <= 4
+    for floor in (1e-12, 1e-3):
+        assert np.allclose(_clamp(got, floor), _clamp(want, floor), rtol=1e-15, atol=0.0)
+
+
+def test_sigmoid_clamp_bounds_are_exact_and_quiet():
+    floor = 1e-12
+    z = np.array([-1e4, -800.0, -50.0, 50.0, 800.0, 1e4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = _clamp(_sigmoid(z), floor)
+        first = float(_clamp(_sigmoid(np.float64(-1e4)), floor))
+    assert np.all(p[:3] == floor)
+    assert np.all(p[3:] == 1.0 - floor)
+    assert first == floor
+    assert np.isnan(_sigmoid(np.array([np.nan]))[0])
+    assert np.isnan(_clamp(_sigmoid(np.array([0.0, np.nan])), floor)[1])
 
 
 def test_zero_input_symmetry():

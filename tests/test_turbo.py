@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     ComplexMmseSampler,
     denoise_complex,
+    mmse_oracle,
     posterior_moments_mixture,
     run_turbo_per_subcarrier,
 )
@@ -30,7 +31,6 @@ from hmpce.turbo import (
     MmseSampler,
     SeUndefinedError,
     linear_stage_eta,
-    mmse_oracle,
     nmse,
     run_state_evolution,
     run_turbo,
