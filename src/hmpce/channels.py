@@ -7,11 +7,14 @@ partial-DFT plus random-permutation/phase pilot operators that are
 row-orthonormal by construction and admit FFT-based application.
 
 Each pilot subcarrier has its own operator (`PilotMatrix`).  The P operators
-of one pilot set are stored stacked (`PilotSet`: rows (P, M), perm and
-phases (P, N)), so applying them to an N x P channel is one gather, one
-batched FFT and one row selection for all subcarriers at once.
+of one pilot set are stored stacked (`PilotSet`: flat gather indices (P, N),
+flat row-selection indices (P, M) and phases (P, N)), so applying them to an
+N x P channel is one `np.take`, one in-place batched FFT and one more
+`np.take` for all subcarriers at once; the adjoint scatters through the same
+two indices.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -146,17 +149,23 @@ def make_pdft_rp(N, M, rng_seed=0):
 class PilotSet:
     """The pilot operators of P subcarriers, stacked along a leading axis.
 
-    Row p of `rows` (P, M), `perm` (P, N) and `phases` (P, N) holds the
-    fields of subcarrier p's `PilotMatrix`; `pilots[p]` returns that operator
-    as a view.  `apply` and `adjoint` act on all subcarriers at once: column
-    p of the input goes through operator p.  The batched FFTs run along the
-    rows of (P, N) work arrays, which are contiguous.
+    The operators are stored as flat int64 indices: `gather` (P, N) holds
+    perm * P + p, the positions of H[perm[p], p] in a C-ordered (N, P)
+    channel, and `select` (P, M) holds rows + N * p, the positions of the
+    selected rows in a C-ordered (P, N) spectrum.  `rows` and `perm` are
+    derived from them on request, and `pilots[p]` builds subcarrier p's
+    `PilotMatrix` from the derived rows (copies) and `phases[p]` (a view).
+
+    `apply` and `adjoint` act on all subcarriers at once: column p of the
+    input goes through operator p.  `apply` gathers through both indices with
+    `np.take` and `adjoint` scatters back through them; each runs one batched
+    FFT in place along the rows of a (P, N) work array, which are contiguous.
     """
 
     N: int
     M: int
-    rows: np.ndarray
-    perm: np.ndarray
+    gather: np.ndarray
+    select: np.ndarray
     phases: np.ndarray
 
     @classmethod
@@ -168,44 +177,69 @@ class PilotSet:
         N, M = pilots[0].N, pilots[0].M
         if any((p.N, p.M) != (N, M) for p in pilots):
             raise ValueError("stacked pilot operators must share N and M")
-        return cls(
-            N, M,
-            np.stack([p.rows for p in pilots]),
-            np.stack([p.perm for p in pilots]),
-            np.stack([p.phases for p in pilots]),
-        )
+        sub = np.arange(len(pilots))[:, None]
+        gather = np.stack([p.perm for p in pilots]).astype(np.int64, copy=False)
+        gather *= len(pilots)
+        gather += sub
+        select = np.stack([p.rows for p in pilots]).astype(np.int64, copy=False)
+        select += N * sub
+        return cls(N, M, gather, select, np.stack([p.phases for p in pilots]))
+
+    @property
+    def rows(self):
+        """Selected DFT rows per subcarrier, (P, M), derived from `select`."""
+        return _read_only(self.select - self.N * np.arange(len(self))[:, None])
+
+    @property
+    def perm(self):
+        """Permutation per subcarrier, (P, N), derived from `gather`."""
+        return _read_only(self.gather // len(self))
 
     def __len__(self):
-        return self.rows.shape[0]
+        return self.phases.shape[0]
 
     def __getitem__(self, p):
-        return PilotMatrix(self.N, self.M, self.rows[p], self.perm[p], self.phases[p])
+        p = range(len(self))[p]  # a negative p counts from the end
+        rows = self.select[p] - self.N * p
+        perm = self.gather[p] // len(self)
+        return PilotMatrix(self.N, self.M, rows, perm, self.phases[p])
 
     def __iter__(self):
         return (self[p] for p in range(len(self)))
 
     def apply(self, H):
         """Column-wise A_p @ H[:, p]: (N, P) to (M, P)."""
-        cols = self._column_index(H, self.N)
-        scrambled = self.phases * H.T[cols, self.perm]
-        spectrum = np.fft.fft(scrambled, axis=1)
-        return (spectrum[cols, self.rows] / np.sqrt(self.N)).T
+        self._check_shape(H, self.N)
+        x = np.take(np.asarray(H, dtype=np.complex128).ravel(), self.gather)
+        # x first: complex products can round differently by operand order,
+        # and numpy's temporary elision gives an out-of-place `phases * x`
+        # this order from 256 KiB up, so the benchmark sizes keep their bits
+        np.multiply(x, self.phases, out=x)
+        np.fft.fft(x, axis=1, out=x)
+        y = np.take(x.ravel(), self.select)
+        y /= np.sqrt(self.N)
+        return y.T
 
     def adjoint(self, Y):
         """Column-wise A_p^H @ Y[:, p]: (M, P) to (N, P)."""
-        cols = self._column_index(Y, self.M)
+        self._check_shape(Y, self.M)
         z = np.zeros((len(self), self.N), dtype=np.complex128)
-        z[cols, self.rows] = Y.T
-        w = np.fft.ifft(z, axis=1) * np.sqrt(self.N)
+        z.ravel()[self.select] = Y.T
+        np.fft.ifft(z, axis=1, out=z)
+        z *= np.sqrt(self.N)
+        np.multiply(np.conj(self.phases), z, out=z)
         out = np.empty((self.N, len(self)), dtype=np.complex128)
-        out.T[cols, self.perm] = np.conj(self.phases) * w
+        out.ravel()[self.gather] = z
         return out
 
-    def _column_index(self, X, length):
-        """Subcarrier index as a (P, 1) column, after checking X is (length, P)."""
+    def _check_shape(self, X, length):
         if X.shape != (length, len(self)):
             raise ValueError(f"expected shape {(length, len(self))}, got {X.shape}")
-        return np.arange(len(self))[:, None]
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def as_pilot_set(pilots):
@@ -235,28 +269,30 @@ class MeasurementSet:
 
 def synthesize_measurements(channel, pilots, snr_db, rng_seed=0):
     """Y = A H + noise with the noise variance set from the realized
-    per-sample signal power: snr = E||A h||^2 / (M sigma^2).
+    per-sample signal power: snr = E||A h||^2 / (M sigma^2).  The noise is
+    added into the output of `PilotSet.apply`, so Y is that (M, P) array.
 
     `pilots` is a `PilotSet` or a sequence of `PilotMatrix`, one per
-    subcarrier.
+    subcarrier.  snr_db = +inf is noiseless; -inf raises `ValueError`.
     """
+    if snr_db == -math.inf:
+        raise ValueError("snr_db = -inf has no finite noise variance")
     pilots = as_pilot_set(pilots)
     P = channel.P
     if len(pilots) != P:
         raise ValueError("need one pilot operator per subcarrier")
     M = pilots.M
-    clean = pilots.apply(channel.gains)
-    sig_power = float(np.mean(np.abs(clean) ** 2))
-    if np.isinf(snr_db):
+    Y = pilots.apply(channel.gains)
+    sig_power = float(np.mean(np.abs(Y) ** 2))
+    if snr_db == math.inf:
         sigma2 = 0.0
-        noise = 0.0
     else:
         sigma2 = sig_power / 10.0 ** (snr_db / 10.0)
         rng = np.random.default_rng(rng_seed)
-        noise = np.sqrt(sigma2 / 2.0) * (
+        Y += np.sqrt(sigma2 / 2.0) * (
             rng.standard_normal((M, P)) + 1j * rng.standard_normal((M, P))
         )
-    return MeasurementSet(clean + noise, sigma2, float(snr_db))
+    return MeasurementSet(Y, sigma2, float(snr_db))
 
 
 def save_channel(path, channel):

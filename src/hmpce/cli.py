@@ -270,8 +270,9 @@ def _validate(cfg):
         raise ConfigError(f"need 1 <= P <= K, got P={cfg.P}, K={cfg.K}")
     if not cfg.snr_db:
         raise ConfigError("need at least one SNR value")
-    if any(math.isnan(snr) for snr in cfg.snr_db):
-        raise ConfigError("snr: an SNR value is nan; give dB values or inf")
+    for snr in cfg.snr_db:
+        if math.isnan(snr) or snr == -math.inf:
+            raise ConfigError(f"snr: an SNR value is {snr}; give dB values or inf")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
     if cfg.max_iters < 1:

@@ -63,7 +63,6 @@ class PriorConfig:
     bg_variance: float = 1.0    # fixed active variance for the bg variant
     exact_digamma: bool = False
     std_gamma_weight: bool = False
-    init_backward_filtered: bool = False
     prob_floor: float = 1e-12
 
     def __post_init__(self):
@@ -272,17 +271,13 @@ def forward_pass(state, cfg, evidence=None, transitions=None):
 def backward_pass(state, cfg, evidence=None, transitions=None):
     """Backward sweep; the terminal message is uninformative (1/2).
 
-    Runs on odds like `forward_pass`, from the last element down.  With
-    `init_backward_filtered` the terminal filtered message is also 1/2,
-    ignoring that element's evidence.
+    Runs on odds like `forward_pass`, from the last element down.
     """
     stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
     _, llr = pooled_evidence(state) if evidence is None else evidence
-    evidence_odds = _evidence_odds(llr[::-1])
-    if cfg.init_backward_filtered:
-        evidence_odds[0] = 1.0
     pred, filt = _odds_sweep(
-        1.0, evidence_odds, stay_active, turn_off, turn_on, stay_quiet, cfg.prob_floor
+        1.0, _evidence_odds(llr[::-1]), stay_active, turn_off, turn_on, stay_quiet,
+        cfg.prob_floor,
     )
     state.bwd_pred, state.bwd_filt = _odds_to_prob(pred[::-1]), _odds_to_prob(filt[::-1])
 

@@ -69,10 +69,19 @@ class TurboTrace:
 
 def nmse(estimate, truth):
     """||estimate - truth||^2 / ||truth||^2 (Frobenius)."""
-    den = float(np.sum(np.abs(truth) ** 2))
+    return _energy(estimate - truth) / _truth_energy(truth)
+
+
+def _energy(x):
+    """||x||^2 (Frobenius)."""
+    return float(np.sum(np.abs(x) ** 2))
+
+
+def _truth_energy(truth):
+    den = _energy(truth)
     if den == 0.0:
         raise ValueError("NMSE undefined for an all-zero truth")
-    return float(np.sum(np.abs(estimate - truth) ** 2)) / den
+    return den
 
 
 def to_db(x):
@@ -85,10 +94,11 @@ def run_turbo(measurements, pilots, cfg, truth=None):
     `pilots` is a `PilotSet`, or a sequence of `PilotMatrix` (one per
     subcarrier) that is stacked once here.
 
-    `truth` enables the NMSE trace.  Early stopping compares consecutive
-    NMSE values when `truth` is given; otherwise it stops once the relative
-    change of the estimate, ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2, falls below
-    `nmse_tol`.
+    `truth` enables the NMSE trace; its energy is taken once, and an
+    all-zero truth raises `ValueError` before the first iteration.  Early
+    stopping compares consecutive NMSE values when `truth` is given;
+    otherwise it stops once the relative change of the estimate,
+    ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2, falls below `nmse_tol`.
     """
     pilots = as_pilot_set(pilots)
     Y = measurements.Y
@@ -97,6 +107,7 @@ def run_turbo(measurements, pilots, cfg, truth=None):
     if len(pilots) != P:
         raise ValueError("need one pilot operator per subcarrier")
     N = pilots.N
+    truth_energy = None if truth is None else _truth_energy(truth)
     h_pri_a = np.zeros((N, P), dtype=np.complex128)
     v_pri_a = np.full(P, float(cfg.init_variance))
     state = None
@@ -127,7 +138,7 @@ def run_turbo(measurements, pilots, cfg, truth=None):
         trace.clamped_a.append(int(clamped_a.sum()))
         trace.clamped_b.append(int(clamped_b.sum()))
         if truth is not None:
-            metric = nmse(h_post_b, truth)
+            metric = _energy(h_post_b - truth) / truth_energy
             converged = it > 1 and abs(metric - prev_metric) < cfg.nmse_tol
             prev_metric = metric
         else:
@@ -143,10 +154,10 @@ def run_turbo(measurements, pilots, cfg, truth=None):
 def _relative_change(new, old):
     """||new - old||^2 / ||old||^2; 0 when the two are equal, inf when only
     `old` is zero."""
-    num = float(np.sum(np.abs(new - old) ** 2))
+    num = _energy(new - old)
     if num == 0.0:
         return 0.0
-    den = float(np.sum(np.abs(old) ** 2))
+    den = _energy(old)
     return num / den if den > 0.0 else math.inf
 
 
@@ -261,10 +272,13 @@ def run_state_evolution(prior, snr_db, N, M, max_iters=100, tol=1e-8,
     row-orthonormal pilot family).  Rows carry the post-iteration variance.
     `sampler` is an `MmseSampler` already built for `prior`, which lets
     several runs share one sample bank; without it a bank of `num_samples`
-    is drawn from `seed`.
+    is drawn from `seed`.  snr_db = +inf is noiseless; -inf raises
+    `ValueError`.
     """
+    if snr_db == -math.inf:
+        raise ValueError("snr_db = -inf has no finite noise variance")
     power = prior.mean_power()
-    sigma2 = 0.0 if np.isinf(snr_db) else power / 10.0 ** (snr_db / 10.0)
+    sigma2 = 0.0 if snr_db == math.inf else power / 10.0 ** (snr_db / 10.0)
     if sampler is None:
         sampler = MmseSampler(prior, num_samples, seed)
     v = power if v_init is None else float(v_init)

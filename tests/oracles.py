@@ -5,6 +5,9 @@ checks: brute-force enumeration for the support chain, the probability-domain
 forward/backward sweeps (the package runs them on odds), a measurement-form
 dense LMMSE (the package uses the information form), the turbo loop with
 module A run one subcarrier at a time (the package stacks the subcarriers),
+the stacked module A on two-array fancy indexing and out-of-place
+temporaries (the package gathers and scatters through flat indices and
+works in place),
 closed-form scalar mixture posteriors plus a grid-integration cross-check,
 the state evolution's Monte-Carlo MMSE computed from the complex
 observations with the complex mixture posterior, and the denoiser's
@@ -31,6 +34,7 @@ from hmpce.denoiser import (
     transition_log_expectations,
     update_transition_beliefs,
 )
+from hmpce.lmmse import _VAR_FLOOR
 from hmpce.messages import digamma_fn
 from hmpce.priors import VARIANT_BG, VARIANT_TSGM
 from hmpce.turbo import MmseSampler, TurboTrace, nmse
@@ -117,7 +121,7 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-def chain_sweeps_probability(weights, llr, floor, init_backward_filtered=False):
+def chain_sweeps_probability(weights, llr, floor):
     """Forward and backward support-chain sweeps on clamped probabilities.
 
     weights: (stay_active, turn_on, stay_quiet, turn_off) transition weights;
@@ -141,10 +145,7 @@ def chain_sweeps_probability(weights, llr, floor, init_backward_filtered=False):
     bwd_pred = np.empty(N)
     bwd_filt = np.empty(N)
     bwd_pred[N - 1] = 0.5
-    if init_backward_filtered:
-        bwd_filt[N - 1] = 0.5
-    else:
-        bwd_filt[N - 1] = min(max(expit(llr[N - 1]), floor), 1.0 - floor)
+    bwd_filt[N - 1] = min(max(expit(llr[N - 1]), floor), 1.0 - floor)
     for n in range(N - 2, -1, -1):
         b = bwd_filt[n + 1]
         num = b * stay_active + (1.0 - b) * turn_off
@@ -245,6 +246,87 @@ def run_turbo_per_subcarrier(measurements, pilots, cfg, truth=None):
         if cfg.early_stop and converged:
             break
     return h_final, trace
+
+
+class FancyIndexPilotSet:
+    """A `PilotSet` applied through two-array fancy indexing on out-of-place
+    temporaries, the way module A ran before the flat indices.
+
+    Built from a `PilotSet`'s derived `rows` and `perm` and its `phases`;
+    `apply`, `adjoint` and `_column_index` are the old methods, verbatim.
+    """
+
+    def __init__(self, pilots):
+        self.N, self.M = pilots.N, pilots.M
+        self.rows = np.array(pilots.rows)
+        self.perm = np.array(pilots.perm)
+        self.phases = pilots.phases
+
+    def __len__(self):
+        return self.rows.shape[0]
+
+    def apply(self, H):
+        """Column-wise A_p @ H[:, p]: (N, P) to (M, P)."""
+        cols = self._column_index(H, self.N)
+        scrambled = self.phases * H.T[cols, self.perm]
+        spectrum = np.fft.fft(scrambled, axis=1)
+        return (spectrum[cols, self.rows] / np.sqrt(self.N)).T
+
+    def adjoint(self, Y):
+        """Column-wise A_p^H @ Y[:, p]: (M, P) to (N, P)."""
+        cols = self._column_index(Y, self.M)
+        z = np.zeros((len(self), self.N), dtype=np.complex128)
+        z[cols, self.rows] = Y.T
+        w = np.fft.ifft(z, axis=1) * np.sqrt(self.N)
+        out = np.empty((self.N, len(self)), dtype=np.complex128)
+        out.T[cols, self.perm] = np.conj(self.phases) * w
+        return out
+
+    def _column_index(self, X, length):
+        """Subcarrier index as a (P, 1) column, after checking X is (length, P)."""
+        if X.shape != (length, len(self)):
+            raise ValueError(f"expected shape {(length, len(self))}, got {X.shape}")
+        return np.arange(len(self))[:, None]
+
+
+def lmmse_update_out_of_place(y, pilot, h_pri, v_pri, sigma2):
+    """The LMMSE update on fresh temporaries (the old `lmmse_update`,
+    verbatim); pass a `FancyIndexPilotSet` for the old stacked operator."""
+    v_pri = np.asarray(v_pri, dtype=float)
+    if np.any(v_pri <= 0.0):
+        raise ValueError(f"prior variance must be positive, got {v_pri}")
+    if sigma2 < 0.0:
+        raise ValueError(f"noise variance must be non-negative, got {sigma2}")
+    gain = v_pri / (v_pri + sigma2)
+    residual = y - pilot.apply(h_pri)
+    h_post = h_pri + gain * pilot.adjoint(residual)
+    v_post = v_pri * (1.0 - gain * pilot.M / pilot.N)
+    return h_post, np.maximum(v_post, _VAR_FLOOR)
+
+
+def extrinsic_split_out_of_place(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):
+    """The extrinsic split on fresh temporaries (the old `extrinsic_split`,
+    verbatim): same definition and round-trip check as the package's."""
+    v_post = np.asarray(v_post, dtype=float)
+    v_pri = np.asarray(v_pri, dtype=float)
+    inv = 1.0 / v_post - 1.0 / v_pri
+    clamped = ~(inv > 1.0 / max_variance)
+    v_ext = np.where(clamped, max_variance, 1.0 / np.where(clamped, 1.0, inv))
+    h_ext = h_post * (v_ext / v_post) - h_pri * (v_ext / v_pri)
+    err = 0.0
+    keep = ~clamped
+    if check and np.any(keep):
+        # per-column maxima first, then the mask: no (N, P) copies of the kept columns
+        v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
+        h_rec = h_ext * (v_rec / v_ext) + h_pri * (v_rec / v_pri)
+        h_rec -= h_post
+        col_err = np.abs(h_rec).max(axis=0)
+        col_scale = np.abs(h_post).max(axis=0)
+        scale = max(float(np.max(col_scale, where=keep, initial=0.0)), 1e-300)
+        err_m = np.max(col_err, where=keep, initial=0.0) / scale
+        err_v = np.max(np.abs(v_rec - v_post) / v_post, where=keep, initial=0.0)
+        err = float(max(err_v, err_m))
+    return h_ext, v_ext[()], clamped[()], err
 
 
 def dense_lmmse_measurement_form(y, A, h_pri, v_pri, sigma2):

@@ -170,15 +170,25 @@ def test_pilot_set_stacks_the_per_subcarrier_draws():
     assert pilots.rows.shape == (P, M)
     assert pilots.perm.shape == pilots.phases.shape == (P, N)
     children = np.random.SeedSequence(9).spawn(P)
-    for p, (view, child) in enumerate(zip(pilots, children)):
-        ref = make_pdft_rp(N, M, rng_seed=child)
-        for got in (view, pilots[p]):
+    refs = [make_pdft_rp(N, M, rng_seed=child) for child in children]
+    for p, (view, ref) in enumerate(zip(pilots, refs)):
+        for got in (view, pilots[p], pilots[p - P]):
             assert (got.N, got.M) == (N, M)
             assert np.array_equal(got.rows, ref.rows)
             assert np.array_equal(got.perm, ref.perm)
             assert np.array_equal(got.phases, ref.phases)
+    # the stored form is the flat indices; rows and perm are derived from them
+    assert np.array_equal(pilots.rows, np.stack([ref.rows for ref in refs]))
+    assert np.array_equal(pilots.perm, np.stack([ref.perm for ref in refs]))
+    sub = np.arange(P)[:, None]
+    assert pilots.gather.dtype == pilots.select.dtype == np.int64
+    assert np.array_equal(pilots.gather, pilots.perm * P + sub)
+    assert np.array_equal(pilots.select, pilots.rows + N * sub)
+    assert not pilots.rows.flags.writeable and not pilots.perm.flags.writeable
+    with pytest.raises(IndexError):
+        pilots[P]
     again = PilotSet.stack(list(pilots))
-    for field in ("rows", "perm", "phases"):
+    for field in ("gather", "select", "rows", "perm", "phases"):
         assert np.array_equal(getattr(again, field), getattr(pilots, field))
 
 
@@ -210,6 +220,13 @@ def test_synthesize_noiseless():
     )
     # batched and single-vector FFTs need not agree bit for bit
     assert np.max(np.abs(ms.Y - clean)) <= 1e-12 * np.max(np.abs(clean))
+
+
+def test_synthesize_rejects_minus_inf_snr():
+    channel, pilots = _toy_setup(P=3)
+    with pytest.raises(ValueError, match="-inf"):
+        synthesize_measurements(channel, pilots, snr_db=-np.inf)
+    assert synthesize_measurements(channel, pilots, snr_db=np.inf).noise_variance == 0.0
 
 
 def test_synthesize_accepts_a_list_of_pilot_operators():

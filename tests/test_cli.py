@@ -126,6 +126,30 @@ def test_nan_snr_config_file_is_bad_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("se_only", [False, True])
+def test_minus_inf_snr_flag_is_bad_input(tmp_path, capsys, se_only):
+    out = tmp_path / "o"
+    args = small_args(str(out), algos="hmp-bg", iters="2")
+    rc = run_cli(*args, "--snr=-inf", *(["--se-only"] if se_only else []))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "snr" in err and "-inf" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_minus_inf_snr_config_file_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 32\nM = 13\nP = 2\nK = 64\nsnr = 10, -inf\nalgos = hmp-bg\niters = 2\n")
+    out = tmp_path / "o"
+    rc = run_cli("--config", str(cfg), "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "snr" in err and "-inf" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_manifest_is_sorted_flat_key_value(tmp_path):
     out = str(tmp_path / "o")
     assert run_cli(*small_args(out)) == 0

@@ -27,6 +27,7 @@ from hmpce.denoiser import (
     denoise,
     forward_pass,
     init_state,
+    pooled_evidence,
     posterior_moments,
     support_extrinsic,
     support_likelihood,
@@ -257,17 +258,20 @@ def _sweep_case(rng, N, kind):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 64])
 @pytest.mark.parametrize("kind", ["random", "clamp", "sticky", "saturate"])
-@pytest.mark.parametrize("init_filtered", [False, True])
-def test_odds_sweeps_match_probability_sweeps(N, kind, init_filtered):
-    rng = np.random.default_rng([N, len(kind), init_filtered])
+@pytest.mark.parametrize("handed_in", [False, True])
+def test_odds_sweeps_match_probability_sweeps(N, kind, handed_in):
+    # handed_in: the sweeps get `evidence=` and `transitions=` as `denoise`
+    # passes them, instead of computing them from `state`
+    rng = np.random.default_rng([N, len(kind), handed_in])
     for _ in range(5):
         state, cfg = _sweep_case(rng, N, kind)
-        cfg.init_backward_filtered = init_filtered
-        weights = [math.exp(v) for v in transition_log_expectations(state, cfg)]
+        transitions = transition_log_expectations(state, cfg)
+        weights = [math.exp(v) for v in transitions]
         llr = logit(state.support_like).sum(axis=1)
-        ref = chain_sweeps_probability(weights, llr, cfg.prob_floor, init_filtered)
-        forward_pass(state, cfg)
-        backward_pass(state, cfg)
+        ref = chain_sweeps_probability(weights, llr, cfg.prob_floor)
+        shared = {"evidence": pooled_evidence(state), "transitions": transitions}
+        forward_pass(state, cfg, **(shared if handed_in else {}))
+        backward_pass(state, cfg, **(shared if handed_in else {}))
         got = (state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt)
         for g, r in zip(got, ref):
             assert g.shape == (N,)
@@ -322,13 +326,6 @@ def test_terminal_backward_prediction_stays_half():
     for _ in range(3):
         _, _, state = denoise(h, v, PriorConfig(), state)
         assert state.bwd_pred[-1] == 0.5
-
-
-def test_backward_filtered_init_flag():
-    cfg = PriorConfig(init_backward_filtered=True)
-    state = frozen_chain_state(np.random.default_rng(13), 5, 2, cfg)
-    backward_pass(state, cfg)
-    assert state.bwd_filt[-1] == 0.5
 
 
 # ---------------------------------------------------------------------------

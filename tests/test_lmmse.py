@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_lmmse_measurement_form, roundtrip_error_columns
+from oracles import (
+    FancyIndexPilotSet,
+    dense_lmmse_measurement_form,
+    extrinsic_split_out_of_place,
+    lmmse_update_out_of_place,
+    roundtrip_error_columns,
+)
 from hmpce.channels import (
     PilotMatrix,
     make_pdft_rp,
@@ -165,6 +171,98 @@ def test_extrinsic_split_columns_with_clamped_columns():
     assert unchecked[3] == 0.0 and np.array_equal(unchecked[0], h_ext)
     everything = extrinsic_split(h_post, v_pri, h_pri, v_pri, cap)
     assert np.all(everything[2]) and everything[3] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# module A against its out-of-place, fancy-index oracle
+
+MODULE_A_SIZES = [(2, 1, 1), (32, 13, 8), (256, 103, 128), (64, 63, 3)]
+
+
+def _module_a_inputs(N, M, P, seed):
+    """A pilot set, H (N, P), Y (M, P), prior variances (P,) and a module-A
+    posterior with its first column made uninformative, so it clamps."""
+    pilots = make_pilot_set(N, M, P, rng_seed=seed)
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
+    Y = rng.standard_normal((M, P)) + 1j * rng.standard_normal((M, P))
+    v_pri = rng.uniform(0.1, 3.0, P)
+    h_post, v_post = lmmse_update(Y, pilots, H, v_pri, 0.05)
+    v_post[0] = v_pri[0]
+    return pilots, H, Y, v_pri, h_post, v_post
+
+
+def _within_1e15(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N, M, P", MODULE_A_SIZES)
+def test_module_a_matches_the_out_of_place_oracle(N, M, P):
+    pilots, H, Y, v_pri, h_post, v_post = _module_a_inputs(N, M, P, seed=N + M + P)
+    ref = FancyIndexPilotSet(pilots)
+    _within_1e15(pilots.apply(H), ref.apply(H))
+    _within_1e15(pilots.apply(H.real), ref.apply(H.real))
+    _within_1e15(pilots.adjoint(Y), ref.adjoint(Y))
+    got = lmmse_update(Y, pilots, H, v_pri, 0.05)
+    want = lmmse_update_out_of_place(Y, ref, H, v_pri, 0.05)
+    _within_1e15(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    got = extrinsic_split(h_post, v_post, H, v_pri)
+    want = extrinsic_split_out_of_place(h_post, v_post, H, v_pri)
+    _within_1e15(got[0], want[0])
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    assert got[2][0] and (P == 1 or not got[2][1:].any())
+    assert abs(got[3] - want[3]) <= 1e-15
+
+
+def _module_a_outputs(pilots, H, Y, v_pri, h_post, v_post):
+    return (
+        pilots.apply(H),
+        pilots.adjoint(Y),
+        *lmmse_update(Y, pilots, H, v_pri, 0.05),
+        *extrinsic_split(h_post, v_post, H, v_pri),
+    )
+
+
+@pytest.mark.parametrize("layout", ["F", "strided"])
+def test_module_a_takes_any_memory_layout(layout):
+    inputs = _module_a_inputs(32, 13, 8, seed=4)
+    pilots, arrays = inputs[0], inputs[1:]
+
+    def relaid(x):
+        if layout == "F":
+            return np.asfortranarray(x)
+        wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), x.dtype)
+        wide[..., ::2] = x
+        return wide[..., ::2]
+
+    want = _module_a_outputs(pilots, *arrays)
+    got = _module_a_outputs(pilots, *(relaid(x) for x in arrays))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_module_a_writes_to_no_input():
+    pilots, *arrays = _module_a_inputs(32, 13, 8, seed=6)
+    # measurements as synthesis leaves them: noise added into apply's output
+    noise = arrays[1]
+    arrays[1] = pilots.apply(arrays[0])
+    arrays[1] += noise
+    fields = (pilots.gather, pilots.select, pilots.phases)
+    saved = [x.copy() for x in (*arrays, *fields)]
+    _module_a_outputs(pilots, *arrays)
+    for x, before in zip((*arrays, *fields), saved):
+        assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("N, M, P", MODULE_A_SIZES)
+def test_pilot_set_adjoint_identity_per_column(N, M, P):
+    pilots, H, Y, *_ = _module_a_inputs(N, M, P, seed=N * M + P)
+    lhs = np.sum(np.conj(Y) * pilots.apply(H), axis=0)     # <A H, Y>
+    rhs = np.sum(np.conj(pilots.adjoint(Y)) * H, axis=0)   # <H, A^H Y>
+    scale = np.linalg.norm(H, axis=0) * np.linalg.norm(Y, axis=0)
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
 
 def test_extrinsic_error_concentrates_on_se_map():

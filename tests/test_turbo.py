@@ -5,7 +5,10 @@ import pytest
 
 from oracles import (
     ComplexMmseSampler,
+    FancyIndexPilotSet,
     denoise_complex,
+    extrinsic_split_out_of_place,
+    lmmse_update_out_of_place,
     mmse_oracle,
     posterior_moments_mixture,
     run_turbo_per_subcarrier,
@@ -154,6 +157,61 @@ def test_real_denoiser_reproduces_the_complex_trace(monkeypatch, N, M, P, snr_db
     assert trace.clamped_a == ref.clamped_a and trace.clamped_b == ref.clamped_b
     assert np.all(np.abs(np.subtract(trace.nmse, ref.nmse)) <= 1e-12 * np.array(ref.nmse))
     assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
+
+
+def _out_of_place_lmmse(y, pilots, h_pri, v_pri, sigma2):
+    return lmmse_update_out_of_place(y, FancyIndexPilotSet(pilots), h_pri, v_pri, sigma2)
+
+
+@pytest.mark.parametrize(
+    "N, M, P, snr_db, variant, iters",
+    [
+        (64, 26, 8, 20.0, VARIANT_LVD, 10),
+        (64, 26, 8, 20.0, VARIANT_TSGM, 10),
+        # bg collapses here and amplifies last-digit differences from about
+        # iteration 8 on (5e-12 relative by iteration 10), so it runs 7
+        (64, 26, 8, 20.0, VARIANT_BG, 7),
+        (32, 32, 3, np.inf, VARIANT_LVD, 1),    # M = N, noiseless: clamped columns
+    ],
+)
+def test_run_turbo_matches_the_out_of_place_module_a(monkeypatch, N, M, P, snr_db, variant,
+                                                     iters):
+    meas, pilots, truth = make_sim(N, M, P, snr_db, seed=N + M + P)
+    saved = (meas.Y.copy(), truth.copy())
+    cfg = algo(variant, max_iters=iters, early_stop=False)
+    posteriors = []
+
+    def denoise_and_keep(*args, real=turbo.denoise):
+        out = real(*args)
+        posteriors.append(out[0])
+        return out
+
+    monkeypatch.setattr(turbo, "denoise", denoise_and_keep)
+    h, trace = run_turbo(meas, pilots, cfg, truth=truth)
+    # the truth's energy, taken once per run, gives the public nmse exactly
+    assert trace.nmse == [nmse(h_post, truth) for h_post in posteriors]
+    monkeypatch.setattr(turbo, "lmmse_update", _out_of_place_lmmse)
+    monkeypatch.setattr(turbo, "extrinsic_split", extrinsic_split_out_of_place)
+    h_ref, ref = run_turbo(meas, pilots, cfg, truth=truth)
+    assert trace.iterations == ref.iterations == iters
+    assert trace.clamped_a == ref.clamped_a and trace.clamped_b == ref.clamped_b
+    assert np.all(np.abs(np.subtract(trace.nmse, ref.nmse)) <= 1e-12 * np.array(ref.nmse))
+    assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
+    assert max(trace.roundtrip_err) <= 1e-10 and max(ref.roundtrip_err) <= 1e-10
+    assert np.array_equal(meas.Y, saved[0]) and np.array_equal(truth, saved[1])
+    if snr_db == np.inf:
+        assert trace.clamped_b[0] == P
+
+
+def test_all_zero_truth_raises_before_the_first_iteration(monkeypatch):
+    meas, pilots, truth = make_sim(16, 7, 2, 20.0, seed=3)
+
+    def module_a(*args):
+        raise AssertionError("module A ran")
+
+    monkeypatch.setattr(turbo, "lmmse_update", module_a)
+    with pytest.raises(ValueError, match="all-zero truth"):
+        run_turbo(meas, pilots, algo(max_iters=3), truth=np.zeros_like(truth))
 
 
 def test_run_turbo_stacks_a_list_of_pilot_operators():
@@ -410,6 +468,14 @@ def test_state_evolution_at_the_activation_edges(monkeypatch, variant, activatio
     assert got[1] == want[1]
     assert got[0].shape == want[0].shape
     np.testing.assert_allclose(got[0], want[0], rtol=1e-10, atol=0.0)
+
+
+def test_state_evolution_rejects_minus_inf_snr():
+    prior = ScalarPrior(variant=VARIANT_LVD)
+    with pytest.raises(ValueError, match="-inf"):
+        run_state_evolution(prior, -math.inf, 64, 51, num_samples=1000)
+    trace = run_state_evolution(prior, math.inf, 64, 51, max_iters=3, num_samples=1000)
+    assert len(trace.rows) == 3 and all(math.isfinite(row[1]) for row in trace.rows)
 
 
 def test_state_evolution_fixed_points_decrease_with_snr():
