@@ -9,9 +9,8 @@ row-orthonormal by construction and admit FFT-based application.
 Each pilot subcarrier has its own operator (`PilotMatrix`).  The P operators
 of one pilot set are stored stacked (`PilotSet`: flat gather indices (P, N),
 flat row-selection indices (P, M) and phases (P, N)), so applying them to an
-N x P channel is one `np.take`, one in-place batched FFT and one more
-`np.take` for all subcarriers at once; the adjoint scatters through the same
-two indices.
+N x P channel is one `np.take`, one batched FFT and one more `np.take` for
+all subcarriers at once; the adjoint scatters through the same two indices.
 """
 
 import math
@@ -159,7 +158,9 @@ class PilotSet:
     `apply` and `adjoint` act on all subcarriers at once: column p of the
     input goes through operator p.  `apply` gathers through both indices with
     `np.take` and `adjoint` scatters back through them; each runs one batched
-    FFT in place along the rows of a (P, N) work array, which are contiguous.
+    FFT along the rows of a (P, N) work array, which are contiguous.  The
+    phase products and the sqrt(N) scalings run in place on the arrays that
+    the gathers and the FFTs return.
     """
 
     N: int
@@ -188,21 +189,25 @@ class PilotSet:
     @property
     def rows(self):
         """Selected DFT rows per subcarrier, (P, M), derived from `select`."""
-        return _read_only(self.select - self.N * np.arange(len(self))[:, None])
+        return _read_only(self._rows_perm(slice(None))[0])
 
     @property
     def perm(self):
         """Permutation per subcarrier, (P, N), derived from `gather`."""
-        return _read_only(self.gather // len(self))
+        return _read_only(self._rows_perm(slice(None))[1])
+
+    def _rows_perm(self, p):
+        """Rows and perm of subcarrier p (an int), or of every subcarrier
+        (p = slice(None)), decoded from the flat indices."""
+        sub = np.arange(len(self))[p, None]
+        return self.select[p] - self.N * sub, self.gather[p] // len(self)
 
     def __len__(self):
         return self.phases.shape[0]
 
     def __getitem__(self, p):
         p = range(len(self))[p]  # a negative p counts from the end
-        rows = self.select[p] - self.N * p
-        perm = self.gather[p] // len(self)
-        return PilotMatrix(self.N, self.M, rows, perm, self.phases[p])
+        return PilotMatrix(self.N, self.M, *self._rows_perm(p), self.phases[p])
 
     def __iter__(self):
         return (self[p] for p in range(len(self)))
@@ -215,7 +220,7 @@ class PilotSet:
         # and numpy's temporary elision gives an out-of-place `phases * x`
         # this order from 256 KiB up, so the benchmark sizes keep their bits
         np.multiply(x, self.phases, out=x)
-        np.fft.fft(x, axis=1, out=x)
+        x = np.fft.fft(x, axis=1)
         y = np.take(x.ravel(), self.select)
         y /= np.sqrt(self.N)
         return y.T
@@ -225,11 +230,11 @@ class PilotSet:
         self._check_shape(Y, self.M)
         z = np.zeros((len(self), self.N), dtype=np.complex128)
         z.ravel()[self.select] = Y.T
-        np.fft.ifft(z, axis=1, out=z)
-        z *= np.sqrt(self.N)
-        np.multiply(np.conj(self.phases), z, out=z)
+        w = np.fft.ifft(z, axis=1)
+        w *= np.sqrt(self.N)
+        np.multiply(np.conj(self.phases), w, out=w)
         out = np.empty((self.N, len(self)), dtype=np.complex128)
-        out.ravel()[self.gather] = z
+        out.ravel()[self.gather] = w
         return out
 
     def _check_shape(self, X, length):

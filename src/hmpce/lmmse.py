@@ -12,11 +12,9 @@ at once (a `PilotSet`, means (N, P) and one variance per column), and so
 does the extrinsic split that turns a posterior into the message for the
 other module.
 
-Both work on the fresh arrays they make: the update subtracts the
-measurements into the output of `apply` and scales and adds the prior mean
-into the output of `adjoint`, and the split builds the extrinsic mean with
-one work array that it reuses for the round-trip check.  No input is
-written to.
+The update works on the fresh arrays that `apply` and `adjoint` return: it
+subtracts the measurements into the first and scales and adds the prior mean
+into the second.  No input is written to.
 """
 
 import numpy as np
@@ -52,8 +50,7 @@ def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):
     """Gaussian extrinsic division post / pri, with its round-trip check.
 
     Means are (N,) with scalar variances, or (N, P) with one variance per
-    column; they are taken as complex128, and h_ext is complex128.  Where
-    the posterior is not informative enough
+    column.  Where the posterior is not informative enough
     (1/v_post - 1/v_pri <= 1/max_variance) the extrinsic variance is clamped
     to max_variance.
 
@@ -63,23 +60,18 @@ def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):
     max |h_post|, whichever is larger (0 when every column is clamped, or
     without `check`).  Returns (h_ext, v_ext, clamped, roundtrip_err).
     """
-    h_post = np.asarray(h_post, dtype=np.complex128)
-    h_pri = np.asarray(h_pri, dtype=np.complex128)
     v_post = np.asarray(v_post, dtype=float)
     v_pri = np.asarray(v_pri, dtype=float)
     inv = 1.0 / v_post - 1.0 / v_pri
     clamped = ~(inv > 1.0 / max_variance)
     v_ext = np.where(clamped, max_variance, 1.0 / np.where(clamped, 1.0, inv))
-    h_ext = h_post * (v_ext / v_post)
-    work = h_pri * (v_ext / v_pri)
-    h_ext -= work
+    h_ext = h_post * (v_ext / v_post) - h_pri * (v_ext / v_pri)
     err = 0.0
     keep = ~clamped
     if check and np.any(keep):
         # per-column maxima first, then the mask: no (N, P) copies of the kept columns
         v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
-        h_rec = np.multiply(h_ext, v_rec / v_ext, out=work)
-        h_rec += h_pri * (v_rec / v_pri)
+        h_rec = h_ext * (v_rec / v_ext) + h_pri * (v_rec / v_pri)
         h_rec -= h_post
         col_err = np.abs(h_rec).max(axis=0)
         col_scale = np.abs(h_post).max(axis=0)

@@ -69,19 +69,10 @@ class TurboTrace:
 
 def nmse(estimate, truth):
     """||estimate - truth||^2 / ||truth||^2 (Frobenius)."""
-    return _energy(estimate - truth) / _truth_energy(truth)
-
-
-def _energy(x):
-    """||x||^2 (Frobenius)."""
-    return float(np.sum(np.abs(x) ** 2))
-
-
-def _truth_energy(truth):
-    den = _energy(truth)
+    den = float(np.sum(np.abs(truth) ** 2))
     if den == 0.0:
         raise ValueError("NMSE undefined for an all-zero truth")
-    return den
+    return float(np.sum(np.abs(estimate - truth) ** 2)) / den
 
 
 def to_db(x):
@@ -94,11 +85,10 @@ def run_turbo(measurements, pilots, cfg, truth=None):
     `pilots` is a `PilotSet`, or a sequence of `PilotMatrix` (one per
     subcarrier) that is stacked once here.
 
-    `truth` enables the NMSE trace; its energy is taken once, and an
-    all-zero truth raises `ValueError` before the first iteration.  Early
-    stopping compares consecutive NMSE values when `truth` is given;
-    otherwise it stops once the relative change of the estimate,
-    ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2, falls below `nmse_tol`.
+    `truth` enables the NMSE trace.  Early stopping compares consecutive
+    NMSE values when `truth` is given; otherwise it stops once the relative
+    change of the estimate, ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2, falls below
+    `nmse_tol`.
     """
     pilots = as_pilot_set(pilots)
     Y = measurements.Y
@@ -107,7 +97,6 @@ def run_turbo(measurements, pilots, cfg, truth=None):
     if len(pilots) != P:
         raise ValueError("need one pilot operator per subcarrier")
     N = pilots.N
-    truth_energy = None if truth is None else _truth_energy(truth)
     h_pri_a = np.zeros((N, P), dtype=np.complex128)
     v_pri_a = np.full(P, float(cfg.init_variance))
     state = None
@@ -138,7 +127,7 @@ def run_turbo(measurements, pilots, cfg, truth=None):
         trace.clamped_a.append(int(clamped_a.sum()))
         trace.clamped_b.append(int(clamped_b.sum()))
         if truth is not None:
-            metric = _energy(h_post_b - truth) / truth_energy
+            metric = nmse(h_post_b, truth)
             converged = it > 1 and abs(metric - prev_metric) < cfg.nmse_tol
             prev_metric = metric
         else:
@@ -154,10 +143,10 @@ def run_turbo(measurements, pilots, cfg, truth=None):
 def _relative_change(new, old):
     """||new - old||^2 / ||old||^2; 0 when the two are equal, inf when only
     `old` is zero."""
-    num = _energy(new - old)
+    num = float(np.sum(np.abs(new - old) ** 2))
     if num == 0.0:
         return 0.0
-    den = _energy(old)
+    den = float(np.sum(np.abs(old) ** 2))
     return num / den if den > 0.0 else math.inf
 
 

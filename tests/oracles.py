@@ -304,31 +304,6 @@ def lmmse_update_out_of_place(y, pilot, h_pri, v_pri, sigma2):
     return h_post, np.maximum(v_post, _VAR_FLOOR)
 
 
-def extrinsic_split_out_of_place(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):
-    """The extrinsic split on fresh temporaries (the old `extrinsic_split`,
-    verbatim): same definition and round-trip check as the package's."""
-    v_post = np.asarray(v_post, dtype=float)
-    v_pri = np.asarray(v_pri, dtype=float)
-    inv = 1.0 / v_post - 1.0 / v_pri
-    clamped = ~(inv > 1.0 / max_variance)
-    v_ext = np.where(clamped, max_variance, 1.0 / np.where(clamped, 1.0, inv))
-    h_ext = h_post * (v_ext / v_post) - h_pri * (v_ext / v_pri)
-    err = 0.0
-    keep = ~clamped
-    if check and np.any(keep):
-        # per-column maxima first, then the mask: no (N, P) copies of the kept columns
-        v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
-        h_rec = h_ext * (v_rec / v_ext) + h_pri * (v_rec / v_pri)
-        h_rec -= h_post
-        col_err = np.abs(h_rec).max(axis=0)
-        col_scale = np.abs(h_post).max(axis=0)
-        scale = max(float(np.max(col_scale, where=keep, initial=0.0)), 1e-300)
-        err_m = np.max(col_err, where=keep, initial=0.0) / scale
-        err_v = np.max(np.abs(v_rec - v_post) / v_post, where=keep, initial=0.0)
-        err = float(max(err_v, err_m))
-    return h_ext, v_ext[()], clamped[()], err
-
-
 def dense_lmmse_measurement_form(y, A, h_pri, v_pri, sigma2):
     """LMMSE in the measurement (covariance) form.
 

@@ -163,6 +163,24 @@ def test_pilot_set_matches_dense_per_subcarrier(N, M, P):
         assert np.max(np.abs(AY[:, p] - A.conj().T @ Y[:, p])) < 1e-12
 
 
+def test_pilot_set_runs_on_the_numpy_1_fft_signature(monkeypatch):
+    # pyproject allows numpy >= 1.24, whose np.fft.fft and ifft take no `out=`
+    pilots = make_pilot_set(32, 13, 5, rng_seed=2)
+    rng = np.random.default_rng(2)
+    H = rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))
+    Y = rng.standard_normal((13, 5)) + 1j * rng.standard_normal((13, 5))
+    want = pilots.apply(H), pilots.adjoint(Y)
+    for name in ("fft", "ifft"):
+        numpy_2_fft = getattr(np.fft, name)
+
+        def numpy_1_fft(a, n=None, axis=-1, norm=None, fft=numpy_2_fft):
+            return fft(a, n, axis, norm)
+
+        monkeypatch.setattr(np.fft, name, numpy_1_fft)
+    got = pilots.apply(H), pilots.adjoint(Y)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_pilot_set_stacks_the_per_subcarrier_draws():
     N, M, P = 32, 13, 4
     pilots = make_pilot_set(N, M, P, rng_seed=9)
