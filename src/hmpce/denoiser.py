@@ -18,17 +18,20 @@ learning ("tsgm-lvd"), subcarrier-pooled active-precision learning
 ("tsgm"), and a fixed-variance Bernoulli-Gaussian ("bg") whose near-zero
 component is an exact spike at zero.
 
-All probabilities are clamped to [floor, 1 - floor].  The chain sweeps run
-on odds p / (1 - p), clamped to the equivalent interval
-[floor / (1 - floor), (1 - floor) / floor], and store probabilities; the
-other steps combine probabilities in the log-odds domain and map back with
-clamp(sigmoid(.)): `_sigmoid` runs on numpy's vectorised exp, and the clamp
-acts on the probability.  The pooled per-element evidence is
-computed once per pass (`pooled_evidence`), the expected log transition
-weights once per chain round (`transition_log_expectations`), and the
-log-odds of the extrinsic support message, logit(support_ext), once per
-pass after `support_extrinsic`; `denoise` hands each to the steps that use
-it.
+All probabilities are clamped to [floor, 1 - floor], with
+0 < floor < 0.5 (`PriorConfig` checks it).  The chain sweeps run on odds
+p / (1 - p), clamped to the equivalent interval
+[floor / (1 - floor), (1 - floor) / floor]: the scalar loop keeps only the
+predicted odds, the filtered odds follow from them in one array pass, and
+both are stored as probabilities.  The other steps combine probabilities in
+the log-odds domain and map back with clamp(sigmoid(.)): `_sigmoid` runs on
+numpy's vectorised exp, and the clamp acts on the probability.  The pooled
+per-element evidence (`pooled_evidence`) and the evidence odds of both
+sweeps (`evidence_odds`) are computed once per pass, the expected log
+transition weights once per chain round (`transition_log_expectations`),
+and the log-odds of the extrinsic support message, logit(support_ext),
+once per pass after `support_extrinsic`; `denoise` hands each to the steps
+that use it.
 
 The wide (N, P) steps (likelihood, precision update, posterior moments) run
 in real arithmetic: the activity odds, the Gamma statistics and the
@@ -49,7 +52,12 @@ from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, VARIANTS
 
 @dataclass
 class PriorConfig:
-    """Prior hyperparameters and algorithm switches for one denoiser."""
+    """Prior hyperparameters and algorithm switches for one denoiser.
+
+    Raises ValueError naming the field unless 0 < prob_floor < 0.5 and
+    every Gamma and Beta prior parameter and bg_variance is positive and
+    finite.
+    """
 
     variant: str = VARIANT_LVD
     large_shape: float = 1.0    # Gamma prior (shape, rate) on active precisions
@@ -68,6 +76,13 @@ class PriorConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if not 0.0 < self.prob_floor < 0.5:
+            raise ValueError(f"prob_floor must lie in (0, 0.5), got {self.prob_floor}")
+        for name in ("large_shape", "large_rate", "small_shape", "small_rate",
+                     "p10_a", "p10_b", "p01_a", "p01_b", "bg_variance"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -203,45 +218,69 @@ def pooled_evidence(state):
     return like_logit, like_logit.sum(axis=1)
 
 
-def _evidence_odds(llr):
-    """exp(llr) as a list of floats; inf and 0 from overflow and underflow
-    are left to the sweep's clamp."""
+def evidence_odds(llr):
+    """Evidence odds e = exp(pooled LLR) for both sweeps, in visit order.
+
+    Returns ((e, e_list), (e_rev, e_rev_list)): the forward odds exp(llr)
+    and the backward odds exp(llr[::-1]), each as an array and as a list of
+    floats for the sweep's scalar loop.  The backward odds are exp of the
+    reversed LLR, not the reversed forward odds: numpy's exp rounds a
+    negative-stride view differently from a contiguous array, and the
+    sweeps keep those bits.  inf and 0 from overflow and underflow are left
+    to the sweep's clamp.  `denoise` computes them once per pass and hands
+    them to both chain rounds; a sweep called without them computes them.
+    """
     with np.errstate(over="ignore", under="ignore"):
-        return np.exp(llr).tolist()
+        e, e_rev = np.exp(llr), np.exp(llr[::-1])
+    return (e, e.tolist()), (e_rev, e_rev.tolist())
 
 
-def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, floor):
+def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, lo, hi):
     """One pass of the two-state chain filter in the odds domain.
 
     Starting from the predicted odds q of the first element visited, each step
-    filters x = q e (e = exp(pooled LLR)) and predicts the next element with
-    the linear-fractional map q = (x stay + enter) / (x leave + stay_out).
-    The start value and both of these are clamped to the odds of
-    [floor, 1 - floor], which also absorbs e = inf or 0.  Returns the
-    predicted and filtered odds as lists, in visit order.
+    filters x = q e (e = exp(pooled LLR), a list of floats) and predicts the
+    next element with the linear-fractional map
+    q = (x stay + enter) / (x leave + stay_out).  The start value and both of
+    these are clamped to the odds bounds [lo, hi], which also absorb e = inf
+    or 0.  Returns the predicted odds only, as a list in visit order;
+    `_sweep_messages` computes the filtered odds from them in one array
+    pass.
     """
-    lo, hi = floor / (1.0 - floor), (1.0 - floor) / floor
     q = min(max(q, lo), hi)
-    pred, filt = [], []
+    pred = []
+    append = pred.append
     for e in evidence_odds:
+        append(q)
         x = q * e
         if x < lo:
             x = lo
         elif x > hi:
             x = hi
-        pred.append(q)
-        filt.append(x)
         q = (x * stay + enter) / (x * leave + stay_out)
         if q < lo:
             q = lo
         elif q > hi:
             q = hi
-    return pred, filt
+    return pred
 
 
-def _odds_to_prob(odds):
-    odds = np.fromiter(odds, float, len(odds))
-    return odds / (1.0 + odds)
+def _odds_bounds(floor):
+    """The odds of [floor, 1 - floor]."""
+    return floor / (1.0 - floor), (1.0 - floor) / floor
+
+
+def _sweep_messages(pred, e, lo, hi):
+    """Predicted and filtered odds as probabilities, in visit order.
+
+    The filtered odds are clip(pred e, lo, hi) in one array pass: the same
+    IEEE product and clamp as the sweep's loop, so the same bits (an
+    overflow to inf is clamped to hi).
+    """
+    pred = np.array(pred, dtype=float)
+    with np.errstate(over="ignore"):
+        filt = np.clip(pred * e, lo, hi)
+    return pred / (1.0 + pred), filt / (1.0 + filt)
 
 
 def _transition_weights(state, cfg, transitions):
@@ -252,38 +291,57 @@ def _transition_weights(state, cfg, transitions):
     return [math.exp(v) for v in transitions]
 
 
-def forward_pass(state, cfg, evidence=None, transitions=None):
+def _sweep_odds(state, evidence, odds):
+    """The evidence odds handed in, or computed from `evidence` or `state`."""
+    if odds is None:
+        _, llr = pooled_evidence(state) if evidence is None else evidence
+        odds = evidence_odds(llr)
+    return odds
+
+
+def forward_pass(state, cfg, evidence=None, transitions=None, odds=None):
     """Forward sweep of the support chain (predict, then fold in evidence).
 
     Runs on odds p / (1 - p) (see `_odds_sweep`) from the first element,
     whose prediction has odds turn_on / stay_quiet, clamped like every other
-    message; the stored messages are probabilities.
+    message; the stored messages are probabilities.  odds are the evidence
+    odds of `evidence_odds`, transitions the log weights of
+    `transition_log_expectations`; called without them, the sweep computes
+    them (the odds from `evidence`, or from `state` without it).
     """
     stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
-    _, llr = pooled_evidence(state) if evidence is None else evidence
-    pred, filt = _odds_sweep(
-        turn_on / stay_quiet, _evidence_odds(llr),
-        stay_active, turn_on, turn_off, stay_quiet, cfg.prob_floor,
+    (e, e_list), _ = _sweep_odds(state, evidence, odds)
+    lo, hi = _odds_bounds(cfg.prob_floor)
+    pred = _odds_sweep(
+        turn_on / stay_quiet, e_list, stay_active, turn_on, turn_off, stay_quiet, lo, hi
     )
-    state.fwd_pred, state.fwd_filt = _odds_to_prob(pred), _odds_to_prob(filt)
+    state.fwd_pred, state.fwd_filt = _sweep_messages(pred, e, lo, hi)
 
 
-def backward_pass(state, cfg, evidence=None, transitions=None):
+def backward_pass(state, cfg, evidence=None, transitions=None, odds=None):
     """Backward sweep; the terminal message is uninformative (1/2).
 
-    Runs on odds like `forward_pass`, from the last element down.
+    Runs like `forward_pass` from the last element down, on the backward
+    odds exp(llr[::-1]) of `evidence_odds`.  The messages are stored as
+    contiguous arrays in element order, not as reversed views, whose later
+    `np.log` would round differently.
     """
     stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
-    _, llr = pooled_evidence(state) if evidence is None else evidence
-    pred, filt = _odds_sweep(
-        1.0, _evidence_odds(llr[::-1]), stay_active, turn_off, turn_on, stay_quiet,
-        cfg.prob_floor,
-    )
-    state.bwd_pred, state.bwd_filt = _odds_to_prob(pred[::-1]), _odds_to_prob(filt[::-1])
+    _, (e, e_list) = _sweep_odds(state, evidence, odds)
+    lo, hi = _odds_bounds(cfg.prob_floor)
+    pred = _odds_sweep(1.0, e_list, stay_active, turn_off, turn_on, stay_quiet, lo, hi)
+    pred, filt = _sweep_messages(pred, e, lo, hi)
+    state.bwd_pred, state.bwd_filt = pred[::-1].copy(), filt[::-1].copy()
 
 
 def update_transition_beliefs(state, cfg, evidence=None, transitions=None):
-    """First/pair support beliefs and the Beta pseudo-count refresh."""
+    """First/pair support beliefs and the Beta pseudo-count refresh.
+
+    The four pair log-weights are separate (N-1,) arrays, normalized by
+    their elementwise maximum and summed left to right,
+    ((w00 + w01) + w10) + w11, the order of numpy's sum over the 4-wide
+    axis of their stack; `pair_belief` is written column by column.
+    """
     if transitions is None:
         transitions = transition_log_expectations(state, cfg)
     log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = transitions
@@ -294,19 +352,25 @@ def update_transition_beliefs(state, cfg, evidence=None, transitions=None):
     )
     up = state.bwd_filt[1:]
     dn = state.fwd_filt[:-1]
+    up_off = 1.0 - up
+    dn_off = 1.0 - dn
     with np.errstate(divide="ignore"):
-        logw = np.stack(
-            [
-                np.log((1.0 - up) * (1.0 - dn)) + log_stay_quiet,   # (0, 0)
-                np.log((1.0 - up) * dn) + log_turn_off,             # prev 1 -> 0
-                np.log(up * (1.0 - dn)) + log_turn_on,              # prev 0 -> 1
-                np.log(up * dn) + log_stay_active,                  # (1, 1)
-            ],
-            axis=1,
-        )
-    logw -= logw.max(axis=1, keepdims=True)
-    w = np.exp(logw)
-    state.pair_belief = w / w.sum(axis=1, keepdims=True)
+        w = [
+            np.log(up_off * dn_off) + log_stay_quiet,   # (0, 0)
+            np.log(up_off * dn) + log_turn_off,         # prev 1 -> 0
+            np.log(up * dn_off) + log_turn_on,          # prev 0 -> 1
+            np.log(up * dn) + log_stay_active,          # (1, 1)
+        ]
+    peak = np.maximum(np.maximum(np.maximum(w[0], w[1]), w[2]), w[3])
+    for wj in w:
+        wj -= peak
+        np.exp(wj, out=wj)
+    total = w[0] + w[1]
+    total += w[2]
+    total += w[3]
+    state.pair_belief = np.empty((up.shape[0], 4))
+    for j, wj in enumerate(w):
+        np.divide(wj, total, out=state.pair_belief[:, j])
     b1 = state.first_active_belief
     state.p10_a = b1 + cfg.p10_a + float(state.pair_belief[:, 2].sum())
     state.p10_b = (1.0 - b1) + cfg.p10_b + float(state.pair_belief[:, 0].sum())
@@ -430,10 +494,11 @@ def denoise(h_pri, v_pri, cfg, state=None):
     r2 = _squared_magnitude(h_pri)
     support_likelihood(h_pri, v_pri, state, cfg, r2=r2)
     evidence = pooled_evidence(state)
+    odds = evidence_odds(evidence[1])
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
-        forward_pass(state, cfg, evidence=evidence, transitions=transitions)
-        backward_pass(state, cfg, evidence=evidence, transitions=transitions)
+        forward_pass(state, cfg, transitions=transitions, odds=odds)
+        backward_pass(state, cfg, transitions=transitions, odds=odds)
         update_transition_beliefs(state, cfg, evidence=evidence, transitions=transitions)
     support_extrinsic(state, cfg, evidence=evidence)
     ext_logit = _logit(state.support_ext)

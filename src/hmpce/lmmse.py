@@ -69,14 +69,15 @@ def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):
     err = 0.0
     keep = ~clamped
     if check and np.any(keep):
-        # per-column maxima first, then the mask: no (N, P) copies of the kept columns
         v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
         h_rec = h_ext * (v_rec / v_ext) + h_pri * (v_rec / v_pri)
         h_rec -= h_post
-        col_err = np.abs(h_rec).max(axis=0)
-        col_scale = np.abs(h_post).max(axis=0)
-        scale = max(float(np.max(col_scale, where=keep, initial=0.0)), 1e-300)
-        err_m = np.max(col_err, where=keep, initial=0.0) / scale
+        h_ref = h_post
+        if not keep.all():
+            # only (N, P) inputs can have both kept and clamped columns
+            h_rec, h_ref = h_rec[:, keep], h_post[:, keep]
+        scale = max(float(np.abs(h_ref).max()), 1e-300)
+        err_m = np.abs(h_rec).max() / scale
         err_v = np.max(np.abs(v_rec - v_post) / v_post, where=keep, initial=0.0)
         err = float(max(err_v, err_m))
     return h_ext, v_ext[()], clamped[()], err

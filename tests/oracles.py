@@ -13,7 +13,11 @@ the state evolution's Monte-Carlo MMSE computed from the complex
 observations with the complex mixture posterior, and the denoiser's
 likelihood, precision and moment steps on the complex h_pri through the
 complex Gaussian log density (the package reduces the last two to real
-arithmetic on |r|^2 and |h_pri|^2).  Two helpers that only tests use live
+arithmetic on |r|^2 and |h_pri|^2).  The earlier package forms of the
+chain round (odds sweeps that keep two lists, pair beliefs from a stacked
+(N-1, 4) array) and of the round-trip check (per-column maxima, then a
+mask) are kept verbatim, so that tests can hold the package to their bits.
+Two helpers that only tests use live
 here too: `mmse_oracle`, a one-shot `MmseSampler` call, and
 `angle_transform`, the unitary DFT between the frequency and angular bases.
 """
@@ -25,6 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from hmpce.denoiser import (
+    _sigmoid,
     backward_pass,
     denoise,
     forward_pass,
@@ -590,3 +595,136 @@ def denoise_complex(h_pri, v_pri, cfg, state=None):
     update_precision_beliefs_complex(h_pri, v_pri, state, cfg, evidence=evidence)
     h_post, v_post = posterior_moments_complex(h_pri, v_pri, state, cfg)
     return h_post, v_post, state
+
+
+# ---------------------------------------------------------------------------
+# the chain round and the round-trip check as they were before the package
+# kept only the predicted odds per sweep and split the pair beliefs into
+# four columns; the function bodies are the earlier package code verbatim
+
+
+def _evidence_odds(llr):
+    """exp(llr) as a list of floats; inf and 0 from overflow and underflow
+    are left to the sweep's clamp."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(llr).tolist()
+
+
+def _odds_sweep_two_lists(q, evidence_odds, stay, enter, leave, stay_out, floor):
+    """One pass of the two-state chain filter in the odds domain.
+
+    Starting from the predicted odds q of the first element visited, each step
+    filters x = q e (e = exp(pooled LLR)) and predicts the next element with
+    the linear-fractional map q = (x stay + enter) / (x leave + stay_out).
+    The start value and both of these are clamped to the odds of
+    [floor, 1 - floor], which also absorbs e = inf or 0.  Returns the
+    predicted and filtered odds as lists, in visit order.
+    """
+    lo, hi = floor / (1.0 - floor), (1.0 - floor) / floor
+    q = min(max(q, lo), hi)
+    pred, filt = [], []
+    for e in evidence_odds:
+        x = q * e
+        if x < lo:
+            x = lo
+        elif x > hi:
+            x = hi
+        pred.append(q)
+        filt.append(x)
+        q = (x * stay + enter) / (x * leave + stay_out)
+        if q < lo:
+            q = lo
+        elif q > hi:
+            q = hi
+    return pred, filt
+
+
+def _odds_to_prob(odds):
+    odds = np.fromiter(odds, float, len(odds))
+    return odds / (1.0 + odds)
+
+
+def _transition_weights(state, cfg, transitions):
+    if transitions is None:
+        transitions = transition_log_expectations(state, cfg)
+    return [math.exp(v) for v in transitions]
+
+
+def forward_pass_two_lists(state, cfg, evidence=None, transitions=None):
+    """Forward sweep storing both lists of the odds sweep."""
+    stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
+    _, llr = pooled_evidence(state) if evidence is None else evidence
+    pred, filt = _odds_sweep_two_lists(
+        turn_on / stay_quiet, _evidence_odds(llr),
+        stay_active, turn_on, turn_off, stay_quiet, cfg.prob_floor,
+    )
+    state.fwd_pred, state.fwd_filt = _odds_to_prob(pred), _odds_to_prob(filt)
+
+
+def backward_pass_two_lists(state, cfg, evidence=None, transitions=None):
+    """Backward sweep storing both lists of the odds sweep."""
+    stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
+    _, llr = pooled_evidence(state) if evidence is None else evidence
+    pred, filt = _odds_sweep_two_lists(
+        1.0, _evidence_odds(llr[::-1]), stay_active, turn_off, turn_on, stay_quiet,
+        cfg.prob_floor,
+    )
+    state.bwd_pred, state.bwd_filt = _odds_to_prob(pred[::-1]), _odds_to_prob(filt[::-1])
+
+
+def update_transition_beliefs_stacked(state, cfg, evidence=None, transitions=None):
+    """First/pair support beliefs and the Beta pseudo-count refresh, with the
+    pair log-weights stacked into an (N-1, 4) array."""
+    if transitions is None:
+        transitions = transition_log_expectations(state, cfg)
+    log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = transitions
+    _, llr = pooled_evidence(state) if evidence is None else evidence
+    floor = cfg.prob_floor
+    state.first_active_belief = float(
+        _clamp(_sigmoid(_logit(state.fwd_pred[0]) + _logit(state.bwd_pred[0]) + llr[0]), floor)
+    )
+    up = state.bwd_filt[1:]
+    dn = state.fwd_filt[:-1]
+    with np.errstate(divide="ignore"):
+        logw = np.stack(
+            [
+                np.log((1.0 - up) * (1.0 - dn)) + log_stay_quiet,   # (0, 0)
+                np.log((1.0 - up) * dn) + log_turn_off,             # prev 1 -> 0
+                np.log(up * (1.0 - dn)) + log_turn_on,              # prev 0 -> 1
+                np.log(up * dn) + log_stay_active,                  # (1, 1)
+            ],
+            axis=1,
+        )
+    logw -= logw.max(axis=1, keepdims=True)
+    w = np.exp(logw)
+    state.pair_belief = w / w.sum(axis=1, keepdims=True)
+    b1 = state.first_active_belief
+    state.p10_a = b1 + cfg.p10_a + float(state.pair_belief[:, 2].sum())
+    state.p10_b = (1.0 - b1) + cfg.p10_b + float(state.pair_belief[:, 0].sum())
+    state.p01_a = cfg.p01_a + float(state.pair_belief[:, 1].sum())
+    state.p01_b = cfg.p01_b + float(state.pair_belief[:, 3].sum())
+
+
+def extrinsic_split_columnwise(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):
+    """`lmmse.extrinsic_split` with the round-trip maxima taken per column
+    first and masked after."""
+    v_post = np.asarray(v_post, dtype=float)
+    v_pri = np.asarray(v_pri, dtype=float)
+    inv = 1.0 / v_post - 1.0 / v_pri
+    clamped = ~(inv > 1.0 / max_variance)
+    v_ext = np.where(clamped, max_variance, 1.0 / np.where(clamped, 1.0, inv))
+    h_ext = h_post * (v_ext / v_post) - h_pri * (v_ext / v_pri)
+    err = 0.0
+    keep = ~clamped
+    if check and np.any(keep):
+        # per-column maxima first, then the mask: no (N, P) copies of the kept columns
+        v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
+        h_rec = h_ext * (v_rec / v_ext) + h_pri * (v_rec / v_pri)
+        h_rec -= h_post
+        col_err = np.abs(h_rec).max(axis=0)
+        col_scale = np.abs(h_post).max(axis=0)
+        scale = max(float(np.max(col_scale, where=keep, initial=0.0)), 1e-300)
+        err_m = np.max(col_err, where=keep, initial=0.0) / scale
+        err_v = np.max(np.abs(v_rec - v_post) / v_post, where=keep, initial=0.0)
+        err = float(max(err_v, err_m))
+    return h_ext, v_ext[()], clamped[()], err

@@ -9,13 +9,16 @@ from scipy.special import expit
 
 from oracles import (
     chain_enumeration,
+    backward_pass_two_lists,
     chain_sweeps_probability,
+    forward_pass_two_lists,
     mixture_posterior_closed_form,
     mixture_posterior_grid,
     posterior_moments_complex,
     spike_slab_weight,
     support_likelihood_complex,
     update_precision_beliefs_complex,
+    update_transition_beliefs_stacked,
 )
 from hmpce.denoiser import (
     DenoiserState,
@@ -25,6 +28,7 @@ from hmpce.denoiser import (
     _sigmoid,
     backward_pass,
     denoise,
+    evidence_odds,
     forward_pass,
     init_state,
     pooled_evidence,
@@ -288,6 +292,90 @@ def test_odds_sweeps_match_probability_sweeps(N, kind, handed_in):
                 pinned = np.concatenate(msgs)
                 assert np.any(np.isclose(pinned, floor, rtol=0, atol=1e-15)
                               | np.isclose(pinned, 1 - floor, rtol=0, atol=1e-15))
+
+
+CHAIN_FIELDS = (
+    "fwd_pred", "fwd_filt", "bwd_pred", "bwd_filt", "pair_belief",
+    "first_active_belief", "p10_a", "p10_b", "p01_a", "p01_b",
+)
+
+
+def _chain_round_case(rng, N, kind, cfg):
+    """A frozen chain state whose pooled evidence is random, makes the
+    [floor, 1 - floor] clamps bind, saturates (|LLR| > 745), or says that
+    every element is quiet or every element is active."""
+    floor = cfg.prob_floor
+    P = 32 if kind == "saturate" else 3
+    state = frozen_chain_state(rng, N, P, cfg)
+    if kind == "clamp":
+        # sticky transitions pin the predictions, near-certain evidence the
+        # filtered messages
+        state.p01_a, state.p01_b = float(rng.uniform(0.02, 0.1)), float(rng.uniform(20.0, 60.0))
+        state.p10_a, state.p10_b = float(rng.uniform(20.0, 60.0)), float(rng.uniform(0.02, 0.1))
+        side = rng.random((N, 1)) < 0.5
+        state.support_like = np.where(side, floor, 1.0 - floor) * np.ones((1, P))
+    elif kind == "saturate":
+        side = rng.random((N, 1)) < 0.5
+        state.support_like = np.where(side, 1e-12, 1.0 - 1e-12) * np.ones((1, P))
+    elif kind == "quiet":
+        state.support_like = rng.uniform(floor, 0.01, size=(N, P))
+    elif kind == "active":
+        state.support_like = rng.uniform(0.99, 1.0 - floor, size=(N, P))
+    return state
+
+
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
+@pytest.mark.parametrize("floor", [1e-12, 1e-3])
+@pytest.mark.parametrize("N", [1, 2, 3, 2048])
+@pytest.mark.parametrize("kind", ["random", "clamp", "saturate", "quiet", "active"])
+def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(variant, floor, N, kind):
+    # two chain rounds as `denoise` runs them, against the earlier package
+    # form: odds sweeps that keep both lists, pair beliefs from a stacked
+    # (N-1, 4) array
+    cfg = PriorConfig(variant=variant, prob_floor=floor)
+    rng = np.random.default_rng([N, len(kind), int(-math.log10(floor))])
+    state = _chain_round_case(rng, N, kind, cfg)
+    ref = copy.deepcopy(state)
+    evidence = pooled_evidence(state)
+    odds = evidence_odds(evidence[1])
+    if kind == "saturate":
+        assert np.abs(evidence[1]).max() > 745.0
+    for _ in range(2):
+        transitions = transition_log_expectations(state, cfg)
+        forward_pass(state, cfg, transitions=transitions, odds=odds)
+        backward_pass(state, cfg, transitions=transitions, odds=odds)
+        update_transition_beliefs(state, cfg, evidence=evidence, transitions=transitions)
+        transitions = transition_log_expectations(ref, cfg)
+        forward_pass_two_lists(ref, cfg, evidence=evidence, transitions=transitions)
+        backward_pass_two_lists(ref, cfg, evidence=evidence, transitions=transitions)
+        update_transition_beliefs_stacked(ref, cfg, evidence=evidence, transitions=transitions)
+        for name in CHAIN_FIELDS:
+            np.testing.assert_array_equal(getattr(state, name), getattr(ref, name), err_msg=name)
+        for name in ("fwd_pred", "fwd_filt", "bwd_pred", "bwd_filt", "pair_belief"):
+            assert getattr(state, name).flags.c_contiguous, name
+        assert state.pair_belief.shape == (N - 1, 4)
+    if kind == "clamp" and N > 3:
+        odds_lo = floor / (1.0 - floor)
+        pinned = np.concatenate([state.fwd_pred, state.fwd_filt, state.bwd_filt])
+        assert np.any(pinned == odds_lo / (1.0 + odds_lo))
+
+
+def test_sweeps_without_odds_give_the_same_state():
+    cfg = PriorConfig()
+    rng = np.random.default_rng(47)
+    state = frozen_chain_state(rng, 50, 4, cfg)
+    alone = copy.deepcopy(state)
+    from_evidence = copy.deepcopy(state)
+    evidence = pooled_evidence(state)
+    odds = evidence_odds(evidence[1])
+    transitions = transition_log_expectations(state, cfg)
+    for sweep in (forward_pass, backward_pass):
+        sweep(state, cfg, transitions=transitions, odds=odds)
+        sweep(alone, cfg)
+        sweep(from_evidence, cfg, evidence=evidence)
+    for other in (alone, from_evidence):
+        for name in ("fwd_pred", "fwd_filt", "bwd_pred", "bwd_filt"):
+            np.testing.assert_array_equal(getattr(other, name), getattr(state, name))
 
 
 def test_symmetric_beta_gives_half_first_prediction():
@@ -668,6 +756,42 @@ def test_denoise_rejects_a_non_positive_or_non_finite_v_pri(variant, bad):
         denoise(h, v, PriorConfig(variant=variant))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("prob_floor", 0.0),
+    ("prob_floor", -1e-3),
+    ("prob_floor", math.nan),
+    ("prob_floor", 0.5),
+    ("prob_floor", 0.6),
+    ("small_rate", -1.0),
+    ("large_shape", 0.0),
+    ("large_rate", math.inf),
+    ("small_shape", math.nan),
+    ("p10_a", -0.5),
+    ("p10_b", 0.0),
+    ("p01_a", math.inf),
+    ("p01_b", -2.0),
+    ("bg_variance", -1.0),
+    ("bg_variance", math.nan),
+])
+def test_prior_config_rejects_invalid_values(field, bad):
+    # without the check, prob_floor=0 raised ZeroDivisionError in the sweep,
+    # a negative or NaN floor and small_rate=-1 returned non-finite
+    # estimates, and a floor of 0.5 or more pinned every support probability;
+    # bg_variance=-1 or NaN gave NaN estimates
+    with pytest.raises(ValueError, match=field):
+        PriorConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("floor", [1e-3, 0.49])
+def test_prior_config_accepts_floors_inside_the_half_interval(floor):
+    rng = np.random.default_rng(48)
+    h = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    cfg = PriorConfig(prob_floor=floor)
+    h_post, v_post, state = denoise(h, rng.uniform(0.2, 0.6, 3), cfg)
+    assert np.all(np.isfinite(h_post)) and np.all(np.isfinite(v_post))
+    assert np.all(state.support_post >= floor) and np.all(state.support_post <= 1.0 - floor)
+
+
 # ---------------------------------------------------------------------------
 # full passes
 
@@ -704,6 +828,25 @@ def test_denoise_computes_transition_weights_once_per_round(monkeypatch):
     rng = np.random.default_rng(34)
     h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
     denoise(h, rng.uniform(0.2, 0.6, 3), PriorConfig())
+    assert len(calls) == 2
+
+
+def test_denoise_computes_evidence_odds_once_per_pass(monkeypatch):
+    import hmpce.denoiser as denoiser
+
+    calls = []
+
+    def counted(llr):
+        calls.append(1)
+        return evidence_odds(llr)
+
+    monkeypatch.setattr(denoiser, "evidence_odds", counted)
+    rng = np.random.default_rng(35)
+    h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    v = rng.uniform(0.2, 0.6, 3)
+    _, _, state = denoise(h, v, PriorConfig())
+    assert len(calls) == 1
+    denoise(h, v, PriorConfig(), state)
     assert len(calls) == 2
 
 

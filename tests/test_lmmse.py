@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     FancyIndexPilotSet,
     dense_lmmse_measurement_form,
+    extrinsic_split_columnwise,
     lmmse_update_out_of_place,
     roundtrip_error_columns,
 )
@@ -170,6 +171,60 @@ def test_extrinsic_split_columns_with_clamped_columns():
     assert unchecked[3] == 0.0 and np.array_equal(unchecked[0], h_ext)
     everything = extrinsic_split(h_post, v_pri, h_pri, v_pri, cap)
     assert np.all(everything[2]) and everything[3] == 0.0
+
+
+def _split_case(rng, N, P, clamp_cols, scalar_var):
+    h_post = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
+    h_pri = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
+    h_post *= rng.uniform(0.01, 100.0, P)
+    if scalar_var:
+        v_pri = float(rng.uniform(0.2, 3.0))
+        v_post = v_pri * float(rng.uniform(0.05, 0.95))
+    else:
+        v_pri = rng.uniform(0.2, 3.0, P)
+        v_post = v_pri * rng.uniform(0.05, 0.95, P)
+        v_post[clamp_cols] = v_pri[clamp_cols] * rng.uniform(1.0, 2.0, len(clamp_cols))
+    return h_post, v_post, h_pri, v_pri
+
+
+@pytest.mark.parametrize("N, P", [(1, 1), (7, 3), (2048, 8), (256, 128)])
+@pytest.mark.parametrize("scalar_var", [False, True])
+def test_roundtrip_error_equals_the_columnwise_form_bit_for_bit(N, P, scalar_var):
+    # the round-trip maxima over the kept columns as one full-array
+    # reduction give the bits of per-column maxima followed by a mask
+    rng = np.random.default_rng([N, P, scalar_var])
+    for trial in range(8):
+        clamp_cols = [] if scalar_var else sorted(
+            set(rng.integers(0, P, size=trial % 3).tolist())
+        )
+        args = _split_case(rng, N, P, clamp_cols, scalar_var)
+        for one_vector in (False, True):
+            if one_vector:
+                h_post, v_post, h_pri, v_pri = args
+                v_post, v_pri = np.broadcast_to(v_post, P), np.broadcast_to(v_pri, P)
+                cases = [(h_post[:, p], v_post[p], h_pri[:, p], v_pri[p]) for p in range(P)]
+            else:
+                cases = [args]
+            for case in cases:
+                got = extrinsic_split(*case)
+                ref = extrinsic_split_columnwise(*case)
+                assert np.array_equal(got[0], ref[0])
+                assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
+                assert got[3] == ref[3]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_clamped_column_never_reaches_the_roundtrip_error(bad):
+    rng = np.random.default_rng(13)
+    h_post, v_post, h_pri, v_pri = _split_case(rng, 64, 5, [1, 3], False)
+    _, _, clamped, err = extrinsic_split(h_post, v_post, h_pri, v_pri)
+    assert clamped.tolist() == [False, True, False, True, False] and err > 0.0
+    h_post[5, 1] = bad
+    h_post[:, 3] = complex(bad, 0.0)
+    with np.errstate(invalid="ignore"):
+        got = extrinsic_split(h_post, v_post, h_pri, v_pri)
+        ref = extrinsic_split_columnwise(h_post, v_post, h_pri, v_pri)
+    assert got[3] == err == ref[3]
 
 
 # ---------------------------------------------------------------------------
