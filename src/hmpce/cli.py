@@ -283,10 +283,12 @@ def _validate(cfg):
         raise ConfigError("need at least one algorithm")
     if not (0.0 < cfg.p10 < 1.0 and 0.0 < cfg.p01 < 1.0):
         raise ConfigError("p10 and p01 must lie in (0, 1)")
-    if cfg.small_variance <= 0 or cfg.large_power <= 0 or cfg.bg_variance <= 0:
-        raise ConfigError("variances must be positive")
-    if not 0 < cfg.vl_lo <= cfg.vl_hi:
-        raise ConfigError("need 0 < vl_lo <= vl_hi")
+    for name in ("large_power", "small_variance", "bg_variance", "vl_lo", "vl_hi"):
+        value = getattr(cfg, name)
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    if cfg.vl_lo > cfg.vl_hi:
+        raise ConfigError("need vl_lo <= vl_hi")
     if cfg.se_samples < 100:
         raise ConfigError("se_samples must be >= 100")
 

@@ -25,19 +25,23 @@ p / (1 - p), clamped to the equivalent interval
 predicted odds, the filtered odds follow from them in one array pass, and
 both are stored as probabilities.  The other steps combine probabilities in
 the log-odds domain and map back with clamp(sigmoid(.)): `_sigmoid` runs on
-numpy's vectorised exp, and the clamp acts on the probability.  The pooled
-per-element evidence (`pooled_evidence`) and the evidence odds of both
-sweeps (`evidence_odds`) are computed once per pass, the expected log
-transition weights once per chain round (`transition_log_expectations`),
-and the log-odds of the extrinsic support message, logit(support_ext),
-once per pass after `support_extrinsic`; `denoise` hands each to the steps
-that use it.
+numpy's vectorised exp, and the clamp acts on the probability.
+
+Each step takes the values it reads as required arguments, and `denoise`
+computes each of them once and passes it in:
+
+  - r2 = |h_pri|^2, once per pass;
+  - (like_logit, llr) of `pooled_evidence`, once per pass after the
+    likelihood step;
+  - the forward and backward odds of `evidence_odds`, once per pass;
+  - the log transition weights of `transition_log_expectations`, once per
+    chain round;
+  - ext_logit = logit(support_ext), once per pass after `support_extrinsic`.
 
 The wide (N, P) steps (likelihood, precision update, posterior moments) run
 in real arithmetic: the activity odds, the Gamma statistics and the
-posterior variance depend on h_pri only through r2 = |h_pri|^2, which
-`denoise` computes once per pass and hands to each of them, and h_post is a
-real gain times h_pri.  v_pri must be positive and finite; `denoise` raises
+posterior variance depend on h_pri only through r2, and h_post is a real
+gain times h_pri.  v_pri must be positive and finite; `denoise` raises
 ValueError otherwise.
 """
 
@@ -140,8 +144,7 @@ def transition_log_expectations(state, cfg):
 
     Returns (stay_active, turn_on, stay_quiet, turn_off) in the log domain:
     E[ln(1-p01)], E[ln p10], E[ln(1-p10)], E[ln p01].  `denoise` computes
-    them once per chain round and hands them to the sweeps and the Beta
-    update; a step called without them recomputes them from `state`.
+    them once per chain round for the sweeps and the Beta update.
     """
     log_turn_on, log_stay_quiet = beta_log_expectations(
         state.p10_a, state.p10_b, cfg.exact_digamma
@@ -166,35 +169,33 @@ def _gain(v_pri, var):
     return var / (v_pri + var)
 
 
-def support_likelihood(h_pri, v_pri, state, cfg, r2=None):
+def support_likelihood(r2, v_pri, state, cfg):
     """Per-(element, subcarrier) likelihood that the element is active.
 
     Weighs the active component CN(0, s) with s = v_pri + rate/shape against
     the near-zero component, each with its expected-log Gamma weight; the bg
     variant compares a fixed-variance active component against the spike at
-    zero.  Depends on h_pri only through r2 = |h_pri|^2, which `denoise`
-    computes once per pass and hands in; called without it, the step
-    computes it.  v_pri must be positive and finite (`denoise` checks it).
+    zero.  r2 = |h_pri|^2; v_pri must be positive and finite (`denoise`
+    checks it).
     """
-    if r2 is None:
-        r2 = _squared_magnitude(h_pri)
-    state.support_like = _activity_likelihood(r2, v_pri, state, cfg)
+    if cfg.variant == VARIANT_BG:
+        s_large = v_pri + cfg.bg_variance
+    else:
+        s_large = v_pri + state.large_rate / state.large_shape
+    state.support_like = _activity_likelihood(r2, v_pri, s_large, state, cfg)
 
 
-def _activity_likelihood(r2, v_pri, state, cfg, s_large=None):
+def _activity_likelihood(r2, v_pri, s_large, state, cfg):
     """clamp(sigmoid(log-odds of the active component)) from r2 = |h_pri|^2.
 
     A CN(0, s) component has log density -log(pi s) - r2 / s; pi cancels in
-    the odds.  s_large = v_pri + rate/shape of the active component, when the
-    caller already has it.
+    the odds.  s_large is the variance of the active component seen through
+    v_pri: v_pri + bg_variance for bg, v_pri + rate/shape otherwise.
     """
     if cfg.variant == VARIANT_BG:
-        s = v_pri + cfg.bg_variance
-        log_odds = r2 * (1.0 / v_pri - 1.0 / s)
-        log_odds += np.log(v_pri / s)
+        log_odds = r2 * (1.0 / v_pri - 1.0 / s_large)
+        log_odds += np.log(v_pri / s_large)
     else:
-        if s_large is None:
-            s_large = v_pri + state.large_rate / state.large_shape
         s_small = v_pri + state.small_rate / state.small_shape
         psi = digamma_fn(cfg.exact_digamma)
         den_large = state.large_rate if cfg.std_gamma_weight else state.large_shape
@@ -210,9 +211,8 @@ def pooled_evidence(state):
     """Activity log-odds per (element, subcarrier) and pooled per element.
 
     Returns (like_logit, llr): logit(support_like), shape (N, P), and its sum
-    over subcarriers, shape (N,).  `denoise` computes both once per pass and
-    hands them to every step below; a step called without them recomputes
-    them from `state.support_like`.
+    over subcarriers, shape (N,).  `denoise` computes both once per pass,
+    after `support_likelihood`.
     """
     like_logit = _logit(state.support_like)
     return like_logit, like_logit.sum(axis=1)
@@ -221,14 +221,13 @@ def pooled_evidence(state):
 def evidence_odds(llr):
     """Evidence odds e = exp(pooled LLR) for both sweeps, in visit order.
 
-    Returns ((e, e_list), (e_rev, e_rev_list)): the forward odds exp(llr)
-    and the backward odds exp(llr[::-1]), each as an array and as a list of
-    floats for the sweep's scalar loop.  The backward odds are exp of the
-    reversed LLR, not the reversed forward odds: numpy's exp rounds a
-    negative-stride view differently from a contiguous array, and the
-    sweeps keep those bits.  inf and 0 from overflow and underflow are left
-    to the sweep's clamp.  `denoise` computes them once per pass and hands
-    them to both chain rounds; a sweep called without them computes them.
+    Returns (forward, backward): the forward odds exp(llr) and the backward
+    odds exp(llr[::-1]), each as a pair (array, list of floats), the list
+    for the sweep's scalar loop.  The backward odds are exp of the reversed
+    LLR, not the reversed forward odds: numpy's exp rounds a negative-stride
+    view differently from a contiguous array, and the sweeps keep those
+    bits.  inf and 0 from overflow and underflow are left to the sweep's
+    clamp.  `denoise` computes them once per pass for both chain rounds.
     """
     with np.errstate(over="ignore", under="ignore"):
         e, e_rev = np.exp(llr), np.exp(llr[::-1])
@@ -283,34 +282,17 @@ def _sweep_messages(pred, e, lo, hi):
     return pred / (1.0 + pred), filt / (1.0 + filt)
 
 
-def _transition_weights(state, cfg, transitions):
-    """The four transition weights exp(E[ln .]), in the order of
-    `transition_log_expectations`."""
-    if transitions is None:
-        transitions = transition_log_expectations(state, cfg)
-    return [math.exp(v) for v in transitions]
-
-
-def _sweep_odds(state, evidence, odds):
-    """The evidence odds handed in, or computed from `evidence` or `state`."""
-    if odds is None:
-        _, llr = pooled_evidence(state) if evidence is None else evidence
-        odds = evidence_odds(llr)
-    return odds
-
-
-def forward_pass(state, cfg, evidence=None, transitions=None, odds=None):
+def forward_pass(state, cfg, transitions, odds):
     """Forward sweep of the support chain (predict, then fold in evidence).
 
     Runs on odds p / (1 - p) (see `_odds_sweep`) from the first element,
     whose prediction has odds turn_on / stay_quiet, clamped like every other
-    message; the stored messages are probabilities.  odds are the evidence
-    odds of `evidence_odds`, transitions the log weights of
-    `transition_log_expectations`; called without them, the sweep computes
-    them (the odds from `evidence`, or from `state` without it).
+    message; the stored messages are probabilities.  transitions are the log
+    weights of `transition_log_expectations`, odds the forward pair
+    (array, list) of `evidence_odds`.
     """
-    stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
-    (e, e_list), _ = _sweep_odds(state, evidence, odds)
+    stay_active, turn_on, stay_quiet, turn_off = [math.exp(v) for v in transitions]
+    e, e_list = odds
     lo, hi = _odds_bounds(cfg.prob_floor)
     pred = _odds_sweep(
         turn_on / stay_quiet, e_list, stay_active, turn_on, turn_off, stay_quiet, lo, hi
@@ -318,34 +300,32 @@ def forward_pass(state, cfg, evidence=None, transitions=None, odds=None):
     state.fwd_pred, state.fwd_filt = _sweep_messages(pred, e, lo, hi)
 
 
-def backward_pass(state, cfg, evidence=None, transitions=None, odds=None):
+def backward_pass(state, cfg, transitions, odds):
     """Backward sweep; the terminal message is uninformative (1/2).
 
     Runs like `forward_pass` from the last element down, on the backward
-    odds exp(llr[::-1]) of `evidence_odds`.  The messages are stored as
+    pair of `evidence_odds`, exp(llr[::-1]).  The messages are stored as
     contiguous arrays in element order, not as reversed views, whose later
     `np.log` would round differently.
     """
-    stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
-    _, (e, e_list) = _sweep_odds(state, evidence, odds)
+    stay_active, turn_on, stay_quiet, turn_off = [math.exp(v) for v in transitions]
+    e, e_list = odds
     lo, hi = _odds_bounds(cfg.prob_floor)
     pred = _odds_sweep(1.0, e_list, stay_active, turn_off, turn_on, stay_quiet, lo, hi)
     pred, filt = _sweep_messages(pred, e, lo, hi)
     state.bwd_pred, state.bwd_filt = pred[::-1].copy(), filt[::-1].copy()
 
 
-def update_transition_beliefs(state, cfg, evidence=None, transitions=None):
+def update_transition_beliefs(state, cfg, transitions, llr):
     """First/pair support beliefs and the Beta pseudo-count refresh.
 
-    The four pair log-weights are separate (N-1,) arrays, normalized by
-    their elementwise maximum and summed left to right,
-    ((w00 + w01) + w10) + w11, the order of numpy's sum over the 4-wide
-    axis of their stack; `pair_belief` is written column by column.
+    transitions are the log weights the sweeps ran on, llr the pooled
+    evidence of `pooled_evidence`.  The four pair log-weights are separate
+    (N-1,) arrays, normalized by their elementwise maximum and summed left
+    to right, ((w00 + w01) + w10) + w11, the order of numpy's sum over the
+    4-wide axis of their stack; `pair_belief` is written column by column.
     """
-    if transitions is None:
-        transitions = transition_log_expectations(state, cfg)
     log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = transitions
-    _, llr = pooled_evidence(state) if evidence is None else evidence
     floor = cfg.prob_floor
     state.first_active_belief = float(
         _clamp(_sigmoid(_logit(state.fwd_pred[0]) + _logit(state.bwd_pred[0]) + llr[0]), floor)
@@ -378,35 +358,28 @@ def update_transition_beliefs(state, cfg, evidence=None, transitions=None):
     state.p01_b = cfg.p01_b + float(state.pair_belief[:, 3].sum())
 
 
-def support_extrinsic(state, cfg, evidence=None):
+def support_extrinsic(state, cfg, like_logit, llr):
     """Chain-side activity message for each subcarrier, excluding its own
-    likelihood (leave-one-out in the log-odds domain)."""
-    like_logit, llr = pooled_evidence(state) if evidence is None else evidence
+    likelihood (leave-one-out in the log-odds domain); like_logit and llr
+    are the pair of `pooled_evidence`."""
     loo = llr[:, None] - like_logit
     chain = _logit(state.fwd_pred) + _logit(state.bwd_pred)
     state.support_ext = _clamp(_sigmoid(chain[:, None] + loo), cfg.prob_floor)
 
 
-def update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=None, r2=None,
-                             ext_logit=None):
+def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit):
     """Gamma belief refresh from the current support posterior.
 
-    Uses the beliefs that entered this pass for the component posteriors
-    CN(g h_pri, g v_pri), then rewrites the Gamma parameters anchored at
-    their priors.  Each component's statistic E|h|^2 = g^2 r2 + g v_pri needs
-    only r2 = |h_pri|^2 (see `support_likelihood`).  ext_logit is
-    logit(support_ext), which `denoise` computes once per pass and hands to
-    this step and `posterior_moments`; called without it, the step computes
-    it.  The bg variant has no precision beliefs to learn.
+    The support posterior combines like_logit (of `pooled_evidence`) with
+    ext_logit = logit(support_ext).  Uses the beliefs that entered this pass
+    for the component posteriors CN(g h_pri, g v_pri), then rewrites the
+    Gamma parameters anchored at their priors.  Each component's statistic
+    E|h|^2 = g^2 r2 + g v_pri needs only r2 = |h_pri|^2.  The bg variant has
+    no precision beliefs to learn.
     """
-    like_logit, _ = pooled_evidence(state) if evidence is None else evidence
-    if ext_logit is None:
-        ext_logit = _logit(state.support_ext)
     state.support_post = _clamp(_sigmoid(like_logit + ext_logit), cfg.prob_floor)
     if cfg.variant == VARIANT_BG:
         return
-    if r2 is None:
-        r2 = _squared_magnitude(h_pri)
     w = state.support_post
     gain_large = _gain(v_pri, state.large_rate / state.large_shape)
     large_stat = gain_large * r2
@@ -434,28 +407,25 @@ def update_precision_beliefs(h_pri, v_pri, state, cfg, evidence=None, r2=None,
     )
 
 
-def posterior_moments(h_pri, v_pri, state, cfg, r2=None, ext_logit=None):
+def posterior_moments(h_pri, v_pri, state, cfg, r2, ext_logit):
     """Posterior mean and per-subcarrier average variance of the gains.
 
     Recomputes the activity weight w with the updated beliefs and collapses
     the two component posteriors CN(g_L h_pri, g_L v_pri) and
     CN(g_S h_pri, g_S v_pri) (g_S = 0 for bg): h_post = g h_pri with
     g = w g_L + (1 - w) g_S, and by the law of total variance each element's
-    variance is g v_pri + w (1 - w) (g_L - g_S)^2 r2, with r2 = |h_pri|^2
-    (see `support_likelihood`).  Only h_post is complex.  ext_logit =
-    logit(support_ext) as in `update_precision_beliefs`.
+    variance is g v_pri + w (1 - w) (g_L - g_S)^2 r2, with r2 = |h_pri|^2.
+    Only h_post is complex.  ext_logit = logit(support_ext) as in
+    `update_precision_beliefs`; bg reuses the support posterior of that
+    step and reads neither it nor the refreshed likelihood.
     """
-    if r2 is None:
-        r2 = _squared_magnitude(h_pri)
     var_large = state.large_rate / state.large_shape
     s_large = v_pri + var_large
     if cfg.variant == VARIANT_BG:
         weight = state.support_post
         gain_small = 0.0
     else:
-        like = _activity_likelihood(r2, v_pri, state, cfg, s_large)
-        if ext_logit is None:
-            ext_logit = _logit(state.support_ext)
+        like = _activity_likelihood(r2, v_pri, s_large, state, cfg)
         weight = _clamp(_sigmoid(_logit(like) + ext_logit), cfg.prob_floor)
         state.support_post = weight
         gain_small = _gain(v_pri, state.small_rate / state.small_shape)
@@ -492,18 +462,16 @@ def denoise(h_pri, v_pri, cfg, state=None):
     if state is None:
         state = init_state(N, P, cfg)
     r2 = _squared_magnitude(h_pri)
-    support_likelihood(h_pri, v_pri, state, cfg, r2=r2)
-    evidence = pooled_evidence(state)
-    odds = evidence_odds(evidence[1])
+    support_likelihood(r2, v_pri, state, cfg)
+    like_logit, llr = pooled_evidence(state)
+    forward_odds, backward_odds = evidence_odds(llr)
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
-        forward_pass(state, cfg, transitions=transitions, odds=odds)
-        backward_pass(state, cfg, transitions=transitions, odds=odds)
-        update_transition_beliefs(state, cfg, evidence=evidence, transitions=transitions)
-    support_extrinsic(state, cfg, evidence=evidence)
+        forward_pass(state, cfg, transitions, forward_odds)
+        backward_pass(state, cfg, transitions, backward_odds)
+        update_transition_beliefs(state, cfg, transitions, llr)
+    support_extrinsic(state, cfg, like_logit, llr)
     ext_logit = _logit(state.support_ext)
-    update_precision_beliefs(
-        h_pri, v_pri, state, cfg, evidence=evidence, r2=r2, ext_logit=ext_logit
-    )
-    h_post, v_post = posterior_moments(h_pri, v_pri, state, cfg, r2=r2, ext_logit=ext_logit)
+    update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit)
+    h_post, v_post = posterior_moments(h_pri, v_pri, state, cfg, r2, ext_logit)
     return h_post, v_post, state

@@ -46,7 +46,7 @@ def lmmse_update(y, pilot, h_pri, v_pri, sigma2):
     return h_post, np.maximum(v_post, _VAR_FLOOR)
 
 
-def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):
+def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8):
     """Gaussian extrinsic division post / pri, with its round-trip check.
 
     Means are (N,) with scalar variances, or (N, P) with one variance per
@@ -54,11 +54,11 @@ def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):
     (1/v_post - 1/v_pri <= 1/max_variance) the extrinsic variance is clamped
     to max_variance.
 
-    With `check`, the extrinsic message is multiplied back with the prior and
-    compared with the posterior over the unclamped columns: the error is the
-    worst relative variance mismatch or the worst mean mismatch relative to
-    max |h_post|, whichever is larger (0 when every column is clamped, or
-    without `check`).  Returns (h_ext, v_ext, clamped, roundtrip_err).
+    The extrinsic message is multiplied back with the prior and compared
+    with the posterior over the unclamped columns: the error is the worst
+    relative variance mismatch or the worst mean mismatch relative to
+    max |h_post|, whichever is larger (0 when every column is clamped).
+    Returns (h_ext, v_ext, clamped, roundtrip_err).
     """
     v_post = np.asarray(v_post, dtype=float)
     v_pri = np.asarray(v_pri, dtype=float)
@@ -68,7 +68,7 @@ def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):
     h_ext = h_post * (v_ext / v_post) - h_pri * (v_ext / v_pri)
     err = 0.0
     keep = ~clamped
-    if check and np.any(keep):
+    if np.any(keep):
         v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
         h_rec = h_ext * (v_rec / v_ext) + h_pri * (v_rec / v_pri)
         h_rec -= h_post

@@ -49,8 +49,6 @@ class AlgoConfig:
     early_stop: bool = True
     nmse_tol: float = 1e-6
     reset_beliefs: bool = False
-    ext_var_cap: float = 1e8
-    check_roundtrip: bool = True
 
 
 @dataclass
@@ -106,18 +104,14 @@ def run_turbo(measurements, pilots, cfg, truth=None):
     for it in range(1, cfg.max_iters + 1):
         # linear stage, all subcarriers at once (FFT-based)
         h_post_a, v_post_a = lmmse_update(Y, pilots, h_pri_a, v_pri_a, sigma2)
-        h_pri_b, v_pri_b, clamped_a, rt_a = extrinsic_split(
-            h_post_a, v_post_a, h_pri_a, v_pri_a, cfg.ext_var_cap, cfg.check_roundtrip
-        )
+        h_pri_b, v_pri_b, clamped_a, rt_a = extrinsic_split(h_post_a, v_post_a, h_pri_a, v_pri_a)
 
         # denoiser stage
         h_post_b, v_post_b, new_state = denoise(
             h_pri_b, v_pri_b, cfg.prior, None if cfg.reset_beliefs else state
         )
         state = new_state
-        h_pri_a, v_pri_a, clamped_b, rt_b = extrinsic_split(
-            h_post_b, v_post_b, h_pri_b, v_pri_b, cfg.ext_var_cap, cfg.check_roundtrip
-        )
+        h_pri_a, v_pri_a, clamped_b, rt_b = extrinsic_split(h_post_b, v_post_b, h_pri_b, v_pri_b)
         if not (np.isfinite(h_pri_a).all() and np.isfinite(v_pri_a).all()):
             raise RuntimeError(f"non-finite turbo state at iteration {it}")
 

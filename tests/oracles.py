@@ -17,21 +17,25 @@ arithmetic on |r|^2 and |h_pri|^2).  The earlier package forms of the
 chain round (odds sweeps that keep two lists, pair beliefs from a stacked
 (N-1, 4) array) and of the round-trip check (per-column maxima, then a
 mask) are kept verbatim, so that tests can hold the package to their bits.
-Two helpers that only tests use live
-here too: `mmse_oracle`, a one-shot `MmseSampler` call, and
-`angle_transform`, the unitary DFT between the frequency and angular bases.
+Three helpers that only tests use live here too: `mmse_oracle`, a one-shot
+`MmseSampler` call, `angle_transform`, the unitary DFT between the frequency
+and angular bases, and `step_inputs`, the per-pass values that `denoise`
+hands to its steps, for tests that call the steps one by one.
 """
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit
 
 from hmpce.denoiser import (
     _sigmoid,
+    _squared_magnitude,
     backward_pass,
     denoise,
+    evidence_odds,
     forward_pass,
     init_state,
     pooled_evidence,
@@ -186,6 +190,11 @@ def roundtrip_error_columns(h_ext, v_ext, h_pri, v_pri, h_post, v_post, clamped)
     return float(max(err_v[keep].max(), err_m))
 
 
+# the extrinsic variance cap that `run_turbo` divides with, the default of
+# `lmmse.extrinsic_split`
+EXT_VAR_CAP = 1e8
+
+
 def run_turbo_per_subcarrier(measurements, pilots, cfg, truth=None):
     """The turbo loop with module A run one subcarrier at a time.
 
@@ -214,7 +223,7 @@ def run_turbo_per_subcarrier(measurements, pilots, cfg, truth=None):
             h_post_a[:, p] = h_pri_a[:, p] + gain * pilots[p].adjoint(residual)
             v_post_a[p] = max(v_pri_a[p] * (1.0 - gain * M / N), 1e-30)
         h_pri_b, v_pri_b, clamped_a = extrinsic_columns(
-            h_post_a, v_post_a, h_pri_a, v_pri_a, cfg.ext_var_cap
+            h_post_a, v_post_a, h_pri_a, v_pri_a, EXT_VAR_CAP
         )
         rt_a = roundtrip_error_columns(
             h_pri_b, v_pri_b, h_pri_a, v_pri_a, h_post_a, v_post_a, clamped_a
@@ -224,7 +233,7 @@ def run_turbo_per_subcarrier(measurements, pilots, cfg, truth=None):
             h_pri_b, v_pri_b, cfg.prior, None if cfg.reset_beliefs else state
         )
         h_pri_a, v_pri_a, clamped_b = extrinsic_columns(
-            h_post_b, v_post_b, h_pri_b, v_pri_b, cfg.ext_var_cap
+            h_post_b, v_post_b, h_pri_b, v_pri_b, EXT_VAR_CAP
         )
         rt_b = roundtrip_error_columns(
             h_pri_a, v_pri_a, h_pri_b, v_pri_b, h_post_b, v_post_b, clamped_b
@@ -456,6 +465,28 @@ def angle_transform(h, direction):
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def step_inputs(state, cfg, h_pri=None):
+    """The values `denoise` computes once per pass (or chain round) and hands
+    to its steps, from `state` (and h_pri) as they stand now.
+
+    Attributes: r2 = |h_pri|^2; like_logit and llr of `pooled_evidence`;
+    forward_odds and backward_odds of `evidence_odds`; transitions of
+    `transition_log_expectations`; ext_logit = logit(support_ext).  A value
+    whose source is not there yet (no h_pri, no support_like or no
+    support_ext) is None.
+    """
+    x = SimpleNamespace(
+        r2=None if h_pri is None else _squared_magnitude(h_pri),
+        like_logit=None, llr=None, forward_odds=None, backward_odds=None,
+        transitions=transition_log_expectations(state, cfg),
+        ext_logit=None if state.support_ext is None else _logit(state.support_ext),
+    )
+    if state.support_like is not None:
+        x.like_logit, x.llr = pooled_evidence(state)
+        x.forward_odds, x.backward_odds = evidence_odds(x.llr)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # the denoiser's wide steps on the complex h_pri
 
@@ -522,11 +553,12 @@ def support_likelihood_complex(h_pri, v_pri, state, cfg):
     )
 
 
-def update_precision_beliefs_complex(h_pri, v_pri, state, cfg, evidence=None):
+def update_precision_beliefs_complex(h_pri, v_pri, state, cfg):
     """Gamma belief refresh with the complex component means,
     |m|^2 + var per component."""
-    like_logit, _ = pooled_evidence(state) if evidence is None else evidence
-    state.support_post = _clamp(expit(like_logit + _logit(state.support_ext)), cfg.prob_floor)
+    state.support_post = _clamp(
+        expit(_logit(state.support_like) + _logit(state.support_ext)), cfg.prob_floor
+    )
     if cfg.variant == VARIANT_BG:
         return
     mean_large, var_large, mean_small, var_small = mixture_moments_complex(
@@ -585,14 +617,15 @@ def denoise_complex(h_pri, v_pri, cfg, state=None):
     if state is None:
         state = init_state(N, P, cfg)
     support_likelihood_complex(h_pri, v_pri, state, cfg)
-    evidence = pooled_evidence(state)
+    like_logit, llr = pooled_evidence(state)
+    forward_odds, backward_odds = evidence_odds(llr)
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
-        forward_pass(state, cfg, evidence=evidence, transitions=transitions)
-        backward_pass(state, cfg, evidence=evidence, transitions=transitions)
-        update_transition_beliefs(state, cfg, evidence=evidence, transitions=transitions)
-    support_extrinsic(state, cfg, evidence=evidence)
-    update_precision_beliefs_complex(h_pri, v_pri, state, cfg, evidence=evidence)
+        forward_pass(state, cfg, transitions, forward_odds)
+        backward_pass(state, cfg, transitions, backward_odds)
+        update_transition_beliefs(state, cfg, transitions, llr)
+    support_extrinsic(state, cfg, like_logit, llr)
+    update_precision_beliefs_complex(h_pri, v_pri, state, cfg)
     h_post, v_post = posterior_moments_complex(h_pri, v_pri, state, cfg)
     return h_post, v_post, state
 

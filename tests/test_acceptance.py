@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from graphgen import random_hybrid_graph, random_tree_graph
-from oracles import chain_enumeration, dense_lmmse_measurement_form
+from oracles import chain_enumeration, dense_lmmse_measurement_form, step_inputs
 from hmpce.channels import (
     make_pdft_rp,
     make_pilot_set,
@@ -105,9 +105,10 @@ def test_criterion_1_markov_smoothing_exactness():
             ],
             axis=1,
         )
-        forward_pass(state, cfg)
-        backward_pass(state, cfg)
-        update_transition_beliefs(state, cfg)
+        x = step_inputs(state, cfg)
+        forward_pass(state, cfg, x.transitions, x.forward_odds)
+        backward_pass(state, cfg, x.transitions, x.backward_odds)
+        update_transition_beliefs(state, cfg, x.transitions, x.llr)
         ref = chain_enumeration(first_w, trans_w, loglike)
         pair_cols = np.stack(
             [

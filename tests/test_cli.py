@@ -126,6 +126,24 @@ def test_nan_snr_config_file_is_bad_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["large_power", "small_variance", "bg_variance",
+                                  "vl_lo", "vl_hi"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_variance_config_file_is_bad_input(tmp_path, capsys, name, bad):
+    # without the check, large_power, small_variance or bg_variance = inf or
+    # nan got past validation and died in PriorConfig (exit 1), and
+    # vl_hi = inf in the channel sampler's uniform draw
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"N = 32\nM = 13\nP = 2\nK = 64\nsnr = 10\niters = 2\n{name} = {bad}\n")
+    out = tmp_path / "o"
+    rc = run_cli("--config", str(cfg), "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert name in err and bad in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("se_only", [False, True])
 def test_minus_inf_snr_flag_is_bad_input(tmp_path, capsys, se_only):
     out = tmp_path / "o"

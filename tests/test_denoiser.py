@@ -16,6 +16,7 @@ from oracles import (
     mixture_posterior_grid,
     posterior_moments_complex,
     spike_slab_weight,
+    step_inputs,
     support_likelihood_complex,
     update_precision_beliefs_complex,
     update_transition_beliefs_stacked,
@@ -26,6 +27,7 @@ from hmpce.denoiser import (
     _clamp,
     _logit,
     _sigmoid,
+    _squared_magnitude,
     backward_pass,
     denoise,
     evidence_odds,
@@ -99,16 +101,16 @@ def test_symmetric_mixture_gives_half():
     state = init_state(4, 2, cfg)
     rng = np.random.default_rng(0)
     h = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    support_likelihood(h, np.array([0.3, 0.8]), state, cfg)
+    support_likelihood(_squared_magnitude(h), np.array([0.3, 0.8]), state, cfg)
     assert np.allclose(state.support_like, 0.5, atol=1e-12)
 
 
 def test_strong_signal_saturates_activity():
     cfg = PriorConfig()
     state = init_state(1, 1, cfg)
-    support_likelihood(np.array([[1.0 + 0.0j]]), np.array([0.01]), state, cfg)
+    support_likelihood(np.array([[1.0]]), np.array([0.01]), state, cfg)
     assert state.support_like[0, 0] > 1.0 - 1e-10
-    support_likelihood(np.array([[0.0j]]), np.array([0.01]), state, cfg)
+    support_likelihood(np.array([[0.0]]), np.array([0.01]), state, cfg)
     assert state.support_like[0, 0] < 0.5
 
 
@@ -124,7 +126,7 @@ def test_activity_likelihood_matches_direct_formula():
         state.small_rate = rng.uniform(0.005, 0.1, P)
         h = 0.5 * (rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P)))
         v = rng.uniform(0.05, 1.0, P)
-        support_likelihood(h, v, state, cfg)
+        support_likelihood(_squared_magnitude(h), v, state, cfg)
         for n in range(N):
             for p in range(P):
                 es, er = state.large_shape[n, p], state.large_rate[n, p]
@@ -143,7 +145,7 @@ def test_exact_digamma_switch():
     state.large_shape = np.array([[2.0]])
     state.large_rate = np.array([[1.5]])
     h, v = np.array([[0.4 + 0.2j]]), np.array([0.3])
-    support_likelihood(h, v, state, cfg)
+    support_likelihood(_squared_magnitude(h), v, state, cfg)
     la = float(scipy_digamma(2.0)) - math.log(2.0) + cn_logpdf(h[0, 0], 0.3 + 0.75)
     lq = float(scipy_digamma(1.0)) - math.log(1.0) + cn_logpdf(h[0, 0], 0.3 + 0.01)
     expect = 1.0 / (1.0 + math.exp(lq - la))
@@ -156,14 +158,14 @@ def test_bg_likelihood_is_spike_slab_ratio():
     rng = np.random.default_rng(5)
     h = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
     v = np.array([0.2])
-    support_likelihood(h, v, state, cfg)
+    support_likelihood(_squared_magnitude(h), v, state, cfg)
     for n in range(4):
         expect = spike_slab_weight(h[n, 0], 0.2, 0.5, 1.0)
         assert state.support_like[n, 0] == pytest.approx(expect, abs=1e-12)
     # spike favored at the origin, activity saturates for huge inputs
-    support_likelihood(np.array([[0.0j]]), v, state, cfg)
+    support_likelihood(np.array([[0.0]]), v, state, cfg)
     assert state.support_like[0, 0] < 0.5
-    support_likelihood(np.array([[100.0 + 0.0j]]), v, state, cfg)
+    support_likelihood(np.array([[1e4]]), v, state, cfg)
     assert state.support_like[0, 0] >= 1.0 - 1e-11
 
 
@@ -180,9 +182,10 @@ def test_chain_quantities_match_enumeration():
         first_w, trans_w = chain_weights(state)
         loglike = loglike_from_pi(state.support_like)
         llr = logit(state.support_like).sum(axis=1)
-        forward_pass(state, cfg)
-        backward_pass(state, cfg)
-        update_transition_beliefs(state, cfg)
+        x = step_inputs(state, cfg)
+        forward_pass(state, cfg, x.transitions, x.forward_odds)
+        backward_pass(state, cfg, x.transitions, x.backward_odds)
+        update_transition_beliefs(state, cfg, x.transitions, x.llr)
         ref = chain_enumeration(first_w, trans_w, loglike)
         assert np.max(np.abs(state.fwd_filt - ref["prefix_filt"][:, 1])) < 1e-10
         assert np.max(np.abs(state.fwd_pred - ref["prefix_pred"][:, 1])) < 1e-10
@@ -210,9 +213,10 @@ def test_support_extrinsic_matches_leave_one_out_enumeration():
     state = frozen_chain_state(rng, N, P, cfg)
     first_w, trans_w = chain_weights(state)
     loglike = loglike_from_pi(state.support_like)
-    forward_pass(state, cfg)
-    backward_pass(state, cfg)
-    support_extrinsic(state, cfg)
+    x = step_inputs(state, cfg)
+    forward_pass(state, cfg, x.transitions, x.forward_odds)
+    backward_pass(state, cfg, x.transitions, x.backward_odds)
+    support_extrinsic(state, cfg, x.like_logit, x.llr)
     for n in range(N):
         for p in range(P):
             reduced = loglike.copy()
@@ -262,20 +266,16 @@ def _sweep_case(rng, N, kind):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 64])
 @pytest.mark.parametrize("kind", ["random", "clamp", "sticky", "saturate"])
-@pytest.mark.parametrize("handed_in", [False, True])
-def test_odds_sweeps_match_probability_sweeps(N, kind, handed_in):
-    # handed_in: the sweeps get `evidence=` and `transitions=` as `denoise`
-    # passes them, instead of computing them from `state`
-    rng = np.random.default_rng([N, len(kind), handed_in])
+def test_odds_sweeps_match_probability_sweeps(N, kind):
+    rng = np.random.default_rng([N, len(kind), 1])
     for _ in range(5):
         state, cfg = _sweep_case(rng, N, kind)
-        transitions = transition_log_expectations(state, cfg)
-        weights = [math.exp(v) for v in transitions]
+        x = step_inputs(state, cfg)
+        weights = [math.exp(v) for v in x.transitions]
         llr = logit(state.support_like).sum(axis=1)
         ref = chain_sweeps_probability(weights, llr, cfg.prob_floor)
-        shared = {"evidence": pooled_evidence(state), "transitions": transitions}
-        forward_pass(state, cfg, **(shared if handed_in else {}))
-        backward_pass(state, cfg, **(shared if handed_in else {}))
+        forward_pass(state, cfg, x.transitions, x.forward_odds)
+        backward_pass(state, cfg, x.transitions, x.backward_odds)
         got = (state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt)
         for g, r in zip(got, ref):
             assert g.shape == (N,)
@@ -337,14 +337,15 @@ def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(variant, floor
     state = _chain_round_case(rng, N, kind, cfg)
     ref = copy.deepcopy(state)
     evidence = pooled_evidence(state)
-    odds = evidence_odds(evidence[1])
+    llr = evidence[1]
+    forward_odds, backward_odds = evidence_odds(llr)
     if kind == "saturate":
-        assert np.abs(evidence[1]).max() > 745.0
+        assert np.abs(llr).max() > 745.0
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
-        forward_pass(state, cfg, transitions=transitions, odds=odds)
-        backward_pass(state, cfg, transitions=transitions, odds=odds)
-        update_transition_beliefs(state, cfg, evidence=evidence, transitions=transitions)
+        forward_pass(state, cfg, transitions, forward_odds)
+        backward_pass(state, cfg, transitions, backward_odds)
+        update_transition_beliefs(state, cfg, transitions, llr)
         transitions = transition_log_expectations(ref, cfg)
         forward_pass_two_lists(ref, cfg, evidence=evidence, transitions=transitions)
         backward_pass_two_lists(ref, cfg, evidence=evidence, transitions=transitions)
@@ -360,29 +361,12 @@ def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(variant, floor
         assert np.any(pinned == odds_lo / (1.0 + odds_lo))
 
 
-def test_sweeps_without_odds_give_the_same_state():
-    cfg = PriorConfig()
-    rng = np.random.default_rng(47)
-    state = frozen_chain_state(rng, 50, 4, cfg)
-    alone = copy.deepcopy(state)
-    from_evidence = copy.deepcopy(state)
-    evidence = pooled_evidence(state)
-    odds = evidence_odds(evidence[1])
-    transitions = transition_log_expectations(state, cfg)
-    for sweep in (forward_pass, backward_pass):
-        sweep(state, cfg, transitions=transitions, odds=odds)
-        sweep(alone, cfg)
-        sweep(from_evidence, cfg, evidence=evidence)
-    for other in (alone, from_evidence):
-        for name in ("fwd_pred", "fwd_filt", "bwd_pred", "bwd_filt"):
-            np.testing.assert_array_equal(getattr(other, name), getattr(state, name))
-
-
 def test_symmetric_beta_gives_half_first_prediction():
     cfg = PriorConfig()
     state = frozen_chain_state(np.random.default_rng(7), 5, 2, cfg)
     state.p10_a = state.p10_b = 1.7
-    forward_pass(state, cfg)
+    x = step_inputs(state, cfg)
+    forward_pass(state, cfg, x.transitions, x.forward_odds)
     assert state.fwd_pred[0] == pytest.approx(0.5, abs=1e-14)
 
 
@@ -390,7 +374,8 @@ def test_balanced_likelihoods_make_filtered_equal_predicted():
     cfg = PriorConfig()
     state = frozen_chain_state(np.random.default_rng(9), 6, 2, cfg)
     state.support_like = np.full((6, 2), 0.5)
-    forward_pass(state, cfg)
+    x = step_inputs(state, cfg)
+    forward_pass(state, cfg, x.transitions, x.forward_odds)
     assert np.allclose(state.fwd_filt, state.fwd_pred, atol=1e-14)
 
 
@@ -399,8 +384,9 @@ def test_symmetric_weights_keep_backward_half():
     state = init_state(6, 2, cfg)
     state.p10_a = state.p10_b = state.p01_a = state.p01_b = 2.0
     state.support_like = np.full((6, 2), 0.5)
-    forward_pass(state, cfg)
-    backward_pass(state, cfg)
+    x = step_inputs(state, cfg)
+    forward_pass(state, cfg, x.transitions, x.forward_odds)
+    backward_pass(state, cfg, x.transitions, x.backward_odds)
     assert np.allclose(state.bwd_pred, 0.5, atol=1e-14)
     assert np.allclose(state.bwd_filt, 0.5, atol=1e-14)
 
@@ -425,9 +411,10 @@ def test_symmetric_case_pair_beliefs_quarter():
     cfg = PriorConfig()
     state = init_state(N, 2, cfg)
     state.support_like = np.full((N, 2), 0.5)
-    forward_pass(state, cfg)
-    backward_pass(state, cfg)
-    update_transition_beliefs(state, cfg)
+    x = step_inputs(state, cfg)
+    forward_pass(state, cfg, x.transitions, x.forward_odds)
+    backward_pass(state, cfg, x.transitions, x.backward_odds)
+    update_transition_beliefs(state, cfg, x.transitions, x.llr)
     assert np.allclose(state.pair_belief, 0.25, atol=1e-12)
     assert state.first_active_belief == pytest.approx(0.5, abs=1e-12)
     assert state.p10_a - cfg.p10_a == pytest.approx(0.5 + (N - 1) / 4.0, abs=1e-10)
@@ -451,9 +438,10 @@ def test_single_pair_hand_case():
     state = frozen_chain_state(rng, 2, 1, cfg)
     first_w, trans_w = chain_weights(state)
     loglike = loglike_from_pi(state.support_like)
-    forward_pass(state, cfg)
-    backward_pass(state, cfg)
-    update_transition_beliefs(state, cfg)
+    x = step_inputs(state, cfg)
+    forward_pass(state, cfg, x.transitions, x.forward_odds)
+    backward_pass(state, cfg, x.transitions, x.backward_odds)
+    update_transition_beliefs(state, cfg, x.transitions, x.llr)
     ref = chain_enumeration(first_w, trans_w, loglike)
     b1 = ref["full"][0, 1]
     pair = ref["pair"][0]
@@ -470,9 +458,10 @@ def test_single_pair_hand_case():
 def test_extrinsic_single_subcarrier_formula():
     cfg = PriorConfig()
     state = frozen_chain_state(np.random.default_rng(19), 6, 1, cfg)
-    forward_pass(state, cfg)
-    backward_pass(state, cfg)
-    support_extrinsic(state, cfg)
+    x = step_inputs(state, cfg)
+    forward_pass(state, cfg, x.transitions, x.forward_odds)
+    backward_pass(state, cfg, x.transitions, x.backward_odds)
+    support_extrinsic(state, cfg, x.like_logit, x.llr)
     up, dn = state.bwd_pred, state.fwd_pred
     expect = up * dn / (up * dn + (1.0 - up) * (1.0 - dn))
     assert np.allclose(state.support_ext[:, 0], expect, atol=1e-12)
@@ -483,18 +472,20 @@ def test_extrinsic_symmetric_everything_half():
     state = init_state(5, 3, cfg)
     state.p10_a = state.p10_b = state.p01_a = state.p01_b = 1.0
     state.support_like = np.full((5, 3), 0.5)
-    forward_pass(state, cfg)
-    backward_pass(state, cfg)
-    support_extrinsic(state, cfg)
+    x = step_inputs(state, cfg)
+    forward_pass(state, cfg, x.transitions, x.forward_odds)
+    backward_pass(state, cfg, x.transitions, x.backward_odds)
+    support_extrinsic(state, cfg, x.like_logit, x.llr)
     assert np.allclose(state.support_ext, 0.5, atol=1e-12)
 
 
 def test_extrinsic_three_subcarrier_direct_products():
     cfg = PriorConfig()
     state = frozen_chain_state(np.random.default_rng(21), 5, 3, cfg)
-    forward_pass(state, cfg)
-    backward_pass(state, cfg)
-    support_extrinsic(state, cfg)
+    x = step_inputs(state, cfg)
+    forward_pass(state, cfg, x.transitions, x.forward_odds)
+    backward_pass(state, cfg, x.transitions, x.backward_odds)
+    support_extrinsic(state, cfg, x.like_logit, x.llr)
     pi = state.support_like
     for n in range(5):
         for p in range(3):
@@ -526,7 +517,8 @@ def test_all_quiet_update():
     state = _forced_weight_state(N, P, cfg, 1e-12)
     rng = np.random.default_rng(23)
     h = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
-    update_precision_beliefs(h, np.full(P, 0.5), state, cfg)
+    x = step_inputs(state, cfg, h)
+    update_precision_beliefs(x.r2, np.full(P, 0.5), state, cfg, x.like_logit, x.ext_logit)
     assert np.allclose(state.large_shape, cfg.large_shape, atol=1e-8)
     assert np.allclose(state.large_rate, cfg.large_rate, atol=1e-8)
     assert np.allclose(state.small_shape, cfg.small_shape + N, atol=1e-8)
@@ -538,7 +530,8 @@ def test_all_active_update():
     state = _forced_weight_state(N, P, cfg, 1.0 - 1e-12)
     rng = np.random.default_rng(25)
     h = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
-    update_precision_beliefs(h, np.full(P, 0.5), state, cfg)
+    x = step_inputs(state, cfg, h)
+    update_precision_beliefs(x.r2, np.full(P, 0.5), state, cfg, x.like_logit, x.ext_logit)
     assert np.allclose(state.large_shape, cfg.large_shape + 1.0, atol=1e-8)
     assert np.allclose(state.small_shape, cfg.small_shape, atol=1e-8)
     assert np.allclose(state.small_rate, cfg.small_rate, atol=1e-8)
@@ -547,9 +540,8 @@ def test_all_active_update():
 def test_single_element_hand_update():
     cfg = PriorConfig()
     state = _forced_weight_state(1, 1, cfg, 1.0 - 1e-12)
-    update_precision_beliefs(
-        np.array([[2.0 + 0.0j]]), np.array([1.0]), state, cfg
-    )
+    x = step_inputs(state, cfg, np.array([[2.0]]))
+    update_precision_beliefs(x.r2, np.array([1.0]), state, cfg, x.like_logit, x.ext_logit)
     # component posterior: variance 1/(1/1 + 1) = 0.5, mean 0.5*2 = 1
     assert state.large_rate[0, 0] == pytest.approx(2.5, abs=1e-9)
     assert state.large_shape[0, 0] == pytest.approx(2.0, abs=1e-9)
@@ -570,9 +562,8 @@ def test_bg_variant_keeps_precision_beliefs():
     cfg = PriorConfig(variant=VARIANT_BG)
     state = _forced_weight_state(4, 2, cfg, 0.7)
     before = state.large_shape.copy()
-    update_precision_beliefs(
-        np.ones((4, 2), dtype=complex), np.full(2, 0.5), state, cfg
-    )
+    x = step_inputs(state, cfg, np.ones((4, 2)))
+    update_precision_beliefs(x.r2, np.full(2, 0.5), state, cfg, x.like_logit, x.ext_logit)
     assert np.array_equal(state.large_shape, before)
     assert np.allclose(state.support_post, expit(2.0 * logit(np.float64(0.7))))
 
@@ -597,9 +588,9 @@ def test_posterior_matches_scalar_mixture_oracle():
         state.small_shape = np.array([s])
         state.small_rate = np.array([s * v0])
         state.support_ext = np.array([[lam]])
-        h_post, v_post = posterior_moments(
-            np.array([[r]]), np.array([tau]), state, cfg
-        )
+        h = np.array([[r]])
+        x = step_inputs(state, cfg, h)
+        h_post, v_post = posterior_moments(h, np.array([tau]), state, cfg, x.r2, x.ext_logit)
         mean, var, w = mixture_posterior_closed_form(r, tau, lam, v1, v0)
         assert abs(h_post[0, 0] - mean) < 1e-12
         assert abs(v_post[0] - var) < 1e-12
@@ -625,9 +616,11 @@ def test_bg_posterior_matches_spike_grid():
     state.support_like = None
     state.support_ext = np.array([[lam]])
     state.support_post = None
-    support_likelihood(np.array([[r]]), np.array([tau]), state, cfg)
-    update_precision_beliefs(np.array([[r]]), np.array([tau]), state, cfg)
-    h_post, v_post = posterior_moments(np.array([[r]]), np.array([tau]), state, cfg)
+    h, v = np.array([[r]]), np.array([tau])
+    support_likelihood(_squared_magnitude(h), v, state, cfg)
+    x = step_inputs(state, cfg, h)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit)
+    h_post, v_post = posterior_moments(h, v, state, cfg, x.r2, x.ext_logit)
     assert state.support_post[0, 0] == pytest.approx(
         spike_slab_weight(r, tau, lam, 1.0), abs=1e-12
     )
@@ -643,8 +636,10 @@ def test_degenerate_weight_selects_large_component():
     state = init_state(1, 1, cfg)
     state.support_like = np.array([[1.0 - 1e-12]])
     state.support_ext = np.array([[1.0 - 1e-12]])
-    update_precision_beliefs(np.array([[1.5 + 0.5j]]), np.array([0.5]), state, cfg)
-    h_post, _ = posterior_moments(np.array([[1.5 + 0.5j]]), np.array([0.5]), state, cfg)
+    h, v = np.array([[1.5 + 0.5j]]), np.array([0.5])
+    x = step_inputs(state, cfg, h)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit)
+    h_post, _ = posterior_moments(h, v, state, cfg, x.r2, x.ext_logit)
     # large-component posterior mean with variance 1/(1/0.5 + 1/2)
     var_l = 1.0 / (1.0 / 0.5 + 0.5)
     assert h_post[0, 0] == pytest.approx(var_l * (1.5 + 0.5j) / 0.5, rel=1e-9)
@@ -655,7 +650,9 @@ def test_balanced_weight_includes_mean_spread():
     state = init_state(1, 1, cfg)
     state.support_post = np.array([[0.5]])
     r, tau = 1.2 + 0.4j, 0.5
-    h_post, v_post = posterior_moments(np.array([[r]]), np.array([tau]), state, cfg)
+    h = np.array([[r]])
+    x = step_inputs(state, cfg, h)
+    h_post, v_post = posterior_moments(h, np.array([tau]), state, cfg, x.r2, x.ext_logit)
     var_l = 1.0 / (1.0 / tau + 1.0)
     mean_l = var_l * r / tau
     assert h_post[0, 0] == pytest.approx(0.5 * mean_l, rel=1e-12)
@@ -673,16 +670,18 @@ def test_bg_full_posterior_matches_enumeration():
     h = 0.8 * (rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P)))
     v = rng.uniform(0.1, 0.4, P)
     state = init_state(N, P, cfg)
-    support_likelihood(h, v, state, cfg)
+    support_likelihood(_squared_magnitude(h), v, state, cfg)
     first_w, trans_w = chain_weights(state)
     loglike = np.zeros((N, 2))
     for n in range(N):
         loglike[n, 1] = sum(cn_logpdf(h[n, p], v[p] + 1.0) for p in range(P))
         loglike[n, 0] = sum(cn_logpdf(h[n, p], v[p]) for p in range(P))
-    forward_pass(state, cfg)
-    backward_pass(state, cfg)
-    support_extrinsic(state, cfg)
-    update_precision_beliefs(h, v, state, cfg)
+    x = step_inputs(state, cfg)
+    forward_pass(state, cfg, x.transitions, x.forward_odds)
+    backward_pass(state, cfg, x.transitions, x.backward_odds)
+    support_extrinsic(state, cfg, x.like_logit, x.llr)
+    x = step_inputs(state, cfg, h)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit)
     ref = chain_enumeration(first_w, trans_w, loglike)
     for p in range(P):
         assert np.max(np.abs(state.support_post[:, p] - ref["full"][:, 1])) < 1e-8
@@ -725,19 +724,21 @@ def test_real_steps_match_their_complex_oracles(variant, std_weight, exact, case
     h, v, cfg, state = _oracle_case(case, variant, std_weight, exact)
     ref = copy.deepcopy(state)
 
-    support_likelihood(h, v, state, cfg)
+    support_likelihood(_squared_magnitude(h), v, state, cfg)
     support_likelihood_complex(h, v, ref, cfg)
     _assert_rel(state.support_like, ref.support_like)
 
     # each step below starts from the oracle's state, so it is compared alone
     state = copy.deepcopy(ref)
-    update_precision_beliefs(h, v, state, cfg)
+    x = step_inputs(state, cfg, h)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit)
     update_precision_beliefs_complex(h, v, ref, cfg)
     for name in ("support_post", "large_shape", "large_rate", "small_shape", "small_rate"):
         _assert_rel(getattr(state, name), getattr(ref, name))
 
     state = copy.deepcopy(ref)
-    h_post, v_post = posterior_moments(h, v, state, cfg)
+    x = step_inputs(state, cfg, h)
+    h_post, v_post = posterior_moments(h, v, state, cfg, x.r2, x.ext_logit)
     h_ref, v_ref = posterior_moments_complex(h, v, ref, cfg)
     _assert_rel(state.support_post, ref.support_post)
     assert np.all(np.abs(h_post - h_ref) <= 1e-12 * np.abs(h_ref))
@@ -796,23 +797,41 @@ def test_prior_config_accepts_floors_inside_the_half_interval(floor):
 # full passes
 
 
-def test_denoise_equals_manual_schedule():
-    cfg = PriorConfig()
+STATE_FIELDS = CHAIN_FIELDS + (
+    "support_like", "support_ext", "support_post",
+    "large_shape", "large_rate", "small_shape", "small_rate",
+)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
+def test_denoise_equals_manual_schedule(variant):
+    # the schedule written out: each hand-in computed once per pass, the
+    # transition weights once per chain round, over two warm-started passes
+    cfg = PriorConfig(variant=variant)
     rng = np.random.default_rng(33)
-    h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
     v = rng.uniform(0.2, 0.6, 3)
-    h_post, v_post, _ = denoise(h, v, cfg)
-    state = init_state(12, 3, cfg)
-    support_likelihood(h, v, state, cfg)
+    got = ref = None
     for _ in range(2):
-        forward_pass(state, cfg)
-        backward_pass(state, cfg)
-        update_transition_beliefs(state, cfg)
-    support_extrinsic(state, cfg)
-    update_precision_beliefs(h, v, state, cfg)
-    h_ref, v_ref = posterior_moments(h, v, state, cfg)
-    assert np.array_equal(h_post, h_ref)
-    assert np.array_equal(v_post, v_ref)
+        h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        h_post, v_post, got = denoise(h, v, cfg, got)
+        ref = init_state(12, 3, cfg) if ref is None else ref
+        r2 = _squared_magnitude(h)
+        support_likelihood(r2, v, ref, cfg)
+        like_logit, llr = pooled_evidence(ref)
+        forward_odds, backward_odds = evidence_odds(llr)
+        for _ in range(2):
+            transitions = transition_log_expectations(ref, cfg)
+            forward_pass(ref, cfg, transitions, forward_odds)
+            backward_pass(ref, cfg, transitions, backward_odds)
+            update_transition_beliefs(ref, cfg, transitions, llr)
+        support_extrinsic(ref, cfg, like_logit, llr)
+        ext_logit = _logit(ref.support_ext)
+        update_precision_beliefs(r2, v, ref, cfg, like_logit, ext_logit)
+        h_ref, v_ref = posterior_moments(h, v, ref, cfg, r2, ext_logit)
+        assert np.array_equal(h_post, h_ref)
+        assert np.array_equal(v_post, v_ref)
+        for name in STATE_FIELDS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
 
 
 def test_denoise_computes_transition_weights_once_per_round(monkeypatch):

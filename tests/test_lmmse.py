@@ -167,8 +167,6 @@ def test_extrinsic_split_columns_with_clamped_columns():
     keep = ~clamped
     kept = extrinsic_split(h_post[:, keep], v_post[keep], h_pri[:, keep], v_pri[keep], cap)
     assert kept[3] == err > 0.0
-    unchecked = extrinsic_split(h_post, v_post, h_pri, v_pri, cap, check=False)
-    assert unchecked[3] == 0.0 and np.array_equal(unchecked[0], h_ext)
     everything = extrinsic_split(h_post, v_pri, h_pri, v_pri, cap)
     assert np.all(everything[2]) and everything[3] == 0.0
 
