@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import warnings
 
@@ -832,6 +833,30 @@ def test_denoise_equals_manual_schedule(variant):
         assert np.array_equal(v_post, v_ref)
         for name in STATE_FIELDS:
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("support_likelihood", ("r2", "v_pri", "state", "cfg")),
+    ("forward_pass", ("state", "cfg", "transitions", "odds")),
+    ("backward_pass", ("state", "cfg", "transitions", "odds")),
+    ("update_transition_beliefs", ("state", "cfg", "transitions", "llr")),
+    ("support_extrinsic", ("state", "cfg", "like_logit", "llr")),
+    ("update_precision_beliefs", ("r2", "v_pri", "state", "cfg", "like_logit", "ext_logit")),
+    ("posterior_moments", ("h_pri", "v_pri", "state", "cfg", "r2", "ext_logit")),
+])
+def test_step_takes_its_per_pass_inputs_as_required_arguments(name, params):
+    # one input contract: denoise computes each per-pass value once and
+    # hands it in, so a step has no optional input to fall back on
+    import hmpce.denoiser as denoiser
+
+    step = getattr(denoiser, name)
+    sig = inspect.signature(step)
+    assert tuple(sig.parameters) == params
+    for p in sig.parameters.values():
+        assert p.default is inspect.Parameter.empty, p.name
+        assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, p.name
+    with pytest.raises(TypeError):
+        step(*range(len(params) - 1))
 
 
 def test_denoise_computes_transition_weights_once_per_round(monkeypatch):
