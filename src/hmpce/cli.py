@@ -16,7 +16,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,13 +40,12 @@ from .turbo import (
     to_db,
 )
 
-ALGO_CHOICES = ("hmp-tsgm-lvd", "hmp-tsgm", "hmp-bg")
-
 _ALGO_VARIANT = {
     "hmp-tsgm-lvd": VARIANT_LVD,
     "hmp-tsgm": VARIANT_TSGM,
     "hmp-bg": VARIANT_BG,
 }
+ALGO_CHOICES = tuple(_ALGO_VARIANT)
 
 # derivation keys for the per-purpose random streams
 _KEY_CHANNEL = 0
@@ -59,34 +58,8 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    N: int = 256
-    K: int = 512
-    P: int = 32
-    M_list: tuple = (103,)
-    snr_db: tuple = (10.0, 20.0, 30.0)
-    algos: tuple = ALGO_CHOICES
-    trials: int = 1
-    max_iters: int = 15
-    seed: int = 0
-    channel_file: str = ""
-    out: str = "out"
-    reset_beliefs: bool = False
-    std_gamma_weight: bool = False
-    exact_digamma: bool = False
-    early_stop: bool = True
-    se_only: bool = False
-    # prior defaults (config-file keys only, no dedicated flags)
-    p10: float = 0.05
-    p01: float = 0.20
-    large_power: float = 1.0
-    small_variance: float = 0.01
-    bg_variance: float = 1.0
-    vl_lo: float = 0.1
-    vl_hi: float = 10.0
-    se_samples: int = 200_000
-    channel: object = field(default=None, repr=False)
+def _parse_str(text, key):
+    return text
 
 
 def _parse_int(text, key):
@@ -104,7 +77,7 @@ def _parse_float(text, key):
 
 
 def _parse_bool(text, key):
-    low = str(text).strip().lower()
+    low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
@@ -113,7 +86,73 @@ def _parse_bool(text, key):
 
 
 def _split_list(text):
-    return [t.strip() for t in str(text).split(",") if t.strip()]
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
+def _list_of(parse):
+    """A parser for a comma list whose items each go through `parse`."""
+    def parse_list(text, key):
+        return tuple(parse(t, key) for t in _split_list(text))
+    return parse_list
+
+
+def _parse_algos(text, key):
+    names = _split_list(text)
+    for name in names:
+        if name not in ALGO_CHOICES:
+            raise ConfigError(
+                f"unknown algorithm {name!r}; choose from {', '.join(ALGO_CHOICES)}"
+            )
+    return tuple(dict.fromkeys(names))
+
+
+def _knob(default, parse, help=None, metavar=None, manifest=True):
+    """A run knob.  The field name is its config-file key, its manifest key
+    and, with help text, its flag `--<name>` (`_` written as `-`; a boolean
+    flag takes no value).  `parse(text, key)` turns the text from the config
+    file or a flag into the value."""
+    return field(default=default, metadata={
+        "parse": parse, "help": help, "metavar": metavar, "manifest": manifest,
+    })
+
+
+@dataclass
+class ExperimentConfig:
+    N: int = _knob(256, _parse_int, "transform size / antenna count")
+    K: int = _knob(512, _parse_int, "total subcarrier count")
+    P: int = _knob(32, _parse_int, "pilot subcarrier count")
+    M: tuple = _knob((103,), _list_of(_parse_int),
+                     "pilot length(s), comma list sweeps the pilot count")
+    snr: tuple = _knob((10.0, 20.0, 30.0), _list_of(_parse_float), "SNR in dB, comma list")
+    algos: tuple = _knob(ALGO_CHOICES, _parse_algos,
+                         "comma list from: " + ",".join(ALGO_CHOICES))
+    trials: int = _knob(1, _parse_int, "Monte-Carlo trials per point")
+    iters: int = _knob(15, _parse_int, "max turbo iterations")
+    seed: int = _knob(0, _parse_int, "master seed")
+    channel_file: str = _knob("", _parse_str, "load the channel instead of sampling",
+                              metavar="PATH")
+    out: str = _knob("out", _parse_str, "output directory", metavar="DIR", manifest=False)
+    reset_beliefs: bool = _knob(
+        False, _parse_bool, "re-initialize hyperparameter beliefs every turbo iteration")
+    std_gamma_weight: bool = _knob(
+        False, _parse_bool, "use exp<ln v> with the rate in the activity weight")
+    exact_digamma: bool = _knob(
+        False, _parse_bool, "use the exact digamma instead of ln x - 1/(2x)")
+    no_early_stop: bool = _knob(False, _parse_bool, "always run the full iteration budget")
+    se_only: bool = _knob(False, _parse_bool, "write only the state-evolution trace")
+    # prior knobs (config-file keys only, no flags)
+    p10: float = _knob(0.05, _parse_float)
+    p01: float = _knob(0.20, _parse_float)
+    large_power: float = _knob(1.0, _parse_float)
+    small_variance: float = _knob(0.01, _parse_float)
+    bg_variance: float = _knob(1.0, _parse_float)
+    vl_lo: float = _knob(0.1, _parse_float)
+    vl_hi: float = _knob(10.0, _parse_float)
+    se_samples: int = _knob(200_000, _parse_int)
+    channel: object = field(default=None, repr=False)
+
+
+_KNOBS = tuple(f for f in fields(ExperimentConfig) if "parse" in f.metadata)
 
 
 def load_config_file(path):
@@ -135,123 +174,38 @@ def load_config_file(path):
 
 
 def build_parser():
+    """`--config` plus one flag per knob with help text; every flag value
+    stays a string until `resolve_config` parses it."""
     p = argparse.ArgumentParser(
         prog="hmpce",
         description="Turbo channel estimation experiment runner (CSV artifacts).",
     )
     p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    p.add_argument("--N", type=int, help="transform size / antenna count")
-    p.add_argument("--K", type=int, help="total subcarrier count")
-    p.add_argument("--P", type=int, help="pilot subcarrier count")
-    p.add_argument("--M", help="pilot length(s), comma list sweeps the pilot count")
-    p.add_argument("--snr", help="SNR in dB, comma list")
-    p.add_argument("--algos", help="comma list from: " + ",".join(ALGO_CHOICES))
-    p.add_argument("--trials", type=int, help="Monte-Carlo trials per point")
-    p.add_argument("--iters", type=int, help="max turbo iterations")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--channel-file", metavar="PATH", help="load the channel instead of sampling")
-    p.add_argument("--out", metavar="DIR", help="output directory")
-    p.add_argument("--reset-beliefs", action="store_true", default=None,
-                   help="re-initialize hyperparameter beliefs every turbo iteration")
-    p.add_argument("--std-gamma-weight", action="store_true", default=None,
-                   help="use exp<ln v> with the rate in the activity weight")
-    p.add_argument("--exact-digamma", action="store_true", default=None,
-                   help="use the exact digamma instead of ln x - 1/(2x)")
-    p.add_argument("--no-early-stop", action="store_true", default=None,
-                   help="always run the full iteration budget")
-    p.add_argument("--se-only", action="store_true", default=None,
-                   help="write only the state-evolution trace")
+    for knob in _KNOBS:
+        help_text = knob.metadata["help"]
+        if help_text is None:
+            continue
+        flag = "--" + knob.name.replace("_", "-")
+        if isinstance(knob.default, bool):
+            p.add_argument(flag, action="store_const", const="true", help=help_text)
+        else:
+            p.add_argument(flag, metavar=knob.metadata["metavar"], help=help_text)
     return p
 
 
-_CONFIG_KEYS = {
-    "N": ("N", _parse_int),
-    "K": ("K", _parse_int),
-    "P": ("P", _parse_int),
-    "M": ("M", str),
-    "snr": ("snr", str),
-    "algos": ("algos", str),
-    "trials": ("trials", _parse_int),
-    "iters": ("iters", _parse_int),
-    "seed": ("seed", _parse_int),
-    "channel_file": ("channel_file", str),
-    "out": ("out", str),
-    "reset_beliefs": ("reset_beliefs", _parse_bool),
-    "std_gamma_weight": ("std_gamma_weight", _parse_bool),
-    "exact_digamma": ("exact_digamma", _parse_bool),
-    "no_early_stop": ("no_early_stop", _parse_bool),
-    "se_only": ("se_only", _parse_bool),
-    "p10": ("p10", _parse_float),
-    "p01": ("p01", _parse_float),
-    "large_power": ("large_power", _parse_float),
-    "small_variance": ("small_variance", _parse_float),
-    "bg_variance": ("bg_variance", _parse_float),
-    "vl_lo": ("vl_lo", _parse_float),
-    "vl_hi": ("vl_hi", _parse_float),
-    "se_samples": ("se_samples", _parse_int),
-}
-
-
 def resolve_config(args):
-    """Merge defaults <- config file <- flags and validate."""
-    merged = {}
-    if args.config:
-        raw = load_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            name, conv = _CONFIG_KEYS[key]
-            merged[name] = conv(value, key) if conv is not str else value
-
-    def flag(name, key=None):
-        val = getattr(args, name if key is None else key)
-        if val is not None:
-            merged[name] = val
-
-    for name in ("N", "K", "P", "trials", "iters", "seed", "out"):
-        flag(name)
-    flag("M")
-    flag("snr")
-    flag("algos")
-    flag("channel_file", key="channel_file")
-    for name in ("reset_beliefs", "std_gamma_weight", "exact_digamma",
-                 "no_early_stop", "se_only"):
-        flag(name)
-
-    cfg = ExperimentConfig()
-    cfg.N = int(merged.get("N", cfg.N))
-    cfg.K = int(merged.get("K", cfg.K))
-    cfg.P = int(merged.get("P", cfg.P))
-    cfg.trials = int(merged.get("trials", cfg.trials))
-    cfg.max_iters = int(merged.get("iters", cfg.max_iters))
-    cfg.seed = int(merged.get("seed", cfg.seed))
-    cfg.out = str(merged.get("out", cfg.out))
-    cfg.channel_file = str(merged.get("channel_file", cfg.channel_file))
-    cfg.reset_beliefs = bool(merged.get("reset_beliefs", cfg.reset_beliefs))
-    cfg.std_gamma_weight = bool(merged.get("std_gamma_weight", cfg.std_gamma_weight))
-    cfg.exact_digamma = bool(merged.get("exact_digamma", cfg.exact_digamma))
-    cfg.early_stop = not bool(merged.get("no_early_stop", False))
-    cfg.se_only = bool(merged.get("se_only", cfg.se_only))
-    for name in ("p10", "p01", "large_power", "small_variance", "bg_variance",
-                 "vl_lo", "vl_hi", "se_samples"):
-        if name in merged:
-            setattr(cfg, name, merged[name])
-
-    if "M" in merged:
-        cfg.M_list = tuple(_parse_int(t, "M") for t in _split_list(merged["M"]))
-    if "snr" in merged:
-        cfg.snr_db = tuple(_parse_float(t, "snr") for t in _split_list(merged["snr"]))
-    if "algos" in merged:
-        algos = []
-        for name in _split_list(merged["algos"]):
-            if name not in ALGO_CHOICES:
-                raise ConfigError(
-                    f"unknown algorithm {name!r}; choose from {', '.join(ALGO_CHOICES)}"
-                )
-            if name not in algos:
-                algos.append(name)
-        cfg.algos = tuple(algos)
-
+    """Merge defaults <- config file <- flags, parse each given value with its
+    knob's parser, and validate."""
+    given = load_config_file(args.config) if args.config else {}
+    parsers = {knob.name: knob.metadata["parse"] for knob in _KNOBS}
+    for key in given:
+        if key not in parsers:
+            raise ConfigError(f"unknown config key {key!r}")
+    for name in parsers:
+        flag = getattr(args, name, None)
+        if flag is not None:
+            given[name] = flag
+    cfg = ExperimentConfig(**{key: parsers[key](text, key) for key, text in given.items()})
     _validate(cfg)
     if cfg.channel_file:
         cfg.channel = _load_channel_checked(cfg)
@@ -261,21 +215,21 @@ def resolve_config(args):
 def _validate(cfg):
     if cfg.N < 2:
         raise ConfigError("N must be at least 2")
-    if not cfg.M_list:
+    if not cfg.M:
         raise ConfigError("need at least one pilot length")
-    for m in cfg.M_list:
+    for m in cfg.M:
         if not 1 <= m < cfg.N:
             raise ConfigError(f"pilot length M={m} must satisfy 1 <= M < N={cfg.N}")
     if cfg.P < 1 or cfg.P > cfg.K:
         raise ConfigError(f"need 1 <= P <= K, got P={cfg.P}, K={cfg.K}")
-    if not cfg.snr_db:
+    if not cfg.snr:
         raise ConfigError("need at least one SNR value")
-    for snr in cfg.snr_db:
+    for snr in cfg.snr:
         if math.isnan(snr) or snr == -math.inf:
             raise ConfigError(f"snr: an SNR value is {snr}; give dB values or inf")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
-    if cfg.max_iters < 1:
+    if cfg.iters < 1:
         raise ConfigError("iters must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
@@ -314,7 +268,7 @@ def scalar_prior_for(cfg, algo):
         variant=_ALGO_VARIANT[algo],
         activation=stationary_activation(cfg.p10, cfg.p01),
         large_power=cfg.large_power,
-        small_variance=cfg.bg_variance if _ALGO_VARIANT[algo] == VARIANT_BG else cfg.small_variance,
+        small_variance=cfg.small_variance,
         spread=(cfg.vl_lo, cfg.vl_hi),
     )
 
@@ -332,8 +286,8 @@ def algo_config_for(cfg, algo):
         name=algo,
         prior=pc,
         init_variance=scalar_prior_for(cfg, algo).mean_power(),
-        max_iters=cfg.max_iters,
-        early_stop=cfg.early_stop,
+        max_iters=cfg.iters,
+        early_stop=not cfg.no_early_stop,
         reset_beliefs=cfg.reset_beliefs,
     )
 
@@ -370,44 +324,25 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _manifest_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return _fmt(value)
+
+
 def _write_manifest(cfg, path, se_rows):
     """The run's knobs, plus `se_converged.<snr>` from each SNR's SE rows."""
     entries = {
-        "version": __version__,
-        "seed": cfg.seed,
-        "N": cfg.N,
-        "K": cfg.K,
-        "P": cfg.P,
-        "M": ",".join(str(m) for m in cfg.M_list),
-        "snr": ",".join(_fmt(s) for s in cfg.snr_db),
-        "algos": ",".join(cfg.algos),
-        "trials": cfg.trials,
-        "iters": cfg.max_iters,
-        "channel_file": cfg.channel_file,
-        "reset_beliefs": cfg.reset_beliefs,
-        "std_gamma_weight": cfg.std_gamma_weight,
-        "exact_digamma": cfg.exact_digamma,
-        "no_early_stop": not cfg.early_stop,
-        "se_only": cfg.se_only,
-        "p10": cfg.p10,
-        "p01": cfg.p01,
-        "large_power": cfg.large_power,
-        "small_variance": cfg.small_variance,
-        "bg_variance": cfg.bg_variance,
-        "vl_lo": cfg.vl_lo,
-        "vl_hi": cfg.vl_hi,
-        "se_samples": cfg.se_samples,
+        knob.name: getattr(cfg, knob.name) for knob in _KNOBS if knob.metadata["manifest"]
     }
+    entries["version"] = __version__
     for snr, *_, converged in se_rows:
         entries[f"se_converged.{_fmt(snr)}"] = bool(converged)
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(entries):
-            value = entries[key]
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = _fmt(value)
-            fh.write(f"{key}={value}\n")
+            fh.write(f"{key}={_manifest_value(entries[key])}\n")
 
 
 def run_sweep(cfg):
@@ -415,14 +350,14 @@ def run_sweep(cfg):
     iter_rows = []
     finals = {}  # (algo, snr, m) -> [linear nmse per trial]
     algo_cfgs = {algo: algo_config_for(cfg, algo) for algo in cfg.algos}
-    primary_m = cfg.M_list[0]
+    primary_m = cfg.M[0]
     for trial in range(1, cfg.trials + 1):
         channel = _trial_channel(cfg, trial)
         truth = channel.gains
-        for m_idx, m in enumerate(cfg.M_list):
+        for m_idx, m in enumerate(cfg.M):
             pilot_key = np.random.SeedSequence((cfg.seed, _KEY_PILOTS, trial, m_idx))
             pilots = make_pilot_set(cfg.N, m, cfg.P, rng_seed=pilot_key)
-            for snr_idx, snr in enumerate(sorted(cfg.snr_db)):
+            for snr_idx, snr in enumerate(sorted(cfg.snr)):
                 noise_key = np.random.SeedSequence(
                     (cfg.seed, _KEY_NOISE, trial, m_idx, snr_idx)
                 )
@@ -437,13 +372,13 @@ def run_sweep(cfg):
     snr_rows = [
         (algo, snr, to_db(float(np.mean(finals[(algo, snr, primary_m)]))))
         for algo in sorted(cfg.algos)
-        for snr in sorted(cfg.snr_db)
+        for snr in sorted(cfg.snr)
     ]
     m_rows = [
         (algo, snr, m, to_db(float(np.mean(finals[(algo, snr, m)]))))
         for algo in sorted(cfg.algos)
-        for snr in sorted(cfg.snr_db)
-        for m in sorted(cfg.M_list)
+        for snr in sorted(cfg.snr)
+        for m in sorted(cfg.M)
     ]
     return iter_rows, snr_rows, m_rows
 
@@ -461,9 +396,9 @@ def run_se(cfg):
     se_seed = int(np.random.SeedSequence((cfg.seed, _KEY_SE)).generate_state(1)[0])
     sampler = MmseSampler(prior, cfg.se_samples, se_seed)
     rows = []
-    for snr in sorted(cfg.snr_db):
+    for snr in sorted(cfg.snr):
         trace = run_state_evolution(
-            prior, snr, cfg.N, cfg.M_list[0], max_iters=100, tol=1e-8, sampler=sampler
+            prior, snr, cfg.N, cfg.M[0], max_iters=100, tol=1e-8, sampler=sampler
         )
         for it, v, eta, pred in trace.rows:
             rows.append((snr, it, v, eta, to_db(pred), int(trace.converged)))

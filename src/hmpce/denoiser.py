@@ -169,6 +169,14 @@ def _gain(v_pri, var):
     return var / (v_pri + var)
 
 
+def _active_variance(state, cfg):
+    """Variance of the active component: the fixed `bg_variance` for bg,
+    the Gamma belief's rate/shape otherwise."""
+    if cfg.variant == VARIANT_BG:
+        return cfg.bg_variance
+    return state.large_rate / state.large_shape
+
+
 def support_likelihood(r2, v_pri, state, cfg):
     """Per-(element, subcarrier) likelihood that the element is active.
 
@@ -178,10 +186,7 @@ def support_likelihood(r2, v_pri, state, cfg):
     zero.  r2 = |h_pri|^2; v_pri must be positive and finite (`denoise`
     checks it).
     """
-    if cfg.variant == VARIANT_BG:
-        s_large = v_pri + cfg.bg_variance
-    else:
-        s_large = v_pri + state.large_rate / state.large_shape
+    s_large = v_pri + _active_variance(state, cfg)
     state.support_like = _activity_likelihood(r2, v_pri, s_large, state, cfg)
 
 
@@ -381,7 +386,7 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit):
     if cfg.variant == VARIANT_BG:
         return
     w = state.support_post
-    gain_large = _gain(v_pri, state.large_rate / state.large_shape)
+    gain_large = _gain(v_pri, _active_variance(state, cfg))
     large_stat = gain_large * r2
     large_stat += v_pri
     large_stat *= gain_large
@@ -419,7 +424,7 @@ def posterior_moments(h_pri, v_pri, state, cfg, r2, ext_logit):
     `update_precision_beliefs`; bg reuses the support posterior of that
     step and reads neither it nor the refreshed likelihood.
     """
-    var_large = state.large_rate / state.large_shape
+    var_large = _active_variance(state, cfg)
     s_large = v_pri + var_large
     if cfg.variant == VARIANT_BG:
         weight = state.support_post

@@ -533,16 +533,18 @@ def activity_likelihood_complex(h_pri, v_pri, large_shape, large_rate, small_sha
 
 def mixture_moments_complex(h_pri, v_pri, large_shape, large_rate, small_shape,
                             small_rate, cfg):
-    """Per-component posterior moments against the Gaussian pseudo-prior."""
+    """Per-component posterior moments against the Gaussian pseudo-prior;
+    bg's active component has the fixed variance cfg.bg_variance."""
     v_pri = np.asarray(v_pri)[None, :]
-    var_large = 1.0 / (1.0 / v_pri + large_shape / large_rate)
-    mean_large = var_large * h_pri / v_pri
     if cfg.variant == VARIANT_BG:
+        var_large = 1.0 / (1.0 / v_pri + 1.0 / cfg.bg_variance)
         var_small = np.zeros_like(v_pri)
         mean_small = np.zeros_like(h_pri)
     else:
+        var_large = 1.0 / (1.0 / v_pri + large_shape / large_rate)
         var_small = 1.0 / (1.0 / v_pri + small_shape / small_rate)
         mean_small = var_small * h_pri / v_pri
+    mean_large = var_large * h_pri / v_pri
     return mean_large, var_large, mean_small, var_small
 
 

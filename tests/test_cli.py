@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from hmpce import turbo
 from hmpce.channels import sample_channel, sample_support, save_channel
-from hmpce.cli import build_parser, main, resolve_config, run_se
+from hmpce.cli import ExperimentConfig, build_parser, main, resolve_config, run_se
 
 
 def read_lines(path):
@@ -252,8 +253,8 @@ def test_se_shares_one_sample_bank_across_snrs(monkeypatch):
     assert len(built) == 1
     # the same rows as one run per SNR, each drawing its own bank
     expect = []
-    for snr in cfg.snr_db:
-        expect += run_se(dataclasses.replace(cfg, snr_db=(snr,)))
+    for snr in cfg.snr:
+        expect += run_se(dataclasses.replace(cfg, snr=(snr,)))
     assert len(built) == 4
     assert rows == expect
 
@@ -274,6 +275,15 @@ def test_invalid_dimension_inputs(tmp_path, capsys):
     assert run_cli(*small_args(out, trials="0")) == 2
     assert run_cli(*small_args(out, snr="abc")) == 2
     capsys.readouterr()
+    # a value that is not a number names its key, from a flag or the file
+    for key, bad in (("N", "abc"), ("trials", "x")):
+        assert run_cli(*small_args(out, **{key: bad})) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key}: expected an integer, got {bad!r}\n"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("iters = x\n")
+    assert run_cli("--config", str(cfg), "--out", out) == 2
+    assert capsys.readouterr().err == "error: iters: expected an integer, got 'x'\n"
 
 
 def test_channel_file_run_and_dimension_check(tmp_path, capsys):
@@ -319,3 +329,48 @@ def test_rows_sorted_by_algo_snr_trial_iter(tmp_path):
     snr_rows = read_lines(os.path.join(out, "nmse_vs_snr.csv"))
     assert snr_rows[0] == "algo,snr_db,mean_nmse_db"
     assert len(snr_rows) == 5
+
+
+def test_every_knob_round_trips_through_the_manifest(tmp_path):
+    support = sample_support(40, 0.05, 0.20, rng_seed=np.random.SeedSequence(1))
+    channel = sample_channel(support, 3, rng_seed=np.random.SeedSequence(2))
+    path = str(tmp_path / "chan.haf")
+    save_channel(path, channel)
+    # every knob but out, each off its default and written as the manifest
+    # prints it back
+    values = {
+        "N": "40", "K": "70", "P": "3", "M": "13,20", "snr": "12.5,inf",
+        "algos": "hmp-bg,hmp-tsgm", "trials": "2", "iters": "4", "seed": "11",
+        "channel_file": path, "reset_beliefs": "true", "std_gamma_weight": "true",
+        "exact_digamma": "true", "no_early_stop": "true", "se_only": "true",
+        "p10": "0.07", "p01": "0.3", "large_power": "1.5", "small_variance": "0.02",
+        "bg_variance": "2", "vl_lo": "0.2", "vl_hi": "8", "se_samples": "500",
+    }
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, text in values.items()))
+    parsed = resolve_config(build_parser().parse_args(["--config", str(cfg)]))
+    defaults = ExperimentConfig()
+    for key in values:
+        assert getattr(parsed, key) != getattr(defaults, key), key
+    out = str(tmp_path / "o")
+    assert run_cli("--config", str(cfg), "--out", out) == 0
+    manifest = dict(
+        line.split("=", 1) for line in read_lines(os.path.join(out, "manifest.txt"))
+    )
+    knobs = {key for key in manifest
+             if key != "version" and not key.startswith("se_converged.")}
+    assert knobs == set(values)
+    for key, text in values.items():
+        assert manifest[key] == text, key
+
+
+def test_help_lists_the_config_flag_and_the_sixteen_knob_flags(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert flags == [
+        "--config", "--N", "--K", "--P", "--M", "--snr", "--algos", "--trials",
+        "--iters", "--seed", "--channel-file", "--out", "--reset-beliefs",
+        "--std-gamma-weight", "--exact-digamma", "--no-early-stop", "--se-only",
+    ]

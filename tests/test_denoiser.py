@@ -646,6 +646,18 @@ def test_degenerate_weight_selects_large_component():
     assert h_post[0, 0] == pytest.approx(var_l * (1.5 + 0.5j) / 0.5, rel=1e-9)
 
 
+
+def test_bg_moments_use_the_bg_variance():
+    # the slab variance is bg_variance = 4, not the rate/shape = 1 of the
+    # Gamma prior that bg never updates: a saturated support gives the
+    # gain 4 / (4 + 0.5), not 1 / (1 + 0.5)
+    cfg = PriorConfig(variant=VARIANT_BG, bg_variance=4.0)
+    h_post, v_post, state = denoise(np.full((4, 1), 30.0 + 0j), [0.5], cfg)
+    assert np.all(state.support_post == pytest.approx(1.0, abs=1e-11))
+    gain = 4.0 / 4.5
+    assert np.all(h_post == pytest.approx(gain * 30.0, rel=1e-9))
+    assert v_post[0] == pytest.approx(gain * 0.5, rel=1e-8)
+
 def test_balanced_weight_includes_mean_spread():
     cfg = PriorConfig(variant=VARIANT_BG, bg_variance=1.0)
     state = init_state(1, 1, cfg)
