@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .messages import beta_log_expectations, digamma_fn
+from .messages import digamma_fn
 from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, VARIANTS
 
 
@@ -144,15 +144,16 @@ def transition_log_expectations(state, cfg):
 
     Returns (stay_active, turn_on, stay_quiet, turn_off) in the log domain:
     E[ln(1-p01)], E[ln p10], E[ln(1-p10)], E[ln p01].  `denoise` computes
-    them once per chain round for the sweeps and the Beta update.
+    them once per chain round for the sweeps and the Beta update.  The six
+    digammas of the two `beta_log_expectations` go through one array call,
+    with the same bits; NaN pseudo-counts give NaN, as there.
     """
-    log_turn_on, log_stay_quiet = beta_log_expectations(
-        state.p10_a, state.p10_b, cfg.exact_digamma
-    )
-    log_turn_off, log_stay_active = beta_log_expectations(
-        state.p01_a, state.p01_b, cfg.exact_digamma
-    )
-    return log_stay_active, log_turn_on, log_stay_quiet, log_turn_off
+    p10_a, p10_b, p01_a, p01_b = state.p10_a, state.p10_b, state.p01_a, state.p01_b
+    psi = digamma_fn(cfg.exact_digamma)
+    tot10, psi10_a, psi10_b, tot01, psi01_a, psi01_b = psi(
+        np.array([p10_a + p10_b, p10_a, p10_b, p01_a + p01_b, p01_a, p01_b])
+    ).tolist()
+    return psi01_b - tot01, psi10_a - tot10, psi10_b - tot10, psi01_a - tot01
 
 
 def _squared_magnitude(h):

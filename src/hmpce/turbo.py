@@ -16,7 +16,9 @@ Monte-Carlo estimate of the scalar MMSE under the gain prior (common random
 numbers across eta evaluations, so the recursion is deterministic and
 smooth for a fixed seed).  The sample bank is held as three real arrays from
 which |r|^2 is formed for each eta, the one statistic the posterior variance
-depends on.
+depends on.  Each eta walks the bank in blocks of `_BLOCK` draws, small
+enough that a block's arrays stay in cache; the estimate is still the mean
+over the whole bank.
 """
 
 import math
@@ -28,6 +30,10 @@ from .channels import as_pilot_set
 from .denoiser import PriorConfig, denoise
 from .lmmse import extrinsic_split, lmmse_update
 from .priors import VARIANT_BG, ScalarPrior, posterior_variance_mixture
+
+# Draws per block of `MmseSampler.__call__`: 256 KiB per float64 array, so
+# one block's working set stays in a 2 MiB L2.
+_BLOCK = 32768
 
 
 class SeUndefinedError(RuntimeError):
@@ -149,12 +155,13 @@ def _relative_change(new, old):
 # --------------------------------------------------------------------------
 
 def posterior_moments_mixture(r_sq, tau, lam, v_large, v_small):
-    """The sampler's kernel call: `posterior_variance_mixture` on the bank,
-    returned as a one-element tuple (the per-draw variances).
+    """The sampler's kernel call: `posterior_variance_mixture` on one block
+    of the bank, returned as a one-element tuple (the per-draw variances).
 
     `perfbench/tracing.py` times the kernel as its `priors.mixture_moments`
     span by wrapping this module-level name and counts the samples as the
-    size of the first returned array; the name and the tuple keep that span
+    size of the first returned array, so the span counts one call per block
+    and the samples of the whole bank; the name and the tuple keep that span
     until the benchmark wraps `posterior_variance_mixture` itself.
     """
     return (posterior_variance_mixture(r_sq, tau, lam, v_large, v_small),)
@@ -173,6 +180,12 @@ class MmseSampler:
     the bank keeps the three real arrays |g|^2, 2 Re(g conj(n)) and |n|^2 of
     the drawn gains g and unit noise n, plus the active-component variances
     (one scalar when they are all equal).
+
+    A call forms |r|^2 and runs the kernel one block of `_BLOCK` draws at a
+    time (a bank smaller than a block is one block), writing each block's
+    per-draw variances into one bank-sized array.  The estimate and its
+    standard error are taken over that whole array, so they do not depend on
+    the block size.
     """
 
     def __init__(self, prior: ScalarPrior, num_samples=200_000, seed=1234):
@@ -195,13 +208,17 @@ class MmseSampler:
             raise ValueError("eta must be positive")
         tau = 1.0 / eta
         root = math.sqrt(tau)
-        r_sq = self.noise_sq * root
-        r_sq += self.cross
-        r_sq *= root
-        r_sq += self.gain_sq
-        (var,) = posterior_moments_mixture(
-            r_sq, tau, self.prior.activation, self.v_large, self.v_small
-        )
+        lam, v_small = self.prior.activation, self.v_small
+        per_draw = np.ndim(self.v_large) > 0
+        var = np.empty(self.gain_sq.size)
+        for start in range(0, var.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            r_sq = self.noise_sq[block] * root
+            r_sq += self.cross[block]
+            r_sq *= root
+            r_sq += self.gain_sq[block]
+            v_large = self.v_large[block] if per_draw else self.v_large
+            (var[block],) = posterior_moments_mixture(r_sq, tau, lam, v_large, v_small)
         est = float(var.mean())
         var -= est
         # einsum rather than a BLAS dot: a threaded BLAS can spend milliseconds

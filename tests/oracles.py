@@ -10,7 +10,9 @@ temporaries (the package gathers and scatters through flat indices and
 works in place),
 closed-form scalar mixture posteriors plus a grid-integration cross-check,
 the state evolution's Monte-Carlo MMSE computed from the complex
-observations with the complex mixture posterior, and the denoiser's
+observations with the complex mixture posterior, the real-bank MMSE call
+evaluated over the whole bank at once (the package walks it in blocks),
+and the denoiser's
 likelihood, precision and moment steps on the complex h_pri through the
 complex Gaussian log density (the package reduces the last two to real
 arithmetic on |r|^2 and |h_pri|^2).  The earlier package forms of the
@@ -45,7 +47,7 @@ from hmpce.denoiser import (
 )
 from hmpce.lmmse import _VAR_FLOOR
 from hmpce.messages import digamma_fn
-from hmpce.priors import VARIANT_BG, VARIANT_TSGM
+from hmpce.priors import VARIANT_BG, VARIANT_TSGM, posterior_variance_mixture
 from hmpce.turbo import MmseSampler, TurboTrace, nmse
 
 
@@ -443,6 +445,26 @@ class ComplexMmseSampler:
         est = float(var.mean())
         stderr = float(var.std(ddof=1) / math.sqrt(var.size))
         return est, stderr
+
+
+def mmse_unblocked(sampler, eta):
+    """`MmseSampler.__call__` on `sampler`'s bank in one pass: |r|^2 and the
+    kernel over every draw at once, then the same mean and standard error."""
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
+    tau = 1.0 / eta
+    root = math.sqrt(tau)
+    r_sq = sampler.noise_sq * root
+    r_sq += sampler.cross
+    r_sq *= root
+    r_sq += sampler.gain_sq
+    var = posterior_variance_mixture(
+        r_sq, tau, sampler.prior.activation, sampler.v_large, sampler.v_small
+    )
+    est = float(var.mean())
+    var -= est
+    stderr = math.sqrt(float(np.einsum("i,i->", var, var)) / ((var.size - 1) * var.size))
+    return est, stderr
 
 
 def mmse_oracle(eta, prior, num_samples=200_000, seed=1234):

@@ -42,6 +42,7 @@ from hmpce.denoiser import (
     update_precision_beliefs,
     update_transition_beliefs,
 )
+from hmpce.messages import beta_log_expectations
 from hmpce.priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM
 
 
@@ -151,6 +152,30 @@ def test_exact_digamma_switch():
     lq = float(scipy_digamma(1.0)) - math.log(1.0) + cn_logpdf(h[0, 0], 0.3 + 0.01)
     expect = 1.0 / (1.0 + math.exp(lq - la))
     assert state.support_like[0, 0] == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("exact", (False, True))
+def test_transition_log_expectations_equal_two_beta_calls_bit_for_bit(exact):
+    # one six-element digamma call against the two Beta expectations it
+    # replaces, over pseudo-counts 1 to 1e4 and with one NaN in each slot
+    cfg = PriorConfig(exact_digamma=exact)
+    rng = np.random.default_rng(12)
+    counts = [tuple(c) for c in 10.0 ** rng.uniform(0.0, 4.0, size=(300, 4))]
+    counts += [(1.0, 1.0, 1.0, 1.0), (1e4, 1e4, 1e4, 1e4), (1.0, 1e4, 1e4, 1.0)]
+    for slot in range(4):
+        case = [2.0, 30.0, 5.0, 400.0]
+        case[slot] = math.nan
+        counts.append(tuple(case))
+    for p10_a, p10_b, p01_a, p01_b in counts:
+        state = DenoiserState(p10_a=p10_a, p10_b=p10_b, p01_a=p01_a, p01_b=p01_b)
+        got = transition_log_expectations(state, cfg)
+        turn_on, stay_quiet = beta_log_expectations(p10_a, p10_b, exact)
+        turn_off, stay_active = beta_log_expectations(p01_a, p01_b, exact)
+        want = (stay_active, turn_on, stay_quiet, turn_off)
+        assert all(type(x) is float for x in got)
+        np.testing.assert_array_equal(
+            np.array(got).view(np.uint64), np.array(want).view(np.uint64)
+        )
 
 
 def test_bg_likelihood_is_spike_slab_ratio():

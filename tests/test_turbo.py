@@ -9,6 +9,7 @@ from oracles import (
     denoise_complex,
     lmmse_update_out_of_place,
     mmse_oracle,
+    mmse_unblocked,
     posterior_moments_mixture,
     run_turbo_per_subcarrier,
 )
@@ -225,6 +226,27 @@ def test_turbo_roundtrip_identity():
     assert max(trace.roundtrip_err) <= 1e-10
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("active", (False, True))
+@pytest.mark.parametrize("snr_db", (10.0, 30.0, math.inf))
+@pytest.mark.parametrize("N, M, P", ((64, 26, 4), (32, 31, 2)))
+@pytest.mark.parametrize("with_truth", (True, False))
+def test_run_turbo_on_an_all_quiet_or_all_active_support(variant, active, snr_db, N, M, P,
+                                                         with_truth):
+    # the support chain never switches state; M = N at SNR inf is left out
+    # (ROADMAP item 6)
+    root = np.random.SeedSequence([N, M, int(active)])
+    s_gain, s_pilot, s_noise = root.spawn(3)
+    channel = sample_channel(np.full(N, int(active)), P, rng_seed=s_gain)
+    pilots = make_pilot_set(N, M, P, rng_seed=s_pilot)
+    meas = synthesize_measurements(channel, pilots, snr_db, rng_seed=s_noise)
+    truth = channel.gains if with_truth else None
+    h, trace = run_turbo(meas, pilots, algo(variant, max_iters=10, early_stop=False), truth)
+    assert trace.iterations == 10
+    assert np.isfinite(h).all()
+    assert max(trace.roundtrip_err) <= 1e-10
+
+
 def test_turbo_improves_over_iterations():
     for seed in (17, 18, 19):
         meas, pilots, truth = make_sim(64, 26, 8, 30.0, seed=seed)
@@ -382,6 +404,19 @@ def test_mmse_sampler_frozen_bank():
 def test_mmse_sampler_needs_two_samples():
     with pytest.raises(ValueError, match="at least 2"):
         MmseSampler(ScalarPrior(), num_samples=1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("activation", (0.0, 0.2, 1.0))
+@pytest.mark.parametrize(
+    "num_samples", (2, turbo._BLOCK - 1, turbo._BLOCK, turbo._BLOCK + 1, 200_000)
+)
+def test_blocked_mmse_matches_the_one_shot_evaluation(variant, activation, num_samples):
+    # the block walk changes only where each draw's variance is computed, so
+    # the estimate and its standard error keep every bit
+    sampler = MmseSampler(ScalarPrior(variant=variant, activation=activation), num_samples, seed=3)
+    for eta in np.logspace(-8.0, 6.0, 8):
+        assert sampler(eta) == mmse_unblocked(sampler, eta), eta
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
