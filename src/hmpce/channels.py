@@ -278,10 +278,11 @@ def synthesize_measurements(channel, pilots, snr_db, rng_seed=0):
     added into the output of `PilotSet.apply`, so Y is that (M, P) array.
 
     `pilots` is a `PilotSet` or a sequence of `PilotMatrix`, one per
-    subcarrier.  snr_db = +inf is noiseless; -inf raises `ValueError`.
+    subcarrier.  snr_db = +inf is noiseless; -inf and NaN raise
+    `ValueError`.
     """
-    if snr_db == -math.inf:
-        raise ValueError("snr_db = -inf has no finite noise variance")
+    if not snr_db > -math.inf:
+        raise ValueError(f"snr_db = {snr_db} has no finite noise variance")
     pilots = as_pilot_set(pilots)
     P = channel.P
     if len(pilots) != P:

@@ -7,6 +7,11 @@ and draws from a zero-mean complex Gaussian whose variance is itself random
 power); otherwise it draws from a common near-zero variance component
 (or is exactly zero for the Bernoulli-Gaussian variant).
 
+`ScalarPrior.sample` draws the gains for the state evolution's sample bank
+as their real and imaginary parts, in one fixed order (activity uniforms,
+tsgm-lvd's log-uniform precisions, then two standard normals), so the bank
+is built in real arithmetic without a complex temporary.
+
 The posterior variance of a gain observed in AWGN depends on the
 observation r only through |r|^2, so `posterior_variance_mixture`, which
 the state evolution's Monte-Carlo MMSE averages, takes |r|^2 and works in
@@ -57,6 +62,15 @@ class ScalarPrior:
             raise ValueError(f"unknown prior variant {self.variant!r}")
         if not 0.0 <= self.activation <= 1.0:
             raise ValueError("activation must lie in [0, 1]")
+        if not 0.0 < self.large_power < math.inf:
+            raise ValueError(f"large_power must be positive and finite, got {self.large_power}")
+        if not 0.0 <= self.small_variance < math.inf:
+            raise ValueError(
+                f"small_variance must be non-negative and finite, got {self.small_variance}"
+            )
+        lo, hi = self.spread
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError(f"spread must satisfy 0 < lo <= hi < inf, got {self.spread}")
 
     def mean_power(self):
         small = 0.0 if self.variant == VARIANT_BG else self.small_variance
@@ -70,13 +84,26 @@ class ScalarPrior:
         return 1.0 / prec
 
     def sample(self, rng, size):
-        """Draw gains; returns (gains, active_mask, large_variances)."""
+        """Draw `size` gains g = s (x + i y) with s = sqrt(var / 2), var the
+        drawn component's variance and x, y standard normal; returns
+        (g.real, g.imag, large_variances).
+
+        The draws come in a fixed order: the activity uniforms, the large
+        variances (log-uniform for tsgm-lvd, none otherwise), then x and y.
+        The gain is kept as its real and imaginary parts, s x and s y, each
+        scaled in place in its normal draw, so no complex array is formed.
+        """
         active = rng.random(size) < self.activation
         vlarge = self.sample_large_variances(rng, size)
         small = 0.0 if self.variant == VARIANT_BG else self.small_variance
-        var = np.where(active, vlarge, small)
-        gains = np.sqrt(var / 2.0) * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-        return gains, active, vlarge
+        scale = np.where(active, vlarge, small)
+        scale /= 2.0
+        np.sqrt(scale, out=scale)
+        re = rng.standard_normal(size)
+        re *= scale
+        im = rng.standard_normal(size)
+        im *= scale
+        return re, im, vlarge
 
 
 def posterior_variance_mixture(r_sq, tau, lam, v_large, v_small):

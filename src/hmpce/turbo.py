@@ -16,9 +16,10 @@ Monte-Carlo estimate of the scalar MMSE under the gain prior (common random
 numbers across eta evaluations, so the recursion is deterministic and
 smooth for a fixed seed).  The sample bank is held as three real arrays from
 which |r|^2 is formed for each eta, the one statistic the posterior variance
-depends on.  Each eta walks the bank in blocks of `_BLOCK` draws, small
-enough that a block's arrays stay in cache; the estimate is still the mean
-over the whole bank.
+depends on; they are built in place in the arrays of the draws, from the
+real and imaginary parts of the gains, with no complex temporary.  Each eta
+walks the bank in blocks of `_BLOCK` draws, small enough that a block's
+arrays stay in cache; the estimate is still the mean over the whole bank.
 """
 
 import math
@@ -179,7 +180,10 @@ class MmseSampler:
     through |r|^2 = |g|^2 + sqrt(tau) (2 Re(g conj(n)) + sqrt(tau) |n|^2), so
     the bank keeps the three real arrays |g|^2, 2 Re(g conj(n)) and |n|^2 of
     the drawn gains g and unit noise n, plus the active-component variances
-    (one scalar when they are all equal).
+    (one scalar when they are all equal).  The draws follow
+    `ScalarPrior.sample`'s fixed order, then the noise's real and imaginary
+    normals; each bank array is formed in the array of a draw it consumes,
+    so a build holds at most five bank-sized arrays at once.
 
     A call forms |r|^2 and runs the kernel one block of `_BLOCK` draws at a
     time (a bank smaller than a block is one block), writing each block's
@@ -192,20 +196,40 @@ class MmseSampler:
         if num_samples < 2:
             raise ValueError("num_samples must be at least 2")
         rng = np.random.default_rng(seed)
-        gains, _, v_large = prior.sample(rng, num_samples)
-        # n = (a + i b) / sqrt(2)
-        a = rng.standard_normal(num_samples)
-        b = rng.standard_normal(num_samples)
+        re, im, v_large = prior.sample(rng, num_samples)
+        if (v_large == v_large[0]).all():
+            v_large = v_large[0]
         self.prior = prior
-        self.gain_sq = gains.real ** 2 + gains.imag ** 2
-        self.cross = math.sqrt(2.0) * (gains.real * a + gains.imag * b)
-        self.noise_sq = 0.5 * (a * a + b * b)
-        self.v_large = v_large[0] if (v_large == v_large[0]).all() else v_large
+        self.v_large = v_large
         self.v_small = 0.0 if prior.variant == VARIANT_BG else prior.small_variance
+        # |g|^2 = re^2 + im^2 before the noise draws, so that each draw below
+        # is consumed in place: n = (a + i b) / sqrt(2), and
+        # 2 Re(g conj(n)) = sqrt(2) (re a + im b), |n|^2 = (a^2 + b^2) / 2.
+        # b is drawn one block at a time into a block-sized buffer, the same
+        # stream as one bank-sized draw, which saves a bank-sized array.
+        gain_sq = re * re
+        gain_sq += im * im
+        a = rng.standard_normal(num_samples)
+        re *= a
+        a *= a
+        buf = np.empty(min(_BLOCK, num_samples))
+        for start in range(0, num_samples, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            im_b = im[block]
+            b = rng.standard_normal(out=buf[:im_b.size])
+            im_b *= b
+            re[block] += im_b
+            b *= b
+            a[block] += b
+        re *= math.sqrt(2.0)
+        a *= 0.5
+        self.gain_sq = gain_sq
+        self.cross = re
+        self.noise_sq = a
 
     def __call__(self, eta):
-        if eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not eta > 0.0:
+            raise ValueError(f"eta must be positive, got {eta}")
         tau = 1.0 / eta
         root = math.sqrt(tau)
         lam, v_small = self.prior.activation, self.v_small
@@ -272,11 +296,11 @@ def run_state_evolution(prior, snr_db, N, M, max_iters=100, tol=1e-8,
     row-orthonormal pilot family).  Rows carry the post-iteration variance.
     `sampler` is an `MmseSampler` already built for `prior`, which lets
     several runs share one sample bank; without it a bank of `num_samples`
-    is drawn from `seed`.  snr_db = +inf is noiseless; -inf raises
+    is drawn from `seed`.  snr_db = +inf is noiseless; -inf and NaN raise
     `ValueError`.
     """
-    if snr_db == -math.inf:
-        raise ValueError("snr_db = -inf has no finite noise variance")
+    if not snr_db > -math.inf:
+        raise ValueError(f"snr_db = {snr_db} has no finite noise variance")
     power = prior.mean_power()
     sigma2 = 0.0 if snr_db == math.inf else power / 10.0 ** (snr_db / 10.0)
     if sampler is None:

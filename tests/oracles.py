@@ -10,7 +10,9 @@ temporaries (the package gathers and scatters through flat indices and
 works in place),
 closed-form scalar mixture posteriors plus a grid-integration cross-check,
 the state evolution's Monte-Carlo MMSE computed from the complex
-observations with the complex mixture posterior, the real-bank MMSE call
+observations with the complex mixture posterior, its sample bank built out
+of place from complex gains (the package builds it in place from their
+real and imaginary parts), the real-bank MMSE call
 evaluated over the whole bank at once (the package walks it in blocks),
 and the denoiser's
 likelihood, precision and moment steps on the complex h_pri through the
@@ -418,6 +420,33 @@ def posterior_moments_mixture(r, tau, lam, v_large, v_small):
     return mean, var, w
 
 
+def complex_sample(prior, rng, size):
+    """`ScalarPrior.sample` drawn as complex gains: the same draws in the same
+    order as the package, which keeps only the real and imaginary parts.
+    Returns (gains, active_mask, large_variances)."""
+    active = rng.random(size) < prior.activation
+    vlarge = prior.sample_large_variances(rng, size)
+    small = 0.0 if prior.variant == VARIANT_BG else prior.small_variance
+    var = np.where(active, vlarge, small)
+    gains = np.sqrt(var / 2.0) * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    return gains, active, vlarge
+
+
+def complex_bank(prior, num_samples, seed):
+    """`MmseSampler`'s bank built out of place from the complex gains of
+    `complex_sample`; returns (gain_sq, cross, noise_sq, v_large)."""
+    rng = np.random.default_rng(seed)
+    gains, _, v_large = complex_sample(prior, rng, num_samples)
+    # n = (a + i b) / sqrt(2)
+    a = rng.standard_normal(num_samples)
+    b = rng.standard_normal(num_samples)
+    gain_sq = gains.real ** 2 + gains.imag ** 2
+    cross = math.sqrt(2.0) * (gains.real * a + gains.imag * b)
+    noise_sq = 0.5 * (a * a + b * b)
+    v_large = v_large[0] if (v_large == v_large[0]).all() else v_large
+    return gain_sq, cross, noise_sq, v_large
+
+
 class ComplexMmseSampler:
     """Reference for `turbo.MmseSampler`: the same frozen bank, kept as the
     complex gains and noise, with the complex posterior moments above
@@ -425,7 +454,7 @@ class ComplexMmseSampler:
 
     def __init__(self, prior, num_samples=200_000, seed=1234):
         rng = np.random.default_rng(seed)
-        gains, active, vlarge = prior.sample(rng, num_samples)
+        gains, active, vlarge = complex_sample(prior, rng, num_samples)
         self.prior = prior
         self.gains = gains
         self.vlarge = vlarge

@@ -247,6 +247,13 @@ def test_synthesize_rejects_minus_inf_snr():
     assert synthesize_measurements(channel, pilots, snr_db=np.inf).noise_variance == 0.0
 
 
+def test_synthesize_rejects_nan_snr():
+    # NaN used to give an all-NaN Y and a NaN noise variance
+    channel, pilots = _toy_setup(P=3)
+    with pytest.raises(ValueError, match="snr_db"):
+        synthesize_measurements(channel, pilots, snr_db=math.nan)
+
+
 def test_synthesize_accepts_a_list_of_pilot_operators():
     channel, pilots = _toy_setup(P=6)
     stacked = synthesize_measurements(channel, pilots, snr_db=10.0, rng_seed=3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from oracles import (
     ComplexMmseSampler,
     FancyIndexPilotSet,
+    complex_bank,
     denoise_complex,
     lmmse_update_out_of_place,
     mmse_oracle,
@@ -406,6 +408,84 @@ def test_mmse_sampler_needs_two_samples():
         MmseSampler(ScalarPrior(), num_samples=1)
 
 
+@pytest.mark.parametrize("eta", (math.nan, 0.0, -1.0))
+def test_mmse_sampler_rejects_an_eta_that_is_not_positive(eta):
+    # NaN used to pass the check and return (nan, nan)
+    sampler = MmseSampler(ScalarPrior(), num_samples=100)
+    with pytest.raises(ValueError, match="eta"):
+        sampler(eta)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("large_power", -1.0),
+    ("large_power", 0.0),
+    ("large_power", math.inf),
+    ("large_power", math.nan),
+    ("small_variance", -1e-3),
+    ("small_variance", math.inf),
+    ("small_variance", math.nan),
+    ("spread", (10.0, 0.1)),
+    ("spread", (0.0, 1.0)),
+    ("spread", (-1.0, 1.0)),
+    ("spread", (0.1, math.inf)),
+    ("spread", (math.nan, 1.0)),
+])
+def test_scalar_prior_rejects_invalid_values(field, bad):
+    # without the check each failed later: large_power=-1 warned in sqrt, 0
+    # raised ZeroDivisionError, a reversed spread failed in numpy's uniform,
+    # a zero lower end in math.log, an infinite upper end with
+    # OverflowError, and NaN reached the state evolution as mmse = nan
+    with pytest.raises(ValueError, match=field):
+        ScalarPrior(**{field: bad})
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("activation", (0.0, 0.2, 1.0))
+@pytest.mark.parametrize("num_samples", (2, 3, turbo._BLOCK + 1, 200_000))
+def test_bank_matches_the_complex_build(variant, activation, num_samples):
+    # the in-place build does the complex build's real arithmetic on the same
+    # draws in the same order; the complex product adds signed zeros, so the
+    # cross term may differ from it in the sign of a zero only
+    sampler = MmseSampler(ScalarPrior(variant=variant, activation=activation), num_samples, seed=3)
+    gain_sq, cross, noise_sq, v_large = complex_bank(sampler.prior, num_samples, seed=3)
+    assert sampler.gain_sq.tobytes() == gain_sq.tobytes()
+    assert sampler.noise_sq.tobytes() == noise_sq.tobytes()
+    np.testing.assert_array_equal(sampler.cross, cross)
+    assert np.shape(sampler.v_large) == np.shape(v_large)
+    assert np.asarray(sampler.v_large).tobytes() == np.asarray(v_large).tobytes()
+
+
+def _peak_bank_arrays(build, num_samples):
+    """Peak traced memory of `build()` in bank-sized float64 arrays."""
+    build()  # first-call allocations are not the build's
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return (peak - base) / (8 * num_samples)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_bank_build_peak_memory(variant):
+    # the in-place build holds at most five bank-sized arrays and one block
+    # at once: the three it keeps, the per-draw variances and the imaginary
+    # part of the gain while the second noise normal is drawn block by block
+    # (measured 5.17 for tsgm-lvd and 4.17 for tsgm and bg, whose variances
+    # collapse to one value); the complex build peaks at 9.1 for every variant
+    prior = ScalarPrior(variant=variant)
+    num_samples = 200_000
+    bound = 5.5
+    assert _peak_bank_arrays(lambda: MmseSampler(prior, num_samples), num_samples) <= bound
+    assert _peak_bank_arrays(lambda: complex_bank(prior, num_samples, 1234), num_samples) > bound
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("activation", (0.0, 0.2, 1.0))
 @pytest.mark.parametrize(
@@ -486,6 +566,12 @@ def test_state_evolution_at_the_activation_edges(monkeypatch, variant, activatio
     assert got[1] == want[1]
     assert got[0].shape == want[0].shape
     np.testing.assert_allclose(got[0], want[0], rtol=1e-10, atol=0.0)
+
+
+def test_state_evolution_rejects_nan_snr():
+    # NaN used to reach the sampler and fail in iteration 1 as mmse = nan
+    with pytest.raises(ValueError, match="snr_db"):
+        run_state_evolution(ScalarPrior(), math.nan, 64, 51, num_samples=1000)
 
 
 def test_state_evolution_rejects_minus_inf_snr():
