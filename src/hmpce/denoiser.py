@@ -24,19 +24,32 @@ p / (1 - p), clamped to the equivalent interval
 [floor / (1 - floor), (1 - floor) / floor]: the scalar loop keeps only the
 predicted odds, the filtered odds follow from them in one array pass, and
 both are stored as probabilities.  The other steps combine probabilities in
-the log-odds domain and map back with clamp(sigmoid(.)): `_sigmoid` runs on
-numpy's vectorised exp, and the clamp acts on the probability.
+the log-odds domain and map back with clamp(sigmoid(.)).  `_probability`
+runs that chain (negate, numpy's vectorised exp, add one, reciprocal, clip)
+in place in the temporary it is given, and `_logit` writes
+log(p) - log1p(-p) into `out` (p itself when p is a temporary); a state
+array such as support_like or support_ext is never written in place.
 
 Each step takes the values it reads as required arguments, and `denoise`
 computes each of them once and passes it in:
 
   - r2 = |h_pri|^2, once per pass;
+  - s_large = v_pri + (active variance), returned by `support_likelihood`
+    and handed to `update_precision_beliefs`, which runs on the same
+    beliefs;
   - (like_logit, llr) of `pooled_evidence`, once per pass after the
     likelihood step;
   - the forward and backward odds of `evidence_odds`, once per pass;
   - the log transition weights of `transition_log_expectations`, once per
     chain round;
   - ext_logit = logit(support_ext), once per pass after `support_extrinsic`.
+
+The state also carries the arrays derived from the Gamma beliefs on the
+active precisions, rate/shape and psi(shape) (`_active_beliefs`).  They are
+computed once per set of beliefs, at the first read after `init_state` or
+`update_precision_beliefs` sets new ones, and are keyed to the belief arrays
+they came from, so a caller that assigns new belief arrays gets fresh
+values.  The belief arrays are replaced, never written in place.
 
 The wide (N, P) steps (likelihood, precision update, posterior moments) run
 in real arithmetic: the activity odds, the Gamma statistics and the
@@ -110,6 +123,9 @@ class DenoiserState:
     p01_b: float = 1.0
     first_active_belief: float = 0.5
     pair_belief: np.ndarray = None    # (N-1, 4) columns (00, 01, 10, 11)
+    # (large_shape, large_rate, exact_digamma, rate/shape, psi(shape)) of
+    # `_active_beliefs`, keyed to the first three
+    active_beliefs: tuple = field(default=None, repr=False)
 
 
 def init_state(N, P, cfg):
@@ -123,20 +139,30 @@ def init_state(N, P, cfg):
     return state
 
 
-def _clamp(p, floor):
-    return np.clip(p, floor, 1.0 - floor)
+def _logit(p, out=None):
+    """log(p) - log1p(-p), written into `out` (a fresh array when None; pass
+    p itself when p is a temporary).  The same IEEE operations as the
+    two-term expression, on one temporary for log1p(-p).  p is an array."""
+    q = np.negative(p)
+    np.log1p(q, out=q)
+    out = np.log(p, out=out)
+    out -= q
+    return out
 
 
-def _logit(p):
-    return np.log(p) - np.log1p(-p)
+def _probability(z, floor):
+    """clip(1 / (1 + exp(-z)), floor, 1 - floor), computed in place in the
+    array z, which the caller gives up, and returned.
 
-
-def _sigmoid(z):
-    """1 / (1 + exp(-z)) on numpy's vectorised exp.  For z < -709, exp(-z)
-    overflows to inf and the result is 0, which `_clamp` lifts to the floor;
-    NaN stays NaN."""
+    Runs on numpy's vectorised exp.  For z < -709, exp(-z) overflows to inf,
+    the sigmoid is 0 and the clip lifts it to the floor; NaN stays NaN.
+    """
+    np.negative(z, out=z)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    return np.clip(z, floor, 1.0 - floor, out=z)
 
 
 def transition_log_expectations(state, cfg):
@@ -170,12 +196,32 @@ def _gain(v_pri, var):
     return var / (v_pri + var)
 
 
+def _active_beliefs(state, cfg):
+    """(rate/shape, psi(shape)) of the Gamma beliefs on the active precisions.
+
+    Computed at the first read after the beliefs change and kept on the
+    state, keyed to the `large_shape` and `large_rate` arrays it came from
+    (by identity) and to `cfg.exact_digamma`.  `init_state` and
+    `update_precision_beliefs` set new arrays (the latter also drops the
+    carried ones), and so may a caller; an array written in place would not
+    be seen.  The bg variant never reads it.
+    """
+    shape, rate = state.large_shape, state.large_rate
+    cached = state.active_beliefs
+    if (cached is None or cached[0] is not shape or cached[1] is not rate
+            or cached[2] != cfg.exact_digamma):
+        cached = (shape, rate, cfg.exact_digamma, rate / shape,
+                  digamma_fn(cfg.exact_digamma)(shape))
+        state.active_beliefs = cached
+    return cached[3], cached[4]
+
+
 def _active_variance(state, cfg):
     """Variance of the active component: the fixed `bg_variance` for bg,
     the Gamma belief's rate/shape otherwise."""
     if cfg.variant == VARIANT_BG:
         return cfg.bg_variance
-    return state.large_rate / state.large_shape
+    return _active_beliefs(state, cfg)[0]
 
 
 def support_likelihood(r2, v_pri, state, cfg):
@@ -185,10 +231,12 @@ def support_likelihood(r2, v_pri, state, cfg):
     the near-zero component, each with its expected-log Gamma weight; the bg
     variant compares a fixed-variance active component against the spike at
     zero.  r2 = |h_pri|^2; v_pri must be positive and finite (`denoise`
-    checks it).
+    checks it).  Returns s_large = v_pri + (active variance), which
+    `update_precision_beliefs` takes, as it runs on the same beliefs.
     """
     s_large = v_pri + _active_variance(state, cfg)
     state.support_like = _activity_likelihood(r2, v_pri, s_large, state, cfg)
+    return s_large
 
 
 def _activity_likelihood(r2, v_pri, s_large, state, cfg):
@@ -196,7 +244,10 @@ def _activity_likelihood(r2, v_pri, s_large, state, cfg):
 
     A CN(0, s) component has log density -log(pi s) - r2 / s; pi cancels in
     the odds.  s_large is the variance of the active component seen through
-    v_pri: v_pri + bg_variance for bg, v_pri + rate/shape otherwise.
+    v_pri: v_pri + bg_variance for bg, v_pri + rate/shape otherwise.  The
+    log-odds are built in one (N, P) array, with a second for
+    log(den s_large), by the same IEEE operations in the same order as the
+    expression they evaluate.
     """
     if cfg.variant == VARIANT_BG:
         log_odds = r2 * (1.0 / v_pri - 1.0 / s_large)
@@ -204,13 +255,17 @@ def _activity_likelihood(r2, v_pri, s_large, state, cfg):
     else:
         s_small = v_pri + state.small_rate / state.small_shape
         psi = digamma_fn(cfg.exact_digamma)
+        _, psi_large = _active_beliefs(state, cfg)
         den_large = state.large_rate if cfg.std_gamma_weight else state.large_shape
         den_small = state.small_rate if cfg.std_gamma_weight else state.small_shape
-        log_odds = r2 * (1.0 / s_small - 1.0 / s_large)
-        log_odds += psi(state.large_shape)
-        log_odds -= np.log(den_large * s_large)
+        log_odds = np.divide(1.0, s_large)
+        np.subtract(1.0 / s_small, log_odds, out=log_odds)
+        log_odds *= r2
+        log_odds += psi_large
+        log_term = np.multiply(den_large, s_large)
+        log_odds -= np.log(log_term, out=log_term)
         log_odds -= psi(state.small_shape) - np.log(den_small * s_small)
-    return _clamp(_sigmoid(log_odds), cfg.prob_floor)
+    return _probability(log_odds, cfg.prob_floor)
 
 
 def pooled_evidence(state):
@@ -332,10 +387,13 @@ def update_transition_beliefs(state, cfg, transitions, llr):
     4-wide axis of their stack; `pair_belief` is written column by column.
     """
     log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = transitions
-    floor = cfg.prob_floor
-    state.first_active_belief = float(
-        _clamp(_sigmoid(_logit(state.fwd_pred[0]) + _logit(state.bwd_pred[0]) + llr[0]), floor)
-    )
+    # clamp(sigmoid(logit(fwd) + logit(bwd) + llr)) at the first element, on
+    # numpy scalars: the operations of `_logit` and `_probability`
+    fwd, bwd = state.fwd_pred[0], state.bwd_pred[0]
+    z = (np.log(fwd) - np.log1p(-fwd)) + (np.log(bwd) - np.log1p(-bwd)) + llr[0]
+    with np.errstate(over="ignore"):
+        p = 1.0 / (1.0 + np.exp(-z))
+    state.first_active_belief = float(min(max(p, cfg.prob_floor), 1.0 - cfg.prob_floor))
     up = state.bwd_filt[1:]
     dn = state.fwd_filt[:-1]
     up_off = 1.0 - up
@@ -369,25 +427,32 @@ def support_extrinsic(state, cfg, like_logit, llr):
     likelihood (leave-one-out in the log-odds domain); like_logit and llr
     are the pair of `pooled_evidence`."""
     loo = llr[:, None] - like_logit
-    chain = _logit(state.fwd_pred) + _logit(state.bwd_pred)
-    state.support_ext = _clamp(_sigmoid(chain[:, None] + loo), cfg.prob_floor)
+    chain = _logit(state.fwd_pred)
+    chain += _logit(state.bwd_pred)
+    np.add(chain[:, None], loo, out=loo)
+    state.support_ext = _probability(loo, cfg.prob_floor)
 
 
-def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit):
+def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_large):
     """Gamma belief refresh from the current support posterior.
 
     The support posterior combines like_logit (of `pooled_evidence`) with
     ext_logit = logit(support_ext).  Uses the beliefs that entered this pass
     for the component posteriors CN(g h_pri, g v_pri), then rewrites the
-    Gamma parameters anchored at their priors.  Each component's statistic
+    Gamma parameters anchored at their priors.  s_large = v_pri + rate/shape
+    of those beliefs, as `support_likelihood` returned it, so the active gain
+    is g = (rate/shape) / s_large.  Each component's statistic
     E|h|^2 = g^2 r2 + g v_pri needs only r2 = |h_pri|^2.  The bg variant has
     no precision beliefs to learn.
     """
-    state.support_post = _clamp(_sigmoid(like_logit + ext_logit), cfg.prob_floor)
+    state.support_post = _probability(like_logit + ext_logit, cfg.prob_floor)
     if cfg.variant == VARIANT_BG:
         return
     w = state.support_post
-    gain_large = _gain(v_pri, _active_variance(state, cfg))
+    gain_large = _active_variance(state, cfg) / s_large
+    # the beliefs are replaced below: drop what was derived from them, so
+    # that their memory is free for the new arrays
+    state.active_beliefs = None
     large_stat = gain_large * r2
     large_stat += v_pri
     large_stat *= gain_large
@@ -401,7 +466,8 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit):
         ).copy()
     else:
         state.large_shape = cfg.large_shape + w
-        state.large_rate = cfg.large_rate + large_stat
+        large_stat += cfg.large_rate
+        state.large_rate = large_stat
     # the near-zero gain is one per subcarrier, so it leaves the sums
     gain_small = _gain(v_pri, state.small_rate / state.small_shape)
     quiet = 1.0 - w
@@ -431,11 +497,12 @@ def posterior_moments(h_pri, v_pri, state, cfg, r2, ext_logit):
         weight = state.support_post
         gain_small = 0.0
     else:
-        like = _activity_likelihood(r2, v_pri, s_large, state, cfg)
-        weight = _clamp(_sigmoid(_logit(like) + ext_logit), cfg.prob_floor)
-        state.support_post = weight
+        weight = _activity_likelihood(r2, v_pri, s_large, state, cfg)
+        _logit(weight, out=weight)
+        weight += ext_logit
+        state.support_post = _probability(weight, cfg.prob_floor)
         gain_small = _gain(v_pri, state.small_rate / state.small_shape)
-    spread = var_large / s_large
+    spread = np.divide(var_large, s_large, out=s_large)
     spread -= gain_small
     gain = weight * spread
     gain += gain_small
@@ -468,7 +535,7 @@ def denoise(h_pri, v_pri, cfg, state=None):
     if state is None:
         state = init_state(N, P, cfg)
     r2 = _squared_magnitude(h_pri)
-    support_likelihood(r2, v_pri, state, cfg)
+    s_large = support_likelihood(r2, v_pri, state, cfg)
     like_logit, llr = pooled_evidence(state)
     forward_odds, backward_odds = evidence_odds(llr)
     for _ in range(2):
@@ -478,6 +545,6 @@ def denoise(h_pri, v_pri, cfg, state=None):
         update_transition_beliefs(state, cfg, transitions, llr)
     support_extrinsic(state, cfg, like_logit, llr)
     ext_logit = _logit(state.support_ext)
-    update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit)
+    update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_large)
     h_post, v_post = posterior_moments(h_pri, v_pri, state, cfg, r2, ext_logit)
     return h_post, v_post, state

@@ -77,16 +77,19 @@ class ScalarPrior:
         return self.activation * self.large_power + (1.0 - self.activation) * small
 
     def sample_large_variances(self, rng, size):
-        """Variances of active elements (constant unless the spread is wide)."""
+        """Variances of active elements: `size` log-uniform draws for
+        tsgm-lvd with a wide spread, else the one float `large_power`, with
+        no draw."""
         if self.variant != VARIANT_LVD or self.spread[0] == self.spread[1]:
-            return np.full(size, self.large_power)
+            return float(self.large_power)
         prec = sample_loguniform_precisions(rng, size, self.spread, self.large_power)
         return 1.0 / prec
 
     def sample(self, rng, size):
         """Draw `size` gains g = s (x + i y) with s = sqrt(var / 2), var the
         drawn component's variance and x, y standard normal; returns
-        (g.real, g.imag, large_variances).
+        (g.real, g.imag, large_variances), the last one float when the
+        active variance is constant (see `sample_large_variances`).
 
         The draws come in a fixed order: the activity uniforms, the large
         variances (log-uniform for tsgm-lvd, none otherwise), then x and y.

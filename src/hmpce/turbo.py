@@ -72,12 +72,23 @@ class TurboTrace:
         return len(self.nmse)
 
 
-def nmse(estimate, truth):
-    """||estimate - truth||^2 / ||truth||^2 (Frobenius)."""
-    den = float(np.sum(np.abs(truth) ** 2))
+def _energy(x):
+    """||x||^2 (Frobenius) as a float."""
+    return float(np.sum(np.abs(x) ** 2))
+
+
+def _truth_energy(truth):
+    """||truth||^2, the NMSE denominator; ValueError when it is 0."""
+    den = _energy(truth)
     if den == 0.0:
         raise ValueError("NMSE undefined for an all-zero truth")
-    return float(np.sum(np.abs(estimate - truth) ** 2)) / den
+    return den
+
+
+def nmse(estimate, truth):
+    """||estimate - truth||^2 / ||truth||^2 (Frobenius)."""
+    den = _truth_energy(truth)
+    return _energy(estimate - truth) / den
 
 
 def to_db(x):
@@ -90,10 +101,11 @@ def run_turbo(measurements, pilots, cfg, truth=None):
     `pilots` is a `PilotSet`, or a sequence of `PilotMatrix` (one per
     subcarrier) that is stacked once here.
 
-    `truth` enables the NMSE trace.  Early stopping compares consecutive
-    NMSE values when `truth` is given; otherwise it stops once the relative
-    change of the estimate, ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2, falls below
-    `nmse_tol`.
+    `truth` enables the NMSE trace; its energy ||truth||^2 is taken once per
+    run, and an all-zero truth raises ValueError before the first iteration.
+    Early stopping compares consecutive NMSE values when `truth` is given;
+    otherwise it stops once the relative change of the estimate,
+    ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2, falls below `nmse_tol`.
     """
     pilots = as_pilot_set(pilots)
     Y = measurements.Y
@@ -102,6 +114,7 @@ def run_turbo(measurements, pilots, cfg, truth=None):
     if len(pilots) != P:
         raise ValueError("need one pilot operator per subcarrier")
     N = pilots.N
+    truth_energy = None if truth is None else _truth_energy(truth)
     h_pri_a = np.zeros((N, P), dtype=np.complex128)
     v_pri_a = np.full(P, float(cfg.init_variance))
     state = None
@@ -128,7 +141,7 @@ def run_turbo(measurements, pilots, cfg, truth=None):
         trace.clamped_a.append(int(clamped_a.sum()))
         trace.clamped_b.append(int(clamped_b.sum()))
         if truth is not None:
-            metric = nmse(h_post_b, truth)
+            metric = _energy(h_post_b - truth) / truth_energy
             converged = it > 1 and abs(metric - prev_metric) < cfg.nmse_tol
             prev_metric = metric
         else:
@@ -144,10 +157,10 @@ def run_turbo(measurements, pilots, cfg, truth=None):
 def _relative_change(new, old):
     """||new - old||^2 / ||old||^2; 0 when the two are equal, inf when only
     `old` is zero."""
-    num = float(np.sum(np.abs(new - old) ** 2))
+    num = _energy(new - old)
     if num == 0.0:
         return 0.0
-    den = float(np.sum(np.abs(old) ** 2))
+    den = _energy(old)
     return num / den if den > 0.0 else math.inf
 
 
@@ -180,7 +193,7 @@ class MmseSampler:
     through |r|^2 = |g|^2 + sqrt(tau) (2 Re(g conj(n)) + sqrt(tau) |n|^2), so
     the bank keeps the three real arrays |g|^2, 2 Re(g conj(n)) and |n|^2 of
     the drawn gains g and unit noise n, plus the active-component variances
-    (one scalar when they are all equal).  The draws follow
+    (one float when the prior's active variance is constant).  The draws follow
     `ScalarPrior.sample`'s fixed order, then the noise's real and imaginary
     normals; each bank array is formed in the array of a draw it consumes,
     so a build holds at most five bank-sized arrays at once.
@@ -197,8 +210,6 @@ class MmseSampler:
             raise ValueError("num_samples must be at least 2")
         rng = np.random.default_rng(seed)
         re, im, v_large = prior.sample(rng, num_samples)
-        if (v_large == v_large[0]).all():
-            v_large = v_large[0]
         self.prior = prior
         self.v_large = v_large
         self.v_small = 0.0 if prior.variant == VARIANT_BG else prior.small_variance

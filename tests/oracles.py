@@ -19,8 +19,11 @@ likelihood, precision and moment steps on the complex h_pri through the
 complex Gaussian log density (the package reduces the last two to real
 arithmetic on |r|^2 and |h_pri|^2).  The earlier package forms of the
 chain round (odds sweeps that keep two lists, pair beliefs from a stacked
-(N-1, 4) array) and of the round-trip check (per-column maxima, then a
-mask) are kept verbatim, so that tests can hold the package to their bits.
+(N-1, 4) array), of the round-trip check (per-column maxima, then a
+mask) and of the wide denoiser steps (rate/shape and psi(shape) taken
+afresh in each step, every clamp(sigmoid(.)) and logit on fresh arrays;
+the package carries the first two on its state and runs the chains in
+place) are kept verbatim, so that tests can hold the package to their bits.
 Three helpers that only tests use live here too: `mmse_oracle`, a one-shot
 `MmseSampler` call, `angle_transform`, the unitary DFT between the frequency
 and angular bases, and `step_inputs`, the per-pass values that `denoise`
@@ -35,7 +38,7 @@ import numpy as np
 from scipy.special import expit
 
 from hmpce.denoiser import (
-    _sigmoid,
+    _gain,
     _squared_magnitude,
     backward_pass,
     denoise,
@@ -132,6 +135,16 @@ def _span_marginal(lf, lt, log_like, lo, hi, target, with_first,
 
 def _logit(p):
     return np.log(p) - np.log1p(-p)
+
+
+def _sigmoid(z):
+    """1 / (1 + exp(-z)) on numpy's vectorised exp, on fresh arrays."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _clamp(p, floor):
+    return np.clip(p, floor, 1.0 - floor)
 
 
 def chain_sweeps_probability(weights, llr, floor):
@@ -423,9 +436,10 @@ def posterior_moments_mixture(r, tau, lam, v_large, v_small):
 def complex_sample(prior, rng, size):
     """`ScalarPrior.sample` drawn as complex gains: the same draws in the same
     order as the package, which keeps only the real and imaginary parts.
-    Returns (gains, active_mask, large_variances)."""
+    Returns (gains, active_mask, large_variances), the last filled to `size`
+    also where the package keeps one value."""
     active = rng.random(size) < prior.activation
-    vlarge = prior.sample_large_variances(rng, size)
+    vlarge = np.full(size, prior.sample_large_variances(rng, size))
     small = 0.0 if prior.variant == VARIANT_BG else prior.small_variance
     var = np.where(active, vlarge, small)
     gains = np.sqrt(var / 2.0) * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
@@ -516,18 +530,20 @@ def angle_transform(h, direction):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def step_inputs(state, cfg, h_pri=None):
+def step_inputs(state, cfg, h_pri=None, v_pri=None):
     """The values `denoise` computes once per pass (or chain round) and hands
-    to its steps, from `state` (and h_pri) as they stand now.
+    to its steps, from `state` (and h_pri, v_pri) as they stand now.
 
-    Attributes: r2 = |h_pri|^2; like_logit and llr of `pooled_evidence`;
-    forward_odds and backward_odds of `evidence_odds`; transitions of
-    `transition_log_expectations`; ext_logit = logit(support_ext).  A value
-    whose source is not there yet (no h_pri, no support_like or no
-    support_ext) is None.
+    Attributes: r2 = |h_pri|^2; s_large = v_pri + (active variance) of the
+    current beliefs, as `support_likelihood` returns it; like_logit and llr
+    of `pooled_evidence`; forward_odds and backward_odds of `evidence_odds`;
+    transitions of `transition_log_expectations`;
+    ext_logit = logit(support_ext).  A value whose source is not there yet
+    (no h_pri, no v_pri, no support_like or no support_ext) is None.
     """
     x = SimpleNamespace(
         r2=None if h_pri is None else _squared_magnitude(h_pri),
+        s_large=None if v_pri is None else v_pri + _active_variance(state, cfg),
         like_logit=None, llr=None, forward_odds=None, backward_odds=None,
         transitions=transition_log_expectations(state, cfg),
         ext_logit=None if state.support_ext is None else _logit(state.support_ext),
@@ -550,10 +566,6 @@ def cgauss_logpdf(x, mean, variance):
         raise ValueError("variance must be positive")
     out = -np.log(np.pi * v) - np.abs(x - mean) ** 2 / v
     return out if out.ndim else float(out)
-
-
-def _clamp(p, floor):
-    return np.clip(p, floor, 1.0 - floor)
 
 
 def activity_likelihood_complex(h_pri, v_pri, large_shape, large_rate, small_shape,
@@ -680,6 +692,137 @@ def denoise_complex(h_pri, v_pri, cfg, state=None):
     support_extrinsic(state, cfg, like_logit, llr)
     update_precision_beliefs_complex(h_pri, v_pri, state, cfg)
     h_post, v_post = posterior_moments_complex(h_pri, v_pri, state, cfg)
+    return h_post, v_post, state
+
+
+# ---------------------------------------------------------------------------
+# the denoiser's wide steps as they were before the package carried the
+# belief-derived arrays on the state and ran the probability chains in
+# place; the function bodies are the earlier package code verbatim
+
+
+def _active_variance(state, cfg):
+    """Variance of the active component: the fixed `bg_variance` for bg,
+    the Gamma belief's rate/shape otherwise."""
+    if cfg.variant == VARIANT_BG:
+        return cfg.bg_variance
+    return state.large_rate / state.large_shape
+
+
+def support_likelihood_allocating(r2, v_pri, state, cfg):
+    """`support_likelihood` with rate/shape and psi(shape) taken afresh."""
+    s_large = v_pri + _active_variance(state, cfg)
+    state.support_like = activity_likelihood_allocating(r2, v_pri, s_large, state, cfg)
+
+
+def activity_likelihood_allocating(r2, v_pri, s_large, state, cfg):
+    """clamp(sigmoid(log-odds of the active component)) from r2 = |h_pri|^2,
+    each operation into a fresh array."""
+    if cfg.variant == VARIANT_BG:
+        log_odds = r2 * (1.0 / v_pri - 1.0 / s_large)
+        log_odds += np.log(v_pri / s_large)
+    else:
+        s_small = v_pri + state.small_rate / state.small_shape
+        psi = digamma_fn(cfg.exact_digamma)
+        den_large = state.large_rate if cfg.std_gamma_weight else state.large_shape
+        den_small = state.small_rate if cfg.std_gamma_weight else state.small_shape
+        log_odds = r2 * (1.0 / s_small - 1.0 / s_large)
+        log_odds += psi(state.large_shape)
+        log_odds -= np.log(den_large * s_large)
+        log_odds -= psi(state.small_shape) - np.log(den_small * s_small)
+    return _clamp(_sigmoid(log_odds), cfg.prob_floor)
+
+
+def support_extrinsic_allocating(state, cfg, like_logit, llr):
+    """`support_extrinsic` on fresh arrays."""
+    loo = llr[:, None] - like_logit
+    chain = _logit(state.fwd_pred) + _logit(state.bwd_pred)
+    state.support_ext = _clamp(_sigmoid(chain[:, None] + loo), cfg.prob_floor)
+
+
+def update_precision_beliefs_allocating(r2, v_pri, state, cfg, like_logit, ext_logit):
+    """`update_precision_beliefs` with the active gain var / (v_pri + var)
+    formed from rate/shape afresh."""
+    state.support_post = _clamp(_sigmoid(like_logit + ext_logit), cfg.prob_floor)
+    if cfg.variant == VARIANT_BG:
+        return
+    w = state.support_post
+    gain_large = _gain(v_pri, _active_variance(state, cfg))
+    large_stat = gain_large * r2
+    large_stat += v_pri
+    large_stat *= gain_large
+    large_stat *= w
+    if cfg.variant == VARIANT_TSGM:
+        state.large_shape = np.broadcast_to(
+            cfg.large_shape + w.sum(axis=0, keepdims=True), w.shape
+        ).copy()
+        state.large_rate = np.broadcast_to(
+            cfg.large_rate + large_stat.sum(axis=0, keepdims=True), w.shape
+        ).copy()
+    else:
+        state.large_shape = cfg.large_shape + w
+        state.large_rate = cfg.large_rate + large_stat
+    # the near-zero gain is one per subcarrier, so it leaves the sums
+    gain_small = _gain(v_pri, state.small_rate / state.small_shape)
+    quiet = 1.0 - w
+    quiet_count = quiet.sum(axis=0)
+    quiet *= r2
+    state.small_shape = cfg.small_shape + quiet_count
+    state.small_rate = cfg.small_rate + gain_small * (
+        gain_small * quiet.sum(axis=0) + v_pri * quiet_count
+    )
+
+
+def posterior_moments_allocating(h_pri, v_pri, state, cfg, r2, ext_logit):
+    """`posterior_moments` with the refreshed likelihood and the activity
+    weight on fresh arrays."""
+    var_large = _active_variance(state, cfg)
+    s_large = v_pri + var_large
+    if cfg.variant == VARIANT_BG:
+        weight = state.support_post
+        gain_small = 0.0
+    else:
+        like = activity_likelihood_allocating(r2, v_pri, s_large, state, cfg)
+        weight = _clamp(_sigmoid(_logit(like) + ext_logit), cfg.prob_floor)
+        state.support_post = weight
+        gain_small = _gain(v_pri, state.small_rate / state.small_shape)
+    spread = var_large / s_large
+    spread -= gain_small
+    gain = weight * spread
+    gain += gain_small
+    h_post = gain * h_pri
+    # w (1 - w) (g_L - g_S)^2 r2, the spread of the two component means
+    mix = 1.0 - weight
+    mix *= weight
+    mix *= spread
+    mix *= spread
+    mix *= r2
+    v_post = np.maximum(gain.mean(axis=0) * v_pri + mix.mean(axis=0), 1e-30)
+    return h_post, v_post
+
+
+def denoise_allocating(h_pri, v_pri, cfg, state=None):
+    """`denoise` on the allocating wide steps above, the earlier chain round
+    (two-list odds sweeps, stacked pair beliefs) and this module's own
+    logit; the state is the package's `DenoiserState`."""
+    h_pri = np.asarray(h_pri, dtype=np.complex128)
+    v_pri = np.asarray(v_pri, dtype=float)
+    N, P = h_pri.shape
+    if state is None:
+        state = init_state(N, P, cfg)
+    r2 = _squared_magnitude(h_pri)
+    support_likelihood_allocating(r2, v_pri, state, cfg)
+    like_logit = _logit(state.support_like)
+    evidence = (like_logit, like_logit.sum(axis=1))
+    for _ in range(2):
+        transitions = transition_log_expectations(state, cfg)
+        forward_pass_two_lists(state, cfg, evidence, transitions)
+        backward_pass_two_lists(state, cfg, evidence, transitions)
+        update_transition_beliefs_stacked(state, cfg, evidence, transitions)
+    support_extrinsic_allocating(state, cfg, *evidence)
+    ext_logit = _logit(state.support_ext)
+    update_precision_beliefs_allocating(r2, v_pri, state, cfg, like_logit, ext_logit)
+    h_post, v_post = posterior_moments_allocating(h_pri, v_pri, state, cfg, r2, ext_logit)
     return h_post, v_post, state
 
 

@@ -12,6 +12,7 @@ from oracles import (
     chain_enumeration,
     backward_pass_two_lists,
     chain_sweeps_probability,
+    denoise_allocating,
     forward_pass_two_lists,
     mixture_posterior_closed_form,
     mixture_posterior_grid,
@@ -25,9 +26,8 @@ from oracles import (
 from hmpce.denoiser import (
     DenoiserState,
     PriorConfig,
-    _clamp,
     _logit,
-    _sigmoid,
+    _probability,
     _squared_magnitude,
     backward_pass,
     denoise,
@@ -42,7 +42,7 @@ from hmpce.denoiser import (
     update_precision_beliefs,
     update_transition_beliefs,
 )
-from hmpce.messages import beta_log_expectations
+from hmpce.messages import beta_log_expectations, digamma_fn
 from hmpce.priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM
 
 
@@ -543,8 +543,9 @@ def test_all_quiet_update():
     state = _forced_weight_state(N, P, cfg, 1e-12)
     rng = np.random.default_rng(23)
     h = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
-    x = step_inputs(state, cfg, h)
-    update_precision_beliefs(x.r2, np.full(P, 0.5), state, cfg, x.like_logit, x.ext_logit)
+    v = np.full(P, 0.5)
+    x = step_inputs(state, cfg, h, v)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     assert np.allclose(state.large_shape, cfg.large_shape, atol=1e-8)
     assert np.allclose(state.large_rate, cfg.large_rate, atol=1e-8)
     assert np.allclose(state.small_shape, cfg.small_shape + N, atol=1e-8)
@@ -556,8 +557,9 @@ def test_all_active_update():
     state = _forced_weight_state(N, P, cfg, 1.0 - 1e-12)
     rng = np.random.default_rng(25)
     h = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
-    x = step_inputs(state, cfg, h)
-    update_precision_beliefs(x.r2, np.full(P, 0.5), state, cfg, x.like_logit, x.ext_logit)
+    v = np.full(P, 0.5)
+    x = step_inputs(state, cfg, h, v)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     assert np.allclose(state.large_shape, cfg.large_shape + 1.0, atol=1e-8)
     assert np.allclose(state.small_shape, cfg.small_shape, atol=1e-8)
     assert np.allclose(state.small_rate, cfg.small_rate, atol=1e-8)
@@ -566,8 +568,9 @@ def test_all_active_update():
 def test_single_element_hand_update():
     cfg = PriorConfig()
     state = _forced_weight_state(1, 1, cfg, 1.0 - 1e-12)
-    x = step_inputs(state, cfg, np.array([[2.0]]))
-    update_precision_beliefs(x.r2, np.array([1.0]), state, cfg, x.like_logit, x.ext_logit)
+    v = np.array([1.0])
+    x = step_inputs(state, cfg, np.array([[2.0]]), v)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     # component posterior: variance 1/(1/1 + 1) = 0.5, mean 0.5*2 = 1
     assert state.large_rate[0, 0] == pytest.approx(2.5, abs=1e-9)
     assert state.large_shape[0, 0] == pytest.approx(2.0, abs=1e-9)
@@ -588,8 +591,9 @@ def test_bg_variant_keeps_precision_beliefs():
     cfg = PriorConfig(variant=VARIANT_BG)
     state = _forced_weight_state(4, 2, cfg, 0.7)
     before = state.large_shape.copy()
-    x = step_inputs(state, cfg, np.ones((4, 2)))
-    update_precision_beliefs(x.r2, np.full(2, 0.5), state, cfg, x.like_logit, x.ext_logit)
+    v = np.full(2, 0.5)
+    x = step_inputs(state, cfg, np.ones((4, 2)), v)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     assert np.array_equal(state.large_shape, before)
     assert np.allclose(state.support_post, expit(2.0 * logit(np.float64(0.7))))
 
@@ -644,8 +648,8 @@ def test_bg_posterior_matches_spike_grid():
     state.support_post = None
     h, v = np.array([[r]]), np.array([tau])
     support_likelihood(_squared_magnitude(h), v, state, cfg)
-    x = step_inputs(state, cfg, h)
-    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit)
+    x = step_inputs(state, cfg, h, v)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     h_post, v_post = posterior_moments(h, v, state, cfg, x.r2, x.ext_logit)
     assert state.support_post[0, 0] == pytest.approx(
         spike_slab_weight(r, tau, lam, 1.0), abs=1e-12
@@ -663,8 +667,8 @@ def test_degenerate_weight_selects_large_component():
     state.support_like = np.array([[1.0 - 1e-12]])
     state.support_ext = np.array([[1.0 - 1e-12]])
     h, v = np.array([[1.5 + 0.5j]]), np.array([0.5])
-    x = step_inputs(state, cfg, h)
-    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit)
+    x = step_inputs(state, cfg, h, v)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     h_post, _ = posterior_moments(h, v, state, cfg, x.r2, x.ext_logit)
     # large-component posterior mean with variance 1/(1/0.5 + 1/2)
     var_l = 1.0 / (1.0 / 0.5 + 0.5)
@@ -718,8 +722,8 @@ def test_bg_full_posterior_matches_enumeration():
     forward_pass(state, cfg, x.transitions, x.forward_odds)
     backward_pass(state, cfg, x.transitions, x.backward_odds)
     support_extrinsic(state, cfg, x.like_logit, x.llr)
-    x = step_inputs(state, cfg, h)
-    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit)
+    x = step_inputs(state, cfg, h, v)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     ref = chain_enumeration(first_w, trans_w, loglike)
     for p in range(P):
         assert np.max(np.abs(state.support_post[:, p] - ref["full"][:, 1])) < 1e-8
@@ -768,8 +772,8 @@ def test_real_steps_match_their_complex_oracles(variant, std_weight, exact, case
 
     # each step below starts from the oracle's state, so it is compared alone
     state = copy.deepcopy(ref)
-    x = step_inputs(state, cfg, h)
-    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit)
+    x = step_inputs(state, cfg, h, v)
+    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     update_precision_beliefs_complex(h, v, ref, cfg)
     for name in ("support_post", "large_shape", "large_rate", "small_shape", "small_rate"):
         _assert_rel(getattr(state, name), getattr(ref, name))
@@ -854,7 +858,7 @@ def test_denoise_equals_manual_schedule(variant):
         h_post, v_post, got = denoise(h, v, cfg, got)
         ref = init_state(12, 3, cfg) if ref is None else ref
         r2 = _squared_magnitude(h)
-        support_likelihood(r2, v, ref, cfg)
+        s_large = support_likelihood(r2, v, ref, cfg)
         like_logit, llr = pooled_evidence(ref)
         forward_odds, backward_odds = evidence_odds(llr)
         for _ in range(2):
@@ -864,12 +868,103 @@ def test_denoise_equals_manual_schedule(variant):
             update_transition_beliefs(ref, cfg, transitions, llr)
         support_extrinsic(ref, cfg, like_logit, llr)
         ext_logit = _logit(ref.support_ext)
-        update_precision_beliefs(r2, v, ref, cfg, like_logit, ext_logit)
+        update_precision_beliefs(r2, v, ref, cfg, like_logit, ext_logit, s_large)
         h_ref, v_ref = posterior_moments(h, v, ref, cfg, r2, ext_logit)
         assert np.array_equal(h_post, h_ref)
         assert np.array_equal(v_post, v_ref)
         for name in STATE_FIELDS:
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+
+
+def _pass_inputs(rng, active, P):
+    """One pass's pseudo-prior: gains of variance 1 on the active elements
+    and 0.01 elsewhere, shared over the P subcarriers, seen in CN(0, v_pri)."""
+    N = active.size
+    v = rng.uniform(0.05, 0.5, P)
+    scale = np.sqrt(np.where(active, 1.0, 0.01)[:, None] + v) / math.sqrt(2.0)
+    return scale * (rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))), v
+
+
+BELIEF_FIELDS = STATE_FIELDS + (
+    "pair_belief", "first_active_belief", "p10_a", "p10_b", "p01_a", "p01_b",
+)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
+@pytest.mark.parametrize("exact", (False, True))
+@pytest.mark.parametrize("std_weight", (False, True))
+@pytest.mark.parametrize("N, P", [(64, 8), (256, 128)])
+def test_denoise_passes_equal_the_allocating_oracle_bit_for_bit(variant, exact, std_weight, N, P):
+    # the carried rate/shape and psi(shape), the s_large hand-off and the
+    # in-place probability chains keep every bit of the allocating steps
+    # over 10 warm-started passes
+    cfg = PriorConfig(variant=variant, exact_digamma=exact, std_gamma_weight=std_weight)
+    rng = np.random.default_rng(60)
+    active = rng.random(N) < 0.2
+    got = ref = None
+    for _ in range(10):
+        h, v = _pass_inputs(rng, active, P)
+        h_post, v_post, got = denoise(h, v, cfg, got)
+        h_ref, v_ref, ref = denoise_allocating(h, v, cfg, ref)
+        assert h_post.tobytes() == h_ref.tobytes()
+        assert v_post.tobytes() == v_ref.tobytes()
+        for name in BELIEF_FIELDS:
+            assert (np.asarray(getattr(got, name)).tobytes()
+                    == np.asarray(getattr(ref, name)).tobytes()), name
+
+
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM])
+@pytest.mark.parametrize("reassigned", [
+    (), ("large_shape",), ("large_rate",), ("large_shape", "large_rate"),
+])
+def test_carried_belief_arrays_follow_reassigned_beliefs(variant, reassigned):
+    # after new belief arrays are assigned, or under the other digamma form,
+    # the likelihood and moment steps equal those of a state that carries
+    # nothing yet
+    rng = np.random.default_rng(61)
+    N, P = 16, 4
+    h, v = _pass_inputs(rng, rng.random(N) < 0.3, P)
+    r2 = _squared_magnitude(h)
+    _, _, state = denoise(h, v, PriorConfig(variant=variant))
+    for name in reassigned:
+        setattr(state, name, getattr(state, name) * rng.uniform(0.5, 2.0, (N, P)))
+    for exact in (False, True):
+        cfg = PriorConfig(variant=variant, exact_digamma=exact)
+        fresh = copy.deepcopy(state)
+        fresh.active_beliefs = None
+        s_large = support_likelihood(r2, v, state, cfg)
+        assert s_large.tobytes() == support_likelihood(r2, v, fresh, cfg).tobytes()
+        assert state.support_like.tobytes() == fresh.support_like.tobytes()
+        ext_logit = step_inputs(state, cfg).ext_logit
+        got = posterior_moments(h, v, state, cfg, r2, ext_logit)
+        want = posterior_moments(h, v, fresh, cfg, r2, ext_logit)
+        for a, b in zip(got + (state.support_post,), want + (fresh.support_post,)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_denoise_takes_the_active_digamma_once_per_set_of_beliefs(monkeypatch):
+    # psi(large_shape) is taken for the initial beliefs and then once after
+    # each refresh, which the next pass's likelihood step reuses
+    import hmpce.denoiser as denoiser
+
+    N, P = 12, 3
+    shapes = []
+
+    def counted(exact):
+        psi = digamma_fn(exact)
+
+        def wrapped(x):
+            shapes.append(np.shape(x))
+            return psi(x)
+        return wrapped
+
+    monkeypatch.setattr(denoiser, "digamma_fn", counted)
+    rng = np.random.default_rng(62)
+    state = None
+    for passes in (1, 2, 3):
+        h, v = _pass_inputs(rng, rng.random(N) < 0.3, P)
+        _, _, state = denoise(h, v, PriorConfig(), state)
+        assert shapes.count((N, P)) == passes + 1
 
 
 @pytest.mark.parametrize("name, params", [
@@ -878,7 +973,8 @@ def test_denoise_equals_manual_schedule(variant):
     ("backward_pass", ("state", "cfg", "transitions", "odds")),
     ("update_transition_beliefs", ("state", "cfg", "transitions", "llr")),
     ("support_extrinsic", ("state", "cfg", "like_logit", "llr")),
-    ("update_precision_beliefs", ("r2", "v_pri", "state", "cfg", "like_logit", "ext_logit")),
+    ("update_precision_beliefs",
+     ("r2", "v_pri", "state", "cfg", "like_logit", "ext_logit", "s_large")),
     ("posterior_moments", ("h_pri", "v_pri", "state", "cfg", "r2", "ext_logit")),
 ])
 def test_step_takes_its_per_pass_inputs_as_required_arguments(name, params):
@@ -939,10 +1035,10 @@ def test_denoise_takes_extrinsic_logit_once_per_pass(monkeypatch, variant):
     state = init_state(12, 3, cfg)
     calls = []
 
-    def counted(p):
+    def counted(p, out=None):
         if p is state.support_ext:
             calls.append(1)
-        return _logit(p)
+        return _logit(p, out)
 
     monkeypatch.setattr(denoiser, "_logit", counted)
     rng = np.random.default_rng(36)
@@ -954,13 +1050,18 @@ def test_denoise_takes_extrinsic_logit_once_per_pass(monkeypatch, variant):
 
 
 def test_sigmoid_matches_expit_within_4_ulp():
+    # `_probability` works in place in its argument, hence the copies; a
+    # floor of 0 leaves the sigmoid in [0, 1] unclipped
     z = np.linspace(-800.0, 800.0, 1_600_001)
-    got, want = _sigmoid(z), expit(z)
+    got, want = _probability(z.copy(), 0.0), expit(z)
     # both are non-negative, so the integer views count the ulps between them
     ulps = np.abs(got.view(np.int64) - want.view(np.int64))
     assert ulps.max() <= 4
     for floor in (1e-12, 1e-3):
-        assert np.allclose(_clamp(got, floor), _clamp(want, floor), rtol=1e-15, atol=0.0)
+        assert np.allclose(
+            _probability(z.copy(), floor), np.clip(want, floor, 1.0 - floor),
+            rtol=1e-15, atol=0.0,
+        )
 
 
 def test_sigmoid_clamp_bounds_are_exact_and_quiet():
@@ -968,13 +1069,13 @@ def test_sigmoid_clamp_bounds_are_exact_and_quiet():
     z = np.array([-1e4, -800.0, -50.0, 50.0, 800.0, 1e4])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = _clamp(_sigmoid(z), floor)
-        first = float(_clamp(_sigmoid(np.float64(-1e4)), floor))
+        p = _probability(z.copy(), floor)
+        first = float(_probability(np.array([-1e4]), floor)[0])
     assert np.all(p[:3] == floor)
     assert np.all(p[3:] == 1.0 - floor)
     assert first == floor
-    assert np.isnan(_sigmoid(np.array([np.nan]))[0])
-    assert np.isnan(_clamp(_sigmoid(np.array([0.0, np.nan])), floor)[1])
+    assert np.isnan(_probability(np.array([np.nan]), 0.0)[0])
+    assert np.isnan(_probability(np.array([0.0, np.nan]), floor)[1])
 
 
 def test_zero_input_symmetry():

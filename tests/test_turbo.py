@@ -200,6 +200,25 @@ def test_run_turbo_with_an_all_zero_truth_raises():
         run_turbo(meas, pilots, algo(max_iters=3), truth=np.zeros_like(truth))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_turbo_nmse_trace_equals_nmse_of_each_estimate(monkeypatch, variant):
+    # the truth's energy is taken once per run; every trace value still
+    # equals nmse() of that iteration's denoiser estimate, bit for bit
+    estimates = []
+
+    def recorded(*args):
+        out = turbo_denoise(*args)
+        estimates.append(out[0].copy())
+        return out
+
+    turbo_denoise = turbo.denoise
+    monkeypatch.setattr(turbo, "denoise", recorded)
+    meas, pilots, truth = make_sim(64, 26, 4, 20.0, seed=14)
+    _, trace = run_turbo(meas, pilots, algo(variant, max_iters=6, early_stop=False), truth)
+    assert len(estimates) == trace.iterations == 6
+    assert trace.nmse == [nmse(h, truth) for h in estimates]
+
+
 def test_run_turbo_stacks_a_list_of_pilot_operators():
     meas, pilots, truth = make_sim(32, 13, 3, 20.0, seed=12)
     cfg = algo(max_iters=4)
@@ -437,6 +456,24 @@ def test_scalar_prior_rejects_invalid_values(field, bad):
     # OverflowError, and NaN reached the state evolution as mmse = nan
     with pytest.raises(ValueError, match=field):
         ScalarPrior(**{field: bad})
+
+
+@pytest.mark.parametrize("prior, per_draw", [
+    (ScalarPrior(variant=VARIANT_TSGM), False),
+    (ScalarPrior(variant=VARIANT_BG), False),
+    (ScalarPrior(variant=VARIANT_LVD, spread=(2.0, 2.0)), False),
+    (ScalarPrior(variant=VARIANT_LVD), True),
+])
+def test_sample_keeps_a_constant_active_variance_as_one_float(prior, per_draw):
+    # a constant active variance is the float large_power, not a bank-sized
+    # fill, and the sampler keeps it as it comes
+    _, _, v_large = prior.sample(np.random.default_rng(5), 1000)
+    sampler = MmseSampler(prior, 1000, seed=5)
+    if per_draw:
+        assert v_large.shape == (1000,) and sampler.v_large.shape == (1000,)
+    else:
+        assert type(v_large) is float and v_large == prior.large_power
+        assert type(sampler.v_large) is float
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
