@@ -11,6 +11,10 @@ of one pilot set are stored stacked (`PilotSet`: flat gather indices (P, N),
 flat row-selection indices (P, M) and phases (P, N)), so applying them to an
 N x P channel is one `np.take`, one batched FFT and one more `np.take` for
 all subcarriers at once; the adjoint scatters through the same two indices.
+
+The module runs on numpy alone.  Only `PilotMatrix.matrix`, the dense
+matrix that tests, the acceptance gate and a demo build, imports
+`scipy.linalg`, on first use.
 """
 
 import math
@@ -18,7 +22,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import dft as _dft_matrix
 
 from .priors import sample_loguniform_precisions
 
@@ -124,11 +127,16 @@ class PilotMatrix:
 
     @property
     def matrix(self):
-        """Dense M x N matrix (built on demand; the hot path is matrix-free)."""
+        """Dense M x N matrix (built on demand; the hot path is matrix-free).
+
+        scipy is imported only here, when the matrix is first built.
+        """
         if self._matrix is None:
+            from scipy.linalg import dft
+
             theta = np.zeros((self.N, self.N), dtype=np.complex128)
             theta[np.arange(self.N), self.perm] = self.phases
-            F = _dft_matrix(self.N) / np.sqrt(self.N)
+            F = dft(self.N) / np.sqrt(self.N)
             self._matrix = (F @ theta)[self.rows]
         return self._matrix
 

@@ -13,7 +13,8 @@ Supported variable families: finite-domain (`DiscreteMsg`), and from
 and circular complex Gaussian (`GaussianMsg`).  Parametric (non-discrete)
 variables must sit on mf edges, except the complex-Gaussian variable of a
 precision factor which may take either tag.  Expectations are evaluated in
-closed form per family (`messages`' expected logs, exact digamma); there is
+closed form per family (`messages`' expected logs, and
+`messages.digamma_exact`, which imports scipy on its first call); there is
 no generic quadrature.
 
 The stretched-graph checker rebuilds a single-hybrid-factor graph in the
@@ -28,13 +29,13 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .messages import (
     BetaBelief,
     GammaBelief,
     GaussianMsg,
     beta_log_expectations,
+    digamma_exact,
     gamma_log_mean,
     gaussian_multiply,
 )
@@ -498,14 +499,14 @@ def _collapse_log_table(factor, param_beliefs):
     if isinstance(factor, MixtureObservationFactor):
         LT = factor.log_base.astype(float).copy()
         for e, q, (shape, rate) in zip(factor.exponents, factor.obs_sq, param_beliefs):
-            LT = LT + e * (digamma(shape) - math.log(rate) - math.log(math.pi))
+            LT = LT + e * (digamma_exact(shape) - math.log(rate) - math.log(math.pi))
             LT = LT - (shape / rate) * e * q
         return LT
     if isinstance(factor, BernoulliMixFactor):
         LT = factor.log_base.astype(float).copy()
         for s, t, (a, b) in zip(factor.succ, factor.fail, param_beliefs):
-            tot = digamma(a + b)
-            LT = LT + s * (digamma(a) - tot) + t * (digamma(b) - tot)
+            tot = digamma_exact(a + b)
+            LT = LT + s * (digamma_exact(a) - tot) + t * (digamma_exact(b) - tot)
         return LT
     if isinstance(factor, TableFactor):
         with np.errstate(divide="ignore"):

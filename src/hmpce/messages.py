@@ -6,7 +6,10 @@ circularly-symmetric convention, Gamma beliefs by (shape, rate) on a
 precision, Beta beliefs by the usual pseudo-counts.  The digamma
 approximation ln(x) - 1/(2x) is the default everywhere an expected
 logarithm of a Gamma/Beta variable is needed; the exact digamma is
-available behind a flag.  The expected logarithms take raw parameters.
+available behind a flag.  It is the package's one exact digamma (the
+factor-graph engine calls it too), and it imports `scipy.special` on its
+first call, so the default path needs numpy only.  The expected
+logarithms take raw parameters.
 Discrete messages live in `factorgraph`; the Gaussian extrinsic division
 is `lmmse.extrinsic_split`.
 """
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma as _digamma_exact
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,17 @@ def digamma_approx(x):
 
 
 def digamma_exact(x):
-    """Exact digamma, same domain contract as digamma_approx."""
+    """Exact digamma, same domain contract as digamma_approx.
+
+    scipy is imported on the first call, so the default path loads numpy
+    only.
+    """
+    from scipy.special import digamma
+
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("digamma_exact requires x > 0")
-    out = _digamma_exact(x)
+    out = digamma(x)
     return out if np.ndim(out) else float(out)
 
 

@@ -307,11 +307,18 @@ def run_state_evolution(prior, snr_db, N, M, max_iters=100, tol=1e-8,
     row-orthonormal pilot family).  Rows carry the post-iteration variance.
     `sampler` is an `MmseSampler` already built for `prior`, which lets
     several runs share one sample bank; without it a bank of `num_samples`
-    is drawn from `seed`.  snr_db = +inf is noiseless; -inf and NaN raise
-    `ValueError`.
+    is drawn from `seed`.  With a sampler, `num_samples` and `seed` are
+    unused, and a sampler whose `prior` differs from `prior` raises
+    `ValueError`: the noise power comes from `prior` and the bank from the
+    sampler's prior, so a mismatched pair would give a wrong SE.
+    snr_db = +inf is noiseless; -inf and NaN raise `ValueError`.
     """
     if not snr_db > -math.inf:
         raise ValueError(f"snr_db = {snr_db} has no finite noise variance")
+    if sampler is not None and sampler.prior != prior:
+        raise ValueError(
+            f"sampler was built for {sampler.prior}, not for the SE prior {prior}"
+        )
     power = prior.mean_power()
     sigma2 = 0.0 if snr_db == math.inf else power / 10.0 ** (snr_db / 10.0)
     if sampler is None:

@@ -619,6 +619,22 @@ def test_state_evolution_rejects_minus_inf_snr():
     assert len(trace.rows) == 3 and all(math.isfinite(row[1]) for row in trace.rows)
 
 
+def test_state_evolution_rejects_a_sampler_built_for_another_prior():
+    # the noise power comes from `prior` and the bank from `sampler.prior`
+    prior = ScalarPrior(variant=VARIANT_TSGM)
+    other = ScalarPrior(variant=VARIANT_TSGM, activation=0.3)
+    sampler = MmseSampler(other, num_samples=1000, seed=3)
+    with pytest.raises(ValueError, match="activation=0.3.*activation=0.2"):
+        run_state_evolution(prior, 10.0, 64, 51, sampler=sampler)
+    # an equal prior built separately matches, and gives the run that
+    # draws its own bank from the same seed
+    shared = run_state_evolution(
+        prior, 10.0, 64, 51, sampler=MmseSampler(ScalarPrior(variant=VARIANT_TSGM), 1000, 3)
+    )
+    own = run_state_evolution(prior, 10.0, 64, 51, num_samples=1000, seed=3)
+    assert shared.rows == own.rows and shared.converged == own.converged
+
+
 def test_state_evolution_fixed_points_decrease_with_snr():
     fixed = []
     for snr in (10.0, 20.0, 30.0):
