@@ -74,9 +74,7 @@ print(f"\npilot rows: ||A A^H - I|| = {np.abs(gram - np.eye(M)).max():.2e} "
 
 pilots = make_pilot_set(N, M, P, rng_seed=3)
 meas = synthesize_measurements(channel, pilots, SNR_DB, rng_seed=4)
-clean_power = np.mean(
-    [np.abs(pilots[p].apply(channel.gains[:, p])) ** 2 for p in range(P)]
-)
+clean_power = np.mean(np.abs(pilots.apply(channel.gains)) ** 2)
 snr_hat = 10.0 * np.log10(clean_power / meas.noise_variance)
 print(f"measurements: {meas.Y.shape[0]} x {meas.Y.shape[1]}, requested "
       f"{SNR_DB:.0f} dB, realized {snr_hat:.2f} dB")

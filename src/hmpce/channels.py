@@ -6,14 +6,19 @@ gains drawn from the large/small two-component Gaussian mixture, and
 partial-DFT plus random-permutation/phase pilot operators that are
 row-orthonormal by construction and admit FFT-based application.
 
-Each pilot subcarrier has its own operator (`PilotMatrix`).  The P operators
-of one pilot set are stored stacked (`PilotSet`: flat gather indices (P, N),
-flat row-selection indices (P, M) and phases (P, N)), so applying them to an
-N x P channel is one `np.take`, one batched FFT and one more `np.take` for
-all subcarriers at once; the adjoint scatters through the same two indices.
+The estimator, the synthesis and the LMMSE stage take one operator type,
+`PilotSet`: the P pilot subcarriers' operators stored stacked as flat gather
+indices (P, N), flat row-selection indices (P, M) and phases (P, N), so
+applying them to an N x P channel is one `np.take`, one batched FFT and one
+more `np.take` for all subcarriers at once; the adjoint scatters through the
+same two indices.  One subcarrier is a P = 1 set.
 
-The module runs on numpy alone.  Only `PilotMatrix.matrix`, the dense
-matrix that tests, the acceptance gate and a demo build, imports
+`make_pdft_rp` draws one subcarrier's operator as a `PilotMatrix`, and
+`PilotSet.stack` is the one way from such operators to a set.
+`PilotMatrix.matrix` is the dense reference that tests, the acceptance gate
+and a demo build.
+
+The module runs on numpy alone.  Only `PilotMatrix.matrix` imports
 `scipy.linalg`, on first use.
 """
 
@@ -159,9 +164,8 @@ class PilotSet:
     The operators are stored as flat int64 indices: `gather` (P, N) holds
     perm * P + p, the positions of H[perm[p], p] in a C-ordered (N, P)
     channel, and `select` (P, M) holds rows + N * p, the positions of the
-    selected rows in a C-ordered (P, N) spectrum.  `rows` and `perm` are
-    derived from them on request, and `pilots[p]` builds subcarrier p's
-    `PilotMatrix` from the derived rows (copies) and `phases[p]` (a view).
+    selected rows in a C-ordered (P, N) spectrum.  `stack` builds a set
+    from per-subcarrier `PilotMatrix` operators; `len(pilots)` is P.
 
     `apply` and `adjoint` act on all subcarriers at once: column p of the
     input goes through operator p.  `apply` gathers through both indices with
@@ -194,31 +198,8 @@ class PilotSet:
         select += N * sub
         return cls(N, M, gather, select, np.stack([p.phases for p in pilots]))
 
-    @property
-    def rows(self):
-        """Selected DFT rows per subcarrier, (P, M), derived from `select`."""
-        return _read_only(self._rows_perm(slice(None))[0])
-
-    @property
-    def perm(self):
-        """Permutation per subcarrier, (P, N), derived from `gather`."""
-        return _read_only(self._rows_perm(slice(None))[1])
-
-    def _rows_perm(self, p):
-        """Rows and perm of subcarrier p (an int), or of every subcarrier
-        (p = slice(None)), decoded from the flat indices."""
-        sub = np.arange(len(self))[p, None]
-        return self.select[p] - self.N * sub, self.gather[p] // len(self)
-
     def __len__(self):
         return self.phases.shape[0]
-
-    def __getitem__(self, p):
-        p = range(len(self))[p]  # a negative p counts from the end
-        return PilotMatrix(self.N, self.M, *self._rows_perm(p), self.phases[p])
-
-    def __iter__(self):
-        return (self[p] for p in range(len(self)))
 
     def apply(self, H):
         """Column-wise A_p @ H[:, p]: (N, P) to (M, P)."""
@@ -250,16 +231,6 @@ class PilotSet:
             raise ValueError(f"expected shape {(length, len(self))}, got {X.shape}")
 
 
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
-def as_pilot_set(pilots):
-    """`pilots` itself if it is a `PilotSet`, else the stack of the sequence."""
-    return pilots if isinstance(pilots, PilotSet) else PilotSet.stack(pilots)
-
-
 def make_pilot_set(N, M, P, rng_seed=0):
     """Independent pilot operators for P subcarriers, stacked.
 
@@ -285,13 +256,11 @@ def synthesize_measurements(channel, pilots, snr_db, rng_seed=0):
     per-sample signal power: snr = E||A h||^2 / (M sigma^2).  The noise is
     added into the output of `PilotSet.apply`, so Y is that (M, P) array.
 
-    `pilots` is a `PilotSet` or a sequence of `PilotMatrix`, one per
-    subcarrier.  snr_db = +inf is noiseless; -inf and NaN raise
-    `ValueError`.
+    `pilots` is a `PilotSet` with one operator per subcarrier of
+    `channel`.  snr_db = +inf is noiseless; -inf and NaN raise `ValueError`.
     """
     if not snr_db > -math.inf:
         raise ValueError(f"snr_db = {snr_db} has no finite noise variance")
-    pilots = as_pilot_set(pilots)
     P = channel.P
     if len(pilots) != P:
         raise ValueError("need one pilot operator per subcarrier")

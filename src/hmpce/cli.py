@@ -119,7 +119,8 @@ def _knob(default, parse, help=None, metavar=None, manifest=True):
 @dataclass
 class ExperimentConfig:
     N: int = _knob(256, _parse_int, "transform size / antenna count")
-    K: int = _knob(512, _parse_int, "total subcarrier count")
+    K: int = _knob(512, _parse_int, "total subcarrier count: checked against P (P <= K) "
+                   "and recorded in the manifest; no computation reads it")
     P: int = _knob(32, _parse_int, "pilot subcarrier count")
     M: tuple = _knob((103,), _list_of(_parse_int),
                      "pilot length(s), comma list sweeps the pilot count")

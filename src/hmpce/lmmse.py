@@ -6,11 +6,11 @@ mean and average variance have the closed forms
     h_post = h_pri + v_pri / (v_pri + sigma2) * A^H (y - A h_pri)
     v_post = v_pri - (M / N) * v_pri^2 / (v_pri + sigma2)
 
-which the FFT-based pilot structure evaluates in O(N log N).  The same code
-runs one subcarrier (a `PilotMatrix`, scalar variance) or all P subcarriers
-at once (a `PilotSet`, means (N, P) and one variance per column), and so
-does the extrinsic split that turns a posterior into the message for the
-other module.
+which the FFT-based pilot structure evaluates in O(N log N).  The update
+runs all P subcarriers of a `PilotSet` at once, with means (N, P) and one
+variance per column; one subcarrier is a P = 1 set.  The extrinsic split
+that turns a posterior into the message for the other module takes the same
+(N, P) means, or one (N,) vector with a scalar variance.
 
 The update works on the fresh arrays that `apply` and `adjoint` return: it
 subtracts the measurements into the first and scales and adds the prior mean
@@ -22,27 +22,27 @@ import numpy as np
 _VAR_FLOOR = 1e-30
 
 
-def lmmse_update(y, pilot, h_pri, v_pri, sigma2):
-    """One matrix-free LMMSE update.
+def lmmse_update(y, pilots, h_pri, v_pri, sigma2):
+    """One matrix-free LMMSE update through a `PilotSet`.
 
-    With a `PilotMatrix`, y is (M,), h_pri (N,) and v_pri a scalar; with a
-    `PilotSet`, Y is (M, P), H_pri (N, P) and v_pri (P,), one prior variance
-    per subcarrier.  Returns (h_post, v_post), v_post shaped like v_pri.
-    sigma2 = 0 with M = N pins the posterior variance to a tiny positive
-    floor.
+    y is (M, P), h_pri (N, P) and v_pri (P,), one prior variance per
+    subcarrier.  Returns (h_post, v_post), v_post shaped like v_pri.  A prior
+    variance that is not positive and finite, or a negative or NaN sigma2,
+    raises `ValueError`.  sigma2 = 0 with M = N pins the posterior variance
+    to a tiny positive floor.
     """
     v_pri = np.asarray(v_pri, dtype=float)
-    if np.any(v_pri <= 0.0):
-        raise ValueError(f"prior variance must be positive, got {v_pri}")
-    if sigma2 < 0.0:
+    if not np.all((v_pri > 0.0) & (v_pri < np.inf)):
+        raise ValueError(f"prior variance must be positive and finite, got {v_pri}")
+    if not sigma2 >= 0.0:
         raise ValueError(f"noise variance must be non-negative, got {sigma2}")
     gain = v_pri / (v_pri + sigma2)
-    residual = pilot.apply(h_pri)
+    residual = pilots.apply(h_pri)
     np.subtract(y, residual, out=residual)
-    h_post = pilot.adjoint(residual)
+    h_post = pilots.adjoint(residual)
     h_post *= gain
     h_post += h_pri
-    v_post = v_pri * (1.0 - gain * pilot.M / pilot.N)
+    v_post = v_pri * (1.0 - gain * pilots.M / pilots.N)
     return h_post, np.maximum(v_post, _VAR_FLOOR)
 
 

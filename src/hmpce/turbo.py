@@ -2,9 +2,9 @@
 plus the scalar state-evolution predictor.
 
 Each iteration runs the LMMSE stage for all P subcarriers at once through
-the stacked pilot operator (one `lmmse_update` call on (N, P) means and (P,)
-variances), converts its posterior to an extrinsic message, feeds the
-denoiser, and converts the denoiser posterior back.  Both conversions are
+the stacked pilot operator, a `PilotSet` (one `lmmse_update` call on (N, P)
+means and (P,) variances), converts its posterior to an extrinsic message,
+feeds the denoiser, and converts the denoiser posterior back.  Both conversions are
 one column-wise `extrinsic_split`.  Extrinsic variances are clamped to a cap
 instead of ever going non-positive or infinite; the round-trip identity
 extrinsic * prior = posterior is monitored inline on the unclamped
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import as_pilot_set
 from .denoiser import PriorConfig, denoise
 from .lmmse import extrinsic_split, lmmse_update
 from .priors import VARIANT_BG, ScalarPrior, posterior_variance_mixture
@@ -56,6 +55,14 @@ class AlgoConfig:
     early_stop: bool = True
     nmse_tol: float = 1e-6
     reset_beliefs: bool = False
+
+    def __post_init__(self):
+        if not 0.0 < self.init_variance < math.inf:
+            raise ValueError(
+                f"init_variance must be positive and finite, got {self.init_variance}"
+            )
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass
@@ -98,22 +105,25 @@ def to_db(x):
 def run_turbo(measurements, pilots, cfg, truth=None):
     """Run the turbo iterations; returns (final_estimate, trace).
 
-    `pilots` is a `PilotSet`, or a sequence of `PilotMatrix` (one per
-    subcarrier) that is stacked once here.
+    `pilots` is a `PilotSet`; `measurements.Y` must be (M, P), one row per
+    pilot and one column per subcarrier of `pilots`.
 
-    `truth` enables the NMSE trace; its energy ||truth||^2 is taken once per
-    run, and an all-zero truth raises ValueError before the first iteration.
-    Early stopping compares consecutive NMSE values when `truth` is given;
-    otherwise it stops once the relative change of the estimate,
-    ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2, falls below `nmse_tol`.
+    `truth` enables the NMSE trace.  It must be (N, P); its energy
+    ||truth||^2 is taken once per run, and an all-zero truth raises
+    ValueError before the first iteration.  Early stopping compares
+    consecutive NMSE values when `truth` is given; otherwise it stops once
+    the relative change of the estimate, ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2,
+    falls below `nmse_tol`.
     """
-    pilots = as_pilot_set(pilots)
     Y = measurements.Y
     sigma2 = measurements.noise_variance
-    P = Y.shape[1]
-    if len(pilots) != P:
-        raise ValueError("need one pilot operator per subcarrier")
-    N = pilots.N
+    N, M, P = pilots.N, pilots.M, len(pilots)
+    if Y.shape != (M, P):
+        raise ValueError(
+            f"measurements are {Y.shape}, need (M, P) = {(M, P)} for the pilot set"
+        )
+    if truth is not None and np.shape(truth) != (N, P):
+        raise ValueError(f"truth is {np.shape(truth)}, need (N, P) = {(N, P)}")
     truth_energy = None if truth is None else _truth_energy(truth)
     h_pri_a = np.zeros((N, P), dtype=np.complex128)
     v_pri_a = np.full(P, float(cfg.init_variance))

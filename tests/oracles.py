@@ -24,10 +24,11 @@ mask) and of the wide denoiser steps (rate/shape and psi(shape) taken
 afresh in each step, every clamp(sigmoid(.)) and logit on fresh arrays;
 the package carries the first two on its state and runs the chains in
 place) are kept verbatim, so that tests can hold the package to their bits.
-Three helpers that only tests use live here too: `mmse_oracle`, a one-shot
+Four helpers that only tests use live here too: `mmse_oracle`, a one-shot
 `MmseSampler` call, `angle_transform`, the unitary DFT between the frequency
-and angular bases, and `step_inputs`, the per-pass values that `denoise`
-hands to its steps, for tests that call the steps one by one.
+and angular bases, `step_inputs`, the per-pass values that `denoise`
+hands to its steps, for tests that call the steps one by one, and
+`unstack_pilots`, the per-subcarrier operators of a `PilotSet`.
 """
 
 import itertools
@@ -37,6 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import expit
 
+from hmpce.channels import PilotMatrix
 from hmpce.denoiser import (
     _gain,
     _squared_magnitude,
@@ -212,19 +214,29 @@ def roundtrip_error_columns(h_ext, v_ext, h_pri, v_pri, h_post, v_post, clamped)
 EXT_VAR_CAP = 1e8
 
 
+def unstack_pilots(pilots):
+    """The P operators of a `PilotSet` as a list of `PilotMatrix`, rows and
+    perm decoded from the flat `select` and `gather` indices (the inverse of
+    `PilotSet.stack`); each `phases` is a view into the set's."""
+    P, N = len(pilots), pilots.N
+    rows = pilots.select - N * np.arange(P)[:, None]
+    perm = pilots.gather // P
+    return [PilotMatrix(N, pilots.M, rows[p], perm[p], pilots.phases[p]) for p in range(P)]
+
+
 def run_turbo_per_subcarrier(measurements, pilots, cfg, truth=None):
     """The turbo loop with module A run one subcarrier at a time.
 
-    pilots: a sequence of P `PilotMatrix`.  Each iteration runs the FFT-form
-    LMMSE column by column through each subcarrier's own operator, and both
-    extrinsic divisions divide the complex means; the denoiser is the
-    package's.  Early stopping follows `run_turbo`.  Returns
-    (final_estimate, TurboTrace).
+    pilots: a `PilotSet`.  Each iteration runs the FFT-form LMMSE column by
+    column through each subcarrier's own `PilotMatrix`, and both extrinsic
+    divisions divide the complex means; the denoiser is the package's.
+    Early stopping follows `run_turbo`.  Returns (final_estimate, TurboTrace).
     """
     Y = measurements.Y
     sigma2 = measurements.noise_variance
     M, P = Y.shape
-    N = pilots[0].N
+    N = pilots.N
+    pilots = unstack_pilots(pilots)
     h_pri_a = np.zeros((N, P), dtype=np.complex128)
     v_pri_a = np.full(P, float(cfg.init_variance))
     state = None
@@ -283,14 +295,16 @@ class FancyIndexPilotSet:
     """A `PilotSet` applied through two-array fancy indexing on out-of-place
     temporaries, the way module A ran before the flat indices.
 
-    Built from a `PilotSet`'s derived `rows` and `perm` and its `phases`;
-    `apply`, `adjoint` and `_column_index` are the old methods, verbatim.
+    Built from the rows, perm and phases of a `PilotSet`'s operators, as
+    `unstack_pilots` decodes them; `apply`, `adjoint` and `_column_index` are
+    the old methods, verbatim.
     """
 
     def __init__(self, pilots):
         self.N, self.M = pilots.N, pilots.M
-        self.rows = np.array(pilots.rows)
-        self.perm = np.array(pilots.perm)
+        ops = unstack_pilots(pilots)
+        self.rows = np.stack([op.rows for op in ops])
+        self.perm = np.stack([op.perm for op in ops])
         self.phases = pilots.phases
 
     def __len__(self):

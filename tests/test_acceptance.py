@@ -18,6 +18,7 @@ import pytest
 from graphgen import random_hybrid_graph, random_tree_graph
 from oracles import chain_enumeration, dense_lmmse_measurement_form, step_inputs
 from hmpce.channels import (
+    PilotSet,
     make_pdft_rp,
     make_pilot_set,
     sample_channel,
@@ -151,12 +152,15 @@ def test_criterion_2_lmmse_oracle_equivalence():
         sigma2 = float(rng.uniform(0.01, 1.0))
         h_pri = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         y = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        h_post, v_post = lmmse_update(y, pilot, h_pri, v_pri, sigma2)
+        # the estimator's operator: a P = 1 set of this draw
+        h_post, v_post = lmmse_update(
+            y[:, None], PilotSet.stack([pilot]), h_pri[:, None], np.array([v_pri]), sigma2
+        )
         h_ref, v_ref = dense_lmmse_measurement_form(y, pilot.matrix, h_pri, v_pri, sigma2)
         worst = max(
             worst,
-            float(np.max(np.abs(h_post - h_ref))),
-            abs(v_post - v_ref),
+            float(np.max(np.abs(h_post[:, 0] - h_ref))),
+            abs(float(v_post[0]) - v_ref),
         )
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 5.0

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import angle_transform
+from oracles import angle_transform, unstack_pilots
 from hmpce.channels import (
     PilotMatrix,
     PilotSet,
@@ -139,14 +139,12 @@ def test_make_pilot_set_deterministic():
     a = make_pilot_set(32, 13, 4, rng_seed=9)
     b = make_pilot_set(32, 13, 4, rng_seed=9)
     assert len(a) == 4
-    for pa, pb in zip(a, b):
+    for pa, pb in zip(unstack_pilots(a), unstack_pilots(b)):
         assert np.array_equal(pa.rows, pb.rows)
         assert np.array_equal(pa.perm, pb.perm)
         assert np.array_equal(pa.phases, pb.phases)
-    assert not (
-        np.array_equal(a[0].rows, a[1].rows)
-        and np.array_equal(a[0].perm, a[1].perm)
-    )
+    a0, a1 = unstack_pilots(a)[:2]
+    assert not (np.array_equal(a0.rows, a1.rows) and np.array_equal(a0.perm, a1.perm))
 
 
 @pytest.mark.parametrize("N, M, P", [(32, 13, 5), (32, 13, 1), (16, 16, 3), (8, 8, 1)])
@@ -157,8 +155,8 @@ def test_pilot_set_matches_dense_per_subcarrier(N, M, P):
     Y = rng.standard_normal((M, P)) + 1j * rng.standard_normal((M, P))
     AH, AY = pilots.apply(H), pilots.adjoint(Y)
     assert AH.shape == (M, P) and AY.shape == (N, P)
-    for p in range(P):
-        A = pilots[p].matrix
+    for p, pilot in enumerate(unstack_pilots(pilots)):
+        A = pilot.matrix
         assert np.max(np.abs(AH[:, p] - A @ H[:, p])) < 1e-12
         assert np.max(np.abs(AY[:, p] - A.conj().T @ Y[:, p])) < 1e-12
 
@@ -185,28 +183,23 @@ def test_pilot_set_stacks_the_per_subcarrier_draws():
     N, M, P = 32, 13, 4
     pilots = make_pilot_set(N, M, P, rng_seed=9)
     assert isinstance(pilots, PilotSet) and len(pilots) == P
-    assert pilots.rows.shape == (P, M)
-    assert pilots.perm.shape == pilots.phases.shape == (P, N)
+    assert pilots.select.shape == (P, M)
+    assert pilots.gather.shape == pilots.phases.shape == (P, N)
     children = np.random.SeedSequence(9).spawn(P)
     refs = [make_pdft_rp(N, M, rng_seed=child) for child in children]
-    for p, (view, ref) in enumerate(zip(pilots, refs)):
-        for got in (view, pilots[p], pilots[p - P]):
-            assert (got.N, got.M) == (N, M)
-            assert np.array_equal(got.rows, ref.rows)
-            assert np.array_equal(got.perm, ref.perm)
-            assert np.array_equal(got.phases, ref.phases)
-    # the stored form is the flat indices; rows and perm are derived from them
-    assert np.array_equal(pilots.rows, np.stack([ref.rows for ref in refs]))
-    assert np.array_equal(pilots.perm, np.stack([ref.perm for ref in refs]))
+    for got, ref in zip(unstack_pilots(pilots), refs, strict=True):
+        assert (got.N, got.M) == (N, M)
+        assert np.array_equal(got.rows, ref.rows)
+        assert np.array_equal(got.perm, ref.perm)
+        assert np.array_equal(got.phases, ref.phases)
+    # the stored form is the flat indices into the (N, P) channel and the
+    # (P, N) spectrum
     sub = np.arange(P)[:, None]
     assert pilots.gather.dtype == pilots.select.dtype == np.int64
-    assert np.array_equal(pilots.gather, pilots.perm * P + sub)
-    assert np.array_equal(pilots.select, pilots.rows + N * sub)
-    assert not pilots.rows.flags.writeable and not pilots.perm.flags.writeable
-    with pytest.raises(IndexError):
-        pilots[P]
-    again = PilotSet.stack(list(pilots))
-    for field in ("gather", "select", "rows", "perm", "phases"):
+    assert np.array_equal(pilots.gather, np.stack([ref.perm for ref in refs]) * P + sub)
+    assert np.array_equal(pilots.select, np.stack([ref.rows for ref in refs]) + N * sub)
+    again = PilotSet.stack(unstack_pilots(pilots))
+    for field in ("gather", "select", "phases"):
         assert np.array_equal(getattr(again, field), getattr(pilots, field))
 
 
@@ -234,7 +227,8 @@ def test_synthesize_noiseless():
     ms = synthesize_measurements(channel, pilots, snr_db=np.inf)
     assert ms.noise_variance == 0.0
     clean = np.stack(
-        [pilots[p].apply(channel.gains[:, p]) for p in range(channel.P)], axis=1
+        [pilot.apply(channel.gains[:, p]) for p, pilot in enumerate(unstack_pilots(pilots))],
+        axis=1,
     )
     # batched and single-vector FFTs need not agree bit for bit
     assert np.max(np.abs(ms.Y - clean)) <= 1e-12 * np.max(np.abs(clean))
@@ -254,19 +248,17 @@ def test_synthesize_rejects_nan_snr():
         synthesize_measurements(channel, pilots, snr_db=math.nan)
 
 
-def test_synthesize_accepts_a_list_of_pilot_operators():
-    channel, pilots = _toy_setup(P=6)
-    stacked = synthesize_measurements(channel, pilots, snr_db=10.0, rng_seed=3)
-    listed = synthesize_measurements(channel, list(pilots), snr_db=10.0, rng_seed=3)
-    assert np.array_equal(stacked.Y, listed.Y)
-    with pytest.raises(ValueError):
-        synthesize_measurements(channel, list(pilots)[:5], snr_db=10.0)
+def test_synthesize_needs_one_pilot_operator_per_subcarrier():
+    channel, _ = _toy_setup(P=6)
+    with pytest.raises(ValueError, match="one pilot operator per subcarrier"):
+        synthesize_measurements(channel, make_pilot_set(64, 32, 5), snr_db=10.0)
 
 
 def test_synthesize_zero_db_noise_power():
     channel, pilots = _toy_setup(P=100)
     clean = np.stack(
-        [pilots[p].apply(channel.gains[:, p]) for p in range(channel.P)], axis=1
+        [pilot.apply(channel.gains[:, p]) for p, pilot in enumerate(unstack_pilots(pilots))],
+        axis=1,
     )
     sig = np.mean(np.abs(clean) ** 2)
     noise_powers = []

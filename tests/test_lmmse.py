@@ -9,9 +9,11 @@ from oracles import (
     extrinsic_split_columnwise,
     lmmse_update_out_of_place,
     roundtrip_error_columns,
+    unstack_pilots,
 )
 from hmpce.channels import (
     PilotMatrix,
+    PilotSet,
     make_pdft_rp,
     make_pilot_set,
     sample_channel,
@@ -24,43 +26,63 @@ from hmpce.priors import VARIANT_LVD, ScalarPrior
 
 
 def _identity_pilot():
-    return PilotMatrix(1, 1, np.array([0]), np.array([0]), np.ones(1, dtype=complex))
+    return PilotSet.stack(
+        [PilotMatrix(1, 1, np.array([0]), np.array([0]), np.ones(1, dtype=complex))]
+    )
 
 
 def test_scalar_wiener_filter():
     h_post, v_post = lmmse_update(
-        np.array([2.0 + 0.0j]), _identity_pilot(), np.zeros(1, dtype=complex), 1.0, 1.0
+        np.array([[2.0 + 0.0j]]), _identity_pilot(), np.zeros((1, 1), dtype=complex),
+        np.ones(1), 1.0,
     )
-    assert h_post[0] == pytest.approx(1.0, abs=1e-14)
-    assert v_post == pytest.approx(0.5, abs=1e-14)
+    assert h_post[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert v_post[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_uninformative_measurement_returns_prior():
     rng = np.random.default_rng(2)
-    pilot = make_pdft_rp(32, 13, rng_seed=0)
-    h_pri = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    y = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-    h_post, v_post = lmmse_update(y, pilot, h_pri, 1.0, 1e12)
+    pilots = PilotSet.stack([make_pdft_rp(32, 13, rng_seed=0)])
+    h_pri = (rng.standard_normal(32) + 1j * rng.standard_normal(32))[:, None]
+    y = (rng.standard_normal(13) + 1j * rng.standard_normal(13))[:, None]
+    h_post, v_post = lmmse_update(y, pilots, h_pri, np.ones(1), 1e12)
     assert np.max(np.abs(h_post - h_pri)) < 1e-10
-    assert v_post == pytest.approx(1.0, rel=1e-10)
+    assert v_post[0] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_input_guards():
-    pilot = _identity_pilot()
-    y = np.zeros(1, dtype=complex)
+    pilots = _identity_pilot()
+    y = np.zeros((1, 1), dtype=complex)
     with pytest.raises(ValueError):
-        lmmse_update(y, pilot, y, 0.0, 1.0)
+        lmmse_update(y, pilots, y, np.zeros(1), 1.0)
     with pytest.raises(ValueError):
-        lmmse_update(y, pilot, y, 1.0, -0.5)
+        lmmse_update(y, pilots, y, np.ones(1), -0.5)
+
+
+@pytest.mark.parametrize("v_pri", [math.nan, math.inf])
+def test_rejects_a_prior_variance_that_is_not_finite(v_pri):
+    # unchecked, a NaN surfaces only as a non-finite turbo state after a
+    # whole iteration
+    y = np.zeros((1, 1), dtype=complex)
+    with pytest.raises(ValueError, match="prior variance must be positive and finite"):
+        lmmse_update(y, _identity_pilot(), y, np.array([v_pri]), 1.0)
+
+
+def test_rejects_a_nan_noise_variance():
+    y = np.zeros((1, 1), dtype=complex)
+    with pytest.raises(ValueError, match="noise variance"):
+        lmmse_update(y, _identity_pilot(), y, np.ones(1), math.nan)
 
 
 def test_noiseless_determined_system_floors_variance():
-    pilot = make_pdft_rp(16, 16, rng_seed=1)
+    pilots = PilotSet.stack([make_pdft_rp(16, 16, rng_seed=1)])
     rng = np.random.default_rng(3)
-    h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    h_post, v_post = lmmse_update(pilot.apply(h), pilot, np.zeros(16, complex), 1.0, 0.0)
+    h = (rng.standard_normal(16) + 1j * rng.standard_normal(16))[:, None]
+    h_post, v_post = lmmse_update(
+        pilots.apply(h), pilots, np.zeros((16, 1), complex), np.ones(1), 0.0
+    )
     assert np.max(np.abs(h_post - h)) < 1e-12
-    assert 0.0 < v_post <= 1e-30
+    assert 0.0 < v_post[0] <= 1e-30
 
 
 def test_matches_dense_oracles():
@@ -72,7 +94,10 @@ def test_matches_dense_oracles():
         sigma2 = float(rng.uniform(0.01, 1.0))
         h_pri = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         y = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-        h_post, v_post = lmmse_update(y, pilot, h_pri, v_pri, sigma2)
+        h_post, v_post = lmmse_update(
+            y[:, None], PilotSet.stack([pilot]), h_pri[:, None], np.array([v_pri]), sigma2
+        )
+        h_post, v_post = h_post[:, 0], v_post[0]
         h_ref, v_ref = dense_lmmse_measurement_form(y, A, h_pri, v_pri, sigma2)
         assert np.max(np.abs(h_post - h_ref)) < 1e-8
         assert abs(v_post - v_ref) < 1e-8
@@ -90,10 +115,12 @@ def test_batched_update_matches_per_subcarrier(N, M, P):
     v_pri = rng.uniform(0.1, 3.0, P)
     H_post, v_post = lmmse_update(Y, pilots, H_pri, v_pri, 0.05)
     assert H_post.shape == (N, P) and v_post.shape == (P,)
-    for p in range(P):
-        h_ref, v_ref = lmmse_update(Y[:, p], pilots[p], H_pri[:, p], v_pri[p], 0.05)
-        assert np.max(np.abs(H_post[:, p] - h_ref)) < 1e-12
-        assert v_post[p] == v_ref
+    for p, pilot in enumerate(unstack_pilots(pilots)):
+        h_ref, v_ref = lmmse_update(
+            Y[:, p:p + 1], PilotSet.stack([pilot]), H_pri[:, p:p + 1], v_pri[p:p + 1], 0.05
+        )
+        assert np.max(np.abs(H_post[:, p] - h_ref[:, 0])) < 1e-12
+        assert v_post[p] == v_ref[0]
     with pytest.raises(ValueError):
         lmmse_update(Y, pilots, H_pri, np.where(np.arange(P) == 0, 0.0, v_pri), 0.05)
 
@@ -323,16 +350,17 @@ def test_extrinsic_error_concentrates_on_se_map():
     for trial in range(trials):
         support = sample_support(N, rng_seed=1000 + trial)
         channel = sample_channel(support, P=1, rng_seed=2000 + trial)
-        pilot = make_pdft_rp(N, M, rng_seed=3000 + trial)
+        pilots = PilotSet.stack([make_pdft_rp(N, M, rng_seed=3000 + trial)])
         rng = np.random.default_rng(4000 + trial)
         noise = math.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(M) + 1j * rng.standard_normal(M)
         )
-        truth = channel.gains[:, 0]
-        y = pilot.apply(truth) + noise
-        h_post, v_post = lmmse_update(y, pilot, np.zeros(N, complex), v, sigma2)
-        h_ext, v_ext, _, _ = extrinsic_split(h_post, v_post, np.zeros(N, complex), v)
-        assert v_ext == pytest.approx(1.0 / eta, rel=1e-10)
+        truth = channel.gains
+        y = pilots.apply(truth) + noise[:, None]
+        zeros = np.zeros((N, 1), complex)
+        h_post, v_post = lmmse_update(y, pilots, zeros, np.full(1, v), sigma2)
+        h_ext, v_ext, _, _ = extrinsic_split(h_post, v_post, zeros, np.full(1, v))
+        assert v_ext[0] == pytest.approx(1.0 / eta, rel=1e-10)
         err_power.append(float(np.mean(np.abs(h_ext - truth) ** 2)))
     assert float(np.mean(err_power)) == pytest.approx(1.0 / eta, rel=0.05)
 
@@ -346,17 +374,17 @@ def test_posterior_error_orthogonal_to_residual():
     for trial in range(trials):
         support = sample_support(N, rng_seed=trial)
         channel = sample_channel(support, P=1, rng_seed=trial + 1)
-        pilot = make_pdft_rp(N, M, rng_seed=trial + 2)
+        pilots = PilotSet.stack([make_pdft_rp(N, M, rng_seed=trial + 2)])
         rng = np.random.default_rng(trial + 3)
         noise = math.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(M) + 1j * rng.standard_normal(M)
         )
-        truth = channel.gains[:, 0]
-        y = pilot.apply(truth) + noise
-        h_post, _ = lmmse_update(y, pilot, np.zeros(N, complex), v, sigma2)
+        truth = channel.gains
+        y = pilots.apply(truth) + noise[:, None]
+        h_post, _ = lmmse_update(y, pilots, np.zeros((N, 1), complex), np.full(1, v), sigma2)
         err = h_post - truth
-        residual = y - pilot.apply(h_post)
-        inner.append(np.vdot(pilot.adjoint(residual), err) / N)
+        residual = y - pilots.apply(h_post)
+        inner.append(np.vdot(pilots.adjoint(residual), err) / N)
     inner = np.asarray(inner)
     for comp in (inner.real, inner.imag):
         stderr = comp.std(ddof=1) / math.sqrt(trials)

@@ -127,7 +127,7 @@ def test_stacked_turbo_matches_per_subcarrier_oracle(N, M, P, snr_db, variant, i
     for early_stop in (False, True):
         cfg = algo(variant, max_iters=iters, early_stop=early_stop)
         h, trace = run_turbo(meas, pilots, cfg, truth=truth)
-        h_ref, ref = run_turbo_per_subcarrier(meas, list(pilots), cfg, truth=truth)
+        h_ref, ref = run_turbo_per_subcarrier(meas, pilots, cfg, truth=truth)
         assert trace.iterations == ref.iterations
         assert trace.clamped_a == ref.clamped_a and trace.clamped_b == ref.clamped_b
         if with_truth:
@@ -219,14 +219,27 @@ def test_run_turbo_nmse_trace_equals_nmse_of_each_estimate(monkeypatch, variant)
     assert trace.nmse == [nmse(h, truth) for h in estimates]
 
 
-def test_run_turbo_stacks_a_list_of_pilot_operators():
+def _lmmse_must_not_run(*args):
+    raise AssertionError("run_turbo reached the linear stage")
+
+
+@pytest.mark.parametrize("rows, cols", [(12, 3), (14, 3), (13, 2)])
+def test_run_turbo_rejects_measurements_that_do_not_fit_the_pilots(monkeypatch, rows, cols):
+    # a wrong row count was a numpy broadcast error inside the linear stage
     meas, pilots, truth = make_sim(32, 13, 3, 20.0, seed=12)
-    cfg = algo(max_iters=4)
-    h_set, t_set = run_turbo(meas, pilots, cfg, truth=truth)
-    h_list, t_list = run_turbo(meas, list(pilots), cfg, truth=truth)
-    assert np.array_equal(h_set, h_list) and t_set.nmse == t_list.nmse
-    with pytest.raises(ValueError):
-        run_turbo(meas, list(pilots)[:2], cfg, truth=truth)
+    meas.Y = np.zeros((rows, cols), complex)
+    monkeypatch.setattr(turbo, "lmmse_update", _lmmse_must_not_run)
+    with pytest.raises(ValueError, match=r"need \(M, P\) = \(13, 3\)"):
+        run_turbo(meas, pilots, algo(max_iters=4), truth=truth)
+
+
+@pytest.mark.parametrize("shape", [(32, 2), (31, 3), (32,)])
+def test_run_turbo_rejects_a_truth_of_the_wrong_shape(monkeypatch, shape):
+    # this was a numpy broadcast error, and only after a whole iteration
+    meas, pilots, _ = make_sim(32, 13, 3, 20.0, seed=12)
+    monkeypatch.setattr(turbo, "lmmse_update", _lmmse_must_not_run)
+    with pytest.raises(ValueError, match=r"need \(N, P\) = \(32, 3\)"):
+        run_turbo(meas, pilots, algo(max_iters=4), truth=np.ones(shape, complex))
 
 
 def test_turbo_trace_determinism():
@@ -354,6 +367,20 @@ def test_reset_beliefs_changes_trace():
         truth=truth,
     )
     assert warm.nmse != cold.nmse
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("init_variance", math.nan),    # was a RuntimeError at iteration 1
+    ("init_variance", math.inf),    # also warned in the linear stage
+    ("init_variance", 0.0),
+    ("init_variance", -1.0),
+    ("max_iters", 0),               # returned an all-zero estimate, empty trace
+    ("max_iters", -1),
+])
+def test_algo_config_rejects_invalid_values(field, bad):
+    fields = {"init_variance": 1.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        AlgoConfig(name=VARIANT_LVD, prior=PriorConfig(variant=VARIANT_LVD), **fields)
 
 
 def test_non_finite_measurements_abort():
