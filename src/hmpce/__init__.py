@@ -57,13 +57,16 @@ from .priors import (
 )
 from .turbo import (
     AlgoConfig,
+    BatchTrace,
     MmseSampler,
+    NonFiniteStateError,
     SeTrace,
     SeUndefinedError,
     TurboTrace,
     nmse,
     run_state_evolution,
     run_turbo,
+    run_turbo_batch,
     se_step,
     to_db,
 )

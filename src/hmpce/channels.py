@@ -14,7 +14,8 @@ more `np.take` for all subcarriers at once; the adjoint scatters through the
 same two indices.  One subcarrier is a P = 1 set.
 
 `make_pdft_rp` draws one subcarrier's operator as a `PilotMatrix`, and
-`PilotSet.stack` is the one way from such operators to a set.
+`PilotSet.stack` is the one way from such operators to a set;
+`PilotSet.tile` repeats a set for batched runs that share it.
 `PilotMatrix.matrix` is the dense reference that tests, the acceptance gate
 and a demo build.
 
@@ -200,6 +201,19 @@ class PilotSet:
 
     def __len__(self):
         return self.phases.shape[0]
+
+    def tile(self, reps):
+        """The set repeated `reps` times along its subcarrier axis: column
+        b P + p of an (N, reps P) input goes through operator p."""
+        P, N = self.phases.shape
+        # gather = perm P + p becomes perm (reps P) + b P + p, and
+        # select = rows + N p becomes rows + N (b P + p)
+        shift = np.repeat(np.arange(reps) * P, P)[:, None]
+        gather = np.tile(self.gather * reps - (reps - 1) * np.arange(P)[:, None], (reps, 1))
+        gather += shift
+        select = np.tile(self.select, (reps, 1))
+        select += N * shift
+        return PilotSet(N, self.M, gather, select, np.tile(self.phases, (reps, 1)))
 
     def apply(self, H):
         """Column-wise A_p @ H[:, p]: (N, P) to (M, P)."""

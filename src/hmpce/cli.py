@@ -347,24 +347,34 @@ def _write_manifest(cfg, path, se_rows):
 
 
 def run_sweep(cfg):
-    """All turbo runs; returns (iter_rows, snr_rows, m_rows)."""
+    """All turbo runs; returns (iter_rows, snr_rows, m_rows).
+
+    The SNR points of one (trial, pilot length, algorithm) share the
+    channel and the pilots, so they run as the members of one batched
+    `run_turbo` call.
+    """
     iter_rows = []
     finals = {}  # (algo, snr, m) -> [linear nmse per trial]
     algo_cfgs = {algo: algo_config_for(cfg, algo) for algo in cfg.algos}
     primary_m = cfg.M[0]
+    snrs = sorted(cfg.snr)
     for trial in range(1, cfg.trials + 1):
         channel = _trial_channel(cfg, trial)
         truth = channel.gains
         for m_idx, m in enumerate(cfg.M):
             pilot_key = np.random.SeedSequence((cfg.seed, _KEY_PILOTS, trial, m_idx))
             pilots = make_pilot_set(cfg.N, m, cfg.P, rng_seed=pilot_key)
-            for snr_idx, snr in enumerate(sorted(cfg.snr)):
-                noise_key = np.random.SeedSequence(
-                    (cfg.seed, _KEY_NOISE, trial, m_idx, snr_idx)
+            meas = [
+                synthesize_measurements(
+                    channel, pilots, snr,
+                    rng_seed=np.random.SeedSequence((cfg.seed, _KEY_NOISE, trial, m_idx, snr_idx)),
                 )
-                meas = synthesize_measurements(channel, pilots, snr, rng_seed=noise_key)
-                for algo in cfg.algos:
-                    _, trace = run_turbo(meas, pilots, algo_cfgs[algo], truth=truth)
+                for snr_idx, snr in enumerate(snrs)
+            ]
+            for algo in cfg.algos:
+                # every SNR point as one member of one batched run
+                _, traces = run_turbo(meas, pilots, algo_cfgs[algo], [truth] * len(meas))
+                for snr, trace in zip(snrs, traces):
                     if m == primary_m:
                         for it, val in enumerate(trace.nmse, 1):
                             iter_rows.append((algo, snr, trial, it, to_db(val)))

@@ -13,6 +13,21 @@ one full pass of the support-chain / precision-learning message schedule:
   5. leave-one-subcarrier-out extrinsic support messages, Gamma belief
      updates, and the posterior mixture moments.
 
+One pass runs B independent denoisers, called members, at once: the state's
+(N, B P) arrays hold member b's P subcarriers in columns b P to
+(b + 1) P - 1, and its chain fields carry a leading member axis.  The
+per-column steps (likelihood, precision update, posterior moments) run on
+all B P columns as on one member's P.  The pooled evidence, the chain
+sweeps, the Beta transition beliefs and the leave-one-out message are per
+member: the scalar sweeps and the first element's belief loop over the
+members, the rest runs on (B, N) arrays.  Each member's output is bit for
+bit that of a one-member pass over its columns alone, which fixes three
+orders: the column sums sum each member's (N, P) block as numpy sums it
+alone (`_column_sums`), on C-ordered arrays; the pooled LLR and the
+pair-belief counts sum each member's contiguous row; and the backward odds
+are taken row by row, as exp rounds a 2-D reversed view differently.
+`select_members` drops members from a state.
+
 Three prior variants share the schedule: per-element active-precision
 learning ("tsgm-lvd"), subcarrier-pooled active-precision learning
 ("tsgm"), and a fixed-variance Bernoulli-Gaussian ("bg") whose near-zero
@@ -51,15 +66,15 @@ computed once per set of beliefs, at the first read after `init_state` or
 they came from, so a caller that assigns new belief arrays gets fresh
 values.  The belief arrays are replaced, never written in place.
 
-The wide (N, P) steps (likelihood, precision update, posterior moments) run
-in real arithmetic: the activity odds, the Gamma statistics and the
+The wide (N, B P) steps (likelihood, precision update, posterior moments)
+run in real arithmetic: the activity odds, the Gamma statistics and the
 posterior variance depend on h_pri only through r2, and h_post is a real
 gain times h_pri.  v_pri must be positive and finite; `denoise` raises
 ValueError otherwise.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -102,40 +117,82 @@ class PriorConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _by_member(axis):
+    """A `DenoiserState` array whose axis `axis` runs over the members."""
+    return field(default=None, metadata={"member_axis": axis, "by_column": False})
+
+
+def _by_column():
+    """A `DenoiserState` array whose last axis holds the B P columns."""
+    return field(default=None, metadata={"member_axis": -1, "by_column": True})
+
+
 @dataclass
 class DenoiserState:
-    """Mutable belief state carried across turbo iterations (warm start)."""
+    """Mutable belief state carried across turbo iterations (warm start).
 
-    support_like: np.ndarray = None   # (N, P) per-subcarrier activity likelihood
-    support_ext: np.ndarray = None    # (N, P) leave-one-out chain message
-    support_post: np.ndarray = None   # (N, P) posterior activity weight
-    fwd_pred: np.ndarray = None       # (N,) chain message into each element, forward
-    fwd_filt: np.ndarray = None       # (N,) forward message combined with evidence
-    bwd_pred: np.ndarray = None       # (N,) backward chain message
-    bwd_filt: np.ndarray = None       # (N,) backward message combined with evidence
-    large_shape: np.ndarray = None    # (N, P) Gamma belief on active precisions
-    large_rate: np.ndarray = None
-    small_shape: np.ndarray = None    # (P,) Gamma belief on near-zero precision
-    small_rate: np.ndarray = None
-    p10_a: float = 1.0
-    p10_b: float = 1.0
-    p01_a: float = 1.0
-    p01_b: float = 1.0
-    first_active_belief: float = 0.5
-    pair_belief: np.ndarray = None    # (N-1, 4) columns (00, 01, 10, 11)
+    It holds B members: the (N, B P) arrays keep member b's P subcarriers in
+    columns b P to (b + 1) P - 1, and the chain fields have a member axis.
+    Each array field's metadata gives its member axis, `member_axis`, and
+    whether that axis holds the columns of the members (`by_column`) or one
+    entry per member; `select_members` reads it.  B is the length of the
+    Beta pseudo-counts.
+    """
+
+    support_like: np.ndarray = _by_column()   # (N, B P) per-subcarrier activity likelihood
+    support_ext: np.ndarray = _by_column()    # (N, B P) leave-one-out chain message
+    support_post: np.ndarray = _by_column()   # (N, B P) posterior activity weight
+    fwd_pred: np.ndarray = _by_member(0)      # (B, N) chain message into each element, forward
+    fwd_filt: np.ndarray = _by_member(0)      # (B, N) forward message combined with evidence
+    bwd_pred: np.ndarray = _by_member(0)      # (B, N) backward chain message
+    bwd_filt: np.ndarray = _by_member(0)      # (B, N) backward message combined with evidence
+    large_shape: np.ndarray = _by_column()    # (N, B P) Gamma belief on active precisions
+    large_rate: np.ndarray = _by_column()
+    small_shape: np.ndarray = _by_column()    # (B P,) Gamma belief on near-zero precision
+    small_rate: np.ndarray = _by_column()
+    p10_a: np.ndarray = _by_member(0)         # (B,) Beta beliefs on the transition probabilities
+    p10_b: np.ndarray = _by_member(0)
+    p01_a: np.ndarray = _by_member(0)
+    p01_b: np.ndarray = _by_member(0)
+    first_active_belief: np.ndarray = _by_member(0)  # (B,)
+    pair_belief: np.ndarray = _by_member(1)   # (4, B, N-1): rows (00, 01, 10, 11)
     # (large_shape, large_rate, exact_digamma, rate/shape, psi(shape)) of
     # `_active_beliefs`, keyed to the first three
     active_beliefs: tuple = field(default=None, repr=False)
 
+    @property
+    def members(self):
+        """B, the number of members."""
+        return len(self.p10_a)
 
-def init_state(N, P, cfg):
+
+def init_state(N, P, cfg, members=1):
+    """Prior beliefs for `members` members of N elements and P subcarriers
+    each."""
+    C = members * P
     state = DenoiserState()
-    state.large_shape = np.full((N, P), cfg.large_shape)
-    state.large_rate = np.full((N, P), cfg.large_rate)
-    state.small_shape = np.full(P, cfg.small_shape)
-    state.small_rate = np.full(P, cfg.small_rate)
-    state.p10_a, state.p10_b = cfg.p10_a, cfg.p10_b
-    state.p01_a, state.p01_b = cfg.p01_a, cfg.p01_b
+    state.large_shape = np.full((N, C), cfg.large_shape)
+    state.large_rate = np.full((N, C), cfg.large_rate)
+    state.small_shape = np.full(C, cfg.small_shape)
+    state.small_rate = np.full(C, cfg.small_rate)
+    state.p10_a, state.p10_b = np.full(members, cfg.p10_a), np.full(members, cfg.p10_b)
+    state.p01_a, state.p01_b = np.full(members, cfg.p01_a), np.full(members, cfg.p01_b)
+    return state
+
+
+def select_members(state, members):
+    """Keep only the given members (indices along the member axis, in
+    order), in every array of the state, and return it."""
+    members = np.asarray(members, dtype=np.intp)
+    P = len(state.small_shape) // state.members
+    cols = (members[:, None] * P + np.arange(P)).ravel()
+    for f in fields(state):
+        value = getattr(state, f.name)
+        if "member_axis" in f.metadata and value is not None:
+            index = cols if f.metadata["by_column"] else members
+            # np.take keeps C order, which the column sums' order relies on
+            setattr(state, f.name, np.take(value, index, axis=f.metadata["member_axis"]))
+    state.active_beliefs = None
     return state
 
 
@@ -168,18 +225,20 @@ def _probability(z, floor):
 def transition_log_expectations(state, cfg):
     """Expected log transition weights under the current Beta beliefs.
 
-    Returns (stay_active, turn_on, stay_quiet, turn_off) in the log domain:
-    E[ln(1-p01)], E[ln p10], E[ln(1-p10)], E[ln p01].  `denoise` computes
-    them once per chain round for the sweeps and the Beta update.  The six
-    digammas of the two `beta_log_expectations` go through one array call,
-    with the same bits; NaN pseudo-counts give NaN, as there.
+    Returns one tuple (stay_active, turn_on, stay_quiet, turn_off) of floats
+    per member, in the log domain: E[ln(1-p01)], E[ln p10], E[ln(1-p10)],
+    E[ln p01].  `denoise` computes them once per chain round for the sweeps
+    and the Beta update.  The six digammas of the two
+    `beta_log_expectations` of every member go through one array call, with
+    the same bits; NaN pseudo-counts give NaN, as there.
     """
     p10_a, p10_b, p01_a, p01_b = state.p10_a, state.p10_b, state.p01_a, state.p01_b
     psi = digamma_fn(cfg.exact_digamma)
-    tot10, psi10_a, psi10_b, tot01, psi01_a, psi01_b = psi(
-        np.array([p10_a + p10_b, p10_a, p10_b, p01_a + p01_b, p01_a, p01_b])
-    ).tolist()
-    return psi01_b - tot01, psi10_a - tot10, psi10_b - tot10, psi01_a - tot01
+    rows = psi(np.concatenate((p10_a + p10_b, p10_a, p10_b, p01_a + p01_b, p01_a, p01_b)))
+    return [
+        (psi01_b - tot01, psi10_a - tot10, psi10_b - tot10, psi01_a - tot01)
+        for tot10, psi10_a, psi10_b, tot01, psi01_a, psi01_b in rows.reshape(6, -1).T.tolist()
+    ]
 
 
 def _squared_magnitude(h):
@@ -269,29 +328,40 @@ def _activity_likelihood(r2, v_pri, s_large, state, cfg):
 
 
 def pooled_evidence(state):
-    """Activity log-odds per (element, subcarrier) and pooled per element.
+    """Activity log-odds per (element, column) and pooled per member.
 
-    Returns (like_logit, llr): logit(support_like), shape (N, P), and its sum
-    over subcarriers, shape (N,).  `denoise` computes both once per pass,
-    after `support_likelihood`.
+    Returns (like_logit, llr): logit(support_like), shape (N, B P), and its
+    sum over each member's P subcarriers, shape (B, N), one contiguous row
+    per member.  `denoise` computes both once per pass, after
+    `support_likelihood`.
     """
     like_logit = _logit(state.support_like)
-    return like_logit, like_logit.sum(axis=1)
+    N, C = like_logit.shape
+    B = state.members
+    llr = np.empty((B, N))
+    like_logit.reshape(N, B, C // B).sum(axis=2, out=llr.T)
+    return like_logit, llr
 
 
 def evidence_odds(llr):
     """Evidence odds e = exp(pooled LLR) for both sweeps, in visit order.
 
-    Returns (forward, backward): the forward odds exp(llr) and the backward
-    odds exp(llr[::-1]), each as a pair (array, list of floats), the list
-    for the sweep's scalar loop.  The backward odds are exp of the reversed
-    LLR, not the reversed forward odds: numpy's exp rounds a negative-stride
-    view differently from a contiguous array, and the sweeps keep those
-    bits.  inf and 0 from overflow and underflow are left to the sweep's
-    clamp.  `denoise` computes them once per pass for both chain rounds.
+    llr is (B, N).  Returns (forward, backward): the forward odds exp(llr)
+    and the backward odds exp(llr[b, ::-1]) of each member b, each as a pair
+    ((B, N) array, one list of floats per member), the lists for the
+    sweeps' scalar loops.  The backward odds are exp of the reversed LLR,
+    not the reversed forward odds, and are taken row by row: numpy's exp
+    rounds a negative-stride view differently from a contiguous array, and
+    a 2-D reversed view differently again, and the sweeps keep the bits of
+    one member's 1-D exp.  inf and 0 from overflow and underflow are left to
+    the sweep's clamp.  `denoise` computes them once per pass for both chain
+    rounds.
     """
+    e_rev = np.empty_like(llr)
     with np.errstate(over="ignore", under="ignore"):
-        e, e_rev = np.exp(llr), np.exp(llr[::-1])
+        e = np.exp(llr)
+        for row, out in zip(llr, e_rev):
+            np.exp(row[::-1], out=out)
     return (e, e.tolist()), (e_rev, e_rev.tolist())
 
 
@@ -333,8 +403,9 @@ def _odds_bounds(floor):
 def _sweep_messages(pred, e, lo, hi):
     """Predicted and filtered odds as probabilities, in visit order.
 
-    The filtered odds are clip(pred e, lo, hi) in one array pass: the same
-    IEEE product and clamp as the sweep's loop, so the same bits (an
+    pred holds one list of predicted odds per member, e the (B, N) evidence
+    odds.  The filtered odds are clip(pred e, lo, hi) in one array pass: the
+    same IEEE product and clamp as the sweep's loop, so the same bits (an
     overflow to inf is clamped to hi).
     """
     pred = np.array(pred, dtype=float)
@@ -343,21 +414,30 @@ def _sweep_messages(pred, e, lo, hi):
     return pred / (1.0 + pred), filt / (1.0 + filt)
 
 
+def _member_rates(transitions):
+    """(stay_active, turn_on, stay_quiet, turn_off) of each member as linear
+    weights, from the log weights of `transition_log_expectations`."""
+    return [[math.exp(v) for v in logs] for logs in transitions]
+
+
 def forward_pass(state, cfg, transitions, odds):
     """Forward sweep of the support chain (predict, then fold in evidence).
 
     Runs on odds p / (1 - p) (see `_odds_sweep`) from the first element,
     whose prediction has odds turn_on / stay_quiet, clamped like every other
-    message; the stored messages are probabilities.  transitions are the log
-    weights of `transition_log_expectations`, odds the forward pair
-    (array, list) of `evidence_odds`.
+    message; the stored messages are probabilities, one row per member.
+    transitions are the log weights of `transition_log_expectations`, odds
+    the forward pair (array, lists) of `evidence_odds`.  The sweep loops
+    over the members.
     """
-    stay_active, turn_on, stay_quiet, turn_off = [math.exp(v) for v in transitions]
-    e, e_list = odds
+    e, e_lists = odds
     lo, hi = _odds_bounds(cfg.prob_floor)
-    pred = _odds_sweep(
-        turn_on / stay_quiet, e_list, stay_active, turn_on, turn_off, stay_quiet, lo, hi
-    )
+    pred = [
+        _odds_sweep(turn_on / stay_quiet, e_list, stay_active, turn_on, turn_off, stay_quiet,
+                    lo, hi)
+        for (stay_active, turn_on, stay_quiet, turn_off), e_list
+        in zip(_member_rates(transitions), e_lists)
+    ]
     state.fwd_pred, state.fwd_filt = _sweep_messages(pred, e, lo, hi)
 
 
@@ -365,37 +445,47 @@ def backward_pass(state, cfg, transitions, odds):
     """Backward sweep; the terminal message is uninformative (1/2).
 
     Runs like `forward_pass` from the last element down, on the backward
-    pair of `evidence_odds`, exp(llr[::-1]).  The messages are stored as
+    pair of `evidence_odds`, exp(llr[b, ::-1]).  The messages are stored as
     contiguous arrays in element order, not as reversed views, whose later
     `np.log` would round differently.
     """
-    stay_active, turn_on, stay_quiet, turn_off = [math.exp(v) for v in transitions]
-    e, e_list = odds
+    e, e_lists = odds
     lo, hi = _odds_bounds(cfg.prob_floor)
-    pred = _odds_sweep(1.0, e_list, stay_active, turn_off, turn_on, stay_quiet, lo, hi)
+    pred = [
+        _odds_sweep(1.0, e_list, stay_active, turn_off, turn_on, stay_quiet, lo, hi)
+        for (stay_active, turn_on, stay_quiet, turn_off), e_list
+        in zip(_member_rates(transitions), e_lists)
+    ]
     pred, filt = _sweep_messages(pred, e, lo, hi)
-    state.bwd_pred, state.bwd_filt = pred[::-1].copy(), filt[::-1].copy()
+    state.bwd_pred, state.bwd_filt = pred[:, ::-1].copy(), filt[:, ::-1].copy()
 
 
 def update_transition_beliefs(state, cfg, transitions, llr):
     """First/pair support beliefs and the Beta pseudo-count refresh.
 
     transitions are the log weights the sweeps ran on, llr the pooled
-    evidence of `pooled_evidence`.  The four pair log-weights are separate
-    (N-1,) arrays, normalized by their elementwise maximum and summed left
-    to right, ((w00 + w01) + w10) + w11, the order of numpy's sum over the
-    4-wide axis of their stack; `pair_belief` is written column by column.
+    evidence of `pooled_evidence`.  The first element's belief is taken
+    member by member on numpy scalars.  The four pair log-weights are
+    separate (B, N-1) arrays, normalized by their elementwise maximum and
+    summed left to right, ((w00 + w01) + w10) + w11, the order of numpy's
+    sum over the 4-wide axis of their stack; `pair_belief` is written pair
+    by pair, and each member's pseudo-counts sum its own row.
     """
-    log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = transitions
+    log_weights = np.array(transitions).T[:, :, None]
+    log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = log_weights
+    floor = cfg.prob_floor
     # clamp(sigmoid(logit(fwd) + logit(bwd) + llr)) at the first element, on
-    # numpy scalars: the operations of `_logit` and `_probability`
-    fwd, bwd = state.fwd_pred[0], state.bwd_pred[0]
-    z = (np.log(fwd) - np.log1p(-fwd)) + (np.log(bwd) - np.log1p(-bwd)) + llr[0]
+    # numpy scalars: the operations of `_logit` and `_probability`.  A loop
+    # over the members, as ufunc calls on (B,) arrays cost more than the
+    # loop at the CLI's B = 1 to 5 (17 against 5 us a call at B = 1)
+    first = []
     with np.errstate(over="ignore"):
-        p = 1.0 / (1.0 + np.exp(-z))
-    state.first_active_belief = float(min(max(p, cfg.prob_floor), 1.0 - cfg.prob_floor))
-    up = state.bwd_filt[1:]
-    dn = state.fwd_filt[:-1]
+        for fwd, bwd, ev in zip(state.fwd_pred[:, 0], state.bwd_pred[:, 0], llr[:, 0]):
+            z = (np.log(fwd) - np.log1p(-fwd)) + (np.log(bwd) - np.log1p(-bwd)) + ev
+            first.append(min(max(1.0 / (1.0 + np.exp(-z)), floor), 1.0 - floor))
+    first = state.first_active_belief = np.array(first)
+    up = state.bwd_filt[:, 1:]
+    dn = state.fwd_filt[:, :-1]
     up_off = 1.0 - up
     dn_off = 1.0 - dn
     with np.errstate(divide="ignore"):
@@ -412,25 +502,37 @@ def update_transition_beliefs(state, cfg, transitions, llr):
     total = w[0] + w[1]
     total += w[2]
     total += w[3]
-    state.pair_belief = np.empty((up.shape[0], 4))
-    for j, wj in enumerate(w):
-        np.divide(wj, total, out=state.pair_belief[:, j])
-    b1 = state.first_active_belief
-    state.p10_a = b1 + cfg.p10_a + float(state.pair_belief[:, 2].sum())
-    state.p10_b = (1.0 - b1) + cfg.p10_b + float(state.pair_belief[:, 0].sum())
-    state.p01_a = cfg.p01_a + float(state.pair_belief[:, 1].sum())
-    state.p01_b = cfg.p01_b + float(state.pair_belief[:, 3].sum())
+    state.pair_belief = np.empty((4,) + up.shape)
+    for wj, out in zip(w, state.pair_belief):
+        np.divide(wj, total, out=out)
+    pair_00, pair_01, pair_10, pair_11 = state.pair_belief.sum(axis=2)
+    state.p10_a = first + cfg.p10_a + pair_10
+    state.p10_b = (1.0 - first) + cfg.p10_b + pair_00
+    state.p01_a = cfg.p01_a + pair_01
+    state.p01_b = cfg.p01_b + pair_11
 
 
 def support_extrinsic(state, cfg, like_logit, llr):
     """Chain-side activity message for each subcarrier, excluding its own
     likelihood (leave-one-out in the log-odds domain); like_logit and llr
-    are the pair of `pooled_evidence`."""
-    loo = llr[:, None] - like_logit
+    are the pair of `pooled_evidence`.  Each member's pooled LLR and chain
+    message reach its own columns through an (N, B, P) view."""
+    N, C = like_logit.shape
+    B = state.members
+    loo = np.subtract(llr.T[:, :, None], like_logit.reshape(N, B, C // B))
     chain = _logit(state.fwd_pred)
     chain += _logit(state.bwd_pred)
-    np.add(chain[:, None], loo, out=loo)
-    state.support_ext = _probability(loo, cfg.prob_floor)
+    np.add(chain.T[:, :, None], loo, out=loo)
+    state.support_ext = _probability(loo.reshape(N, C), cfg.prob_floor)
+
+
+def _column_sums(x, members):
+    """x.sum(axis=0) of an (N, B P) array, each member's (N, P) block summed
+    as numpy sums it alone: down each column, element by element, or
+    pairwise when P = 1 and the block is one vector."""
+    if x.shape[1] == members:
+        return np.ascontiguousarray(x.T).sum(axis=1)
+    return x.sum(axis=0)
 
 
 def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_large):
@@ -457,12 +559,13 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_lar
     large_stat += v_pri
     large_stat *= gain_large
     large_stat *= w
+    B = state.members
     if cfg.variant == VARIANT_TSGM:
         state.large_shape = np.broadcast_to(
-            cfg.large_shape + w.sum(axis=0, keepdims=True), w.shape
+            cfg.large_shape + _column_sums(w, B), w.shape
         ).copy()
         state.large_rate = np.broadcast_to(
-            cfg.large_rate + large_stat.sum(axis=0, keepdims=True), w.shape
+            cfg.large_rate + _column_sums(large_stat, B), w.shape
         ).copy()
     else:
         state.large_shape = cfg.large_shape + w
@@ -471,11 +574,11 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_lar
     # the near-zero gain is one per subcarrier, so it leaves the sums
     gain_small = _gain(v_pri, state.small_rate / state.small_shape)
     quiet = 1.0 - w
-    quiet_count = quiet.sum(axis=0)
+    quiet_count = _column_sums(quiet, B)
     quiet *= r2
     state.small_shape = cfg.small_shape + quiet_count
     state.small_rate = cfg.small_rate + gain_small * (
-        gain_small * quiet.sum(axis=0) + v_pri * quiet_count
+        gain_small * _column_sums(quiet, B) + v_pri * quiet_count
     )
 
 
@@ -513,15 +616,21 @@ def posterior_moments(h_pri, v_pri, state, cfg, r2, ext_logit):
     mix *= spread
     mix *= spread
     mix *= r2
-    v_post = np.maximum(gain.mean(axis=0) * v_pri + mix.mean(axis=0), 1e-30)
+    # the means of `np.mean`: the column sums over N
+    N, B = r2.shape[0], state.members
+    v_post = np.maximum(
+        _column_sums(gain, B) / N * v_pri + _column_sums(mix, B) / N, 1e-30
+    )
     return h_post, v_post
 
 
 def denoise(h_pri, v_pri, cfg, state=None):
     """One full denoiser pass; returns (h_post, v_post, state).
 
-    Passing the returned state back in warm-starts the Gamma/Beta beliefs
-    on the next turbo iteration; passing state=None resets them.  Raises
+    h_pri is (N, B P) and v_pri (B P,) for the B members of `state`, one
+    member when state is None.  Passing the returned state back in
+    warm-starts the Gamma/Beta beliefs on the next turbo iteration; passing
+    state=None, or a fresh `init_state`, resets them.  Raises
     ValueError unless every v_pri is positive and finite; h_pri is not
     checked, so a non-finite h_pri comes back as a non-finite h_post and
     v_post.
@@ -531,9 +640,11 @@ def denoise(h_pri, v_pri, cfg, state=None):
     valid = (v_pri > 0.0) & (v_pri < math.inf)
     if not valid.all():
         raise ValueError(f"v_pri must be positive and finite, got {v_pri[~valid][0]}")
-    N, P = h_pri.shape
+    N, C = h_pri.shape
     if state is None:
-        state = init_state(N, P, cfg)
+        state = init_state(N, C, cfg)
+    if C % state.members:
+        raise ValueError(f"{C} columns do not split into {state.members} members")
     r2 = _squared_magnitude(h_pri)
     s_large = support_likelihood(r2, v_pri, state, cfg)
     like_logit, llr = pooled_evidence(state)

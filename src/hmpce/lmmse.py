@@ -10,7 +10,8 @@ which the FFT-based pilot structure evaluates in O(N log N).  The update
 runs all P subcarriers of a `PilotSet` at once, with means (N, P) and one
 variance per column; one subcarrier is a P = 1 set.  The extrinsic split
 that turns a posterior into the message for the other module takes the same
-(N, P) means, or one (N,) vector with a scalar variance.
+(N, C) means with (C,) variances, whose columns may be the column groups of
+several members, and checks its round trip per member.
 
 The update works on the fresh arrays that `apply` and `adjoint` return: it
 subtracts the measurements into the first and scales and adds the prior mean
@@ -26,15 +27,16 @@ def lmmse_update(y, pilots, h_pri, v_pri, sigma2):
     """One matrix-free LMMSE update through a `PilotSet`.
 
     y is (M, P), h_pri (N, P) and v_pri (P,), one prior variance per
-    subcarrier.  Returns (h_post, v_post), v_post shaped like v_pri.  A prior
-    variance that is not positive and finite, or a negative or NaN sigma2,
-    raises `ValueError`.  sigma2 = 0 with M = N pins the posterior variance
-    to a tiny positive floor.
+    subcarrier; sigma2 is one noise variance or one per subcarrier.  Returns
+    (h_post, v_post), v_post shaped like v_pri.  A prior variance that is
+    not positive and finite, or a negative or NaN sigma2 entry, raises
+    `ValueError`.  sigma2 = 0 with M = N pins the posterior variance to a
+    tiny positive floor.
     """
     v_pri = np.asarray(v_pri, dtype=float)
     if not np.all((v_pri > 0.0) & (v_pri < np.inf)):
         raise ValueError(f"prior variance must be positive and finite, got {v_pri}")
-    if not sigma2 >= 0.0:
+    if not np.all(np.greater_equal(sigma2, 0.0)):
         raise ValueError(f"noise variance must be non-negative, got {sigma2}")
     gain = v_pri / (v_pri + sigma2)
     residual = pilots.apply(h_pri)
@@ -46,41 +48,83 @@ def lmmse_update(y, pilots, h_pri, v_pri, sigma2):
     return h_post, np.maximum(v_post, _VAR_FLOOR)
 
 
-def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8):
+def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8, members=1):
     """Gaussian extrinsic division post / pri, with its round-trip check.
 
-    Means are (N,) with scalar variances, or (N, P) with one variance per
-    column.  Where the posterior is not informative enough
-    (1/v_post - 1/v_pri <= 1/max_variance) the extrinsic variance is clamped
-    to max_variance.
+    Means are (N, C) with one variance per column, C = members * P: member
+    b owns columns b P to (b + 1) P - 1.  Where the posterior is not
+    informative enough (1/v_post - 1/v_pri <= 1/max_variance) the extrinsic
+    variance is clamped to max_variance.
 
     The extrinsic message is multiplied back with the prior and compared
-    with the posterior over the unclamped columns: the error is the worst
-    relative variance mismatch or the worst mean mismatch relative to
-    max |h_post|, whichever is larger (0 when every column is clamped).
-    Returns (h_ext, v_ext, clamped, roundtrip_err).
+    with the posterior over each member's unclamped columns: the member's
+    error is the worst relative variance mismatch or the worst mean mismatch
+    relative to its max |h_post|, whichever is larger (0 when every column
+    of the member is clamped).  Returns (h_ext, v_ext, clamped,
+    roundtrip_err), the last a (members,) array.
     """
     v_post = np.asarray(v_post, dtype=float)
     v_pri = np.asarray(v_pri, dtype=float)
+    if np.ndim(h_post) != 2 or v_post.shape != h_post.shape[1:] or h_post.shape[1] % members:
+        raise ValueError(
+            f"need (N, C) means with (C,) variances, C a multiple of {members} members; "
+            f"got {np.shape(h_post)} and {v_post.shape}"
+        )
     inv = 1.0 / v_post - 1.0 / v_pri
     clamped = ~(inv > 1.0 / max_variance)
     v_ext = np.where(clamped, max_variance, 1.0 / np.where(clamped, 1.0, inv))
     h_ext = h_post * (v_ext / v_post) - h_pri * (v_ext / v_pri)
-    err = 0.0
-    keep = ~clamped
-    if np.any(keep):
-        v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
-        h_rec = h_ext * (v_rec / v_ext) + h_pri * (v_rec / v_pri)
-        h_rec -= h_post
-        h_ref = h_post
-        if not keep.all():
-            # only (N, P) inputs can have both kept and clamped columns
-            h_rec, h_ref = h_rec[:, keep], h_post[:, keep]
-        scale = max(float(np.abs(h_ref).max()), 1e-300)
-        err_m = np.abs(h_rec).max() / scale
-        err_v = np.max(np.abs(v_rec - v_post) / v_post, where=keep, initial=0.0)
-        err = float(max(err_v, err_m))
-    return h_ext, v_ext[()], clamped[()], err
+    kept = (~clamped).reshape(members, -1)
+    checked = kept.any(axis=1)
+    if checked.all():
+        err = _roundtrip_error((h_post, v_post), (h_pri, v_pri), (h_ext, v_ext), kept)
+    else:
+        # a member whose columns are all clamped is checked on nothing, as in
+        # its run alone: the round trip of its columns can overflow
+        err = np.zeros(members)
+        if checked.any():
+            cols = np.repeat(checked, kept.shape[1])
+            err[checked] = _roundtrip_error(
+                (h_post[:, cols], v_post[cols]), (h_pri[:, cols], v_pri[cols]),
+                (h_ext[:, cols], v_ext[cols]), kept[checked],
+            )
+    return h_ext, v_ext, clamped, err
+
+
+def _roundtrip_error(post, pri, ext, kept):
+    """Each member's round-trip error over its kept columns.
+
+    post, pri and ext are (mean, variance) pairs of (N, B P) means and
+    (B P,) variances; kept is (B, P), with a kept column in every member.
+    The error is the worst relative variance mismatch or the worst mean
+    mismatch relative to the member's max |h_post|, whichever is larger.
+    """
+    (h_post, v_post), (h_pri, v_pri), (h_ext, v_ext) = post, pri, ext
+    v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
+    h_rec = h_ext * (v_rec / v_ext) + h_pri * (v_rec / v_pri)
+    h_rec -= h_post
+    scale = np.maximum(_member_max_abs(h_post, kept), 1e-300)
+    err_m = _member_max_abs(h_rec, kept) / scale
+    err_v = np.max((np.abs(v_rec - v_post) / v_post).reshape(kept.shape), axis=1,
+                   where=kept, initial=0.0)
+    # max(err_v, err_m) of each member, NaN as Python's max takes it
+    return np.where(err_m > err_v, err_m, err_v)
+
+
+def _member_max_abs(h, kept):
+    """Each member's max |h| over its kept columns, h (N, B P) and kept
+    (B, P); a NaN in a kept column is the member's maximum.
+
+    |h| is written member by member, as a C-ordered (B, N, P) array, so
+    that a member's maximum is one pass over a contiguous block: numpy
+    reduces the axes (0, 2) of an (N, B, P) view several times slower once
+    B > 1.
+    """
+    B, P = kept.shape
+    mag = np.abs(h.reshape(-1, B, P).transpose(1, 0, 2), order="C")
+    if kept.all():
+        return mag.reshape(B, -1).max(axis=1)
+    return np.max(mag.max(axis=1), axis=1, where=kept, initial=0.0)
 
 
 def dense_lmmse(y, A, h_pri, v_pri, sigma2):

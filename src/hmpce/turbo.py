@@ -1,14 +1,23 @@
 """Turbo loop coupling the linear estimator with the structured denoiser,
 plus the scalar state-evolution predictor.
 
-Each iteration runs the LMMSE stage for all P subcarriers at once through
-the stacked pilot operator, a `PilotSet` (one `lmmse_update` call on (N, P)
-means and (P,) variances), converts its posterior to an extrinsic message,
-feeds the denoiser, and converts the denoiser posterior back.  Both conversions are
-one column-wise `extrinsic_split`.  Extrinsic variances are clamped to a cap
-instead of ever going non-positive or infinite; the round-trip identity
-extrinsic * prior = posterior is monitored inline on the unclamped
-subcarriers.
+`run_turbo_batch` runs B independent turbo runs, called members, that
+share one `PilotSet`, as the column groups of one (N, B P) run; `run_turbo`
+is its one-member call, and given a list of measurement sets it is the
+batch itself (the CLI's calls, which run each sweep's SNR points as one
+batch).  Each iteration runs the LMMSE stage for all
+subcarriers of all members at once through the pilot set tiled B times
+(one `lmmse_update` call on (N, B P) means, (B P,) variances and one noise
+variance per column), converts its posterior to an extrinsic message,
+feeds the denoiser, whose state holds the B members, and converts the
+denoiser posterior back.  Both conversions are one column-wise
+`extrinsic_split`.  Extrinsic variances are clamped to a cap instead of
+ever going non-positive or infinite; the round-trip identity
+extrinsic * prior = posterior is monitored inline on each member's
+unclamped subcarriers.  Early stopping, the NMSE, the clamp counts and the
+round-trip error are per member, and a member that stops, or whose state
+goes non-finite, is removed from every array.  Every member's estimate and
+trace are bit for bit those of its run alone.
 
 The state-evolution recursion tracks a single variance scalar through the
 same two maps: the linear stage in closed form, the denoiser through a
@@ -27,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import PriorConfig, denoise
+from .denoiser import PriorConfig, denoise, init_state, select_members
 from .lmmse import extrinsic_split, lmmse_update
 from .priors import VARIANT_BG, ScalarPrior, posterior_variance_mixture
 
@@ -102,6 +111,50 @@ def to_db(x):
     return 10.0 * math.log10(max(float(x), 1e-300))
 
 
+class BatchTrace(list):
+    """The `TurboTrace`s of a batch's members, in member order.
+
+    It also reads as the trace of the whole batch, the totals of its members'
+    runs: `iterations` counts the iterations of every member, and
+    `clamped_a`, `clamped_b` and `roundtrip_err` chain the members' lists.
+    These are the attributes by which `perfbench/tracing.py` accounts a
+    `run_turbo` call, so a batched call is accounted as its members' runs
+    alone would be.
+    """
+
+    @property
+    def iterations(self):
+        return sum(trace.iterations for trace in self)
+
+    @property
+    def clamped_a(self):
+        return [n for trace in self for n in trace.clamped_a]
+
+    @property
+    def clamped_b(self):
+        return [n for trace in self for n in trace.clamped_b]
+
+    @property
+    def roundtrip_err(self):
+        return [err for trace in self for err in trace.roundtrip_err]
+
+
+class NonFiniteStateError(RuntimeError):
+    """A member's turbo state went non-finite.
+
+    Raised once the other members of the batch have finished.  `failed`
+    maps each such member to the iteration at which its state went
+    non-finite; `estimates` and `traces` hold every member's result, with
+    None as the estimate of a failed member, whose trace ends at its last
+    finite iteration.
+    """
+
+    def __init__(self, failed, estimates, traces):
+        member = min(failed)
+        super().__init__(f"non-finite turbo state at iteration {failed[member]}")
+        self.failed, self.estimates, self.traces = failed, estimates, traces
+
+
 def run_turbo(measurements, pilots, cfg, truth=None):
     """Run the turbo iterations; returns (final_estimate, trace).
 
@@ -113,55 +166,130 @@ def run_turbo(measurements, pilots, cfg, truth=None):
     ValueError before the first iteration.  Early stopping compares
     consecutive NMSE values when `truth` is given; otherwise it stops once
     the relative change of the estimate, ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2,
-    falls below `nmse_tol`.
+    falls below `nmse_tol`.  A non-finite state raises `NonFiniteStateError`.
+
+    This is the one-member call of `run_turbo_batch`.  Given a list of
+    `MeasurementSet`s as `measurements` and a list of truths as `truth`, it
+    is `run_turbo_batch` itself and returns its (estimates, traces).
     """
-    Y = measurements.Y
-    sigma2 = measurements.noise_variance
+    if isinstance(measurements, list):
+        return run_turbo_batch(measurements, pilots, cfg, truth)
+    estimates, traces = run_turbo_batch([measurements], pilots, cfg, [truth])
+    return estimates[0], traces[0]
+
+
+def run_turbo_batch(measurements, pilots, cfg, truths):
+    """Run B independent turbo runs, called members, that share `pilots`;
+    returns (estimates, traces), one final estimate and one `TurboTrace`
+    per member, in order, `traces` a `BatchTrace`.
+
+    `measurements` holds the B members' `MeasurementSet`s and `truths` one
+    truth per member, an (N, P) array or None; each member is checked and
+    stops early as `run_turbo` describes.  The members run as
+    the column groups of one (N, B P) estimate: member b owns columns b P to
+    (b + 1) P - 1, module A runs through `pilots` tiled B times with one
+    noise variance per column, and the denoiser state holds B members.  A
+    member that stops is removed from every array, so it is never iterated
+    past its stop; so is a member whose state goes non-finite, and once the
+    others have finished `NonFiniteStateError` reports it with every
+    member's result.  Each member's estimate and trace are bit for bit those
+    of its run alone.
+    """
+    measurements = list(measurements)
+    B = len(measurements)
+    if B == 0:
+        raise ValueError("need at least one member")
+    truths = list(truths)
+    if len(truths) != B:
+        raise ValueError(f"{len(truths)} truths for {B} members")
     N, M, P = pilots.N, pilots.M, len(pilots)
-    if Y.shape != (M, P):
-        raise ValueError(
-            f"measurements are {Y.shape}, need (M, P) = {(M, P)} for the pilot set"
-        )
-    if truth is not None and np.shape(truth) != (N, P):
-        raise ValueError(f"truth is {np.shape(truth)}, need (N, P) = {(N, P)}")
-    truth_energy = None if truth is None else _truth_energy(truth)
-    h_pri_a = np.zeros((N, P), dtype=np.complex128)
-    v_pri_a = np.full(P, float(cfg.init_variance))
-    state = None
-    trace = TurboTrace()
-    h_final = np.zeros((N, P), dtype=np.complex128)
-    prev_metric = None
+    for meas in measurements:
+        if meas.Y.shape != (M, P):
+            raise ValueError(
+                f"measurements are {meas.Y.shape}, need (M, P) = {(M, P)} for the pilot set"
+            )
+    for truth in truths:
+        if truth is not None and np.shape(truth) != (N, P):
+            raise ValueError(f"truth is {np.shape(truth)}, need (N, P) = {(N, P)}")
+    truth_energy = [None if truth is None else _truth_energy(truth) for truth in truths]
+    # (M, B P), column-major like the output of `PilotSet.apply`, which
+    # module A subtracts it from
+    Y = np.concatenate([meas.Y.T for meas in measurements]).T
+    sigma2 = np.repeat([float(meas.noise_variance) for meas in measurements], P)
+    live = list(range(B))    # the members still running, in column-group order
+    batch_pilots = pilots.tile(B)
+    h_pri_a = np.zeros((N, B * P), dtype=np.complex128)
+    v_pri_a = np.full(B * P, float(cfg.init_variance))
+    state = init_state(N, P, cfg.prior, B)
+    traces = BatchTrace(TurboTrace() for _ in range(B))
+    estimates = [None] * B
+    failed = {}
+    h_prev = np.zeros((N, B * P), dtype=np.complex128)
+    prev_metric = [None] * B
     for it in range(1, cfg.max_iters + 1):
-        # linear stage, all subcarriers at once (FFT-based)
-        h_post_a, v_post_a = lmmse_update(Y, pilots, h_pri_a, v_pri_a, sigma2)
-        h_pri_b, v_pri_b, clamped_a, rt_a = extrinsic_split(h_post_a, v_post_a, h_pri_a, v_pri_a)
+        members = len(live)
+        # linear stage, all subcarriers of all members at once (FFT-based)
+        h_post_a, v_post_a = lmmse_update(Y, batch_pilots, h_pri_a, v_pri_a, sigma2)
+        h_pri_b, v_pri_b, clamped_a, rt_a = extrinsic_split(
+            h_post_a, v_post_a, h_pri_a, v_pri_a, members=members
+        )
 
         # denoiser stage
-        h_post_b, v_post_b, new_state = denoise(
-            h_pri_b, v_pri_b, cfg.prior, None if cfg.reset_beliefs else state
+        if cfg.reset_beliefs:
+            state = init_state(N, P, cfg.prior, members)
+        h_post_b, v_post_b, state = denoise(h_pri_b, v_pri_b, cfg.prior, state)
+        h_pri_a, v_pri_a, clamped_b, rt_b = extrinsic_split(
+            h_post_b, v_post_b, h_pri_b, v_pri_b, members=members
         )
-        state = new_state
-        h_pri_a, v_pri_a, clamped_b, rt_b = extrinsic_split(h_post_b, v_post_b, h_pri_b, v_pri_b)
-        if not (np.isfinite(h_pri_a).all() and np.isfinite(v_pri_a).all()):
-            raise RuntimeError(f"non-finite turbo state at iteration {it}")
+        finite = np.isfinite(v_pri_a).reshape(members, P).all(axis=1)
+        if not np.isfinite(h_pri_a).all():
+            # which members: rare, and a slow reduction once B > 1
+            finite &= np.isfinite(h_pri_a).reshape(N, members, P).all(axis=(0, 2))
 
-        trace.v_a_ext.append(v_pri_b.copy())
-        trace.v_b_ext.append(v_pri_a.copy())
-        trace.roundtrip_err.append(max(rt_a, rt_b))
-        trace.clamped_a.append(int(clamped_a.sum()))
-        trace.clamped_b.append(int(clamped_b.sum()))
-        if truth is not None:
-            metric = _energy(h_post_b - truth) / truth_energy
-            converged = it > 1 and abs(metric - prev_metric) < cfg.nmse_tol
-            prev_metric = metric
-        else:
-            metric = float("nan")
-            converged = it > 1 and _relative_change(h_post_b, h_final) < cfg.nmse_tol
-        h_final = h_post_b
-        trace.nmse.append(metric)
-        if cfg.early_stop and converged:
-            break
-    return h_final, trace
+        done = []
+        rows = zip(live, finite.tolist(), rt_a.tolist(), rt_b.tolist(),
+                   clamped_a.reshape(members, P).sum(axis=1).tolist(),
+                   clamped_b.reshape(members, P).sum(axis=1).tolist())
+        for b, (member, ok, err_a, err_b, n_a, n_b) in enumerate(rows):
+            if not ok:
+                failed[member] = it
+                done.append(b)
+                continue
+            cols = slice(b * P, (b + 1) * P)
+            h_b = h_post_b[:, cols]
+            trace = traces[member]
+            trace.v_a_ext.append(v_pri_b[cols].copy())
+            trace.v_b_ext.append(v_pri_a[cols].copy())
+            trace.roundtrip_err.append(max(err_a, err_b))
+            trace.clamped_a.append(n_a)
+            trace.clamped_b.append(n_b)
+            truth = truths[member]
+            if truth is not None:
+                metric = _energy(h_b - truth) / truth_energy[member]
+                converged = it > 1 and abs(metric - prev_metric[member]) < cfg.nmse_tol
+                prev_metric[member] = metric
+            else:
+                metric = float("nan")
+                converged = it > 1 and _relative_change(h_b, h_prev[:, cols]) < cfg.nmse_tol
+            trace.nmse.append(metric)
+            if (cfg.early_stop and converged) or it == cfg.max_iters:
+                done.append(b)
+                estimates[member] = np.ascontiguousarray(h_b)
+        h_prev = h_post_b
+        if done:
+            kept = [b for b in range(members) if b not in done]
+            if not kept:
+                break
+            live = [live[b] for b in kept]
+            cols = (np.array(kept)[:, None] * P + np.arange(P)).ravel()
+            # np.take keeps C order, which the column sums' order relies on
+            h_pri_a, h_prev = np.take(h_pri_a, cols, axis=1), np.take(h_prev, cols, axis=1)
+            Y, sigma2, v_pri_a = np.take(Y.T, cols, axis=0).T, sigma2[cols], v_pri_a[cols]
+            state = select_members(state, kept)
+            batch_pilots = pilots.tile(len(kept))
+    if failed:
+        raise NonFiniteStateError(failed, estimates, traces)
+    return estimates, traces
 
 
 def _relative_change(new, old):

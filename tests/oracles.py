@@ -24,6 +24,9 @@ mask) and of the wide denoiser steps (rate/shape and psi(shape) taken
 afresh in each step, every clamp(sigmoid(.)) and logit on fresh arrays;
 the package carries the first two on its state and runs the chains in
 place) are kept verbatim, so that tests can hold the package to their bits.
+The CLI sweep as it was before the SNR points of one (trial, pilot count,
+algorithm) ran as one batch, one `run_turbo` call per point, is kept
+verbatim too (`run_sweep_per_snr`).
 Four helpers that only tests use live here too: `mmse_oracle`, a one-shot
 `MmseSampler` call, `angle_transform`, the unitary DFT between the frequency
 and angular bases, `step_inputs`, the per-pass values that `denoise`
@@ -38,7 +41,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import expit
 
-from hmpce.channels import PilotMatrix
+from hmpce.channels import PilotMatrix, make_pilot_set, synthesize_measurements
+from hmpce.cli import _KEY_NOISE, _KEY_PILOTS, _trial_channel, algo_config_for
 from hmpce.denoiser import (
     _gain,
     _squared_magnitude,
@@ -55,7 +59,7 @@ from hmpce.denoiser import (
 from hmpce.lmmse import _VAR_FLOOR
 from hmpce.messages import digamma_fn
 from hmpce.priors import VARIANT_BG, VARIANT_TSGM, posterior_variance_mixture
-from hmpce.turbo import MmseSampler, TurboTrace, nmse
+from hmpce.turbo import MmseSampler, TurboTrace, nmse, run_turbo, to_db
 
 
 def chain_enumeration(first_w, trans_w, log_like):
@@ -224,6 +228,46 @@ def unstack_pilots(pilots):
     return [PilotMatrix(N, pilots.M, rows[p], perm[p], pilots.phases[p]) for p in range(P)]
 
 
+def run_sweep_per_snr(cfg):
+    """`cli.run_sweep` with one `run_turbo` call per SNR point, the loop
+    before the points ran as one batch; returns (iter_rows, snr_rows,
+    m_rows)."""
+    iter_rows = []
+    finals = {}  # (algo, snr, m) -> [linear nmse per trial]
+    algo_cfgs = {algo: algo_config_for(cfg, algo) for algo in cfg.algos}
+    primary_m = cfg.M[0]
+    for trial in range(1, cfg.trials + 1):
+        channel = _trial_channel(cfg, trial)
+        truth = channel.gains
+        for m_idx, m in enumerate(cfg.M):
+            pilot_key = np.random.SeedSequence((cfg.seed, _KEY_PILOTS, trial, m_idx))
+            pilots = make_pilot_set(cfg.N, m, cfg.P, rng_seed=pilot_key)
+            for snr_idx, snr in enumerate(sorted(cfg.snr)):
+                noise_key = np.random.SeedSequence(
+                    (cfg.seed, _KEY_NOISE, trial, m_idx, snr_idx)
+                )
+                meas = synthesize_measurements(channel, pilots, snr, rng_seed=noise_key)
+                for algo in cfg.algos:
+                    _, trace = run_turbo(meas, pilots, algo_cfgs[algo], truth=truth)
+                    if m == primary_m:
+                        for it, val in enumerate(trace.nmse, 1):
+                            iter_rows.append((algo, snr, trial, it, to_db(val)))
+                    finals.setdefault((algo, snr, m), []).append(trace.nmse[-1])
+    iter_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    snr_rows = [
+        (algo, snr, to_db(float(np.mean(finals[(algo, snr, primary_m)]))))
+        for algo in sorted(cfg.algos)
+        for snr in sorted(cfg.snr)
+    ]
+    m_rows = [
+        (algo, snr, m, to_db(float(np.mean(finals[(algo, snr, m)]))))
+        for algo in sorted(cfg.algos)
+        for snr in sorted(cfg.snr)
+        for m in sorted(cfg.M)
+    ]
+    return iter_rows, snr_rows, m_rows
+
+
 def run_turbo_per_subcarrier(measurements, pilots, cfg, truth=None):
     """The turbo loop with module A run one subcarrier at a time.
 
@@ -340,7 +384,7 @@ def lmmse_update_out_of_place(y, pilot, h_pri, v_pri, sigma2):
     v_pri = np.asarray(v_pri, dtype=float)
     if np.any(v_pri <= 0.0):
         raise ValueError(f"prior variance must be positive, got {v_pri}")
-    if sigma2 < 0.0:
+    if np.any(np.less(sigma2, 0.0)):
         raise ValueError(f"noise variance must be non-negative, got {sigma2}")
     gain = v_pri / (v_pri + sigma2)
     residual = y - pilot.apply(h_pri)
@@ -712,7 +756,8 @@ def denoise_complex(h_pri, v_pri, cfg, state=None):
 # ---------------------------------------------------------------------------
 # the denoiser's wide steps as they were before the package carried the
 # belief-derived arrays on the state and ran the probability chains in
-# place; the function bodies are the earlier package code verbatim
+# place; the function bodies are the earlier package code verbatim, on a
+# one-member state (member 0's chain rows and pooled LLR)
 
 
 def _active_variance(state, cfg):
@@ -749,8 +794,8 @@ def activity_likelihood_allocating(r2, v_pri, s_large, state, cfg):
 
 def support_extrinsic_allocating(state, cfg, like_logit, llr):
     """`support_extrinsic` on fresh arrays."""
-    loo = llr[:, None] - like_logit
-    chain = _logit(state.fwd_pred) + _logit(state.bwd_pred)
+    loo = llr[0][:, None] - like_logit
+    chain = _logit(state.fwd_pred[0]) + _logit(state.bwd_pred[0])
     state.support_ext = _clamp(_sigmoid(chain[:, None] + loo), cfg.prob_floor)
 
 
@@ -827,7 +872,7 @@ def denoise_allocating(h_pri, v_pri, cfg, state=None):
     r2 = _squared_magnitude(h_pri)
     support_likelihood_allocating(r2, v_pri, state, cfg)
     like_logit = _logit(state.support_like)
-    evidence = (like_logit, like_logit.sum(axis=1))
+    evidence = (like_logit, like_logit.sum(axis=1)[None])
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
         forward_pass_two_lists(state, cfg, evidence, transitions)
@@ -843,7 +888,9 @@ def denoise_allocating(h_pri, v_pri, cfg, state=None):
 # ---------------------------------------------------------------------------
 # the chain round and the round-trip check as they were before the package
 # kept only the predicted odds per sweep and split the pair beliefs into
-# four columns; the function bodies are the earlier package code verbatim
+# four columns; the function bodies are the earlier package code verbatim,
+# except that the chain functions read and write a one-member state in the
+# package's member-axis layout (member 0's rows, (1,) Beta counts)
 
 
 def _evidence_odds(llr):
@@ -890,29 +937,31 @@ def _odds_to_prob(odds):
 def _transition_weights(state, cfg, transitions):
     if transitions is None:
         transitions = transition_log_expectations(state, cfg)
-    return [math.exp(v) for v in transitions]
+    (logs,) = transitions    # the one member's
+    return [math.exp(v) for v in logs]
 
 
 def forward_pass_two_lists(state, cfg, evidence=None, transitions=None):
     """Forward sweep storing both lists of the odds sweep."""
     stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
-    _, llr = pooled_evidence(state) if evidence is None else evidence
+    _, (llr,) = pooled_evidence(state) if evidence is None else evidence
     pred, filt = _odds_sweep_two_lists(
         turn_on / stay_quiet, _evidence_odds(llr),
         stay_active, turn_on, turn_off, stay_quiet, cfg.prob_floor,
     )
-    state.fwd_pred, state.fwd_filt = _odds_to_prob(pred), _odds_to_prob(filt)
+    state.fwd_pred, state.fwd_filt = _odds_to_prob(pred)[None], _odds_to_prob(filt)[None]
 
 
 def backward_pass_two_lists(state, cfg, evidence=None, transitions=None):
     """Backward sweep storing both lists of the odds sweep."""
     stay_active, turn_on, stay_quiet, turn_off = _transition_weights(state, cfg, transitions)
-    _, llr = pooled_evidence(state) if evidence is None else evidence
+    _, (llr,) = pooled_evidence(state) if evidence is None else evidence
     pred, filt = _odds_sweep_two_lists(
         1.0, _evidence_odds(llr[::-1]), stay_active, turn_off, turn_on, stay_quiet,
         cfg.prob_floor,
     )
-    state.bwd_pred, state.bwd_filt = _odds_to_prob(pred[::-1]), _odds_to_prob(filt[::-1])
+    state.bwd_pred = _odds_to_prob(pred[::-1])[None]
+    state.bwd_filt = _odds_to_prob(filt[::-1])[None]
 
 
 def update_transition_beliefs_stacked(state, cfg, evidence=None, transitions=None):
@@ -920,14 +969,17 @@ def update_transition_beliefs_stacked(state, cfg, evidence=None, transitions=Non
     pair log-weights stacked into an (N-1, 4) array."""
     if transitions is None:
         transitions = transition_log_expectations(state, cfg)
-    log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = transitions
-    _, llr = pooled_evidence(state) if evidence is None else evidence
+    ((log_stay_active, log_turn_on, log_stay_quiet, log_turn_off),) = transitions
+    _, (llr,) = pooled_evidence(state) if evidence is None else evidence
     floor = cfg.prob_floor
-    state.first_active_belief = float(
-        _clamp(_sigmoid(_logit(state.fwd_pred[0]) + _logit(state.bwd_pred[0]) + llr[0]), floor)
+    # the one member's chain fields
+    fwd_pred, fwd_filt = state.fwd_pred[0], state.fwd_filt[0]
+    bwd_pred, bwd_filt = state.bwd_pred[0], state.bwd_filt[0]
+    b1 = float(
+        _clamp(_sigmoid(_logit(fwd_pred[0]) + _logit(bwd_pred[0]) + llr[0]), floor)
     )
-    up = state.bwd_filt[1:]
-    dn = state.fwd_filt[:-1]
+    up = bwd_filt[1:]
+    dn = fwd_filt[:-1]
     with np.errstate(divide="ignore"):
         logw = np.stack(
             [
@@ -940,12 +992,13 @@ def update_transition_beliefs_stacked(state, cfg, evidence=None, transitions=Non
         )
     logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
-    state.pair_belief = w / w.sum(axis=1, keepdims=True)
-    b1 = state.first_active_belief
-    state.p10_a = b1 + cfg.p10_a + float(state.pair_belief[:, 2].sum())
-    state.p10_b = (1.0 - b1) + cfg.p10_b + float(state.pair_belief[:, 0].sum())
-    state.p01_a = cfg.p01_a + float(state.pair_belief[:, 1].sum())
-    state.p01_b = cfg.p01_b + float(state.pair_belief[:, 3].sum())
+    pair_belief = w / w.sum(axis=1, keepdims=True)
+    state.first_active_belief = np.array([b1])
+    state.pair_belief = pair_belief.T[:, None]
+    state.p10_a = np.array([b1 + cfg.p10_a + float(pair_belief[:, 2].sum())])
+    state.p10_b = np.array([(1.0 - b1) + cfg.p10_b + float(pair_belief[:, 0].sum())])
+    state.p01_a = np.array([cfg.p01_a + float(pair_belief[:, 1].sum())])
+    state.p01_b = np.array([cfg.p01_b + float(pair_belief[:, 3].sum())])
 
 
 def extrinsic_split_columnwise(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):

@@ -84,14 +84,16 @@ def test_criterion_1_markov_smoothing_exactness():
     t0 = time.perf_counter()
     for _ in range(50):
         state = init_state(N, P, cfg)
-        state.p10_a = float(rng.uniform(0.5, 3.0))
-        state.p10_b = float(rng.uniform(0.5, 3.0))
-        state.p01_a = float(rng.uniform(0.5, 3.0))
-        state.p01_b = float(rng.uniform(0.5, 3.0))
+        # a one-member state: the Beta counts are (1,) arrays, and the
+        # chain fields are read as member 0's rows
+        state.p10_a = np.array([rng.uniform(0.5, 3.0)])
+        state.p10_b = np.array([rng.uniform(0.5, 3.0)])
+        state.p01_a = np.array([rng.uniform(0.5, 3.0)])
+        state.p01_b = np.array([rng.uniform(0.5, 3.0)])
         state.support_like = rng.uniform(0.05, 0.95, size=(N, P))
 
-        ln_p10, ln_q10 = _beta_log_pair(state.p10_a, state.p10_b)
-        ln_p01, ln_q01 = _beta_log_pair(state.p01_a, state.p01_b)
+        ln_p10, ln_q10 = _beta_log_pair(state.p10_a[0], state.p10_b[0])
+        ln_p01, ln_q01 = _beta_log_pair(state.p01_a[0], state.p01_b[0])
         first_w = np.array([math.exp(ln_q10), math.exp(ln_p10)])
         trans_w = np.array(
             [
@@ -122,10 +124,10 @@ def test_criterion_1_markov_smoothing_exactness():
         )
         worst = max(
             worst,
-            float(np.max(np.abs(state.fwd_filt - ref["prefix_filt"][:, 1]))),
-            float(np.max(np.abs(state.bwd_filt - ref["suffix_filt"][:, 1]))),
-            abs(state.first_active_belief - ref["full"][0, 1]),
-            float(np.max(np.abs(state.pair_belief - pair_cols))),
+            float(np.max(np.abs(state.fwd_filt[0] - ref["prefix_filt"][:, 1]))),
+            float(np.max(np.abs(state.bwd_filt[0] - ref["suffix_filt"][:, 1]))),
+            abs(state.first_active_belief[0] - ref["full"][0, 1]),
+            float(np.max(np.abs(state.pair_belief[:, 0].T - pair_cols))),
         )
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0

@@ -203,6 +203,28 @@ def test_pilot_set_stacks_the_per_subcarrier_draws():
         assert np.array_equal(getattr(again, field), getattr(pilots, field))
 
 
+@pytest.mark.parametrize("reps", [1, 2, 5])
+@pytest.mark.parametrize("P", [1, 3])
+def test_tiled_pilot_set_stacks_the_operators_again(reps, P):
+    # column b P + p of the tiled set goes through operator p, and each
+    # column group applies as the set itself does, bit for bit
+    N, M = 32, 13
+    pilots = make_pilot_set(N, M, P, rng_seed=P)
+    tiled = pilots.tile(reps)
+    again = PilotSet.stack(unstack_pilots(pilots) * reps)
+    for field in ("gather", "select", "phases"):
+        assert np.array_equal(getattr(tiled, field), getattr(again, field)), field
+    assert (tiled.N, tiled.M, len(tiled)) == (N, M, reps * P)
+    rng = np.random.default_rng(reps)
+    H = rng.standard_normal((N, reps * P)) + 1j * rng.standard_normal((N, reps * P))
+    Y = rng.standard_normal((M, reps * P)) + 1j * rng.standard_normal((M, reps * P))
+    applied, adjoined = tiled.apply(H), tiled.adjoint(Y)
+    for b in range(reps):
+        cols = slice(b * P, (b + 1) * P)
+        assert applied[:, cols].tobytes() == pilots.apply(H[:, cols]).tobytes()
+        assert adjoined[:, cols].tobytes() == pilots.adjoint(Y[:, cols]).tobytes()
+
+
 def test_pilot_set_rejects_bad_inputs():
     with pytest.raises(ValueError):
         PilotSet.stack([])

@@ -6,9 +6,17 @@ import re
 import numpy as np
 import pytest
 
-from hmpce import turbo
+from oracles import run_sweep_per_snr
+from hmpce import cli, turbo
 from hmpce.channels import sample_channel, sample_support, save_channel
-from hmpce.cli import ExperimentConfig, build_parser, main, resolve_config, run_se
+from hmpce.cli import (
+    ExperimentConfig,
+    build_parser,
+    main,
+    resolve_config,
+    run_se,
+    run_sweep,
+)
 
 
 def read_lines(path):
@@ -64,6 +72,46 @@ def test_repeated_runs_byte_identical(tmp_path):
         with open(os.path.join(out2, name), "rb") as fh:
             body2 = fh.read()
         assert body1 == body2, name
+
+
+def test_batched_sweep_rows_equal_the_per_snr_loop(tmp_path):
+    # the SNR points of each (trial, M, algorithm) run as one batch; every
+    # row equals the one-run-per-point loop's, bit for bit
+    args = ["--N", "64", "--M", "26,40", "--P", "4", "--K", "64", "--snr", "30,inf,10",
+            "--algos", "hmp-tsgm-lvd,hmp-tsgm,hmp-bg", "--trials", "2", "--iters", "15",
+            "--seed", "1", "--out", str(tmp_path)]
+    cfg = resolve_config(build_parser().parse_args(args))
+    got, want = run_sweep(cfg), run_sweep_per_snr(cfg)
+    assert got == want
+    iter_rows = got[0]
+    stops = {}
+    for algo, snr, trial, it, _ in iter_rows:
+        stops[(algo, trial, snr)] = it
+    # a batch of every algorithm stops its members at different iterations
+    assert all(
+        any(len({stops[(algo, trial, snr)] for snr in cfg.snr}) > 1 for trial in (1, 2))
+        for algo in cfg.algos
+    )
+
+
+def test_sweep_runs_each_batch_through_run_turbo(tmp_path, monkeypatch):
+    # one batched run_turbo call per (trial, M, algorithm), with the SNR
+    # points as its members; a profiler that times the turbo layer by
+    # wrapping `run_turbo` sees every turbo run of the sweep
+    args = ["--N", "32", "--M", "13,20", "--P", "2", "--K", "64", "--snr", "10,30,inf",
+            "--algos", "hmp-tsgm-lvd,hmp-bg", "--trials", "2", "--iters", "3",
+            "--out", str(tmp_path)]
+    cfg = resolve_config(build_parser().parse_args(args))
+    calls = []
+
+    def recorded(measurements, pilots, algo_cfg, truth=None):
+        calls.append([meas.snr_db for meas in measurements])
+        return run_turbo(measurements, pilots, algo_cfg, truth)
+
+    run_turbo = cli.run_turbo
+    monkeypatch.setattr(cli, "run_turbo", recorded)
+    run_sweep(cfg)
+    assert calls == [[10.0, 30.0, math.inf]] * (2 * 2 * 2)
 
 
 def test_missing_channel_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import inspect
 import math
 import warnings
@@ -35,6 +36,7 @@ from hmpce.denoiser import (
     forward_pass,
     init_state,
     pooled_evidence,
+    select_members,
     posterior_moments,
     support_extrinsic,
     support_likelihood,
@@ -65,9 +67,10 @@ def logit(p):
 
 def chain_weights(state):
     """Unnormalized chain weights matching the expected-log transition
-    values, recomputed from the Beta parameters with local arithmetic."""
-    ln_p10, ln_q10 = beta_log_pair(state.p10_a, state.p10_b)
-    ln_p01, ln_q01 = beta_log_pair(state.p01_a, state.p01_b)
+    values, recomputed from the Beta parameters with local arithmetic, for
+    a one-member state."""
+    ln_p10, ln_q10 = beta_log_pair(state.p10_a[0], state.p10_b[0])
+    ln_p01, ln_q01 = beta_log_pair(state.p01_a[0], state.p01_b[0])
     first_w = np.array([math.exp(ln_q10), math.exp(ln_p10)])
     trans_w = np.array(
         [
@@ -84,12 +87,17 @@ def loglike_from_pi(pi):
     )
 
 
+def one(x):
+    """A one-member state's (1,) array of x."""
+    return np.array([float(x)])
+
+
 def frozen_chain_state(rng, N, P, cfg):
     state = init_state(N, P, cfg)
-    state.p10_a = float(rng.uniform(0.5, 3.0))
-    state.p10_b = float(rng.uniform(0.5, 3.0))
-    state.p01_a = float(rng.uniform(0.5, 3.0))
-    state.p01_b = float(rng.uniform(0.5, 3.0))
+    state.p10_a = one(rng.uniform(0.5, 3.0))
+    state.p10_b = one(rng.uniform(0.5, 3.0))
+    state.p01_a = one(rng.uniform(0.5, 3.0))
+    state.p01_b = one(rng.uniform(0.5, 3.0))
     state.support_like = rng.uniform(0.05, 0.95, size=(N, P))
     return state
 
@@ -167,8 +175,9 @@ def test_transition_log_expectations_equal_two_beta_calls_bit_for_bit(exact):
         case[slot] = math.nan
         counts.append(tuple(case))
     for p10_a, p10_b, p01_a, p01_b in counts:
-        state = DenoiserState(p10_a=p10_a, p10_b=p10_b, p01_a=p01_a, p01_b=p01_b)
-        got = transition_log_expectations(state, cfg)
+        state = DenoiserState(p10_a=one(p10_a), p10_b=one(p10_b), p01_a=one(p01_a),
+                              p01_b=one(p01_b))
+        (got,) = transition_log_expectations(state, cfg)
         turn_on, stay_quiet = beta_log_expectations(p10_a, p10_b, exact)
         turn_off, stay_active = beta_log_expectations(p01_a, p01_b, exact)
         want = (stay_active, turn_on, stay_quiet, turn_off)
@@ -213,11 +222,11 @@ def test_chain_quantities_match_enumeration():
         backward_pass(state, cfg, x.transitions, x.backward_odds)
         update_transition_beliefs(state, cfg, x.transitions, x.llr)
         ref = chain_enumeration(first_w, trans_w, loglike)
-        assert np.max(np.abs(state.fwd_filt - ref["prefix_filt"][:, 1])) < 1e-10
-        assert np.max(np.abs(state.fwd_pred - ref["prefix_pred"][:, 1])) < 1e-10
-        assert np.max(np.abs(state.bwd_filt - ref["suffix_filt"][:, 1])) < 1e-10
-        assert np.max(np.abs(state.bwd_pred - ref["suffix_pred"][:, 1])) < 1e-10
-        assert abs(state.first_active_belief - ref["full"][0, 1]) < 1e-10
+        assert np.max(np.abs(state.fwd_filt[0] - ref["prefix_filt"][:, 1])) < 1e-10
+        assert np.max(np.abs(state.fwd_pred[0] - ref["prefix_pred"][:, 1])) < 1e-10
+        assert np.max(np.abs(state.bwd_filt[0] - ref["suffix_filt"][:, 1])) < 1e-10
+        assert np.max(np.abs(state.bwd_pred[0] - ref["suffix_pred"][:, 1])) < 1e-10
+        assert abs(state.first_active_belief[0] - ref["full"][0, 1]) < 1e-10
         pair_cols = np.stack(
             [
                 ref["pair"][:, 0, 0],
@@ -227,8 +236,8 @@ def test_chain_quantities_match_enumeration():
             ],
             axis=1,
         )
-        assert np.max(np.abs(state.pair_belief - pair_cols)) < 1e-10
-        marginal = expit(logit(state.fwd_pred) + logit(state.bwd_pred) + llr)
+        assert np.max(np.abs(state.pair_belief[:, 0].T - pair_cols)) < 1e-10
+        marginal = expit(logit(state.fwd_pred[0]) + logit(state.bwd_pred[0]) + llr)
         assert np.max(np.abs(marginal - ref["full"][:, 1])) < 1e-10
 
 
@@ -266,8 +275,8 @@ def _sweep_case(rng, N, kind):
         # [floor, 1 - floor] clamp
         cfg = PriorConfig(prob_floor=1e-3)
         state = frozen_chain_state(rng, N, 3, cfg)
-        state.p01_a = float(rng.uniform(0.02, 0.1))
-        state.p01_b = float(rng.uniform(20.0, 60.0))
+        state.p01_a = one(rng.uniform(0.02, 0.1))
+        state.p01_b = one(rng.uniform(20.0, 60.0))
         state.support_like = np.where(
             rng.random((N, 1)) < 0.5, 1e-5, 1.0 - 1e-5
         ) * np.ones((1, 3))
@@ -276,8 +285,8 @@ def _sweep_case(rng, N, kind):
         # turn_on / (turn_on + stay_quiet) within 1e-7 of 1, past 1 - floor
         cfg = PriorConfig(prob_floor=1e-3)
         state = frozen_chain_state(rng, N, 3, cfg)
-        state.p10_a = float(rng.uniform(20.0, 60.0))
-        state.p10_b = float(rng.uniform(0.02, 0.1))
+        state.p10_a = one(rng.uniform(20.0, 60.0))
+        state.p10_b = one(rng.uniform(0.02, 0.1))
     else:
         cfg = PriorConfig()
         P = 32
@@ -297,21 +306,21 @@ def test_odds_sweeps_match_probability_sweeps(N, kind):
     for _ in range(5):
         state, cfg = _sweep_case(rng, N, kind)
         x = step_inputs(state, cfg)
-        weights = [math.exp(v) for v in x.transitions]
+        weights = [math.exp(v) for v in x.transitions[0]]
         llr = logit(state.support_like).sum(axis=1)
         ref = chain_sweeps_probability(weights, llr, cfg.prob_floor)
         forward_pass(state, cfg, x.transitions, x.forward_odds)
         backward_pass(state, cfg, x.transitions, x.backward_odds)
         got = (state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt)
         for g, r in zip(got, ref):
-            assert g.shape == (N,)
+            assert g.shape == (1, N)
             assert np.max(np.abs(g - r)) < 1e-12
         if kind == "saturate":
             assert np.abs(llr).max() > 745.0
         if kind == "sticky":
             stay_active, turn_on, stay_quiet, turn_off = weights
             assert turn_on / (turn_on + stay_quiet) > 1.0 - cfg.prob_floor
-            assert state.fwd_pred[0] == pytest.approx(1.0 - cfg.prob_floor, abs=1e-15)
+            assert state.fwd_pred[0, 0] == pytest.approx(1.0 - cfg.prob_floor, abs=1e-15)
         if kind == "clamp" and N == 64:
             floor = cfg.prob_floor
             for msgs in ((ref[0], ref[2]), (ref[1], ref[3])):
@@ -336,8 +345,8 @@ def _chain_round_case(rng, N, kind, cfg):
     if kind == "clamp":
         # sticky transitions pin the predictions, near-certain evidence the
         # filtered messages
-        state.p01_a, state.p01_b = float(rng.uniform(0.02, 0.1)), float(rng.uniform(20.0, 60.0))
-        state.p10_a, state.p10_b = float(rng.uniform(20.0, 60.0)), float(rng.uniform(0.02, 0.1))
+        state.p01_a, state.p01_b = one(rng.uniform(0.02, 0.1)), one(rng.uniform(20.0, 60.0))
+        state.p10_a, state.p10_b = one(rng.uniform(20.0, 60.0)), one(rng.uniform(0.02, 0.1))
         side = rng.random((N, 1)) < 0.5
         state.support_like = np.where(side, floor, 1.0 - floor) * np.ones((1, P))
     elif kind == "saturate":
@@ -380,7 +389,7 @@ def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(variant, floor
             np.testing.assert_array_equal(getattr(state, name), getattr(ref, name), err_msg=name)
         for name in ("fwd_pred", "fwd_filt", "bwd_pred", "bwd_filt", "pair_belief"):
             assert getattr(state, name).flags.c_contiguous, name
-        assert state.pair_belief.shape == (N - 1, 4)
+        assert state.pair_belief.shape == (4, 1, N - 1)
     if kind == "clamp" and N > 3:
         odds_lo = floor / (1.0 - floor)
         pinned = np.concatenate([state.fwd_pred, state.fwd_filt, state.bwd_filt])
@@ -390,10 +399,10 @@ def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(variant, floor
 def test_symmetric_beta_gives_half_first_prediction():
     cfg = PriorConfig()
     state = frozen_chain_state(np.random.default_rng(7), 5, 2, cfg)
-    state.p10_a = state.p10_b = 1.7
+    state.p10_a = state.p10_b = one(1.7)
     x = step_inputs(state, cfg)
     forward_pass(state, cfg, x.transitions, x.forward_odds)
-    assert state.fwd_pred[0] == pytest.approx(0.5, abs=1e-14)
+    assert state.fwd_pred[0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_balanced_likelihoods_make_filtered_equal_predicted():
@@ -408,7 +417,7 @@ def test_balanced_likelihoods_make_filtered_equal_predicted():
 def test_symmetric_weights_keep_backward_half():
     cfg = PriorConfig()
     state = init_state(6, 2, cfg)
-    state.p10_a = state.p10_b = state.p01_a = state.p01_b = 2.0
+    state.p10_a = state.p10_b = state.p01_a = state.p01_b = one(2.0)
     state.support_like = np.full((6, 2), 0.5)
     x = step_inputs(state, cfg)
     forward_pass(state, cfg, x.transitions, x.forward_odds)
@@ -425,7 +434,7 @@ def test_terminal_backward_prediction_stays_half():
     state = None
     for _ in range(3):
         _, _, state = denoise(h, v, PriorConfig(), state)
-        assert state.bwd_pred[-1] == 0.5
+        assert state.bwd_pred[0, -1] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +497,7 @@ def test_extrinsic_single_subcarrier_formula():
     forward_pass(state, cfg, x.transitions, x.forward_odds)
     backward_pass(state, cfg, x.transitions, x.backward_odds)
     support_extrinsic(state, cfg, x.like_logit, x.llr)
-    up, dn = state.bwd_pred, state.fwd_pred
+    up, dn = state.bwd_pred[0], state.fwd_pred[0]
     expect = up * dn / (up * dn + (1.0 - up) * (1.0 - dn))
     assert np.allclose(state.support_ext[:, 0], expect, atol=1e-12)
 
@@ -496,7 +505,7 @@ def test_extrinsic_single_subcarrier_formula():
 def test_extrinsic_symmetric_everything_half():
     cfg = PriorConfig()
     state = init_state(5, 3, cfg)
-    state.p10_a = state.p10_b = state.p01_a = state.p01_b = 1.0
+    state.p10_a = state.p10_b = state.p01_a = state.p01_b = one(1.0)
     state.support_like = np.full((5, 3), 0.5)
     x = step_inputs(state, cfg)
     forward_pass(state, cfg, x.transitions, x.forward_odds)
@@ -515,8 +524,8 @@ def test_extrinsic_three_subcarrier_direct_products():
     pi = state.support_like
     for n in range(5):
         for p in range(3):
-            on = state.fwd_pred[n] * state.bwd_pred[n]
-            off = (1 - state.fwd_pred[n]) * (1 - state.bwd_pred[n])
+            on = state.fwd_pred[0, n] * state.bwd_pred[0, n]
+            off = (1 - state.fwd_pred[0, n]) * (1 - state.bwd_pred[0, n])
             for q in range(3):
                 if q != p:
                     on *= pi[n, q]
@@ -913,6 +922,80 @@ def test_denoise_passes_equal_the_allocating_oracle_bit_for_bit(variant, exact, 
                     == np.asarray(getattr(ref, name)).tobytes()), name
 
 
+def _member_view(state, b, P):
+    """Member b's fields, as a one-member state holds them, by the member
+    axis that each field's metadata gives."""
+    view = {}
+    for f in dataclasses.fields(state):
+        if "member_axis" in f.metadata:
+            index = range(b * P, (b + 1) * P) if f.metadata["by_column"] else [b]
+            view[f.name] = np.take(getattr(state, f.name), index, axis=f.metadata["member_axis"])
+    return view
+
+
+def test_every_state_array_gives_its_member_axis():
+    # select_members and the member views above read the member axis from
+    # the field metadata; a new array field without it would keep a stopped
+    # member's entries
+    fields = dataclasses.fields(DenoiserState)
+    arrays = {f.name for f in fields if f.type is np.ndarray}
+    marked = {f.name for f in fields if "member_axis" in f.metadata}
+    assert arrays == marked and len(marked) == 17
+    state = denoise(np.ones((5, 6), complex), np.full(6, 0.5), PriorConfig(),
+                    init_state(5, 2, PriorConfig(), 3))[2]
+    for f in fields:
+        if f.name in marked:
+            size = 6 if f.metadata["by_column"] else 3
+            assert getattr(state, f.name).shape[f.metadata["member_axis"]] == size, f.name
+
+
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
+@pytest.mark.parametrize("exact", (False, True))
+@pytest.mark.parametrize("N, P, members", [(64, 1, 3), (64, 3, 4), (2, 1, 2), (1, 2, 2)])
+def test_each_member_of_a_pass_equals_its_pass_alone_bit_for_bit(variant, exact, N, P,
+                                                                   members):
+    # one pass over B members' (N, B P) columns against B one-member passes,
+    # over 4 warm-started passes; P = 1 members are the single columns that
+    # numpy sums pairwise on their own
+    cfg = PriorConfig(variant=variant, exact_digamma=exact)
+    rng = np.random.default_rng([N, P, members])
+    active = rng.random(N) < 0.3
+    batch = init_state(N, P, cfg, members)
+    alone = [None] * members
+    for _ in range(4):
+        h, v = _pass_inputs(rng, active, members * P)
+        h_post, v_post, batch = denoise(h, v, cfg, batch)
+        for b in range(members):
+            cols = slice(b * P, (b + 1) * P)
+            h_ref, v_ref, alone[b] = denoise(h[:, cols].copy(), v[cols].copy(), cfg, alone[b])
+            assert h_post[:, cols].tobytes() == h_ref.tobytes()
+            assert v_post[cols].tobytes() == v_ref.tobytes()
+            for name, value in _member_view(batch, b, P).items():
+                assert value.tobytes() == getattr(alone[b], name).tobytes(), name
+
+
+def test_select_members_keeps_the_given_members_in_every_array():
+    cfg = PriorConfig()
+    N, P, members = 12, 2, 4
+    rng = np.random.default_rng(7)
+    h, v = _pass_inputs(rng, rng.random(N) < 0.3, members * P)
+    _, _, state = denoise(h, v, cfg, init_state(N, P, cfg, members))
+    before = [_member_view(state, b, P) for b in range(members)]
+    kept = select_members(state, [3, 1])
+    assert kept is state and state.members == 2 and state.active_beliefs is None
+    for b, old in enumerate((3, 1)):
+        for name, value in _member_view(state, b, P).items():
+            assert np.array_equal(value, before[old][name]), name
+            assert getattr(state, name).flags.c_contiguous, name
+
+
+def test_denoise_rejects_columns_that_do_not_split_into_its_members():
+    cfg = PriorConfig()
+    h, v = np.ones((8, 5), complex), np.full(5, 0.5)
+    with pytest.raises(ValueError, match="5 columns do not split into 2 members"):
+        denoise(h, v, cfg, init_state(8, 2, cfg, 2))
+
+
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM])
 @pytest.mark.parametrize("reassigned", [
     (), ("large_shape",), ("large_rate",), ("large_shape", "large_rate"),
@@ -1121,8 +1204,8 @@ def test_probabilities_stay_in_unit_interval():
         state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt,
     ):
         assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
-    assert np.allclose(state.pair_belief.sum(axis=1), 1.0, atol=1e-12)
-    assert 0.0 <= state.first_active_belief <= 1.0
+    assert np.allclose(state.pair_belief.sum(axis=0), 1.0, atol=1e-12)
+    assert 0.0 <= state.first_active_belief[0] <= 1.0
     assert np.all(state.large_shape >= cfg.large_shape - 1e-12)
     assert np.all(state.small_shape >= cfg.small_shape - 1e-12)
 
@@ -1167,11 +1250,11 @@ def test_short_chains(variant, N):
         h_post, v_post, state = denoise(h, v, cfg, state)
         assert h_post.shape == (N, P) and v_post.shape == (P,)
         assert np.all(np.isfinite(h_post)) and np.all(np.isfinite(v_post))
-        assert state.pair_belief.shape == (N - 1, 4)
+        assert state.pair_belief.shape == (4, 1, N - 1)
         for arr in (
             state.support_like, state.support_ext, state.support_post,
             state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt,
             state.pair_belief,
         ):
             assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
-        assert 0.0 <= state.first_active_belief <= 1.0
+        assert 0.0 <= state.first_active_belief[0] <= 1.0

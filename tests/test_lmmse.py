@@ -125,13 +125,62 @@ def test_batched_update_matches_per_subcarrier(N, M, P):
         lmmse_update(Y, pilots, H_pri, np.where(np.arange(P) == 0, 0.0, v_pri), 0.05)
 
 
+@pytest.mark.parametrize("bad", [-1e-3, math.nan])
+def test_update_takes_one_noise_variance_per_column(bad):
+    # a per-column sigma2 gives each column the update of its own scalar;
+    # a negative or NaN entry raises the scalar's ValueError
+    N, M, P = 32, 13, 4
+    pilots = make_pilot_set(N, M, P, rng_seed=3)
+    rng = np.random.default_rng(3)
+    H_pri = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
+    Y = rng.standard_normal((M, P)) + 1j * rng.standard_normal((M, P))
+    v_pri = rng.uniform(0.1, 3.0, P)
+    sigma2 = np.array([0.05, 0.0, 0.3, 0.05])
+    H_post, v_post = lmmse_update(Y, pilots, H_pri, v_pri, sigma2)
+    for p, s2 in enumerate(sigma2):
+        h_ref, v_ref = lmmse_update(Y, pilots, H_pri, v_pri, float(s2))
+        assert np.array_equal(H_post[:, p], h_ref[:, p]) and v_post[p] == v_ref[p]
+    sigma2[2] = bad
+    with pytest.raises(ValueError, match="noise variance must be non-negative"):
+        lmmse_update(Y, pilots, H_pri, v_pri, sigma2)
+    with pytest.raises(ValueError, match="noise variance must be non-negative"):
+        lmmse_update(Y, pilots, H_pri, v_pri, bad)
+
+
+@pytest.mark.parametrize("clamp_cols", [[], [1], [0, 1, 2], [4, 7]])
+def test_extrinsic_split_checks_each_member_alone(clamp_cols):
+    # with the columns split into members, each member's round-trip error is
+    # that of its columns alone; the message itself does not depend on the
+    # split
+    members, P = 3, 3
+    rng = np.random.default_rng(len(clamp_cols))
+    args = _split_case(rng, 64, members * P, clamp_cols, False)
+    whole = extrinsic_split(*args)
+    split = extrinsic_split(*args, members=members)
+    for got, want in zip(split[:3], whole[:3]):
+        assert np.array_equal(got, want)
+    assert split[3].shape == (members,) and whole[3].shape == (1,)
+    h_post, v_post, h_pri, v_pri = args
+    for b in range(members):
+        cols = slice(b * P, (b + 1) * P)
+        alone = extrinsic_split(h_post[:, cols], v_post[cols], h_pri[:, cols], v_pri[cols])
+        assert split[3][b] == alone[3][0]
+    # each member's mean error is relative to its own max |h_post|, at most
+    # the whole array's
+    assert max(split[3]) >= whole[3][0]
+    with pytest.raises(ValueError, match=r"\(N, C\) means"):
+        extrinsic_split(*args, members=2)
+    with pytest.raises(ValueError, match=r"\(N, C\) means"):
+        extrinsic_split(h_post[:, 0], v_post[0], h_pri[:, 0], v_pri[0])
+
+
 def test_extrinsic_variance_value():
     h_ext, v_ext, clamped, _ = extrinsic_split(
-        np.array([1.0 + 0.0j]), 0.5, np.array([0.0 + 0.0j]), 1.0
+        np.array([[1.0 + 0.0j]]), np.array([0.5]), np.array([[0.0 + 0.0j]]), np.array([1.0])
     )
-    assert v_ext == pytest.approx(1.0, abs=1e-14)
-    assert h_ext[0] == pytest.approx(2.0, abs=1e-14)
-    assert not clamped
+    assert v_ext[0] == pytest.approx(1.0, abs=1e-14)
+    assert h_ext[0, 0] == pytest.approx(2.0, abs=1e-14)
+    assert not clamped[0]
 
 
 def test_extrinsic_roundtrip_recovers_posterior():
@@ -142,31 +191,32 @@ def test_extrinsic_roundtrip_recovers_posterior():
         h_pri = complex(rng.standard_normal(), rng.standard_normal())
         h_post = complex(rng.standard_normal(), rng.standard_normal())
         h_ext, v_ext, clamped, err = extrinsic_split(
-            np.array([h_post]), v_post, np.array([h_pri]), v_pri
+            np.array([[h_post]]), np.array([v_post]), np.array([[h_pri]]), np.array([v_pri])
         )
-        assert not clamped
-        assert err < 1e-10
-        back = gaussian_multiply(GaussianMsg(h_ext[0], v_ext), GaussianMsg(h_pri, v_pri))
+        assert not clamped[0]
+        assert err[0] < 1e-10
+        back = gaussian_multiply(GaussianMsg(h_ext[0, 0], v_ext[0]), GaussianMsg(h_pri, v_pri))
         assert abs(back.mean - h_post) < 1e-10 * max(1.0, abs(h_post))
         assert abs(back.variance - v_post) < 1e-10 * v_post
 
 
 def test_extrinsic_flat_prior_passthrough():
     rng = np.random.default_rng(9)
-    h_post = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    h_pri = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    h_ext, v_ext, clamped, _ = extrinsic_split(h_post, 0.4, h_pri, 1e14)
-    assert not clamped
-    assert v_ext == pytest.approx(0.4, rel=1e-10)
+    h_post = (rng.standard_normal(8) + 1j * rng.standard_normal(8))[:, None]
+    h_pri = (rng.standard_normal(8) + 1j * rng.standard_normal(8))[:, None]
+    h_ext, v_ext, clamped, _ = extrinsic_split(h_post, np.array([0.4]), h_pri, np.array([1e14]))
+    assert not clamped[0]
+    assert v_ext[0] == pytest.approx(0.4, rel=1e-10)
     assert np.max(np.abs(h_ext - h_post)) < 1e-10
 
 
 def test_extrinsic_clamps_when_uninformative():
     h_ext, v_ext, clamped, err = extrinsic_split(
-        np.array([1.0 + 0.0j]), 1.0, np.array([0.0 + 0.0j]), 1.0, max_variance=1e8
+        np.array([[1.0 + 0.0j]]), np.array([1.0]), np.array([[0.0 + 0.0j]]), np.array([1.0]),
+        max_variance=1e8,
     )
-    assert clamped and v_ext == 1e8
-    assert err == 0.0
+    assert clamped[0] and v_ext[0] == 1e8
+    assert err[0] == 0.0
 
 
 def test_extrinsic_split_columns_with_clamped_columns():
@@ -184,18 +234,19 @@ def test_extrinsic_split_columns_with_clamped_columns():
     assert clamped.tolist() == [False, True, False, False, True, False]
     assert np.all(v_ext[clamped] == cap)
     for p in range(P):
-        col = extrinsic_split(h_post[:, p], v_post[p], h_pri[:, p], v_pri[p], cap)
-        assert np.array_equal(h_ext[:, p], col[0])
-        assert v_ext[p] == col[1] and clamped[p] == col[2]
+        cols = slice(p, p + 1)
+        col = extrinsic_split(h_post[:, cols], v_post[cols], h_pri[:, cols], v_pri[cols], cap)
+        assert np.array_equal(h_ext[:, p], col[0][:, 0])
+        assert v_ext[p] == col[1][0] and clamped[p] == col[2][0]
     h_old = v_ext * (h_post / v_post - h_pri / v_pri)
     assert np.max(np.abs(h_ext - h_old)[:, ~clamped]) < 1e-12
     ref = roundtrip_error_columns(h_ext, v_ext, h_pri, v_pri, h_post, v_post, clamped)
-    assert err < 1e-14 and ref < 1e-14
+    assert err[0] < 1e-14 and ref < 1e-14
     keep = ~clamped
     kept = extrinsic_split(h_post[:, keep], v_post[keep], h_pri[:, keep], v_pri[keep], cap)
-    assert kept[3] == err > 0.0
+    assert kept[3][0] == err[0] > 0.0
     everything = extrinsic_split(h_post, v_pri, h_pri, v_pri, cap)
-    assert np.all(everything[2]) and everything[3] == 0.0
+    assert np.all(everything[2]) and everything[3][0] == 0.0
 
 
 def _split_case(rng, N, P, clamp_cols, scalar_var):
@@ -203,7 +254,8 @@ def _split_case(rng, N, P, clamp_cols, scalar_var):
     h_pri = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
     h_post *= rng.uniform(0.01, 100.0, P)
     if scalar_var:
-        v_pri = float(rng.uniform(0.2, 3.0))
+        # one variance shared by every column
+        v_pri = np.full(P, float(rng.uniform(0.2, 3.0)))
         v_post = v_pri * float(rng.uniform(0.05, 0.95))
     else:
         v_pri = rng.uniform(0.2, 3.0, P)
@@ -223,11 +275,11 @@ def test_roundtrip_error_equals_the_columnwise_form_bit_for_bit(N, P, scalar_var
             set(rng.integers(0, P, size=trial % 3).tolist())
         )
         args = _split_case(rng, N, P, clamp_cols, scalar_var)
-        for one_vector in (False, True):
-            if one_vector:
+        for one_column in (False, True):
+            if one_column:
                 h_post, v_post, h_pri, v_pri = args
-                v_post, v_pri = np.broadcast_to(v_post, P), np.broadcast_to(v_pri, P)
-                cases = [(h_post[:, p], v_post[p], h_pri[:, p], v_pri[p]) for p in range(P)]
+                cases = [(h_post[:, p:p + 1], v_post[p:p + 1], h_pri[:, p:p + 1],
+                          v_pri[p:p + 1]) for p in range(P)]
             else:
                 cases = [args]
             for case in cases:
@@ -235,7 +287,7 @@ def test_roundtrip_error_equals_the_columnwise_form_bit_for_bit(N, P, scalar_var
                 ref = extrinsic_split_columnwise(*case)
                 assert np.array_equal(got[0], ref[0])
                 assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
-                assert got[3] == ref[3]
+                assert got[3][0] == ref[3]
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

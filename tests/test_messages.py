@@ -70,12 +70,12 @@ def test_gaussian_multiply_commutative_associative():
 
 def _extrinsic(post, pri, max_variance=1e8):
     # the scalar case of the extrinsic division post / pri, through the one
-    # implementation of it (lmmse.extrinsic_split on a length-1 vector)
+    # implementation of it (lmmse.extrinsic_split on one (1, 1) column)
     h_ext, v_ext, clamped, _ = extrinsic_split(
-        np.array([post.mean], dtype=complex), post.variance,
-        np.array([pri.mean], dtype=complex), pri.variance, max_variance,
+        np.array([[post.mean]], dtype=complex), np.array([post.variance]),
+        np.array([[pri.mean]], dtype=complex), np.array([pri.variance]), max_variance,
     )
-    return GaussianMsg(complex(h_ext[0]), float(v_ext)), bool(clamped)
+    return GaussianMsg(complex(h_ext[0, 0]), float(v_ext[0])), bool(clamped[0])
 
 
 def test_extrinsic_examples():

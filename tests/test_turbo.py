@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,12 +34,15 @@ from hmpce.priors import (
 )
 from hmpce.turbo import (
     AlgoConfig,
+    BatchTrace,
     MmseSampler,
+    NonFiniteStateError,
     SeUndefinedError,
     linear_stage_eta,
     nmse,
     run_state_evolution,
     run_turbo,
+    run_turbo_batch,
     se_step,
     to_db,
 )
@@ -389,6 +393,179 @@ def test_non_finite_measurements_abort():
     with np.errstate(invalid="ignore"):
         with pytest.raises(RuntimeError, match="iteration 1"):
             run_turbo(meas, pilots, algo(max_iters=4), truth=truth)
+
+
+# ---------------------------------------------------------------------------
+# batched runs: B members as the column groups of one (N, B P) run
+
+
+def make_batch(N, M, P, snrs, seed):
+    """One channel and one pilot set, measured once per SNR."""
+    root = np.random.SeedSequence(seed)
+    s_support, s_gain, s_pilot, *s_noise = root.spawn(3 + len(snrs))
+    support = sample_support(N, 0.05, 0.20, rng_seed=s_support)
+    channel = sample_channel(support, P, vS=100.0, rng_seed=s_gain)
+    pilots = make_pilot_set(N, M, P, rng_seed=s_pilot)
+    meas = [synthesize_measurements(channel, pilots, snr, rng_seed=s)
+            for snr, s in zip(snrs, s_noise)]
+    return meas, pilots, channel.gains
+
+
+def _trace_bits(trace):
+    """A trace as bytes and float hex, for bit-for-bit comparison (NaN NMSE
+    values of a run without truth compare equal)."""
+    return (
+        [float(x).hex() for x in trace.nmse],
+        [v.tobytes() for v in trace.v_a_ext], [v.tobytes() for v in trace.v_b_ext],
+        trace.clamped_a, trace.clamped_b,
+        [float(x).hex() for x in trace.roundtrip_err],
+    )
+
+
+def _run_bits(result):
+    """Everything a run returns, as bytes and float hex."""
+    h, trace = result
+    return h.shape, h.tobytes(), _trace_bits(trace)
+
+
+BATCH_CASES = [
+    # N, M, P, SNRs, loop controls, seed; the 256 x 32 batch of five crosses
+    # numpy's 256 KiB temporary-elision threshold, which a single run's
+    # arrays do not
+    (256, 103, 32, (0.0, 10.0, 20.0, 30.0, math.inf), {}, 2),
+    (64, 26, 4, (5.0, 15.0, 25.0, 40.0), {}, 98),
+    (64, 26, 4, (10.0, 30.0, math.inf), {"early_stop": False}, 3),
+    (64, 26, 4, (10.0, 20.0, 30.0), {"reset_beliefs": True}, 4),
+    (64, 26, 4, (10.0, 20.0, 30.0), {"exact_digamma": True}, 5),
+    (64, 26, 1, (5.0, 20.0, math.inf), {}, 6),
+    (2, 1, 1, (10.0, 20.0, math.inf), {}, 7),
+]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("with_truth", (True, False))
+@pytest.mark.parametrize("N, M, P, snrs, controls, seed", BATCH_CASES)
+def test_each_member_equals_its_run_alone_bit_for_bit(N, M, P, snrs, controls, seed,
+                                                      with_truth, variant):
+    controls = dict(controls)
+    exact = controls.pop("exact_digamma", False)
+    cfg = AlgoConfig(
+        name=variant, prior=PriorConfig(variant=variant, exact_digamma=exact),
+        init_variance=ScalarPrior(variant=variant).mean_power(), max_iters=12, **controls,
+    )
+    meas, pilots, truth = make_batch(N, M, P, snrs, seed)
+    truths = [truth if with_truth else None] * len(meas)
+    estimates, traces = run_turbo_batch(meas, pilots, cfg, truths)
+    alone = [run_turbo(m, pilots, cfg, truth=t) for m, t in zip(meas, truths)]
+    assert len(estimates) == len(traces) == len(meas)
+    for got, want in zip(zip(estimates, traces), alone):
+        assert _run_bits(got) == _run_bits(want)
+
+
+def test_batch_cases_stop_members_at_different_iterations():
+    # the bit-for-bit cases above include batches whose members stop at
+    # different iterations, so that removing a member is covered
+    # for every variant
+    for variant in VARIANTS:
+        stops = []
+        for N, M, P, snrs, _, seed in BATCH_CASES[:2]:
+            meas, pilots, truth = make_batch(N, M, P, snrs, seed)
+            cfg = algo(variant, max_iters=12)
+            stops.append({run_turbo(m, pilots, cfg, truth=truth)[1].iterations for m in meas})
+        assert any(len(s) > 1 for s in stops), (variant, stops)
+
+
+def test_a_member_is_never_iterated_past_its_stop(monkeypatch):
+    # the denoiser sees the stopped member's columns no more: its column
+    # count falls by P once the first member stops
+    meas, pilots, truth = make_batch(64, 26, 4, (5.0, 15.0, 25.0, 40.0), seed=98)
+    widths = []
+
+    def recorded(h_pri, v_pri, prior, state):
+        widths.append(h_pri.shape[1])
+        return turbo_denoise(h_pri, v_pri, prior, state)
+
+    turbo_denoise = turbo.denoise
+    monkeypatch.setattr(turbo, "denoise", recorded)
+    _, traces = run_turbo_batch(meas, pilots, algo(max_iters=12), [truth] * len(meas))
+    stops = [trace.iterations for trace in traces]
+    assert widths == [4 * sum(stop >= it for stop in stops) for it in range(1, max(stops) + 1)]
+    assert len(set(stops)) > 1
+
+
+def test_a_member_warns_only_as_its_run_alone_does():
+    # a noiseless member with M = N diverges with every column clamped
+    # (ROADMAP item 6) beside a noisy member that keeps its columns; the
+    # batch raises no floating-point warning that neither run alone raises,
+    # and each member still equals its run alone
+    meas, pilots, truth = make_batch(32, 32, 3, (math.inf, 10.0), seed=1)
+    cfg = algo(VARIANT_BG, max_iters=10, early_stop=False)
+
+    def run(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fn()
+        return out, {(w.category, str(w.message)) for w in caught}
+
+    batch, batch_warned = run(lambda: run_turbo_batch(meas, pilots, cfg, [truth, truth]))
+    alone, alone_warned = zip(*(run(lambda m=m: run_turbo(m, pilots, cfg, truth=truth))
+                                for m in meas))
+    assert batch_warned <= set().union(*alone_warned)
+    estimates, traces = batch
+    assert max(traces[0].clamped_b) == 3 and traces[1].clamped_b[-1] == 0
+    for got, want in zip(zip(estimates, traces), alone):
+        assert _run_bits(got) == _run_bits(want)
+
+
+def test_a_diverging_member_leaves_the_others_their_results():
+    # the noiseless M = N member's state goes non-finite at iteration 14
+    # (ROADMAP item 6) while the 10 dB member runs all 30 iterations: the
+    # batch drops the first, finishes the second and then reports both
+    meas, pilots, truth = make_batch(32, 32, 3, (math.inf, 10.0), seed=1)
+    cfg = algo(VARIANT_BG, max_iters=30, early_stop=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NonFiniteStateError, match="at iteration 14") as alone_err:
+            run_turbo(meas[0], pilots, cfg, truth=truth)
+        healthy = run_turbo(meas[1], pilots, cfg, truth=truth)
+        with pytest.raises(NonFiniteStateError, match="at iteration 14") as batch_err:
+            run_turbo_batch(meas, pilots, cfg, [truth, truth])
+    err = batch_err.value
+    assert isinstance(err, RuntimeError) and err.failed == {0: 14}
+    assert err.estimates[0] is None and err.traces[0].iterations == 13
+    assert _trace_bits(err.traces[0]) == _trace_bits(alone_err.value.traces[0])
+    assert _run_bits((err.estimates[1], err.traces[1])) == _run_bits(healthy)
+    assert healthy[1].iterations == 30
+
+
+def test_run_turbo_given_a_list_is_the_batch():
+    # the CLI's batched calls go through run_turbo; the returned traces
+    # read as one trace of the whole batch, the totals of the members' runs
+    meas, pilots, truth = make_batch(64, 26, 4, (5.0, 15.0, 25.0, 40.0), seed=98)
+    cfg = algo(max_iters=12)
+    estimates, traces = run_turbo(meas, pilots, cfg, [truth] * len(meas))
+    want_estimates, want_traces = run_turbo_batch(meas, pilots, cfg, [truth] * len(meas))
+    assert isinstance(traces, BatchTrace) and len(traces) == len(meas)
+    for got, want in zip(zip(estimates, traces), zip(want_estimates, want_traces)):
+        assert _run_bits(got) == _run_bits(want)
+    assert traces.iterations == sum(trace.iterations for trace in traces)
+    assert len({trace.iterations for trace in traces}) > 1
+    for name in ("clamped_a", "clamped_b", "roundtrip_err"):
+        assert getattr(traces, name) == sum((getattr(t, name) for t in traces), [])
+
+
+def test_run_turbo_batch_checks_its_members():
+    meas, pilots, truth = make_batch(16, 7, 2, (10.0, 20.0), seed=4)
+    cfg = algo(max_iters=2)
+    with pytest.raises(ValueError, match="at least one member"):
+        run_turbo_batch([], pilots, cfg, [])
+    with pytest.raises(ValueError, match="1 truths for 2 members"):
+        run_turbo_batch(meas, pilots, cfg, [truth])
+    with pytest.raises(ValueError, match="all-zero truth"):
+        run_turbo_batch(meas, pilots, cfg, [truth, np.zeros_like(truth)])
+    # a member without truth beside one with it
+    _, mixed = run_turbo_batch(meas, pilots, cfg, [None, truth])
+    assert math.isnan(mixed[0].nmse[0]) and not math.isnan(mixed[1].nmse[0])
 
 
 # ---------------------------------------------------------------------------
