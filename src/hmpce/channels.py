@@ -11,11 +11,12 @@ The estimator, the synthesis and the LMMSE stage take one operator type,
 indices (P, N), flat row-selection indices (P, M) and phases (P, N), so
 applying them to an N x P channel is one `np.take`, one batched FFT and one
 more `np.take` for all subcarriers at once; the adjoint scatters through the
-same two indices.  One subcarrier is a P = 1 set.
+same two indices.  One subcarrier is a P = 1 set.  Leading axes are
+members of a batch that share the set: a (B, N, P) stack maps to (B, M, P),
+each member's block as it maps alone.
 
 `make_pdft_rp` draws one subcarrier's operator as a `PilotMatrix`, and
-`PilotSet.stack` is the one way from such operators to a set;
-`PilotSet.tile` repeats a set for batched runs that share it.
+`PilotSet.stack` is the one way from such operators to a set.
 `PilotMatrix.matrix` is the dense reference that tests, the acceptance gate
 and a demo build.
 
@@ -169,11 +170,12 @@ class PilotSet:
     from per-subcarrier `PilotMatrix` operators; `len(pilots)` is P.
 
     `apply` and `adjoint` act on all subcarriers at once: column p of the
-    input goes through operator p.  `apply` gathers through both indices with
-    `np.take` and `adjoint` scatters back through them; each runs one batched
-    FFT along the rows of a (P, N) work array, which are contiguous.  The
-    phase products and the sqrt(N) scalings run in place on the arrays that
-    the gathers and the FFTs return.
+    input goes through operator p, in every member of the leading axes.
+    `apply` gathers through both indices with `np.take` and `adjoint`
+    scatters back through them; each runs one batched FFT along the rows of
+    a (..., P, N) work array, which are contiguous.  The phase products and
+    the sqrt(N) scalings run in place on the arrays that the gathers and the
+    FFTs return.
     """
 
     N: int
@@ -202,47 +204,45 @@ class PilotSet:
     def __len__(self):
         return self.phases.shape[0]
 
-    def tile(self, reps):
-        """The set repeated `reps` times along its subcarrier axis: column
-        b P + p of an (N, reps P) input goes through operator p."""
-        P, N = self.phases.shape
-        # gather = perm P + p becomes perm (reps P) + b P + p, and
-        # select = rows + N p becomes rows + N (b P + p)
-        shift = np.repeat(np.arange(reps) * P, P)[:, None]
-        gather = np.tile(self.gather * reps - (reps - 1) * np.arange(P)[:, None], (reps, 1))
-        gather += shift
-        select = np.tile(self.select, (reps, 1))
-        select += N * shift
-        return PilotSet(N, self.M, gather, select, np.tile(self.phases, (reps, 1)))
-
     def apply(self, H):
-        """Column-wise A_p @ H[:, p]: (N, P) to (M, P)."""
-        self._check_shape(H, self.N)
-        x = np.take(np.asarray(H, dtype=np.complex128).ravel(), self.gather)
+        """Column-wise A_p @ H[..., :, p]: (..., N, P) to (..., M, P)."""
+        lead = self._check_shape(H, self.N)
+        P, N = self.phases.shape
+        H = np.asarray(H, dtype=np.complex128).reshape(lead + (N * P,))
+        x = np.take(H, self.gather, axis=-1)
         # x first: complex products can round differently by operand order,
         # and numpy's temporary elision gives an out-of-place `phases * x`
         # this order from 256 KiB up, so the benchmark sizes keep their bits
         np.multiply(x, self.phases, out=x)
-        x = np.fft.fft(x, axis=1)
-        y = np.take(x.ravel(), self.select)
+        x = np.fft.fft(x, axis=-1)
+        y = np.take(x.reshape(lead + (P * N,)), self.select, axis=-1)
         y /= np.sqrt(self.N)
-        return y.T
+        return y.swapaxes(-1, -2)
 
     def adjoint(self, Y):
-        """Column-wise A_p^H @ Y[:, p]: (M, P) to (N, P)."""
-        self._check_shape(Y, self.M)
-        z = np.zeros((len(self), self.N), dtype=np.complex128)
-        z.ravel()[self.select] = Y.T
-        w = np.fft.ifft(z, axis=1)
+        """Column-wise A_p^H @ Y[..., :, p]: (..., M, P) to (..., N, P).
+
+        The scatters run member by member through the flat indices: one
+        scatter of a transposed stack copies it first, which is slower.
+        """
+        lead = self._check_shape(Y, self.M)
+        P, N = self.phases.shape
+        z = np.zeros(lead + (P, N), dtype=np.complex128)
+        for z_b, y_b in zip(z.reshape(-1, P * N), Y.reshape((-1,) + Y.shape[-2:])):
+            z_b[self.select] = y_b.T
+        w = np.fft.ifft(z, axis=-1)
         w *= np.sqrt(self.N)
         np.multiply(np.conj(self.phases), w, out=w)
-        out = np.empty((self.N, len(self)), dtype=np.complex128)
-        out.ravel()[self.gather] = w
+        out = np.empty(lead + (N, P), dtype=np.complex128)
+        for out_b, w_b in zip(out.reshape(-1, N * P), w.reshape(-1, P, N)):
+            out_b[self.gather] = w_b
         return out
 
     def _check_shape(self, X, length):
-        if X.shape != (length, len(self)):
-            raise ValueError(f"expected shape {(length, len(self))}, got {X.shape}")
+        """X's leading shape, after checking that it ends in (length, P)."""
+        if np.ndim(X) < 2 or X.shape[-2:] != (length, len(self)):
+            raise ValueError(f"expected shape (..., {length}, {len(self)}), got {np.shape(X)}")
+        return X.shape[:-2]
 
 
 def make_pilot_set(N, M, P, rng_seed=0):

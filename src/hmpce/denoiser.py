@@ -13,20 +13,17 @@ one full pass of the support-chain / precision-learning message schedule:
   5. leave-one-subcarrier-out extrinsic support messages, Gamma belief
      updates, and the posterior mixture moments.
 
-One pass runs B independent denoisers, called members, at once: the state's
-(N, B P) arrays hold member b's P subcarriers in columns b P to
-(b + 1) P - 1, and its chain fields carry a leading member axis.  The
-per-column steps (likelihood, precision update, posterior moments) run on
-all B P columns as on one member's P.  The pooled evidence, the chain
-sweeps, the Beta transition beliefs and the leave-one-out message are per
-member: the scalar sweeps and the first element's belief loop over the
-members, the rest runs on (B, N) arrays.  Each member's output is bit for
-bit that of a one-member pass over its columns alone, which fixes three
-orders: the column sums sum each member's (N, P) block as numpy sums it
-alone (`_column_sums`), on C-ordered arrays; the pooled LLR and the
-pair-belief counts sum each member's contiguous row; and the backward odds
-are taken row by row, as exp rounds a 2-D reversed view differently.
-`select_members` drops members from a state.
+One pass runs B independent denoisers, called members, at once.  Every
+array carries the member axis first: means (B, N, P), the state's wide
+fields (B, N, P), its per-subcarrier fields (B, 1, P), its chain fields
+(B, N) and its Beta counts (B,).  Member b's block [b] of each array is
+C-contiguous, with the memory layout of a one-member pass, so each member's
+output is bit for bit that pass's: numpy sums each block as it sums the
+block alone.  The scalar sweeps and the first element's belief loop over
+the members, and the backward odds are taken row by row, as exp rounds a
+2-D reversed view differently.  `denoise` takes (B, P) prior variances and
+hands the steps the same values on the means' axes, v_pri of shape
+(B, 1, P).  `select_members` drops members from a state.
 
 Three prior variants share the schedule: per-element active-precision
 learning ("tsgm-lvd"), subcarrier-pooled active-precision learning
@@ -66,7 +63,7 @@ computed once per set of beliefs, at the first read after `init_state` or
 they came from, so a caller that assigns new belief arrays gets fresh
 values.  The belief arrays are replaced, never written in place.
 
-The wide (N, B P) steps (likelihood, precision update, posterior moments)
+The wide (B, N, P) steps (likelihood, precision update, posterior moments)
 run in real arithmetic: the activity odds, the Gamma statistics and the
 posterior variance depend on h_pri only through r2, and h_post is a real
 gain times h_pri.  v_pri must be positive and finite; `denoise` raises
@@ -117,45 +114,32 @@ class PriorConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _by_member(axis):
-    """A `DenoiserState` array whose axis `axis` runs over the members."""
-    return field(default=None, metadata={"member_axis": axis, "by_column": False})
-
-
-def _by_column():
-    """A `DenoiserState` array whose last axis holds the B P columns."""
-    return field(default=None, metadata={"member_axis": -1, "by_column": True})
-
-
 @dataclass
 class DenoiserState:
     """Mutable belief state carried across turbo iterations (warm start).
 
-    It holds B members: the (N, B P) arrays keep member b's P subcarriers in
-    columns b P to (b + 1) P - 1, and the chain fields have a member axis.
-    Each array field's metadata gives its member axis, `member_axis`, and
-    whether that axis holds the columns of the members (`by_column`) or one
-    entry per member; `select_members` reads it.  B is the length of the
-    Beta pseudo-counts.
+    It holds B members, B the length of the Beta pseudo-counts: every array
+    field has the member axis first, and member b's entries are its block
+    [b].
     """
 
-    support_like: np.ndarray = _by_column()   # (N, B P) per-subcarrier activity likelihood
-    support_ext: np.ndarray = _by_column()    # (N, B P) leave-one-out chain message
-    support_post: np.ndarray = _by_column()   # (N, B P) posterior activity weight
-    fwd_pred: np.ndarray = _by_member(0)      # (B, N) chain message into each element, forward
-    fwd_filt: np.ndarray = _by_member(0)      # (B, N) forward message combined with evidence
-    bwd_pred: np.ndarray = _by_member(0)      # (B, N) backward chain message
-    bwd_filt: np.ndarray = _by_member(0)      # (B, N) backward message combined with evidence
-    large_shape: np.ndarray = _by_column()    # (N, B P) Gamma belief on active precisions
-    large_rate: np.ndarray = _by_column()
-    small_shape: np.ndarray = _by_column()    # (B P,) Gamma belief on near-zero precision
-    small_rate: np.ndarray = _by_column()
-    p10_a: np.ndarray = _by_member(0)         # (B,) Beta beliefs on the transition probabilities
-    p10_b: np.ndarray = _by_member(0)
-    p01_a: np.ndarray = _by_member(0)
-    p01_b: np.ndarray = _by_member(0)
-    first_active_belief: np.ndarray = _by_member(0)  # (B,)
-    pair_belief: np.ndarray = _by_member(1)   # (4, B, N-1): rows (00, 01, 10, 11)
+    support_like: np.ndarray = None   # (B, N, P) per-subcarrier activity likelihood
+    support_ext: np.ndarray = None    # (B, N, P) leave-one-out chain message
+    support_post: np.ndarray = None   # (B, N, P) posterior activity weight
+    fwd_pred: np.ndarray = None       # (B, N) chain message into each element, forward
+    fwd_filt: np.ndarray = None       # (B, N) forward message combined with evidence
+    bwd_pred: np.ndarray = None       # (B, N) backward chain message
+    bwd_filt: np.ndarray = None       # (B, N) backward message combined with evidence
+    large_shape: np.ndarray = None    # (B, N, P) Gamma belief on active precisions
+    large_rate: np.ndarray = None
+    small_shape: np.ndarray = None    # (B, 1, P) Gamma belief on near-zero precision
+    small_rate: np.ndarray = None
+    p10_a: np.ndarray = None          # (B,) Beta beliefs on the transition probabilities
+    p10_b: np.ndarray = None
+    p01_a: np.ndarray = None
+    p01_b: np.ndarray = None
+    first_active_belief: np.ndarray = None  # (B,)
+    pair_belief: np.ndarray = None    # (B, 4, N-1): rows (00, 01, 10, 11)
     # (large_shape, large_rate, exact_digamma, rate/shape, psi(shape)) of
     # `_active_beliefs`, keyed to the first three
     active_beliefs: tuple = field(default=None, repr=False)
@@ -169,12 +153,11 @@ class DenoiserState:
 def init_state(N, P, cfg, members=1):
     """Prior beliefs for `members` members of N elements and P subcarriers
     each."""
-    C = members * P
     state = DenoiserState()
-    state.large_shape = np.full((N, C), cfg.large_shape)
-    state.large_rate = np.full((N, C), cfg.large_rate)
-    state.small_shape = np.full(C, cfg.small_shape)
-    state.small_rate = np.full(C, cfg.small_rate)
+    state.large_shape = np.full((members, N, P), cfg.large_shape)
+    state.large_rate = np.full((members, N, P), cfg.large_rate)
+    state.small_shape = np.full((members, 1, P), cfg.small_shape)
+    state.small_rate = np.full((members, 1, P), cfg.small_rate)
     state.p10_a, state.p10_b = np.full(members, cfg.p10_a), np.full(members, cfg.p10_b)
     state.p01_a, state.p01_b = np.full(members, cfg.p01_a), np.full(members, cfg.p01_b)
     return state
@@ -183,15 +166,10 @@ def init_state(N, P, cfg, members=1):
 def select_members(state, members):
     """Keep only the given members (indices along the member axis, in
     order), in every array of the state, and return it."""
-    members = np.asarray(members, dtype=np.intp)
-    P = len(state.small_shape) // state.members
-    cols = (members[:, None] * P + np.arange(P)).ravel()
     for f in fields(state):
         value = getattr(state, f.name)
-        if "member_axis" in f.metadata and value is not None:
-            index = cols if f.metadata["by_column"] else members
-            # np.take keeps C order, which the column sums' order relies on
-            setattr(state, f.name, np.take(value, index, axis=f.metadata["member_axis"]))
+        if isinstance(value, np.ndarray):
+            setattr(state, f.name, np.take(value, members, axis=0))
     state.active_beliefs = None
     return state
 
@@ -304,7 +282,7 @@ def _activity_likelihood(r2, v_pri, s_large, state, cfg):
     A CN(0, s) component has log density -log(pi s) - r2 / s; pi cancels in
     the odds.  s_large is the variance of the active component seen through
     v_pri: v_pri + bg_variance for bg, v_pri + rate/shape otherwise.  The
-    log-odds are built in one (N, P) array, with a second for
+    log-odds are built in one (B, N, P) array, with a second for
     log(den s_large), by the same IEEE operations in the same order as the
     expression they evaluate.
     """
@@ -328,19 +306,14 @@ def _activity_likelihood(r2, v_pri, s_large, state, cfg):
 
 
 def pooled_evidence(state):
-    """Activity log-odds per (element, column) and pooled per member.
+    """Activity log-odds per (element, subcarrier) and pooled per element.
 
-    Returns (like_logit, llr): logit(support_like), shape (N, B P), and its
-    sum over each member's P subcarriers, shape (B, N), one contiguous row
-    per member.  `denoise` computes both once per pass, after
-    `support_likelihood`.
+    Returns (like_logit, llr): logit(support_like), shape (B, N, P), and its
+    sum over the P subcarriers, shape (B, N).  `denoise` computes both once
+    per pass, after `support_likelihood`.
     """
     like_logit = _logit(state.support_like)
-    N, C = like_logit.shape
-    B = state.members
-    llr = np.empty((B, N))
-    like_logit.reshape(N, B, C // B).sum(axis=2, out=llr.T)
-    return like_logit, llr
+    return like_logit, like_logit.sum(axis=2)
 
 
 def evidence_odds(llr):
@@ -469,7 +442,7 @@ def update_transition_beliefs(state, cfg, transitions, llr):
     separate (B, N-1) arrays, normalized by their elementwise maximum and
     summed left to right, ((w00 + w01) + w10) + w11, the order of numpy's
     sum over the 4-wide axis of their stack; `pair_belief` is written pair
-    by pair, and each member's pseudo-counts sum its own row.
+    by pair, and each pseudo-count sums one contiguous row.
     """
     log_weights = np.array(transitions).T[:, :, None]
     log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = log_weights
@@ -502,10 +475,10 @@ def update_transition_beliefs(state, cfg, transitions, llr):
     total = w[0] + w[1]
     total += w[2]
     total += w[3]
-    state.pair_belief = np.empty((4,) + up.shape)
-    for wj, out in zip(w, state.pair_belief):
-        np.divide(wj, total, out=out)
-    pair_00, pair_01, pair_10, pair_11 = state.pair_belief.sum(axis=2)
+    state.pair_belief = np.empty((up.shape[0], 4, up.shape[1]))
+    for j, wj in enumerate(w):
+        np.divide(wj, total, out=state.pair_belief[:, j])
+    pair_00, pair_01, pair_10, pair_11 = state.pair_belief.sum(axis=2).T
     state.p10_a = first + cfg.p10_a + pair_10
     state.p10_b = (1.0 - first) + cfg.p10_b + pair_00
     state.p01_a = cfg.p01_a + pair_01
@@ -515,24 +488,12 @@ def update_transition_beliefs(state, cfg, transitions, llr):
 def support_extrinsic(state, cfg, like_logit, llr):
     """Chain-side activity message for each subcarrier, excluding its own
     likelihood (leave-one-out in the log-odds domain); like_logit and llr
-    are the pair of `pooled_evidence`.  Each member's pooled LLR and chain
-    message reach its own columns through an (N, B, P) view."""
-    N, C = like_logit.shape
-    B = state.members
-    loo = np.subtract(llr.T[:, :, None], like_logit.reshape(N, B, C // B))
+    are the pair of `pooled_evidence`."""
+    loo = np.subtract(llr[:, :, None], like_logit)
     chain = _logit(state.fwd_pred)
     chain += _logit(state.bwd_pred)
-    np.add(chain.T[:, :, None], loo, out=loo)
-    state.support_ext = _probability(loo.reshape(N, C), cfg.prob_floor)
-
-
-def _column_sums(x, members):
-    """x.sum(axis=0) of an (N, B P) array, each member's (N, P) block summed
-    as numpy sums it alone: down each column, element by element, or
-    pairwise when P = 1 and the block is one vector."""
-    if x.shape[1] == members:
-        return np.ascontiguousarray(x.T).sum(axis=1)
-    return x.sum(axis=0)
+    np.add(chain[:, :, None], loo, out=loo)
+    state.support_ext = _probability(loo, cfg.prob_floor)
 
 
 def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_large):
@@ -559,13 +520,12 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_lar
     large_stat += v_pri
     large_stat *= gain_large
     large_stat *= w
-    B = state.members
     if cfg.variant == VARIANT_TSGM:
         state.large_shape = np.broadcast_to(
-            cfg.large_shape + _column_sums(w, B), w.shape
+            cfg.large_shape + w.sum(axis=1, keepdims=True), w.shape
         ).copy()
         state.large_rate = np.broadcast_to(
-            cfg.large_rate + _column_sums(large_stat, B), w.shape
+            cfg.large_rate + large_stat.sum(axis=1, keepdims=True), w.shape
         ).copy()
     else:
         state.large_shape = cfg.large_shape + w
@@ -574,16 +534,17 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_lar
     # the near-zero gain is one per subcarrier, so it leaves the sums
     gain_small = _gain(v_pri, state.small_rate / state.small_shape)
     quiet = 1.0 - w
-    quiet_count = _column_sums(quiet, B)
+    quiet_count = quiet.sum(axis=1, keepdims=True)
     quiet *= r2
     state.small_shape = cfg.small_shape + quiet_count
     state.small_rate = cfg.small_rate + gain_small * (
-        gain_small * _column_sums(quiet, B) + v_pri * quiet_count
+        gain_small * quiet.sum(axis=1, keepdims=True) + v_pri * quiet_count
     )
 
 
 def posterior_moments(h_pri, v_pri, state, cfg, r2, ext_logit):
-    """Posterior mean and per-subcarrier average variance of the gains.
+    """Posterior mean (B, N, P) and per-subcarrier average variance (B, P)
+    of the gains.
 
     Recomputes the activity weight w with the updated beliefs and collapses
     the two component posteriors CN(g_L h_pri, g_L v_pri) and
@@ -616,22 +577,21 @@ def posterior_moments(h_pri, v_pri, state, cfg, r2, ext_logit):
     mix *= spread
     mix *= spread
     mix *= r2
-    # the means of `np.mean`: the column sums over N
-    N, B = r2.shape[0], state.members
-    v_post = np.maximum(
-        _column_sums(gain, B) / N * v_pri + _column_sums(mix, B) / N, 1e-30
-    )
+    # the means of `np.mean`: the sums over N
+    N = r2.shape[1]
+    v_post = np.maximum(gain.sum(axis=1) / N * v_pri[:, 0] + mix.sum(axis=1) / N, 1e-30)
     return h_post, v_post
 
 
 def denoise(h_pri, v_pri, cfg, state=None):
     """One full denoiser pass; returns (h_post, v_post, state).
 
-    h_pri is (N, B P) and v_pri (B P,) for the B members of `state`, one
-    member when state is None.  Passing the returned state back in
-    warm-starts the Gamma/Beta beliefs on the next turbo iteration; passing
-    state=None, or a fresh `init_state`, resets them.  Raises
-    ValueError unless every v_pri is positive and finite; h_pri is not
+    h_pri is (B, N, P) and v_pri (B, P) for the B members of `state`, a
+    fresh state of B members when state is None; h_post and v_post have the
+    same shapes.  Passing the returned state back in warm-starts the
+    Gamma/Beta beliefs on the next turbo iteration; passing state=None, or
+    a fresh `init_state`, resets them.  Raises ValueError unless every v_pri
+    is positive and finite and the state holds B members; h_pri is not
     checked, so a non-finite h_pri comes back as a non-finite h_post and
     v_post.
     """
@@ -640,11 +600,15 @@ def denoise(h_pri, v_pri, cfg, state=None):
     valid = (v_pri > 0.0) & (v_pri < math.inf)
     if not valid.all():
         raise ValueError(f"v_pri must be positive and finite, got {v_pri[~valid][0]}")
-    N, C = h_pri.shape
+    B, N, P = h_pri.shape
     if state is None:
-        state = init_state(N, C, cfg)
-    if C % state.members:
-        raise ValueError(f"{C} columns do not split into {state.members} members")
+        state = init_state(N, P, cfg, B)
+    if v_pri.shape != (B, P) or state.members != B:
+        raise ValueError(
+            f"need (B, N, P) means, (B, P) variances and a state of B members; "
+            f"got {h_pri.shape}, {v_pri.shape} and {state.members}"
+        )
+    v_pri = v_pri[:, None]    # on the means' axes, (B, 1, P)
     r2 = _squared_magnitude(h_pri)
     s_large = support_likelihood(r2, v_pri, state, cfg)
     like_logit, llr = pooled_evidence(state)

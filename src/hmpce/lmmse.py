@@ -7,11 +7,12 @@ mean and average variance have the closed forms
     v_post = v_pri - (M / N) * v_pri^2 / (v_pri + sigma2)
 
 which the FFT-based pilot structure evaluates in O(N log N).  The update
-runs all P subcarriers of a `PilotSet` at once, with means (N, P) and one
-variance per column; one subcarrier is a P = 1 set.  The extrinsic split
-that turns a posterior into the message for the other module takes the same
-(N, C) means with (C,) variances, whose columns may be the column groups of
-several members, and checks its round trip per member.
+runs all P subcarriers of a `PilotSet` at once, with means (..., N, P) and
+one variance per column, (..., P); one subcarrier is a P = 1 set.  Leading
+axes are members of a batch: a (B, N, P) stack holds member b's means in
+its C-contiguous block [b].  The extrinsic split that turns a posterior
+into the message for the other module takes the same means and variances
+and checks its round trip per member.
 
 The update works on the fresh arrays that `apply` and `adjoint` return: it
 subtracts the measurements into the first and scales and adds the prior mean
@@ -26,8 +27,9 @@ _VAR_FLOOR = 1e-30
 def lmmse_update(y, pilots, h_pri, v_pri, sigma2):
     """One matrix-free LMMSE update through a `PilotSet`.
 
-    y is (M, P), h_pri (N, P) and v_pri (P,), one prior variance per
-    subcarrier; sigma2 is one noise variance or one per subcarrier.  Returns
+    y is (..., M, P), h_pri (..., N, P) and v_pri (..., P), one prior
+    variance per subcarrier; sigma2 is one noise variance or any array that
+    broadcasts against v_pri, such as one per member, (B, 1).  Returns
     (h_post, v_post), v_post shaped like v_pri.  A prior variance that is
     not positive and finite, or a negative or NaN sigma2 entry, raises
     `ValueError`.  sigma2 = 0 with M = N pins the posterior variance to a
@@ -42,51 +44,51 @@ def lmmse_update(y, pilots, h_pri, v_pri, sigma2):
     residual = pilots.apply(h_pri)
     np.subtract(y, residual, out=residual)
     h_post = pilots.adjoint(residual)
-    h_post *= gain
+    h_post *= gain[..., None, :]
     h_post += h_pri
     v_post = v_pri * (1.0 - gain * pilots.M / pilots.N)
     return h_post, np.maximum(v_post, _VAR_FLOOR)
 
 
-def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8, members=1):
+def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8):
     """Gaussian extrinsic division post / pri, with its round-trip check.
 
-    Means are (N, C) with one variance per column, C = members * P: member
-    b owns columns b P to (b + 1) P - 1.  Where the posterior is not
-    informative enough (1/v_post - 1/v_pri <= 1/max_variance) the extrinsic
-    variance is clamped to max_variance.
+    Means are (..., N, P) with one variance per column, (..., P); each
+    leading index is one member.  Where the posterior is not informative
+    enough (1/v_post - 1/v_pri <= 1/max_variance) the extrinsic variance is
+    clamped to max_variance.
 
     The extrinsic message is multiplied back with the prior and compared
     with the posterior over each member's unclamped columns: the member's
     error is the worst relative variance mismatch or the worst mean mismatch
     relative to its max |h_post|, whichever is larger (0 when every column
     of the member is clamped).  Returns (h_ext, v_ext, clamped,
-    roundtrip_err), the last a (members,) array.
+    roundtrip_err), the last shaped like the leading axes: (B,) for a
+    (B, N, P) stack, a 0-d array for one (N, P) member.
     """
     v_post = np.asarray(v_post, dtype=float)
     v_pri = np.asarray(v_pri, dtype=float)
-    if np.ndim(h_post) != 2 or v_post.shape != h_post.shape[1:] or h_post.shape[1] % members:
+    if np.ndim(h_post) < 2 or v_post.shape != h_post.shape[:-2] + h_post.shape[-1:]:
         raise ValueError(
-            f"need (N, C) means with (C,) variances, C a multiple of {members} members; "
+            f"need (..., N, P) means with (..., P) variances; "
             f"got {np.shape(h_post)} and {v_post.shape}"
         )
     inv = 1.0 / v_post - 1.0 / v_pri
     clamped = ~(inv > 1.0 / max_variance)
     v_ext = np.where(clamped, max_variance, 1.0 / np.where(clamped, 1.0, inv))
-    h_ext = h_post * (v_ext / v_post) - h_pri * (v_ext / v_pri)
-    kept = (~clamped).reshape(members, -1)
-    checked = kept.any(axis=1)
+    h_ext = h_post * (v_ext / v_post)[..., None, :] - h_pri * (v_ext / v_pri)[..., None, :]
+    kept = ~clamped
+    checked = kept.any(axis=-1)
     if checked.all():
         err = _roundtrip_error((h_post, v_post), (h_pri, v_pri), (h_ext, v_ext), kept)
     else:
         # a member whose columns are all clamped is checked on nothing, as in
         # its run alone: the round trip of its columns can overflow
-        err = np.zeros(members)
+        err = np.zeros(checked.shape)
         if checked.any():
-            cols = np.repeat(checked, kept.shape[1])
             err[checked] = _roundtrip_error(
-                (h_post[:, cols], v_post[cols]), (h_pri[:, cols], v_pri[cols]),
-                (h_ext[:, cols], v_ext[cols]), kept[checked],
+                (h_post[checked], v_post[checked]), (h_pri[checked], v_pri[checked]),
+                (h_ext[checked], v_ext[checked]), kept[checked],
             )
     return h_ext, v_ext, clamped, err
 
@@ -94,37 +96,31 @@ def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8, members=1):
 def _roundtrip_error(post, pri, ext, kept):
     """Each member's round-trip error over its kept columns.
 
-    post, pri and ext are (mean, variance) pairs of (N, B P) means and
-    (B P,) variances; kept is (B, P), with a kept column in every member.
-    The error is the worst relative variance mismatch or the worst mean
-    mismatch relative to the member's max |h_post|, whichever is larger.
+    post, pri and ext are (mean, variance) pairs of (..., N, P) means and
+    (..., P) variances; kept is (..., P), with a kept column in every
+    member.  The error is the worst relative variance mismatch or the worst
+    mean mismatch relative to the member's max |h_post|, whichever is
+    larger.
     """
     (h_post, v_post), (h_pri, v_pri), (h_ext, v_ext) = post, pri, ext
     v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)
-    h_rec = h_ext * (v_rec / v_ext) + h_pri * (v_rec / v_pri)
+    h_rec = h_ext * (v_rec / v_ext)[..., None, :] + h_pri * (v_rec / v_pri)[..., None, :]
     h_rec -= h_post
-    scale = np.maximum(_member_max_abs(h_post, kept), 1e-300)
-    err_m = _member_max_abs(h_rec, kept) / scale
-    err_v = np.max((np.abs(v_rec - v_post) / v_post).reshape(kept.shape), axis=1,
-                   where=kept, initial=0.0)
+    scale = np.maximum(_max_abs(h_post, kept), 1e-300)
+    err_m = _max_abs(h_rec, kept) / scale
+    err_v = np.max(np.abs(v_rec - v_post) / v_post, axis=-1, where=kept, initial=0.0)
     # max(err_v, err_m) of each member, NaN as Python's max takes it
     return np.where(err_m > err_v, err_m, err_v)
 
 
-def _member_max_abs(h, kept):
-    """Each member's max |h| over its kept columns, h (N, B P) and kept
-    (B, P); a NaN in a kept column is the member's maximum.
-
-    |h| is written member by member, as a C-ordered (B, N, P) array, so
-    that a member's maximum is one pass over a contiguous block: numpy
-    reduces the axes (0, 2) of an (N, B, P) view several times slower once
-    B > 1.
-    """
-    B, P = kept.shape
-    mag = np.abs(h.reshape(-1, B, P).transpose(1, 0, 2), order="C")
+def _max_abs(h, kept):
+    """Each member's max |h| over its kept columns, h (..., N, P) and kept
+    (..., P); a NaN in a kept column is the member's maximum.  With every
+    column kept, a member's maximum is one pass over its contiguous block."""
+    mag = np.abs(h)
     if kept.all():
-        return mag.reshape(B, -1).max(axis=1)
-    return np.max(mag.max(axis=1), axis=1, where=kept, initial=0.0)
+        return mag.max(axis=(-2, -1))
+    return np.max(mag.max(axis=-2), axis=-1, where=kept, initial=0.0)
 
 
 def dense_lmmse(y, A, h_pri, v_pri, sigma2):

@@ -2,22 +2,23 @@
 plus the scalar state-evolution predictor.
 
 `run_turbo_batch` runs B independent turbo runs, called members, that
-share one `PilotSet`, as the column groups of one (N, B P) run; `run_turbo`
-is its one-member call, and given a list of measurement sets it is the
-batch itself (the CLI's calls, which run each sweep's SNR points as one
-batch).  Each iteration runs the LMMSE stage for all
-subcarriers of all members at once through the pilot set tiled B times
-(one `lmmse_update` call on (N, B P) means, (B P,) variances and one noise
-variance per column), converts its posterior to an extrinsic message,
-feeds the denoiser, whose state holds the B members, and converts the
-denoiser posterior back.  Both conversions are one column-wise
-`extrinsic_split`.  Extrinsic variances are clamped to a cap instead of
-ever going non-positive or infinite; the round-trip identity
-extrinsic * prior = posterior is monitored inline on each member's
+share one `PilotSet`, on arrays with the member axis first: means
+(B, N, P), variances (B, P), measurements (B, M, P).  Member b's block [b]
+of each is C-contiguous, with the layout of its run alone.  `run_turbo` is
+its one-member call, and given a list of measurement sets it is the batch
+itself (the CLI's calls, which run each sweep's SNR points as one batch).
+Each iteration runs the LMMSE stage for all subcarriers of all members at
+once (one `lmmse_update` call with one noise variance per member),
+converts its posterior to an extrinsic message, feeds the denoiser, whose
+state holds the B members, and converts the denoiser posterior back.  Both
+conversions are one `extrinsic_split`.  Extrinsic variances are clamped to
+a cap instead of ever going non-positive or infinite; the round-trip
+identity extrinsic * prior = posterior is monitored inline on each member's
 unclamped subcarriers.  Early stopping, the NMSE, the clamp counts and the
 round-trip error are per member, and a member that stops, or whose state
-goes non-finite, is removed from every array.  Every member's estimate and
-trace are bit for bit those of its run alone.
+goes non-finite, is removed from every array with one `np.take` along the
+member axis.  Every member's estimate and trace are bit for bit those of
+its run alone.
 
 The state-evolution recursion tracks a single variance scalar through the
 same two maps: the linear stage in closed form, the denoiser through a
@@ -185,15 +186,13 @@ def run_turbo_batch(measurements, pilots, cfg, truths):
 
     `measurements` holds the B members' `MeasurementSet`s and `truths` one
     truth per member, an (N, P) array or None; each member is checked and
-    stops early as `run_turbo` describes.  The members run as
-    the column groups of one (N, B P) estimate: member b owns columns b P to
-    (b + 1) P - 1, module A runs through `pilots` tiled B times with one
-    noise variance per column, and the denoiser state holds B members.  A
-    member that stops is removed from every array, so it is never iterated
-    past its stop; so is a member whose state goes non-finite, and once the
+    stops early as `run_turbo` describes.  The members run as the blocks of
+    (B, N, P) estimates, and the denoiser state holds B members.  A member
+    that stops is removed from every array, so it is never iterated past
+    its stop; so is a member whose state goes non-finite, and once the
     others have finished `NonFiniteStateError` reports it with every
     member's result.  Each member's estimate and trace are bit for bit those
-    of its run alone.
+    of its run alone, and each estimate is an array of its own.
     """
     measurements = list(measurements)
     B = len(measurements)
@@ -212,54 +211,45 @@ def run_turbo_batch(measurements, pilots, cfg, truths):
         if truth is not None and np.shape(truth) != (N, P):
             raise ValueError(f"truth is {np.shape(truth)}, need (N, P) = {(N, P)}")
     truth_energy = [None if truth is None else _truth_energy(truth) for truth in truths]
-    # (M, B P), column-major like the output of `PilotSet.apply`, which
-    # module A subtracts it from
-    Y = np.concatenate([meas.Y.T for meas in measurements]).T
-    sigma2 = np.repeat([float(meas.noise_variance) for meas in measurements], P)
-    live = list(range(B))    # the members still running, in column-group order
-    batch_pilots = pilots.tile(B)
-    h_pri_a = np.zeros((N, B * P), dtype=np.complex128)
-    v_pri_a = np.full(B * P, float(cfg.init_variance))
+    # (B, M, P), each member's block column-major like the output of
+    # `PilotSet.apply`, which module A subtracts it from
+    Y = np.stack([meas.Y.T for meas in measurements]).swapaxes(1, 2)
+    sigma2 = np.array([[float(meas.noise_variance)] for meas in measurements])
+    live = list(range(B))    # the members still running, in member-axis order
+    h_pri_a = np.zeros((B, N, P), dtype=np.complex128)
+    v_pri_a = np.full((B, P), float(cfg.init_variance))
     state = init_state(N, P, cfg.prior, B)
     traces = BatchTrace(TurboTrace() for _ in range(B))
     estimates = [None] * B
     failed = {}
-    h_prev = np.zeros((N, B * P), dtype=np.complex128)
+    h_prev = np.zeros((B, N, P), dtype=np.complex128)
     prev_metric = [None] * B
     for it in range(1, cfg.max_iters + 1):
-        members = len(live)
         # linear stage, all subcarriers of all members at once (FFT-based)
-        h_post_a, v_post_a = lmmse_update(Y, batch_pilots, h_pri_a, v_pri_a, sigma2)
-        h_pri_b, v_pri_b, clamped_a, rt_a = extrinsic_split(
-            h_post_a, v_post_a, h_pri_a, v_pri_a, members=members
-        )
+        h_post_a, v_post_a = lmmse_update(Y, pilots, h_pri_a, v_pri_a, sigma2)
+        h_pri_b, v_pri_b, clamped_a, rt_a = extrinsic_split(h_post_a, v_post_a, h_pri_a, v_pri_a)
 
         # denoiser stage
         if cfg.reset_beliefs:
-            state = init_state(N, P, cfg.prior, members)
+            state = init_state(N, P, cfg.prior, len(live))
         h_post_b, v_post_b, state = denoise(h_pri_b, v_pri_b, cfg.prior, state)
-        h_pri_a, v_pri_a, clamped_b, rt_b = extrinsic_split(
-            h_post_b, v_post_b, h_pri_b, v_pri_b, members=members
-        )
-        finite = np.isfinite(v_pri_a).reshape(members, P).all(axis=1)
+        h_pri_a, v_pri_a, clamped_b, rt_b = extrinsic_split(h_post_b, v_post_b, h_pri_b, v_pri_b)
+        finite = np.isfinite(v_pri_a).all(axis=1)
         if not np.isfinite(h_pri_a).all():
-            # which members: rare, and a slow reduction once B > 1
-            finite &= np.isfinite(h_pri_a).reshape(N, members, P).all(axis=(0, 2))
+            finite &= np.isfinite(h_pri_a).all(axis=(1, 2))
 
         done = []
         rows = zip(live, finite.tolist(), rt_a.tolist(), rt_b.tolist(),
-                   clamped_a.reshape(members, P).sum(axis=1).tolist(),
-                   clamped_b.reshape(members, P).sum(axis=1).tolist())
+                   clamped_a.sum(axis=1).tolist(), clamped_b.sum(axis=1).tolist())
         for b, (member, ok, err_a, err_b, n_a, n_b) in enumerate(rows):
             if not ok:
                 failed[member] = it
                 done.append(b)
                 continue
-            cols = slice(b * P, (b + 1) * P)
-            h_b = h_post_b[:, cols]
+            h_b = h_post_b[b]
             trace = traces[member]
-            trace.v_a_ext.append(v_pri_b[cols].copy())
-            trace.v_b_ext.append(v_pri_a[cols].copy())
+            trace.v_a_ext.append(v_pri_b[b].copy())
+            trace.v_b_ext.append(v_pri_a[b].copy())
             trace.roundtrip_err.append(max(err_a, err_b))
             trace.clamped_a.append(n_a)
             trace.clamped_b.append(n_b)
@@ -270,23 +260,22 @@ def run_turbo_batch(measurements, pilots, cfg, truths):
                 prev_metric[member] = metric
             else:
                 metric = float("nan")
-                converged = it > 1 and _relative_change(h_b, h_prev[:, cols]) < cfg.nmse_tol
+                converged = it > 1 and _relative_change(h_b, h_prev[b]) < cfg.nmse_tol
             trace.nmse.append(metric)
             if (cfg.early_stop and converged) or it == cfg.max_iters:
                 done.append(b)
-                estimates[member] = np.ascontiguousarray(h_b)
+                # a copy, not a view that would keep the whole batch alive
+                estimates[member] = h_b.copy()
         h_prev = h_post_b
         if done:
-            kept = [b for b in range(members) if b not in done]
+            kept = [b for b in range(len(live)) if b not in done]
             if not kept:
                 break
             live = [live[b] for b in kept]
-            cols = (np.array(kept)[:, None] * P + np.arange(P)).ravel()
-            # np.take keeps C order, which the column sums' order relies on
-            h_pri_a, h_prev = np.take(h_pri_a, cols, axis=1), np.take(h_prev, cols, axis=1)
-            Y, sigma2, v_pri_a = np.take(Y.T, cols, axis=0).T, sigma2[cols], v_pri_a[cols]
+            h_pri_a, v_pri_a, h_prev, Y, sigma2 = (
+                np.take(x, kept, axis=0) for x in (h_pri_a, v_pri_a, h_prev, Y, sigma2)
+            )
             state = select_members(state, kept)
-            batch_pilots = pilots.tile(len(kept))
     if failed:
         raise NonFiniteStateError(failed, estimates, traces)
     return estimates, traces

@@ -303,8 +303,9 @@ def run_turbo_per_subcarrier(measurements, pilots, cfg, truth=None):
         )
 
         h_post_b, v_post_b, state = denoise(
-            h_pri_b, v_pri_b, cfg.prior, None if cfg.reset_beliefs else state
+            h_pri_b[None], v_pri_b[None], cfg.prior, None if cfg.reset_beliefs else state
         )
+        h_post_b, v_post_b = h_post_b[0], v_post_b[0]
         h_pri_a, v_pri_a, clamped_b = extrinsic_columns(
             h_post_b, v_post_b, h_pri_b, v_pri_b, EXT_VAR_CAP
         )
@@ -629,7 +630,7 @@ def cgauss_logpdf(x, mean, variance):
 def activity_likelihood_complex(h_pri, v_pri, large_shape, large_rate, small_shape,
                                 small_rate, cfg):
     """Activity likelihood from the two complex Gaussian log densities."""
-    v_pri = np.asarray(v_pri)[None, :]
+    v_pri = np.asarray(v_pri)[..., None, :]
     if cfg.variant == VARIANT_BG:
         log_odds = cgauss_logpdf(h_pri, 0.0, v_pri + cfg.bg_variance) - cgauss_logpdf(
             h_pri, 0.0, v_pri
@@ -656,7 +657,7 @@ def mixture_moments_complex(h_pri, v_pri, large_shape, large_rate, small_shape,
                             small_rate, cfg):
     """Per-component posterior moments against the Gaussian pseudo-prior;
     bg's active component has the fixed variance cfg.bg_variance."""
-    v_pri = np.asarray(v_pri)[None, :]
+    v_pri = np.asarray(v_pri)[..., None, :]
     if cfg.variant == VARIANT_BG:
         var_large = 1.0 / (1.0 / v_pri + 1.0 / cfg.bg_variance)
         var_small = np.zeros_like(v_pri)
@@ -692,19 +693,19 @@ def update_precision_beliefs_complex(h_pri, v_pri, state, cfg):
     large_stat = w * (np.abs(mean_large) ** 2 + var_large)
     if cfg.variant == VARIANT_TSGM:
         state.large_shape = np.broadcast_to(
-            cfg.large_shape + w.sum(axis=0, keepdims=True), w.shape
+            cfg.large_shape + w.sum(axis=-2, keepdims=True), w.shape
         ).copy()
         state.large_rate = np.broadcast_to(
-            cfg.large_rate + large_stat.sum(axis=0, keepdims=True), w.shape
+            cfg.large_rate + large_stat.sum(axis=-2, keepdims=True), w.shape
         ).copy()
     else:
         state.large_shape = cfg.large_shape + w
         state.large_rate = cfg.large_rate + large_stat
     quiet = 1.0 - w
-    state.small_shape = cfg.small_shape + quiet.sum(axis=0)
+    state.small_shape = cfg.small_shape + quiet.sum(axis=-2, keepdims=True)
     state.small_rate = cfg.small_rate + (
         quiet * (np.abs(mean_small) ** 2 + var_small)
-    ).sum(axis=0)
+    ).sum(axis=-2, keepdims=True)
 
 
 def posterior_moments_complex(h_pri, v_pri, state, cfg):
@@ -727,7 +728,7 @@ def posterior_moments_complex(h_pri, v_pri, state, cfg):
     second = weight * (np.abs(mean_large) ** 2 + var_large) + (1.0 - weight) * (
         np.abs(mean_small) ** 2 + var_small
     )
-    v_post = np.maximum((second - np.abs(h_post) ** 2).mean(axis=0), 1e-30)
+    v_post = np.maximum((second - np.abs(h_post) ** 2).mean(axis=-2), 1e-30)
     return h_post, v_post
 
 
@@ -736,9 +737,9 @@ def denoise_complex(h_pri, v_pri, cfg, state=None):
     above around the package's chain steps."""
     h_pri = np.asarray(h_pri, dtype=np.complex128)
     v_pri = np.asarray(v_pri, dtype=float)
-    N, P = h_pri.shape
+    B, N, P = h_pri.shape
     if state is None:
-        state = init_state(N, P, cfg)
+        state = init_state(N, P, cfg, B)
     support_likelihood_complex(h_pri, v_pri, state, cfg)
     like_logit, llr = pooled_evidence(state)
     forward_odds, backward_odds = evidence_odds(llr)
@@ -756,8 +757,8 @@ def denoise_complex(h_pri, v_pri, cfg, state=None):
 # ---------------------------------------------------------------------------
 # the denoiser's wide steps as they were before the package carried the
 # belief-derived arrays on the state and ran the probability chains in
-# place; the function bodies are the earlier package code verbatim, on a
-# one-member state (member 0's chain rows and pooled LLR)
+# place; the function bodies are the earlier package code verbatim, on the
+# package's member-major (B, N, P) layout
 
 
 def _active_variance(state, cfg):
@@ -794,9 +795,9 @@ def activity_likelihood_allocating(r2, v_pri, s_large, state, cfg):
 
 def support_extrinsic_allocating(state, cfg, like_logit, llr):
     """`support_extrinsic` on fresh arrays."""
-    loo = llr[0][:, None] - like_logit
-    chain = _logit(state.fwd_pred[0]) + _logit(state.bwd_pred[0])
-    state.support_ext = _clamp(_sigmoid(chain[:, None] + loo), cfg.prob_floor)
+    loo = llr[:, :, None] - like_logit
+    chain = _logit(state.fwd_pred) + _logit(state.bwd_pred)
+    state.support_ext = _clamp(_sigmoid(chain[:, :, None] + loo), cfg.prob_floor)
 
 
 def update_precision_beliefs_allocating(r2, v_pri, state, cfg, like_logit, ext_logit):
@@ -813,10 +814,10 @@ def update_precision_beliefs_allocating(r2, v_pri, state, cfg, like_logit, ext_l
     large_stat *= w
     if cfg.variant == VARIANT_TSGM:
         state.large_shape = np.broadcast_to(
-            cfg.large_shape + w.sum(axis=0, keepdims=True), w.shape
+            cfg.large_shape + w.sum(axis=1, keepdims=True), w.shape
         ).copy()
         state.large_rate = np.broadcast_to(
-            cfg.large_rate + large_stat.sum(axis=0, keepdims=True), w.shape
+            cfg.large_rate + large_stat.sum(axis=1, keepdims=True), w.shape
         ).copy()
     else:
         state.large_shape = cfg.large_shape + w
@@ -824,11 +825,11 @@ def update_precision_beliefs_allocating(r2, v_pri, state, cfg, like_logit, ext_l
     # the near-zero gain is one per subcarrier, so it leaves the sums
     gain_small = _gain(v_pri, state.small_rate / state.small_shape)
     quiet = 1.0 - w
-    quiet_count = quiet.sum(axis=0)
+    quiet_count = quiet.sum(axis=1, keepdims=True)
     quiet *= r2
     state.small_shape = cfg.small_shape + quiet_count
     state.small_rate = cfg.small_rate + gain_small * (
-        gain_small * quiet.sum(axis=0) + v_pri * quiet_count
+        gain_small * quiet.sum(axis=1, keepdims=True) + v_pri * quiet_count
     )
 
 
@@ -856,7 +857,7 @@ def posterior_moments_allocating(h_pri, v_pri, state, cfg, r2, ext_logit):
     mix *= spread
     mix *= spread
     mix *= r2
-    v_post = np.maximum(gain.mean(axis=0) * v_pri + mix.mean(axis=0), 1e-30)
+    v_post = np.maximum(gain.mean(axis=1) * v_pri[:, 0] + mix.mean(axis=1), 1e-30)
     return h_post, v_post
 
 
@@ -865,14 +866,14 @@ def denoise_allocating(h_pri, v_pri, cfg, state=None):
     (two-list odds sweeps, stacked pair beliefs) and this module's own
     logit; the state is the package's `DenoiserState`."""
     h_pri = np.asarray(h_pri, dtype=np.complex128)
-    v_pri = np.asarray(v_pri, dtype=float)
-    N, P = h_pri.shape
+    B, N, P = h_pri.shape
     if state is None:
-        state = init_state(N, P, cfg)
+        state = init_state(N, P, cfg, B)
+    v_pri = np.asarray(v_pri, dtype=float)[:, None]
     r2 = _squared_magnitude(h_pri)
     support_likelihood_allocating(r2, v_pri, state, cfg)
     like_logit = _logit(state.support_like)
-    evidence = (like_logit, like_logit.sum(axis=1)[None])
+    evidence = (like_logit, like_logit.sum(axis=2))
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
         forward_pass_two_lists(state, cfg, evidence, transitions)
@@ -994,7 +995,7 @@ def update_transition_beliefs_stacked(state, cfg, evidence=None, transitions=Non
     w = np.exp(logw)
     pair_belief = w / w.sum(axis=1, keepdims=True)
     state.first_active_belief = np.array([b1])
-    state.pair_belief = pair_belief.T[:, None]
+    state.pair_belief = pair_belief.T[None]
     state.p10_a = np.array([b1 + cfg.p10_a + float(pair_belief[:, 2].sum())])
     state.p10_b = np.array([(1.0 - b1) + cfg.p10_b + float(pair_belief[:, 0].sum())])
     state.p01_a = np.array([cfg.p01_a + float(pair_belief[:, 1].sum())])

@@ -85,12 +85,12 @@ def test_criterion_1_markov_smoothing_exactness():
     for _ in range(50):
         state = init_state(N, P, cfg)
         # a one-member state: the Beta counts are (1,) arrays, and the
-        # chain fields are read as member 0's rows
+        # likelihoods and chain fields are read as member 0's blocks
         state.p10_a = np.array([rng.uniform(0.5, 3.0)])
         state.p10_b = np.array([rng.uniform(0.5, 3.0)])
         state.p01_a = np.array([rng.uniform(0.5, 3.0)])
         state.p01_b = np.array([rng.uniform(0.5, 3.0)])
-        state.support_like = rng.uniform(0.05, 0.95, size=(N, P))
+        state.support_like = rng.uniform(0.05, 0.95, size=(1, N, P))
 
         ln_p10, ln_q10 = _beta_log_pair(state.p10_a[0], state.p10_b[0])
         ln_p01, ln_q01 = _beta_log_pair(state.p01_a[0], state.p01_b[0])
@@ -103,8 +103,8 @@ def test_criterion_1_markov_smoothing_exactness():
         )
         loglike = np.stack(
             [
-                np.log1p(-state.support_like).sum(axis=1),
-                np.log(state.support_like).sum(axis=1),
+                np.log1p(-state.support_like[0]).sum(axis=1),
+                np.log(state.support_like[0]).sum(axis=1),
             ],
             axis=1,
         )
@@ -127,7 +127,7 @@ def test_criterion_1_markov_smoothing_exactness():
             float(np.max(np.abs(state.fwd_filt[0] - ref["prefix_filt"][:, 1]))),
             float(np.max(np.abs(state.bwd_filt[0] - ref["suffix_filt"][:, 1]))),
             abs(state.first_active_belief[0] - ref["full"][0, 1]),
-            float(np.max(np.abs(state.pair_belief[:, 0].T - pair_cols))),
+            float(np.max(np.abs(state.pair_belief[0].T - pair_cols))),
         )
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0

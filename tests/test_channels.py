@@ -203,26 +203,22 @@ def test_pilot_set_stacks_the_per_subcarrier_draws():
         assert np.array_equal(getattr(again, field), getattr(pilots, field))
 
 
-@pytest.mark.parametrize("reps", [1, 2, 5])
-@pytest.mark.parametrize("P", [1, 3])
-def test_tiled_pilot_set_stacks_the_operators_again(reps, P):
-    # column b P + p of the tiled set goes through operator p, and each
-    # column group applies as the set itself does, bit for bit
-    N, M = 32, 13
+@pytest.mark.parametrize("N, M, P, lead", [
+    (32, 13, 1, (1,)), (32, 13, 3, (2,)), (32, 13, 3, (5,)), (16, 16, 4, (3,)),
+    (256, 103, 32, (5,)), (32, 13, 2, (2, 3)),
+])
+def test_pilot_set_on_a_member_stack_equals_each_member_alone(N, M, P, lead):
+    # leading axes are members: apply and adjoint on a (..., N, P) stack give
+    # each member's block bit for bit as the member's own (N, P) call does
     pilots = make_pilot_set(N, M, P, rng_seed=P)
-    tiled = pilots.tile(reps)
-    again = PilotSet.stack(unstack_pilots(pilots) * reps)
-    for field in ("gather", "select", "phases"):
-        assert np.array_equal(getattr(tiled, field), getattr(again, field)), field
-    assert (tiled.N, tiled.M, len(tiled)) == (N, M, reps * P)
-    rng = np.random.default_rng(reps)
-    H = rng.standard_normal((N, reps * P)) + 1j * rng.standard_normal((N, reps * P))
-    Y = rng.standard_normal((M, reps * P)) + 1j * rng.standard_normal((M, reps * P))
-    applied, adjoined = tiled.apply(H), tiled.adjoint(Y)
-    for b in range(reps):
-        cols = slice(b * P, (b + 1) * P)
-        assert applied[:, cols].tobytes() == pilots.apply(H[:, cols]).tobytes()
-        assert adjoined[:, cols].tobytes() == pilots.adjoint(Y[:, cols]).tobytes()
+    rng = np.random.default_rng([N, P, *lead])
+    H = rng.standard_normal(lead + (N, P)) + 1j * rng.standard_normal(lead + (N, P))
+    Y = rng.standard_normal(lead + (M, P)) + 1j * rng.standard_normal(lead + (M, P))
+    applied, adjoined = pilots.apply(H), pilots.adjoint(Y)
+    assert applied.shape == lead + (M, P) and adjoined.shape == lead + (N, P)
+    for b in np.ndindex(*lead):
+        assert applied[b].tobytes() == pilots.apply(H[b]).tobytes()
+        assert adjoined[b].tobytes() == pilots.adjoint(Y[b]).tobytes()
 
 
 def test_pilot_set_rejects_bad_inputs():

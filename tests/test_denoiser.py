@@ -82,6 +82,9 @@ def chain_weights(state):
 
 
 def loglike_from_pi(pi):
+    """Per-element (quiet, active) log-likelihoods of a one-member state's
+    (1, N, P) support likelihoods."""
+    (pi,) = pi
     return np.stack(
         [np.log1p(-pi).sum(axis=1), np.log(pi).sum(axis=1)], axis=1
     )
@@ -98,7 +101,7 @@ def frozen_chain_state(rng, N, P, cfg):
     state.p10_b = one(rng.uniform(0.5, 3.0))
     state.p01_a = one(rng.uniform(0.5, 3.0))
     state.p01_b = one(rng.uniform(0.5, 3.0))
-    state.support_like = rng.uniform(0.05, 0.95, size=(N, P))
+    state.support_like = rng.uniform(0.05, 0.95, size=(1, N, P))
     return state
 
 
@@ -110,18 +113,18 @@ def test_symmetric_mixture_gives_half():
     cfg = PriorConfig(large_shape=1.0, large_rate=0.5, small_shape=1.0, small_rate=0.5)
     state = init_state(4, 2, cfg)
     rng = np.random.default_rng(0)
-    h = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    support_likelihood(_squared_magnitude(h), np.array([0.3, 0.8]), state, cfg)
+    h = rng.standard_normal((1, 4, 2)) + 1j * rng.standard_normal((1, 4, 2))
+    support_likelihood(_squared_magnitude(h), np.array([[[0.3, 0.8]]]), state, cfg)
     assert np.allclose(state.support_like, 0.5, atol=1e-12)
 
 
 def test_strong_signal_saturates_activity():
     cfg = PriorConfig()
     state = init_state(1, 1, cfg)
-    support_likelihood(np.array([[1.0]]), np.array([0.01]), state, cfg)
-    assert state.support_like[0, 0] > 1.0 - 1e-10
-    support_likelihood(np.array([[0.0]]), np.array([0.01]), state, cfg)
-    assert state.support_like[0, 0] < 0.5
+    support_likelihood(np.array([[[1.0]]]), np.array([[[0.01]]]), state, cfg)
+    assert state.support_like[0, 0, 0] > 1.0 - 1e-10
+    support_likelihood(np.array([[[0.0]]]), np.array([[[0.01]]]), state, cfg)
+    assert state.support_like[0, 0, 0] < 0.5
 
 
 def test_activity_likelihood_matches_direct_formula():
@@ -130,36 +133,36 @@ def test_activity_likelihood_matches_direct_formula():
     for std_weight in (False, True):
         cfg = PriorConfig(std_gamma_weight=std_weight)
         state = init_state(N, P, cfg)
-        state.large_shape = rng.uniform(0.5, 4.0, (N, P))
-        state.large_rate = rng.uniform(0.2, 3.0, (N, P))
-        state.small_shape = rng.uniform(0.5, 4.0, P)
-        state.small_rate = rng.uniform(0.005, 0.1, P)
+        state.large_shape = rng.uniform(0.5, 4.0, (1, N, P))
+        state.large_rate = rng.uniform(0.2, 3.0, (1, N, P))
+        state.small_shape = rng.uniform(0.5, 4.0, (1, 1, P))
+        state.small_rate = rng.uniform(0.005, 0.1, (1, 1, P))
         h = 0.5 * (rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P)))
         v = rng.uniform(0.05, 1.0, P)
-        support_likelihood(_squared_magnitude(h), v, state, cfg)
+        support_likelihood(_squared_magnitude(h[None]), v[None, None], state, cfg)
         for n in range(N):
             for p in range(P):
-                es, er = state.large_shape[n, p], state.large_rate[n, p]
-                al, be = state.small_shape[p], state.small_rate[p]
+                es, er = state.large_shape[0, n, p], state.large_rate[0, n, p]
+                al, be = state.small_shape[0, 0, p], state.small_rate[0, 0, p]
                 den_l = er if std_weight else es
                 den_s = be if std_weight else al
                 la = psi_hat(es) - math.log(den_l) + cn_logpdf(h[n, p], v[p] + er / es)
                 lq = psi_hat(al) - math.log(den_s) + cn_logpdf(h[n, p], v[p] + be / al)
                 expect = 1.0 / (1.0 + math.exp(lq - la))
-                assert state.support_like[n, p] == pytest.approx(expect, abs=1e-12)
+                assert state.support_like[0, n, p] == pytest.approx(expect, abs=1e-12)
 
 
 def test_exact_digamma_switch():
     cfg = PriorConfig(exact_digamma=True)
     state = init_state(1, 1, cfg)
-    state.large_shape = np.array([[2.0]])
-    state.large_rate = np.array([[1.5]])
-    h, v = np.array([[0.4 + 0.2j]]), np.array([0.3])
+    state.large_shape = np.array([[[2.0]]])
+    state.large_rate = np.array([[[1.5]]])
+    h, v = np.array([[[0.4 + 0.2j]]]), np.array([[[0.3]]])
     support_likelihood(_squared_magnitude(h), v, state, cfg)
-    la = float(scipy_digamma(2.0)) - math.log(2.0) + cn_logpdf(h[0, 0], 0.3 + 0.75)
-    lq = float(scipy_digamma(1.0)) - math.log(1.0) + cn_logpdf(h[0, 0], 0.3 + 0.01)
+    la = float(scipy_digamma(2.0)) - math.log(2.0) + cn_logpdf(h[0, 0, 0], 0.3 + 0.75)
+    lq = float(scipy_digamma(1.0)) - math.log(1.0) + cn_logpdf(h[0, 0, 0], 0.3 + 0.01)
     expect = 1.0 / (1.0 + math.exp(lq - la))
-    assert state.support_like[0, 0] == pytest.approx(expect, abs=1e-12)
+    assert state.support_like[0, 0, 0] == pytest.approx(expect, abs=1e-12)
 
 
 @pytest.mark.parametrize("exact", (False, True))
@@ -191,17 +194,17 @@ def test_bg_likelihood_is_spike_slab_ratio():
     cfg = PriorConfig(variant=VARIANT_BG, bg_variance=1.0)
     state = init_state(4, 1, cfg)
     rng = np.random.default_rng(5)
-    h = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-    v = np.array([0.2])
+    h = rng.standard_normal((1, 4, 1)) + 1j * rng.standard_normal((1, 4, 1))
+    v = np.array([[[0.2]]])
     support_likelihood(_squared_magnitude(h), v, state, cfg)
     for n in range(4):
-        expect = spike_slab_weight(h[n, 0], 0.2, 0.5, 1.0)
-        assert state.support_like[n, 0] == pytest.approx(expect, abs=1e-12)
+        expect = spike_slab_weight(h[0, n, 0], 0.2, 0.5, 1.0)
+        assert state.support_like[0, n, 0] == pytest.approx(expect, abs=1e-12)
     # spike favored at the origin, activity saturates for huge inputs
-    support_likelihood(np.array([[0.0]]), v, state, cfg)
-    assert state.support_like[0, 0] < 0.5
-    support_likelihood(np.array([[1e4]]), v, state, cfg)
-    assert state.support_like[0, 0] >= 1.0 - 1e-11
+    support_likelihood(np.array([[[0.0]]]), v, state, cfg)
+    assert state.support_like[0, 0, 0] < 0.5
+    support_likelihood(np.array([[[1e4]]]), v, state, cfg)
+    assert state.support_like[0, 0, 0] >= 1.0 - 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +219,7 @@ def test_chain_quantities_match_enumeration():
         state = frozen_chain_state(rng, N, P, cfg)
         first_w, trans_w = chain_weights(state)
         loglike = loglike_from_pi(state.support_like)
-        llr = logit(state.support_like).sum(axis=1)
+        llr = logit(state.support_like[0]).sum(axis=1)
         x = step_inputs(state, cfg)
         forward_pass(state, cfg, x.transitions, x.forward_odds)
         backward_pass(state, cfg, x.transitions, x.backward_odds)
@@ -236,7 +239,7 @@ def test_chain_quantities_match_enumeration():
             ],
             axis=1,
         )
-        assert np.max(np.abs(state.pair_belief[:, 0].T - pair_cols)) < 1e-10
+        assert np.max(np.abs(state.pair_belief[0].T - pair_cols)) < 1e-10
         marginal = expit(logit(state.fwd_pred[0]) + logit(state.bwd_pred[0]) + llr)
         assert np.max(np.abs(marginal - ref["full"][:, 1])) < 1e-10
 
@@ -256,10 +259,10 @@ def test_support_extrinsic_matches_leave_one_out_enumeration():
         for p in range(P):
             reduced = loglike.copy()
             keep = [q for q in range(P) if q != p]
-            reduced[n, 0] = np.log1p(-state.support_like[n, keep]).sum()
-            reduced[n, 1] = np.log(state.support_like[n, keep]).sum()
+            reduced[n, 0] = np.log1p(-state.support_like[0, n, keep]).sum()
+            reduced[n, 1] = np.log(state.support_like[0, n, keep]).sum()
             ref = chain_enumeration(first_w, trans_w, reduced)
-            assert abs(state.support_ext[n, p] - ref["full"][n, 1]) < 1e-10
+            assert abs(state.support_ext[0, n, p] - ref["full"][n, 1]) < 1e-10
 
 
 def _sweep_case(rng, N, kind):
@@ -278,8 +281,8 @@ def _sweep_case(rng, N, kind):
         state.p01_a = one(rng.uniform(0.02, 0.1))
         state.p01_b = one(rng.uniform(20.0, 60.0))
         state.support_like = np.where(
-            rng.random((N, 1)) < 0.5, 1e-5, 1.0 - 1e-5
-        ) * np.ones((1, 3))
+            rng.random((1, N, 1)) < 0.5, 1e-5, 1.0 - 1e-5
+        ) * np.ones((1, 1, 3))
     elif kind == "sticky":
         # sticky Beta beliefs on p10 put the first prediction
         # turn_on / (turn_on + stay_quiet) within 1e-7 of 1, past 1 - floor
@@ -291,8 +294,8 @@ def _sweep_case(rng, N, kind):
         cfg = PriorConfig()
         P = 32
         state = frozen_chain_state(rng, N, P, cfg)
-        side = rng.integers(0, 3, size=(N, 1))
-        side[0], side[-1] = 1, 0
+        side = rng.integers(0, 3, size=(1, N, 1))
+        side[0, 0], side[0, -1] = 1, 0
         state.support_like = np.where(
             side == 0, 1e-12, np.where(side == 1, 1.0 - 1e-12, state.support_like)
         )
@@ -307,7 +310,7 @@ def test_odds_sweeps_match_probability_sweeps(N, kind):
         state, cfg = _sweep_case(rng, N, kind)
         x = step_inputs(state, cfg)
         weights = [math.exp(v) for v in x.transitions[0]]
-        llr = logit(state.support_like).sum(axis=1)
+        llr = logit(state.support_like[0]).sum(axis=1)
         ref = chain_sweeps_probability(weights, llr, cfg.prob_floor)
         forward_pass(state, cfg, x.transitions, x.forward_odds)
         backward_pass(state, cfg, x.transitions, x.backward_odds)
@@ -347,15 +350,15 @@ def _chain_round_case(rng, N, kind, cfg):
         # filtered messages
         state.p01_a, state.p01_b = one(rng.uniform(0.02, 0.1)), one(rng.uniform(20.0, 60.0))
         state.p10_a, state.p10_b = one(rng.uniform(20.0, 60.0)), one(rng.uniform(0.02, 0.1))
-        side = rng.random((N, 1)) < 0.5
-        state.support_like = np.where(side, floor, 1.0 - floor) * np.ones((1, P))
+        side = rng.random((1, N, 1)) < 0.5
+        state.support_like = np.where(side, floor, 1.0 - floor) * np.ones((1, 1, P))
     elif kind == "saturate":
-        side = rng.random((N, 1)) < 0.5
-        state.support_like = np.where(side, 1e-12, 1.0 - 1e-12) * np.ones((1, P))
+        side = rng.random((1, N, 1)) < 0.5
+        state.support_like = np.where(side, 1e-12, 1.0 - 1e-12) * np.ones((1, 1, P))
     elif kind == "quiet":
-        state.support_like = rng.uniform(floor, 0.01, size=(N, P))
+        state.support_like = rng.uniform(floor, 0.01, size=(1, N, P))
     elif kind == "active":
-        state.support_like = rng.uniform(0.99, 1.0 - floor, size=(N, P))
+        state.support_like = rng.uniform(0.99, 1.0 - floor, size=(1, N, P))
     return state
 
 
@@ -389,7 +392,7 @@ def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(variant, floor
             np.testing.assert_array_equal(getattr(state, name), getattr(ref, name), err_msg=name)
         for name in ("fwd_pred", "fwd_filt", "bwd_pred", "bwd_filt", "pair_belief"):
             assert getattr(state, name).flags.c_contiguous, name
-        assert state.pair_belief.shape == (4, 1, N - 1)
+        assert state.pair_belief.shape == (1, 4, N - 1)
     if kind == "clamp" and N > 3:
         odds_lo = floor / (1.0 - floor)
         pinned = np.concatenate([state.fwd_pred, state.fwd_filt, state.bwd_filt])
@@ -408,7 +411,7 @@ def test_symmetric_beta_gives_half_first_prediction():
 def test_balanced_likelihoods_make_filtered_equal_predicted():
     cfg = PriorConfig()
     state = frozen_chain_state(np.random.default_rng(9), 6, 2, cfg)
-    state.support_like = np.full((6, 2), 0.5)
+    state.support_like = np.full((1, 6, 2), 0.5)
     x = step_inputs(state, cfg)
     forward_pass(state, cfg, x.transitions, x.forward_odds)
     assert np.allclose(state.fwd_filt, state.fwd_pred, atol=1e-14)
@@ -418,7 +421,7 @@ def test_symmetric_weights_keep_backward_half():
     cfg = PriorConfig()
     state = init_state(6, 2, cfg)
     state.p10_a = state.p10_b = state.p01_a = state.p01_b = one(2.0)
-    state.support_like = np.full((6, 2), 0.5)
+    state.support_like = np.full((1, 6, 2), 0.5)
     x = step_inputs(state, cfg)
     forward_pass(state, cfg, x.transitions, x.forward_odds)
     backward_pass(state, cfg, x.transitions, x.backward_odds)
@@ -429,8 +432,8 @@ def test_symmetric_weights_keep_backward_half():
 def test_terminal_backward_prediction_stays_half():
     cfg = PriorConfig()
     rng = np.random.default_rng(11)
-    h = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    v = np.array([0.3, 0.4])
+    h = rng.standard_normal((1, 8, 2)) + 1j * rng.standard_normal((1, 8, 2))
+    v = np.array([[0.3, 0.4]])
     state = None
     for _ in range(3):
         _, _, state = denoise(h, v, PriorConfig(), state)
@@ -445,7 +448,7 @@ def test_symmetric_case_pair_beliefs_quarter():
     N = 9
     cfg = PriorConfig()
     state = init_state(N, 2, cfg)
-    state.support_like = np.full((N, 2), 0.5)
+    state.support_like = np.full((1, N, 2), 0.5)
     x = step_inputs(state, cfg)
     forward_pass(state, cfg, x.transitions, x.forward_odds)
     backward_pass(state, cfg, x.transitions, x.backward_odds)
@@ -461,8 +464,8 @@ def test_symmetric_case_pair_beliefs_quarter():
 def test_updated_transition_parameters_exceed_priors():
     cfg = PriorConfig()
     rng = np.random.default_rng(15)
-    h = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
-    _, _, state = denoise(h, np.full(4, 0.3), cfg)
+    h = rng.standard_normal((1, 16, 4)) + 1j * rng.standard_normal((1, 16, 4))
+    _, _, state = denoise(h, np.full((1, 4), 0.3), cfg)
     assert state.p10_a >= cfg.p10_a and state.p10_b >= cfg.p10_b
     assert state.p01_a >= cfg.p01_a and state.p01_b >= cfg.p01_b
 
@@ -499,14 +502,14 @@ def test_extrinsic_single_subcarrier_formula():
     support_extrinsic(state, cfg, x.like_logit, x.llr)
     up, dn = state.bwd_pred[0], state.fwd_pred[0]
     expect = up * dn / (up * dn + (1.0 - up) * (1.0 - dn))
-    assert np.allclose(state.support_ext[:, 0], expect, atol=1e-12)
+    assert np.allclose(state.support_ext[0, :, 0], expect, atol=1e-12)
 
 
 def test_extrinsic_symmetric_everything_half():
     cfg = PriorConfig()
     state = init_state(5, 3, cfg)
     state.p10_a = state.p10_b = state.p01_a = state.p01_b = one(1.0)
-    state.support_like = np.full((5, 3), 0.5)
+    state.support_like = np.full((1, 5, 3), 0.5)
     x = step_inputs(state, cfg)
     forward_pass(state, cfg, x.transitions, x.forward_odds)
     backward_pass(state, cfg, x.transitions, x.backward_odds)
@@ -521,7 +524,7 @@ def test_extrinsic_three_subcarrier_direct_products():
     forward_pass(state, cfg, x.transitions, x.forward_odds)
     backward_pass(state, cfg, x.transitions, x.backward_odds)
     support_extrinsic(state, cfg, x.like_logit, x.llr)
-    pi = state.support_like
+    (pi,) = state.support_like
     for n in range(5):
         for p in range(3):
             on = state.fwd_pred[0, n] * state.bwd_pred[0, n]
@@ -530,7 +533,7 @@ def test_extrinsic_three_subcarrier_direct_products():
                 if q != p:
                     on *= pi[n, q]
                     off *= 1 - pi[n, q]
-            assert state.support_ext[n, p] == pytest.approx(
+            assert state.support_ext[0, n, p] == pytest.approx(
                 on / (on + off), abs=1e-12
             )
 
@@ -541,8 +544,8 @@ def test_extrinsic_three_subcarrier_direct_products():
 
 def _forced_weight_state(N, P, cfg, value):
     state = init_state(N, P, cfg)
-    state.support_like = np.full((N, P), value)
-    state.support_ext = np.full((N, P), value)
+    state.support_like = np.full((1, N, P), value)
+    state.support_ext = np.full((1, N, P), value)
     return state
 
 
@@ -551,8 +554,8 @@ def test_all_quiet_update():
     N, P = 6, 2
     state = _forced_weight_state(N, P, cfg, 1e-12)
     rng = np.random.default_rng(23)
-    h = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
-    v = np.full(P, 0.5)
+    h = rng.standard_normal((1, N, P)) + 1j * rng.standard_normal((1, N, P))
+    v = np.full((1, 1, P), 0.5)
     x = step_inputs(state, cfg, h, v)
     update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     assert np.allclose(state.large_shape, cfg.large_shape, atol=1e-8)
@@ -565,8 +568,8 @@ def test_all_active_update():
     N, P = 6, 2
     state = _forced_weight_state(N, P, cfg, 1.0 - 1e-12)
     rng = np.random.default_rng(25)
-    h = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
-    v = np.full(P, 0.5)
+    h = rng.standard_normal((1, N, P)) + 1j * rng.standard_normal((1, N, P))
+    v = np.full((1, 1, P), 0.5)
     x = step_inputs(state, cfg, h, v)
     update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     assert np.allclose(state.large_shape, cfg.large_shape + 1.0, atol=1e-8)
@@ -577,31 +580,31 @@ def test_all_active_update():
 def test_single_element_hand_update():
     cfg = PriorConfig()
     state = _forced_weight_state(1, 1, cfg, 1.0 - 1e-12)
-    v = np.array([1.0])
-    x = step_inputs(state, cfg, np.array([[2.0]]), v)
+    v = np.array([[[1.0]]])
+    x = step_inputs(state, cfg, np.array([[[2.0]]]), v)
     update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     # component posterior: variance 1/(1/1 + 1) = 0.5, mean 0.5*2 = 1
-    assert state.large_rate[0, 0] == pytest.approx(2.5, abs=1e-9)
-    assert state.large_shape[0, 0] == pytest.approx(2.0, abs=1e-9)
+    assert state.large_rate[0, 0, 0] == pytest.approx(2.5, abs=1e-9)
+    assert state.large_shape[0, 0, 0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_pooled_variant_shares_parameters_across_elements():
     rng = np.random.default_rng(27)
-    h = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    v = np.full(3, 0.4)
+    h = rng.standard_normal((1, 8, 3)) + 1j * rng.standard_normal((1, 8, 3))
+    v = np.full((1, 3), 0.4)
     _, _, state = denoise(h, v, PriorConfig(variant=VARIANT_TSGM))
-    assert np.allclose(state.large_shape, state.large_shape[0:1, :])
-    assert np.allclose(state.large_rate, state.large_rate[0:1, :])
+    assert np.allclose(state.large_shape, state.large_shape[:, 0:1, :])
+    assert np.allclose(state.large_rate, state.large_rate[:, 0:1, :])
     _, _, state_lvd = denoise(h, v, PriorConfig(variant=VARIANT_LVD))
-    assert not np.allclose(state_lvd.large_shape, state_lvd.large_shape[0:1, :])
+    assert not np.allclose(state_lvd.large_shape, state_lvd.large_shape[:, 0:1, :])
 
 
 def test_bg_variant_keeps_precision_beliefs():
     cfg = PriorConfig(variant=VARIANT_BG)
     state = _forced_weight_state(4, 2, cfg, 0.7)
     before = state.large_shape.copy()
-    v = np.full(2, 0.5)
-    x = step_inputs(state, cfg, np.ones((4, 2)), v)
+    v = np.full((1, 1, 2), 0.5)
+    x = step_inputs(state, cfg, np.ones((1, 4, 2)), v)
     update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     assert np.array_equal(state.large_shape, before)
     assert np.allclose(state.support_post, expit(2.0 * logit(np.float64(0.7))))
@@ -622,18 +625,19 @@ def test_posterior_matches_scalar_mixture_oracle():
         r = complex(rng.standard_normal(), rng.standard_normal())
         cfg = PriorConfig()
         state = init_state(1, 1, cfg)
-        state.large_shape = np.array([[s]])
-        state.large_rate = np.array([[s * v1]])
-        state.small_shape = np.array([s])
-        state.small_rate = np.array([s * v0])
-        state.support_ext = np.array([[lam]])
-        h = np.array([[r]])
+        state.large_shape = np.array([[[s]]])
+        state.large_rate = np.array([[[s * v1]]])
+        state.small_shape = np.array([[[s]]])
+        state.small_rate = np.array([[[s * v0]]])
+        state.support_ext = np.array([[[lam]]])
+        h = np.array([[[r]]])
         x = step_inputs(state, cfg, h)
-        h_post, v_post = posterior_moments(h, np.array([tau]), state, cfg, x.r2, x.ext_logit)
+        h_post, v_post = posterior_moments(h, np.array([[[tau]]]), state, cfg, x.r2,
+                                           x.ext_logit)
         mean, var, w = mixture_posterior_closed_form(r, tau, lam, v1, v0)
-        assert abs(h_post[0, 0] - mean) < 1e-12
-        assert abs(v_post[0] - var) < 1e-12
-        assert abs(state.support_post[0, 0] - w) < 1e-12
+        assert abs(h_post[0, 0, 0] - mean) < 1e-12
+        assert abs(v_post[0, 0] - var) < 1e-12
+        assert abs(state.support_post[0, 0, 0] - w) < 1e-12
 
 
 def test_mixture_oracle_matches_grid_integration():
@@ -653,19 +657,19 @@ def test_bg_posterior_matches_spike_grid():
     r, tau, lam = 0.9 - 0.2j, 0.3, 0.4
     state = init_state(1, 1, cfg)
     state.support_like = None
-    state.support_ext = np.array([[lam]])
+    state.support_ext = np.array([[[lam]]])
     state.support_post = None
-    h, v = np.array([[r]]), np.array([tau])
+    h, v = np.array([[[r]]]), np.array([[[tau]]])
     support_likelihood(_squared_magnitude(h), v, state, cfg)
     x = step_inputs(state, cfg, h, v)
     update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     h_post, v_post = posterior_moments(h, v, state, cfg, x.r2, x.ext_logit)
-    assert state.support_post[0, 0] == pytest.approx(
+    assert state.support_post[0, 0, 0] == pytest.approx(
         spike_slab_weight(r, tau, lam, 1.0), abs=1e-12
     )
     g_mean, g_var = mixture_posterior_grid(r, tau, lam, 1.0, 0.0, points=501)
-    assert abs(h_post[0, 0] - g_mean) < 2e-3 * abs(g_mean)
-    assert abs(v_post[0] - g_var) < 2e-3 * g_var
+    assert abs(h_post[0, 0, 0] - g_mean) < 2e-3 * abs(g_mean)
+    assert abs(v_post[0, 0] - g_var) < 2e-3 * g_var
 
 
 def test_degenerate_weight_selects_large_component():
@@ -673,15 +677,15 @@ def test_degenerate_weight_selects_large_component():
         variant=VARIANT_BG, bg_variance=2.0, large_shape=1.0, large_rate=2.0
     )
     state = init_state(1, 1, cfg)
-    state.support_like = np.array([[1.0 - 1e-12]])
-    state.support_ext = np.array([[1.0 - 1e-12]])
-    h, v = np.array([[1.5 + 0.5j]]), np.array([0.5])
+    state.support_like = np.array([[[1.0 - 1e-12]]])
+    state.support_ext = np.array([[[1.0 - 1e-12]]])
+    h, v = np.array([[[1.5 + 0.5j]]]), np.array([[[0.5]]])
     x = step_inputs(state, cfg, h, v)
     update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     h_post, _ = posterior_moments(h, v, state, cfg, x.r2, x.ext_logit)
     # large-component posterior mean with variance 1/(1/0.5 + 1/2)
     var_l = 1.0 / (1.0 / 0.5 + 0.5)
-    assert h_post[0, 0] == pytest.approx(var_l * (1.5 + 0.5j) / 0.5, rel=1e-9)
+    assert h_post[0, 0, 0] == pytest.approx(var_l * (1.5 + 0.5j) / 0.5, rel=1e-9)
 
 
 
@@ -690,26 +694,26 @@ def test_bg_moments_use_the_bg_variance():
     # Gamma prior that bg never updates: a saturated support gives the
     # gain 4 / (4 + 0.5), not 1 / (1 + 0.5)
     cfg = PriorConfig(variant=VARIANT_BG, bg_variance=4.0)
-    h_post, v_post, state = denoise(np.full((4, 1), 30.0 + 0j), [0.5], cfg)
+    h_post, v_post, state = denoise(np.full((1, 4, 1), 30.0 + 0j), [[0.5]], cfg)
     assert np.all(state.support_post == pytest.approx(1.0, abs=1e-11))
     gain = 4.0 / 4.5
     assert np.all(h_post == pytest.approx(gain * 30.0, rel=1e-9))
-    assert v_post[0] == pytest.approx(gain * 0.5, rel=1e-8)
+    assert v_post[0, 0] == pytest.approx(gain * 0.5, rel=1e-8)
 
 def test_balanced_weight_includes_mean_spread():
     cfg = PriorConfig(variant=VARIANT_BG, bg_variance=1.0)
     state = init_state(1, 1, cfg)
-    state.support_post = np.array([[0.5]])
+    state.support_post = np.array([[[0.5]]])
     r, tau = 1.2 + 0.4j, 0.5
-    h = np.array([[r]])
+    h = np.array([[[r]]])
     x = step_inputs(state, cfg, h)
-    h_post, v_post = posterior_moments(h, np.array([tau]), state, cfg, x.r2, x.ext_logit)
+    h_post, v_post = posterior_moments(h, np.array([[[tau]]]), state, cfg, x.r2, x.ext_logit)
     var_l = 1.0 / (1.0 / tau + 1.0)
     mean_l = var_l * r / tau
-    assert h_post[0, 0] == pytest.approx(0.5 * mean_l, rel=1e-12)
+    assert h_post[0, 0, 0] == pytest.approx(0.5 * mean_l, rel=1e-12)
     # the collapsed variance exceeds the averaged component variance by the
     # mean-spread term 0.25 |mean_l - 0|^2
-    assert v_post[0] == pytest.approx(
+    assert v_post[0, 0] == pytest.approx(
         0.5 * var_l + 0.25 * abs(mean_l) ** 2, rel=1e-12
     )
 
@@ -721,7 +725,7 @@ def test_bg_full_posterior_matches_enumeration():
     h = 0.8 * (rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P)))
     v = rng.uniform(0.1, 0.4, P)
     state = init_state(N, P, cfg)
-    support_likelihood(_squared_magnitude(h), v, state, cfg)
+    support_likelihood(_squared_magnitude(h[None]), v[None, None], state, cfg)
     first_w, trans_w = chain_weights(state)
     loglike = np.zeros((N, 2))
     for n in range(N):
@@ -731,11 +735,12 @@ def test_bg_full_posterior_matches_enumeration():
     forward_pass(state, cfg, x.transitions, x.forward_odds)
     backward_pass(state, cfg, x.transitions, x.backward_odds)
     support_extrinsic(state, cfg, x.like_logit, x.llr)
-    x = step_inputs(state, cfg, h, v)
-    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
+    x = step_inputs(state, cfg, h[None], v[None, None])
+    update_precision_beliefs(x.r2, v[None, None], state, cfg, x.like_logit, x.ext_logit,
+                             x.s_large)
     ref = chain_enumeration(first_w, trans_w, loglike)
     for p in range(P):
-        assert np.max(np.abs(state.support_post[:, p] - ref["full"][:, 1])) < 1e-8
+        assert np.max(np.abs(state.support_post[0, :, p] - ref["full"][:, 1])) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +748,12 @@ def test_bg_full_posterior_matches_enumeration():
 
 
 def _oracle_case(case, variant, std_weight, exact):
-    """Inputs and a random belief state for one step-by-step comparison."""
+    """Inputs of one member, (1, N, P) means and (1, P) variances, and a
+    random belief state for one step-by-step comparison."""
     rng = np.random.default_rng(51)
     N, P = (2, 1) if case == "N=2, P=1" else (6, 3)
-    h = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
-    v = rng.uniform(0.05, 1.0, P)
+    h = rng.standard_normal((1, N, P)) + 1j * rng.standard_normal((1, N, P))
+    v = rng.uniform(0.05, 1.0, (1, P))
     if case == "h=0":
         h[:] = 0.0
     elif case == "|h|=1e6":
@@ -756,11 +762,11 @@ def _oracle_case(case, variant, std_weight, exact):
         v[:] = 1e-12
     cfg = PriorConfig(variant=variant, std_gamma_weight=std_weight, exact_digamma=exact)
     state = init_state(N, P, cfg)
-    state.large_shape = rng.uniform(0.5, 4.0, (N, P))
-    state.large_rate = rng.uniform(0.2, 3.0, (N, P))
-    state.small_shape = rng.uniform(0.5, 4.0, P)
-    state.small_rate = rng.uniform(0.005, 0.1, P)
-    state.support_ext = rng.uniform(0.05, 0.95, (N, P))
+    state.large_shape = rng.uniform(0.5, 4.0, (1, N, P))
+    state.large_rate = rng.uniform(0.2, 3.0, (1, N, P))
+    state.small_shape = rng.uniform(0.5, 4.0, (1, 1, P))
+    state.small_rate = rng.uniform(0.005, 0.1, (1, 1, P))
+    state.support_ext = rng.uniform(0.05, 0.95, (1, N, P))
     return h, v, cfg, state
 
 
@@ -774,36 +780,37 @@ def _assert_rel(a, b, rtol=1e-12):
 def test_real_steps_match_their_complex_oracles(variant, std_weight, exact, case):
     h, v, cfg, state = _oracle_case(case, variant, std_weight, exact)
     ref = copy.deepcopy(state)
+    v_steps = v[:, None]    # the steps take the variances on the means' axes
 
-    support_likelihood(_squared_magnitude(h), v, state, cfg)
+    support_likelihood(_squared_magnitude(h), v_steps, state, cfg)
     support_likelihood_complex(h, v, ref, cfg)
     _assert_rel(state.support_like, ref.support_like)
 
     # each step below starts from the oracle's state, so it is compared alone
     state = copy.deepcopy(ref)
-    x = step_inputs(state, cfg, h, v)
-    update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
+    x = step_inputs(state, cfg, h, v_steps)
+    update_precision_beliefs(x.r2, v_steps, state, cfg, x.like_logit, x.ext_logit, x.s_large)
     update_precision_beliefs_complex(h, v, ref, cfg)
     for name in ("support_post", "large_shape", "large_rate", "small_shape", "small_rate"):
         _assert_rel(getattr(state, name), getattr(ref, name))
 
     state = copy.deepcopy(ref)
     x = step_inputs(state, cfg, h)
-    h_post, v_post = posterior_moments(h, v, state, cfg, x.r2, x.ext_logit)
+    h_post, v_post = posterior_moments(h, v_steps, state, cfg, x.r2, x.ext_logit)
     h_ref, v_ref = posterior_moments_complex(h, v, ref, cfg)
     _assert_rel(state.support_post, ref.support_post)
     assert np.all(np.abs(h_post - h_ref) <= 1e-12 * np.abs(h_ref))
     # the oracle's E|m|^2 - |E m|^2 cancels: its rounding error scales with
     # E|m|^2, which is |h|^2 ~ 1e12 in the |h| = 1e6 case
-    second = (np.abs(h_ref) ** 2).mean(axis=0) + v_ref
+    second = (np.abs(h_ref) ** 2).mean(axis=1) + v_ref
     assert np.all(np.abs(v_post - v_ref) <= 1e-12 * second)
 
 
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_denoise_rejects_a_non_positive_or_non_finite_v_pri(variant, bad):
-    h = np.ones((4, 3), dtype=complex)
-    v = np.array([0.5, bad, 0.5])
+    h = np.ones((1, 4, 3), dtype=complex)
+    v = np.array([[0.5, bad, 0.5]])
     with pytest.raises(ValueError, match="v_pri must be positive and finite"):
         denoise(h, v, PriorConfig(variant=variant))
 
@@ -837,9 +844,9 @@ def test_prior_config_rejects_invalid_values(field, bad):
 @pytest.mark.parametrize("floor", [1e-3, 0.49])
 def test_prior_config_accepts_floors_inside_the_half_interval(floor):
     rng = np.random.default_rng(48)
-    h = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    h = rng.standard_normal((1, 16, 3)) + 1j * rng.standard_normal((1, 16, 3))
     cfg = PriorConfig(prob_floor=floor)
-    h_post, v_post, state = denoise(h, rng.uniform(0.2, 0.6, 3), cfg)
+    h_post, v_post, state = denoise(h, rng.uniform(0.2, 0.6, (1, 3)), cfg)
     assert np.all(np.isfinite(h_post)) and np.all(np.isfinite(v_post))
     assert np.all(state.support_post >= floor) and np.all(state.support_post <= 1.0 - floor)
 
@@ -860,14 +867,15 @@ def test_denoise_equals_manual_schedule(variant):
     # transition weights once per chain round, over two warm-started passes
     cfg = PriorConfig(variant=variant)
     rng = np.random.default_rng(33)
-    v = rng.uniform(0.2, 0.6, 3)
+    v = rng.uniform(0.2, 0.6, (1, 3))
+    v_steps = v[:, None]
     got = ref = None
     for _ in range(2):
-        h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        h = rng.standard_normal((1, 12, 3)) + 1j * rng.standard_normal((1, 12, 3))
         h_post, v_post, got = denoise(h, v, cfg, got)
         ref = init_state(12, 3, cfg) if ref is None else ref
         r2 = _squared_magnitude(h)
-        s_large = support_likelihood(r2, v, ref, cfg)
+        s_large = support_likelihood(r2, v_steps, ref, cfg)
         like_logit, llr = pooled_evidence(ref)
         forward_odds, backward_odds = evidence_odds(llr)
         for _ in range(2):
@@ -877,21 +885,22 @@ def test_denoise_equals_manual_schedule(variant):
             update_transition_beliefs(ref, cfg, transitions, llr)
         support_extrinsic(ref, cfg, like_logit, llr)
         ext_logit = _logit(ref.support_ext)
-        update_precision_beliefs(r2, v, ref, cfg, like_logit, ext_logit, s_large)
-        h_ref, v_ref = posterior_moments(h, v, ref, cfg, r2, ext_logit)
+        update_precision_beliefs(r2, v_steps, ref, cfg, like_logit, ext_logit, s_large)
+        h_ref, v_ref = posterior_moments(h, v_steps, ref, cfg, r2, ext_logit)
         assert np.array_equal(h_post, h_ref)
         assert np.array_equal(v_post, v_ref)
         for name in STATE_FIELDS:
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
 
 
-def _pass_inputs(rng, active, P):
-    """One pass's pseudo-prior: gains of variance 1 on the active elements
-    and 0.01 elsewhere, shared over the P subcarriers, seen in CN(0, v_pri)."""
-    N = active.size
-    v = rng.uniform(0.05, 0.5, P)
-    scale = np.sqrt(np.where(active, 1.0, 0.01)[:, None] + v) / math.sqrt(2.0)
-    return scale * (rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))), v
+def _pass_inputs(rng, active, P, members=1):
+    """One pass's pseudo-prior for each member: gains of variance 1 on the
+    active elements and 0.01 elsewhere, shared over the P subcarriers, seen
+    in CN(0, v_pri); (B, N, P) means and (B, P) variances."""
+    shape = (members, active.size, P)
+    v = rng.uniform(0.05, 0.5, (members, P))
+    scale = np.sqrt(np.where(active, 1.0, 0.01)[:, None] + v[:, None]) / math.sqrt(2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), v
 
 
 BELIEF_FIELDS = STATE_FIELDS + (
@@ -922,31 +931,48 @@ def test_denoise_passes_equal_the_allocating_oracle_bit_for_bit(variant, exact, 
                     == np.asarray(getattr(ref, name)).tobytes()), name
 
 
-def _member_view(state, b, P):
-    """Member b's fields, as a one-member state holds them, by the member
-    axis that each field's metadata gives."""
-    view = {}
-    for f in dataclasses.fields(state):
-        if "member_axis" in f.metadata:
-            index = range(b * P, (b + 1) * P) if f.metadata["by_column"] else [b]
-            view[f.name] = np.take(getattr(state, f.name), index, axis=f.metadata["member_axis"])
-    return view
+def _arrays(state):
+    """The state's array fields by name."""
+    return {name: value for name, value in vars(state).items()
+            if isinstance(value, np.ndarray)}
 
 
-def test_every_state_array_gives_its_member_axis():
-    # select_members and the member views above read the member axis from
-    # the field metadata; a new array field without it would keep a stopped
-    # member's entries
+def test_every_state_array_has_the_member_axis_first():
+    # select_members takes every array field along axis 0; a field with
+    # another layout would keep a stopped member's entries, and fails here
+    # (B = 3 is none of N, P or the 4 pair rows)
     fields = dataclasses.fields(DenoiserState)
-    arrays = {f.name for f in fields if f.type is np.ndarray}
-    marked = {f.name for f in fields if "member_axis" in f.metadata}
-    assert arrays == marked and len(marked) == 17
-    state = denoise(np.ones((5, 6), complex), np.full(6, 0.5), PriorConfig(),
-                    init_state(5, 2, PriorConfig(), 3))[2]
-    for f in fields:
-        if f.name in marked:
-            size = 6 if f.metadata["by_column"] else 3
-            assert getattr(state, f.name).shape[f.metadata["member_axis"]] == size, f.name
+    assert len([f for f in fields if f.type is np.ndarray]) == 17
+    cfg = PriorConfig()
+    state = init_state(5, 2, cfg, 3)
+    assert set(_arrays(state)) == {"large_shape", "large_rate", "small_shape", "small_rate",
+                                   "p10_a", "p10_b", "p01_a", "p01_b"}
+    for value in _arrays(state).values():
+        assert value.shape[0] == 3
+    h, v = _pass_inputs(np.random.default_rng(8), np.arange(5) < 2, 2, 3)
+    state = denoise(h, v, cfg, state)[2]
+    assert len(_arrays(state)) == 17
+    for name, value in _arrays(state).items():
+        assert value.shape[0] == 3, name
+
+
+@pytest.mark.parametrize("N", [2, 3, 64, 256, 2048])
+def test_member_major_sums_equal_each_blocks_own_sums_bit_for_bit(N):
+    # the layout the denoiser relies on: on a C-contiguous (B, N, P) stack,
+    # the sums over N and over P give each member's block the bits of the
+    # block's own (N, P) sums, P = 1 (a lone column, summed pairwise) and
+    # B = 1 included; values over seven decades make the order show
+    for P in (1, 2, 3, 8, 16, 32, 128):
+        for B in (1, 2, 3, 5):
+            x = np.random.default_rng([N, B, P]).uniform(-1.0, 1.0, (B, N, P))
+            x *= 10.0 ** (np.arange(N)[:, None] % 7)
+            over_n, over_p = x.sum(axis=1), x.sum(axis=2)
+            over_n_kept = x.sum(axis=1, keepdims=True)
+            for b in range(B):
+                block = x[b].copy()
+                assert over_n[b].tobytes() == block.sum(axis=0).tobytes(), (P, B, b)
+                assert over_n_kept[b, 0].tobytes() == block.sum(axis=0).tobytes(), (P, B, b)
+                assert over_p[b].tobytes() == block.sum(axis=1).tobytes(), (P, B, b)
 
 
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
@@ -954,46 +980,50 @@ def test_every_state_array_gives_its_member_axis():
 @pytest.mark.parametrize("N, P, members", [(64, 1, 3), (64, 3, 4), (2, 1, 2), (1, 2, 2)])
 def test_each_member_of_a_pass_equals_its_pass_alone_bit_for_bit(variant, exact, N, P,
                                                                    members):
-    # one pass over B members' (N, B P) columns against B one-member passes,
-    # over 4 warm-started passes; P = 1 members are the single columns that
-    # numpy sums pairwise on their own
+    # one pass over B members' (B, N, P) blocks against B one-member passes,
+    # over 4 warm-started passes; P = 1 blocks are single columns, which
+    # numpy sums pairwise
     cfg = PriorConfig(variant=variant, exact_digamma=exact)
     rng = np.random.default_rng([N, P, members])
     active = rng.random(N) < 0.3
     batch = init_state(N, P, cfg, members)
     alone = [None] * members
     for _ in range(4):
-        h, v = _pass_inputs(rng, active, members * P)
+        h, v = _pass_inputs(rng, active, P, members)
         h_post, v_post, batch = denoise(h, v, cfg, batch)
         for b in range(members):
-            cols = slice(b * P, (b + 1) * P)
-            h_ref, v_ref, alone[b] = denoise(h[:, cols].copy(), v[cols].copy(), cfg, alone[b])
-            assert h_post[:, cols].tobytes() == h_ref.tobytes()
-            assert v_post[cols].tobytes() == v_ref.tobytes()
-            for name, value in _member_view(batch, b, P).items():
-                assert value.tobytes() == getattr(alone[b], name).tobytes(), name
+            h_ref, v_ref, alone[b] = denoise(h[b:b + 1].copy(), v[b:b + 1].copy(), cfg,
+                                             alone[b])
+            assert h_post[b].tobytes() == h_ref.tobytes()
+            assert v_post[b].tobytes() == v_ref.tobytes()
+            own = _arrays(alone[b])
+            assert own.keys() == _arrays(batch).keys()
+            for name, value in _arrays(batch).items():
+                assert value[b].tobytes() == own[name][0].tobytes(), name
 
 
 def test_select_members_keeps_the_given_members_in_every_array():
     cfg = PriorConfig()
     N, P, members = 12, 2, 4
     rng = np.random.default_rng(7)
-    h, v = _pass_inputs(rng, rng.random(N) < 0.3, members * P)
+    h, v = _pass_inputs(rng, rng.random(N) < 0.3, P, members)
     _, _, state = denoise(h, v, cfg, init_state(N, P, cfg, members))
-    before = [_member_view(state, b, P) for b in range(members)]
+    before = _arrays(state)
     kept = select_members(state, [3, 1])
     assert kept is state and state.members == 2 and state.active_beliefs is None
-    for b, old in enumerate((3, 1)):
-        for name, value in _member_view(state, b, P).items():
-            assert np.array_equal(value, before[old][name]), name
-            assert getattr(state, name).flags.c_contiguous, name
+    assert _arrays(state).keys() == before.keys()
+    for name, value in _arrays(state).items():
+        assert np.array_equal(value, before[name][[3, 1]]), name
+        assert value.flags.c_contiguous, name
 
 
-def test_denoise_rejects_columns_that_do_not_split_into_its_members():
+def test_denoise_rejects_a_state_of_other_members():
     cfg = PriorConfig()
-    h, v = np.ones((8, 5), complex), np.full(5, 0.5)
-    with pytest.raises(ValueError, match="5 columns do not split into 2 members"):
+    h, v = np.ones((3, 8, 2), complex), np.full((3, 2), 0.5)
+    with pytest.raises(ValueError, match="and a state of B members; got .* and 2"):
         denoise(h, v, cfg, init_state(8, 2, cfg, 2))
+    with pytest.raises(ValueError, match=r"\(B, P\) variances"):
+        denoise(h, v[:, :1], cfg)
 
 
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM])
@@ -1009,8 +1039,9 @@ def test_carried_belief_arrays_follow_reassigned_beliefs(variant, reassigned):
     h, v = _pass_inputs(rng, rng.random(N) < 0.3, P)
     r2 = _squared_magnitude(h)
     _, _, state = denoise(h, v, PriorConfig(variant=variant))
+    v = v[:, None]    # the steps take the variances on the means' axes
     for name in reassigned:
-        setattr(state, name, getattr(state, name) * rng.uniform(0.5, 2.0, (N, P)))
+        setattr(state, name, getattr(state, name) * rng.uniform(0.5, 2.0, (1, N, P)))
     for exact in (False, True):
         cfg = PriorConfig(variant=variant, exact_digamma=exact)
         fresh = copy.deepcopy(state)
@@ -1047,7 +1078,7 @@ def test_denoise_takes_the_active_digamma_once_per_set_of_beliefs(monkeypatch):
     for passes in (1, 2, 3):
         h, v = _pass_inputs(rng, rng.random(N) < 0.3, P)
         _, _, state = denoise(h, v, PriorConfig(), state)
-        assert shapes.count((N, P)) == passes + 1
+        assert shapes.count((1, N, P)) == passes + 1
 
 
 @pytest.mark.parametrize("name, params", [
@@ -1086,8 +1117,8 @@ def test_denoise_computes_transition_weights_once_per_round(monkeypatch):
 
     monkeypatch.setattr(denoiser, "transition_log_expectations", counted)
     rng = np.random.default_rng(34)
-    h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-    denoise(h, rng.uniform(0.2, 0.6, 3), PriorConfig())
+    h = rng.standard_normal((1, 12, 3)) + 1j * rng.standard_normal((1, 12, 3))
+    denoise(h, rng.uniform(0.2, 0.6, (1, 3)), PriorConfig())
     assert len(calls) == 2
 
 
@@ -1102,8 +1133,8 @@ def test_denoise_computes_evidence_odds_once_per_pass(monkeypatch):
 
     monkeypatch.setattr(denoiser, "evidence_odds", counted)
     rng = np.random.default_rng(35)
-    h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-    v = rng.uniform(0.2, 0.6, 3)
+    h = rng.standard_normal((1, 12, 3)) + 1j * rng.standard_normal((1, 12, 3))
+    v = rng.uniform(0.2, 0.6, (1, 3))
     _, _, state = denoise(h, v, PriorConfig())
     assert len(calls) == 1
     denoise(h, v, PriorConfig(), state)
@@ -1125,9 +1156,9 @@ def test_denoise_takes_extrinsic_logit_once_per_pass(monkeypatch, variant):
 
     monkeypatch.setattr(denoiser, "_logit", counted)
     rng = np.random.default_rng(36)
-    v = rng.uniform(0.2, 0.6, 3)
+    v = rng.uniform(0.2, 0.6, (1, 3))
     for passes in (1, 2):
-        h = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        h = rng.standard_normal((1, 12, 3)) + 1j * rng.standard_normal((1, 12, 3))
         denoise(h, v, cfg, state)
         assert len(calls) == passes
 
@@ -1164,7 +1195,8 @@ def test_sigmoid_clamp_bounds_are_exact_and_quiet():
 def test_zero_input_symmetry():
     for variant in (VARIANT_LVD, VARIANT_TSGM, VARIANT_BG):
         h_post, v_post, _ = denoise(
-            np.zeros((8, 2), dtype=complex), np.full(2, 1e6), PriorConfig(variant=variant)
+            np.zeros((1, 8, 2), dtype=complex), np.full((1, 2), 1e6),
+            PriorConfig(variant=variant)
         )
         assert np.all(h_post == 0.0)
         assert np.all(v_post > 0.0)
@@ -1173,8 +1205,8 @@ def test_zero_input_symmetry():
 def test_negation_symmetry():
     cfg = PriorConfig()
     rng = np.random.default_rng(35)
-    h = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
-    v = rng.uniform(0.2, 0.5, 2)
+    h = rng.standard_normal((1, 10, 2)) + 1j * rng.standard_normal((1, 10, 2))
+    v = rng.uniform(0.2, 0.5, (1, 2))
     pos, vpos, _ = denoise(h, v, cfg)
     neg, vneg, _ = denoise(-h, v, cfg)
     assert np.array_equal(neg, -pos)
@@ -1184,27 +1216,27 @@ def test_negation_symmetry():
 def test_subcarrier_permutation_equivariance():
     cfg = PriorConfig()
     rng = np.random.default_rng(37)
-    h = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
-    v = rng.uniform(0.2, 0.5, 4)
+    h = rng.standard_normal((1, 10, 4)) + 1j * rng.standard_normal((1, 10, 4))
+    v = rng.uniform(0.2, 0.5, (1, 4))
     perm = np.array([2, 0, 3, 1])
     base_h, base_v, _ = denoise(h, v, cfg)
-    perm_h, perm_v, _ = denoise(h[:, perm], v[perm], cfg)
-    assert np.allclose(perm_h, base_h[:, perm], rtol=1e-12, atol=1e-12)
-    assert np.allclose(perm_v, base_v[perm], rtol=1e-12, atol=1e-12)
+    perm_h, perm_v, _ = denoise(h[:, :, perm], v[:, perm], cfg)
+    assert np.allclose(perm_h, base_h[:, :, perm], rtol=1e-12, atol=1e-12)
+    assert np.allclose(perm_v, base_v[:, perm], rtol=1e-12, atol=1e-12)
 
 
 def test_probabilities_stay_in_unit_interval():
     cfg = PriorConfig()
     rng = np.random.default_rng(39)
-    h = 2.0 * (rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4)))
-    v = rng.uniform(0.01, 0.1, 4)
+    h = 2.0 * (rng.standard_normal((1, 20, 4)) + 1j * rng.standard_normal((1, 20, 4)))
+    v = rng.uniform(0.01, 0.1, (1, 4))
     _, _, state = denoise(h, v, cfg)
     for arr in (
         state.support_like, state.support_ext, state.support_post,
         state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt,
     ):
         assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
-    assert np.allclose(state.pair_belief.sum(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(state.pair_belief.sum(axis=1), 1.0, atol=1e-12)
     assert 0.0 <= state.first_active_belief[0] <= 1.0
     assert np.all(state.large_shape >= cfg.large_shape - 1e-12)
     assert np.all(state.small_shape >= cfg.small_shape - 1e-12)
@@ -1213,23 +1245,23 @@ def test_probabilities_stay_in_unit_interval():
 def test_posterior_variance_bounds():
     cfg = PriorConfig()
     rng = np.random.default_rng(41)
-    h = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-    v = rng.uniform(0.1, 0.8, 3)
+    h = rng.standard_normal((1, 16, 3)) + 1j * rng.standard_normal((1, 16, 3))
+    v = rng.uniform(0.1, 0.8, (1, 3))
     h_post, v_post, state = denoise(h, v, cfg)
     assert np.all(v_post > 0.0)
-    var_l = 1.0 / (1.0 / v[None, :] + state.large_shape / state.large_rate)
-    mean_l = var_l * h / v[None, :]
-    var_s = 1.0 / (1.0 / v[None, :] + state.small_shape / state.small_rate)
-    mean_s = var_s * h / v[None, :]
+    var_l = 1.0 / (1.0 / v[:, None] + state.large_shape / state.large_rate)
+    mean_l = var_l * h / v[:, None]
+    var_s = 1.0 / (1.0 / v[:, None] + state.small_shape / state.small_rate)
+    mean_s = var_s * h / v[:, None]
     spread = 0.25 * np.abs(mean_l - mean_s) ** 2
-    assert np.all(v_post <= v + spread.max(axis=0) + 1e-12)
+    assert np.all(v_post <= v + spread.max(axis=1) + 1e-12)
 
 
 def test_warm_start_changes_beliefs_reset_does_not():
     cfg = PriorConfig()
     rng = np.random.default_rng(43)
-    h = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
-    v = np.full(2, 0.3)
+    h = rng.standard_normal((1, 10, 2)) + 1j * rng.standard_normal((1, 10, 2))
+    v = np.full((1, 2), 0.3)
     out1, vv1, state = denoise(h, v, cfg)
     out2, vv2, _ = denoise(h, v, cfg, state)
     out3, vv3, _ = denoise(h, v, cfg, None)
@@ -1242,15 +1274,15 @@ def test_warm_start_changes_beliefs_reset_does_not():
 def test_short_chains(variant, N):
     rng = np.random.default_rng(45 + N)
     P = 3
-    h = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
-    v = rng.uniform(0.1, 0.5, P)
+    h = rng.standard_normal((1, N, P)) + 1j * rng.standard_normal((1, N, P))
+    v = rng.uniform(0.1, 0.5, (1, P))
     cfg = PriorConfig(variant=variant)
     state = None
     for _ in range(2):
         h_post, v_post, state = denoise(h, v, cfg, state)
-        assert h_post.shape == (N, P) and v_post.shape == (P,)
+        assert h_post.shape == (1, N, P) and v_post.shape == (1, P)
         assert np.all(np.isfinite(h_post)) and np.all(np.isfinite(v_post))
-        assert state.pair_belief.shape == (4, 1, N - 1)
+        assert state.pair_belief.shape == (1, 4, N - 1)
         for arr in (
             state.support_like, state.support_ext, state.support_post,
             state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt,

@@ -149,28 +149,26 @@ def test_update_takes_one_noise_variance_per_column(bad):
 
 @pytest.mark.parametrize("clamp_cols", [[], [1], [0, 1, 2], [4, 7]])
 def test_extrinsic_split_checks_each_member_alone(clamp_cols):
-    # with the columns split into members, each member's round-trip error is
-    # that of its columns alone; the message itself does not depend on the
-    # split
+    # on a (B, N, P) stack each member's message and round-trip error are
+    # those of its (N, P) block alone; a member whose columns are all
+    # clamped is checked on nothing
     members, P = 3, 3
     rng = np.random.default_rng(len(clamp_cols))
-    args = _split_case(rng, 64, members * P, clamp_cols, False)
-    whole = extrinsic_split(*args)
-    split = extrinsic_split(*args, members=members)
-    for got, want in zip(split[:3], whole[:3]):
-        assert np.array_equal(got, want)
-    assert split[3].shape == (members,) and whole[3].shape == (1,)
-    h_post, v_post, h_pri, v_pri = args
+    h_post, v_post, h_pri, v_pri = _split_case(rng, 64, members * P, clamp_cols, False)
+    args = [np.stack(np.split(x, members, axis=-1)) for x in (h_post, v_post, h_pri, v_pri)]
+    split = extrinsic_split(*args)
+    assert split[3].shape == (members,)
     for b in range(members):
-        cols = slice(b * P, (b + 1) * P)
-        alone = extrinsic_split(h_post[:, cols], v_post[cols], h_pri[:, cols], v_pri[cols])
-        assert split[3][b] == alone[3][0]
+        alone = extrinsic_split(*(x[b] for x in args))
+        assert alone[3].shape == ()
+        for got, want in zip(split, alone):
+            assert np.array_equal(got[b], want)
     # each member's mean error is relative to its own max |h_post|, at most
     # the whole array's
-    assert max(split[3]) >= whole[3][0]
-    with pytest.raises(ValueError, match=r"\(N, C\) means"):
-        extrinsic_split(*args, members=2)
-    with pytest.raises(ValueError, match=r"\(N, C\) means"):
+    assert max(split[3]) >= extrinsic_split(h_post, v_post, h_pri, v_pri)[3]
+    with pytest.raises(ValueError, match=r"\(\.\.\., N, P\) means"):
+        extrinsic_split(args[0], args[1][:, :2], args[2], args[3])
+    with pytest.raises(ValueError, match=r"\(\.\.\., N, P\) means"):
         extrinsic_split(h_post[:, 0], v_post[0], h_pri[:, 0], v_pri[0])
 
 
@@ -194,7 +192,7 @@ def test_extrinsic_roundtrip_recovers_posterior():
             np.array([[h_post]]), np.array([v_post]), np.array([[h_pri]]), np.array([v_pri])
         )
         assert not clamped[0]
-        assert err[0] < 1e-10
+        assert err < 1e-10
         back = gaussian_multiply(GaussianMsg(h_ext[0, 0], v_ext[0]), GaussianMsg(h_pri, v_pri))
         assert abs(back.mean - h_post) < 1e-10 * max(1.0, abs(h_post))
         assert abs(back.variance - v_post) < 1e-10 * v_post
@@ -216,7 +214,7 @@ def test_extrinsic_clamps_when_uninformative():
         max_variance=1e8,
     )
     assert clamped[0] and v_ext[0] == 1e8
-    assert err[0] == 0.0
+    assert err == 0.0
 
 
 def test_extrinsic_split_columns_with_clamped_columns():
@@ -241,12 +239,12 @@ def test_extrinsic_split_columns_with_clamped_columns():
     h_old = v_ext * (h_post / v_post - h_pri / v_pri)
     assert np.max(np.abs(h_ext - h_old)[:, ~clamped]) < 1e-12
     ref = roundtrip_error_columns(h_ext, v_ext, h_pri, v_pri, h_post, v_post, clamped)
-    assert err[0] < 1e-14 and ref < 1e-14
+    assert err < 1e-14 and ref < 1e-14
     keep = ~clamped
     kept = extrinsic_split(h_post[:, keep], v_post[keep], h_pri[:, keep], v_pri[keep], cap)
-    assert kept[3][0] == err[0] > 0.0
+    assert kept[3] == err > 0.0
     everything = extrinsic_split(h_post, v_pri, h_pri, v_pri, cap)
-    assert np.all(everything[2]) and everything[3][0] == 0.0
+    assert np.all(everything[2]) and everything[3] == 0.0
 
 
 def _split_case(rng, N, P, clamp_cols, scalar_var):
@@ -287,7 +285,7 @@ def test_roundtrip_error_equals_the_columnwise_form_bit_for_bit(N, P, scalar_var
                 ref = extrinsic_split_columnwise(*case)
                 assert np.array_equal(got[0], ref[0])
                 assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
-                assert got[3][0] == ref[3]
+                assert got[3] == ref[3]
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -166,7 +166,11 @@ def test_real_denoiser_reproduces_the_complex_trace(monkeypatch, N, M, P, snr_db
 
 
 def _out_of_place_lmmse(y, pilots, h_pri, v_pri, sigma2):
-    return lmmse_update_out_of_place(y, FancyIndexPilotSet(pilots), h_pri, v_pri, sigma2)
+    # a one-member run's (1, ...) blocks through the (N, P) oracle
+    h_post, v_post = lmmse_update_out_of_place(
+        y[0], FancyIndexPilotSet(pilots), h_pri[0], v_pri[0], sigma2[0]
+    )
+    return h_post[None], v_post[None]
 
 
 @pytest.mark.parametrize(
@@ -316,7 +320,7 @@ def test_early_stop_flag():
 
 def test_early_stop_without_truth_tracks_the_estimate(monkeypatch):
     meas, pilots, _ = make_sim(64, 26, 4, 40.0, seed=23)
-    base = np.random.default_rng(0).standard_normal((64, 4)) + 0j
+    base = np.random.default_rng(0).standard_normal((1, 64, 4)) + 0j
     calls = []
 
     def rotating(h_pri, v_pri, prior, state):
@@ -330,7 +334,7 @@ def test_early_stop_without_truth_tracks_the_estimate(monkeypatch):
     monkeypatch.setattr(turbo, "denoise", rotating)
     h, t_moving = run_turbo(meas, pilots, algo(max_iters=8))
     assert t_moving.iterations == 8
-    assert np.array_equal(h, base * np.exp(0.3j * 8))
+    assert np.array_equal(h, base[0] * np.exp(0.3j * 8))
     assert all(math.isnan(x) for x in t_moving.nmse)
     monkeypatch.setattr(turbo, "denoise", frozen)
     _, t_still = run_turbo(meas, pilots, algo(max_iters=8))
@@ -396,7 +400,7 @@ def test_non_finite_measurements_abort():
 
 
 # ---------------------------------------------------------------------------
-# batched runs: B members as the column groups of one (N, B P) run
+# batched runs: B members as the blocks of (B, N, P) arrays
 
 
 def make_batch(N, M, P, snrs, seed):
@@ -476,21 +480,33 @@ def test_batch_cases_stop_members_at_different_iterations():
 
 
 def test_a_member_is_never_iterated_past_its_stop(monkeypatch):
-    # the denoiser sees the stopped member's columns no more: its column
-    # count falls by P once the first member stops
+    # the denoiser sees the stopped member's block no more: its member
+    # count falls by one once the first member stops
     meas, pilots, truth = make_batch(64, 26, 4, (5.0, 15.0, 25.0, 40.0), seed=98)
     widths = []
 
     def recorded(h_pri, v_pri, prior, state):
-        widths.append(h_pri.shape[1])
+        widths.append(h_pri.shape[0])
         return turbo_denoise(h_pri, v_pri, prior, state)
 
     turbo_denoise = turbo.denoise
     monkeypatch.setattr(turbo, "denoise", recorded)
     _, traces = run_turbo_batch(meas, pilots, algo(max_iters=12), [truth] * len(meas))
     stops = [trace.iterations for trace in traces]
-    assert widths == [4 * sum(stop >= it for stop in stops) for it in range(1, max(stops) + 1)]
+    assert widths == [sum(stop >= it for stop in stops) for it in range(1, max(stops) + 1)]
     assert len(set(stops)) > 1
+
+
+def test_each_estimate_is_an_array_of_its_own():
+    # a finished member's estimate is a copy, not a view of its block that
+    # would keep the whole (B, N, P) batch alive
+    meas, pilots, truth = make_batch(64, 26, 4, (5.0, 15.0, 25.0, 40.0), seed=98)
+    cfg = algo(max_iters=12)
+    estimates, _ = run_turbo_batch(meas, pilots, cfg, [truth] * len(meas))
+    alone, _ = run_turbo(meas[0], pilots, cfg, truth=truth)
+    for estimate in estimates + [alone]:
+        assert estimate.shape == (64, 4) and estimate.flags.c_contiguous
+        assert estimate.base is None and estimate.flags.owndata
 
 
 def test_a_member_warns_only_as_its_run_alone_does():
