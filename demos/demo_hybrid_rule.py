@@ -19,12 +19,13 @@ from hmpce.factorgraph import (
     BP,
     MF,
     FactorGraph,
-    GammaPriorFactor,
     MixtureObservationFactor,
+    PriorFactor,
     TableFactor,
     exact_marginals,
     stretched_graph_equivalence_check,
 )
+from hmpce.messages import GammaBelief
 
 rng = np.random.default_rng(7)
 
@@ -66,7 +67,7 @@ def build_mixed_graph():
     g.add_variable("s1", "discrete", 2)
     g.add_variable("s2", "discrete", 2)
     g.add_variable("v", "gamma")
-    g.add_factor(GammaPriorFactor("prior_v", "v", 2.0, 1.0))
+    g.add_factor(PriorFactor("prior_v", "v", GammaBelief(2.0, 1.0)))
     hub = MixtureObservationFactor(
         "obs", ["s1", "s2"], ["v"],
         log_base=log_base, exponents=[exponents], obs_sq=[obs_sq],

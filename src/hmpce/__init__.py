@@ -3,6 +3,9 @@ downlinks: a partially-observed angular channel with a clustered
 sparsity-pattern prior, estimated by a turbo loop that alternates a
 closed-form linear stage with a structured denoiser that learns its own
 hyperparameters.
+
+The factor-graph engine that demonstrates the hybrid message rule,
+`hmpce.factorgraph`, is imported on its own; `import hmpce` does not load it.
 """
 
 __version__ = "0.1.0"
@@ -22,32 +25,8 @@ from .channels import (
     synthesize_measurements,
 )
 from .denoiser import DenoiserState, PriorConfig, denoise, init_state
-from .factorgraph import (
-    BP,
-    MF,
-    BernoulliMixFactor,
-    BetaPriorFactor,
-    CGaussPriorFactor,
-    FactorGraph,
-    GammaPriorFactor,
-    MixtureObservationFactor,
-    PrecisionGaussFactor,
-    TableFactor,
-    UnnormalizableMessageError,
-    UnsupportedGraphError,
-    Variable,
-    exact_marginals,
-    stretched_graph_equivalence_check,
-)
 from .lmmse import dense_lmmse, extrinsic_split, lmmse_update
-from .messages import (
-    BetaBelief,
-    GammaBelief,
-    GaussianMsg,
-    digamma_approx,
-    digamma_exact,
-    gaussian_multiply,
-)
+from .messages import BetaBelief, GammaBelief, digamma_approx, digamma_exact
 from .priors import (
     VARIANT_BG,
     VARIANT_LVD,

@@ -90,20 +90,19 @@ def _split_list(text):
 
 
 def _list_of(parse):
-    """A parser for a comma list whose items each go through `parse`."""
+    """A parser for a comma list whose items each go through `parse`; a
+    repeated value is kept once, where it first appears."""
     def parse_list(text, key):
-        return tuple(parse(t, key) for t in _split_list(text))
+        return tuple(dict.fromkeys(parse(t, key) for t in _split_list(text)))
     return parse_list
 
 
-def _parse_algos(text, key):
-    names = _split_list(text)
-    for name in names:
-        if name not in ALGO_CHOICES:
-            raise ConfigError(
-                f"unknown algorithm {name!r}; choose from {', '.join(ALGO_CHOICES)}"
-            )
-    return tuple(dict.fromkeys(names))
+def _parse_algo(text, key):
+    if text not in ALGO_CHOICES:
+        raise ConfigError(
+            f"unknown algorithm {text!r}; choose from {', '.join(ALGO_CHOICES)}"
+        )
+    return text
 
 
 def _knob(default, parse, help=None, metavar=None, manifest=True):
@@ -125,7 +124,7 @@ class ExperimentConfig:
     M: tuple = _knob((103,), _list_of(_parse_int),
                      "pilot length(s), comma list sweeps the pilot count")
     snr: tuple = _knob((10.0, 20.0, 30.0), _list_of(_parse_float), "SNR in dB, comma list")
-    algos: tuple = _knob(ALGO_CHOICES, _parse_algos,
+    algos: tuple = _knob(ALGO_CHOICES, _list_of(_parse_algo),
                          "comma list from: " + ",".join(ALGO_CHOICES))
     trials: int = _knob(1, _parse_int, "Monte-Carlo trials per point")
     iters: int = _knob(15, _parse_int, "max turbo iterations")

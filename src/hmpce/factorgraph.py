@@ -7,15 +7,19 @@ the exponentiated expected log over the beliefs of its "mf" neighbors; an
 factor's bp neighborhood and the beliefs of the remaining mf neighbors.
 With all edges tagged "bp" the engine degenerates to loopy sum-product,
 with all edges "mf" to coordinate-ascent variational message passing.
+The rule is the hybrid BP/MF rule of Riegler et al., "Merging belief
+propagation and the mean field approximation", IEEE TIT 2013.
 
 Supported variable families: finite-domain (`DiscreteMsg`), and from
-`messages`, Gamma-precision (`GammaBelief`), Beta probability (`BetaBelief`)
-and circular complex Gaussian (`GaussianMsg`).  Parametric (non-discrete)
-variables must sit on mf edges, except the complex-Gaussian variable of a
-precision factor which may take either tag.  Expectations are evaluated in
-closed form per family (`messages`' expected logs, and
-`messages.digamma_exact`, which imports scipy on its first call); there is
-no generic quadrature.
+`messages`, Gamma-precision (`GammaBelief`) and Beta probability
+(`BetaBelief`).  The Gamma and Beta variables must sit on mf edges and are
+anchored by a `PriorFactor`.  Expectations are evaluated in closed form per
+family (`messages`' expected logs, and `messages.digamma_exact`, which
+imports scipy on its first call); there is no generic quadrature.  The
+engine runs synchronous flooding sweeps only (`FactorGraph.sweep`).
+
+It is the subject of `demos/demo_hybrid_rule.py` and acceptance criterion
+3; no estimator path calls it, and `import hmpce` does not load it.
 
 The stretched-graph checker rebuilds a single-hybrid-factor graph in the
 classic combined form (hard-constraint factor plus one joint variable, the
@@ -23,7 +27,6 @@ original factor demoted to a pure mf factor) with an independent direct
 implementation, runs both, and reports the worst message discrepancy.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import astuple, dataclass
@@ -33,11 +36,9 @@ import numpy as np
 from .messages import (
     BetaBelief,
     GammaBelief,
-    GaussianMsg,
     beta_log_expectations,
     digamma_exact,
     gamma_log_mean,
-    gaussian_multiply,
 )
 
 BP = "bp"
@@ -72,7 +73,7 @@ class DiscreteMsg:
 @dataclass
 class Variable:
     name: str
-    kind: str           # "discrete" | "gamma" | "beta" | "cgauss"
+    kind: str           # "discrete" | "gamma" | "beta"
     size: int = None
 
     def __post_init__(self):
@@ -107,8 +108,6 @@ def _msg_product(kind, msgs):
         a = sum(m.a for m in msgs) - (len(msgs) - 1)
         b = sum(m.b for m in msgs) - (len(msgs) - 1)
         return BetaBelief(a, b)
-    if kind == "cgauss":
-        return functools.reduce(gaussian_multiply, msgs)
     raise UnsupportedGraphError(f"unknown variable kind {kind}")
 
 
@@ -318,55 +317,12 @@ class BernoulliMixFactor(_DiscreteCoreFactor):
         )
 
 
-class PrecisionGaussFactor(Factor):
-    """f(h, v) = CN(h; 0, 1/v): complex-Gaussian h, Gamma precision v (mf)."""
+class PriorFactor(Factor):
+    """Unary prior: sends `belief`, a `GammaBelief` or `BetaBelief`, to `var`."""
 
-    def __init__(self, name, cgauss_var, gamma_var):
-        super().__init__(name, [cgauss_var, gamma_var])
-        self.cgauss_var = cgauss_var
-        self.gamma_var = gamma_var
-
-    def compute_messages(self, graph):
-        vb = graph.belief(self.gamma_var)
-        if vb is FLAT or vb.rate == 0.0:
-            # a rate-0 Gamma belief has no finite mean precision to send
-            raise UnsupportedGraphError(
-                f"factor '{self.name}': precision variable has no proper belief"
-            )
-        to_h = GaussianMsg(0.0, 1.0 / vb.mean())
-        if graph.tag(self, self.cgauss_var) == BP:
-            n = graph.n_message(self.cgauss_var, self)
-            hb = to_h if n is FLAT else _msg_product("cgauss", [to_h, n])
-        else:
-            hb = graph.belief(self.cgauss_var)
-            if hb is FLAT:
-                hb = to_h
-        second = abs(hb.mean) ** 2 + hb.variance
-        return {self.cgauss_var: to_h, self.gamma_var: GammaBelief(2.0, second)}
-
-
-class GammaPriorFactor(Factor):
-    def __init__(self, name, var, shape, rate):
+    def __init__(self, name, var, belief):
         super().__init__(name, [var])
-        self.msg = GammaBelief(float(shape), float(rate))
-
-    def compute_messages(self, graph):
-        return {self.vars[0]: self.msg}
-
-
-class BetaPriorFactor(Factor):
-    def __init__(self, name, var, a, b):
-        super().__init__(name, [var])
-        self.msg = BetaBelief(float(a), float(b))
-
-    def compute_messages(self, graph):
-        return {self.vars[0]: self.msg}
-
-
-class CGaussPriorFactor(Factor):
-    def __init__(self, name, var, mean, variance):
-        super().__init__(name, [var])
-        self.msg = GaussianMsg(complex(mean), float(variance))
+        self.msg = belief
 
     def compute_messages(self, graph):
         return {self.vars[0]: self.msg}

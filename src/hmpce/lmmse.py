@@ -22,6 +22,8 @@ into the second.  No input is written to.
 import numpy as np
 
 _VAR_FLOOR = 1e-30
+# Extrinsic variance of a column whose posterior is not informative enough
+_EXT_VAR_CAP = 1e8
 
 
 def lmmse_update(y, pilots, h_pri, v_pri, sigma2):
@@ -50,13 +52,13 @@ def lmmse_update(y, pilots, h_pri, v_pri, sigma2):
     return h_post, np.maximum(v_post, _VAR_FLOOR)
 
 
-def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8):
+def extrinsic_split(h_post, v_post, h_pri, v_pri):
     """Gaussian extrinsic division post / pri, with its round-trip check.
 
     Means are (..., N, P) with one variance per column, (..., P); each
     leading index is one member.  Where the posterior is not informative
-    enough (1/v_post - 1/v_pri <= 1/max_variance) the extrinsic variance is
-    clamped to max_variance.
+    enough (1/v_post - 1/v_pri <= 1/_EXT_VAR_CAP) the extrinsic variance is
+    clamped to _EXT_VAR_CAP = 1e8.
 
     The extrinsic message is multiplied back with the prior and compared
     with the posterior over each member's unclamped columns: the member's
@@ -74,8 +76,8 @@ def extrinsic_split(h_post, v_post, h_pri, v_pri, max_variance=1e8):
             f"got {np.shape(h_post)} and {v_post.shape}"
         )
     inv = 1.0 / v_post - 1.0 / v_pri
-    clamped = ~(inv > 1.0 / max_variance)
-    v_ext = np.where(clamped, max_variance, 1.0 / np.where(clamped, 1.0, inv))
+    clamped = ~(inv > 1.0 / _EXT_VAR_CAP)
+    v_ext = np.where(clamped, _EXT_VAR_CAP, 1.0 / np.where(clamped, 1.0, inv))
     h_ext = h_post * (v_ext / v_post)[..., None, :] - h_pri * (v_ext / v_pri)[..., None, :]
     kept = ~clamped
     checked = kept.any(axis=-1)

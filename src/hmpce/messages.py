@@ -1,15 +1,13 @@
-"""Scalar message types and algebra shared by the denoiser and the
-factor-graph engine.
+"""Scalar belief types and expected logarithms shared by the denoiser and
+the factor-graph engine.
 
-Complex-Gaussian messages are parameterized by (mean, variance) with the
-circularly-symmetric convention, Gamma beliefs by (shape, rate) on a
-precision, Beta beliefs by the usual pseudo-counts.  The digamma
-approximation ln(x) - 1/(2x) is the default everywhere an expected
-logarithm of a Gamma/Beta variable is needed; the exact digamma is
-available behind a flag.  It is the package's one exact digamma (the
-factor-graph engine calls it too), and it imports `scipy.special` on its
-first call, so the default path needs numpy only.  The expected
-logarithms take raw parameters.
+Gamma beliefs are parameterized by (shape, rate) on a precision, Beta
+beliefs by the usual pseudo-counts.  The digamma approximation
+ln(x) - 1/(2x) is the default everywhere an expected logarithm of a
+Gamma/Beta variable is needed; the exact digamma is available behind a
+flag.  It is the package's one exact digamma (the factor-graph engine calls
+it too), and it imports `scipy.special` on its first call, so the default
+path needs numpy only.  The expected logarithms take raw parameters.
 Discrete messages live in `factorgraph`; the Gaussian extrinsic division
 is `lmmse.extrinsic_split`.
 """
@@ -18,20 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class GaussianMsg:
-    """Circular complex Gaussian message with scalar variance."""
-
-    mean: complex
-    variance: float
-
-    def __post_init__(self):
-        if not (self.variance > 0.0 and math.isfinite(self.variance)):
-            raise ValueError(f"variance must be positive and finite, got {self.variance}")
-        if not (math.isfinite(self.mean.real) and math.isfinite(self.mean.imag)):
-            raise ValueError(f"mean must be finite, got {self.mean}")
 
 
 @dataclass(frozen=True)
@@ -94,14 +78,6 @@ def digamma_exact(x):
 
 def digamma_fn(exact=False):
     return digamma_exact if exact else digamma_approx
-
-
-def gaussian_multiply(a, b):
-    """Product of two Gaussian messages (precision-weighted combination)."""
-    denom = a.variance + b.variance
-    variance = a.variance * b.variance / denom
-    mean = (a.mean * b.variance + b.mean * a.variance) / denom
-    return GaussianMsg(mean, variance)
 
 
 def beta_log_expectations(a, b, exact=False):

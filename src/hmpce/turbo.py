@@ -45,6 +45,10 @@ from .priors import VARIANT_BG, ScalarPrior, posterior_variance_mixture
 # one block's working set stays in a 2 MiB L2.
 _BLOCK = 32768
 
+# Early stopping: the change in NMSE (or, without a truth, the relative
+# change of the estimate) between consecutive iterations that ends a run.
+NMSE_TOL = 1e-6
+
 
 class SeUndefinedError(RuntimeError):
     """State-evolution map undefined (non-positive effective variance)."""
@@ -63,7 +67,6 @@ class AlgoConfig:
     init_variance: float
     max_iters: int = 15
     early_stop: bool = True
-    nmse_tol: float = 1e-6
     reset_beliefs: bool = False
 
     def __post_init__(self):
@@ -167,7 +170,7 @@ def run_turbo(measurements, pilots, cfg, truth=None):
     ValueError before the first iteration.  Early stopping compares
     consecutive NMSE values when `truth` is given; otherwise it stops once
     the relative change of the estimate, ||h_t - h_{t-1}||^2 / ||h_{t-1}||^2,
-    falls below `nmse_tol`.  A non-finite state raises `NonFiniteStateError`.
+    falls below `NMSE_TOL`.  A non-finite state raises `NonFiniteStateError`.
 
     This is the one-member call of `run_turbo_batch`.  Given a list of
     `MeasurementSet`s as `measurements` and a list of truths as `truth`, it
@@ -256,11 +259,11 @@ def run_turbo_batch(measurements, pilots, cfg, truths):
             truth = truths[member]
             if truth is not None:
                 metric = _energy(h_b - truth) / truth_energy[member]
-                converged = it > 1 and abs(metric - prev_metric[member]) < cfg.nmse_tol
+                converged = it > 1 and abs(metric - prev_metric[member]) < NMSE_TOL
                 prev_metric[member] = metric
             else:
                 metric = float("nan")
-                converged = it > 1 and _relative_change(h_b, h_prev[b]) < cfg.nmse_tol
+                converged = it > 1 and _relative_change(h_b, h_prev[b]) < NMSE_TOL
             trace.nmse.append(metric)
             if (cfg.early_stop and converged) or it == cfg.max_iters:
                 done.append(b)

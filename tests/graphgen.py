@@ -6,12 +6,12 @@ from hmpce.factorgraph import (
     BP,
     MF,
     BernoulliMixFactor,
-    BetaPriorFactor,
     FactorGraph,
-    GammaPriorFactor,
     MixtureObservationFactor,
+    PriorFactor,
     TableFactor,
 )
+from hmpce.messages import BetaBelief, GammaBelief
 
 
 def random_tree_graph(rng):
@@ -52,9 +52,9 @@ def random_hybrid_graph(rng):
         for name in gammas:
             g.add_variable(name, "gamma")
             g.add_factor(
-                GammaPriorFactor(
+                PriorFactor(
                     f"prior_{name}", name,
-                    rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0),
+                    GammaBelief(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)),
                 )
             )
         factor = MixtureObservationFactor(
@@ -68,9 +68,9 @@ def random_hybrid_graph(rng):
         for name in betas:
             g.add_variable(name, "beta")
             g.add_factor(
-                BetaPriorFactor(
+                PriorFactor(
                     f"prior_{name}", name,
-                    rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0),
+                    BetaBelief(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)),
                 )
             )
         factor = BernoulliMixFactor(

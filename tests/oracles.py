@@ -32,10 +32,14 @@ Four helpers that only tests use live here too: `mmse_oracle`, a one-shot
 and angular bases, `step_inputs`, the per-pass values that `denoise`
 hands to its steps, for tests that call the steps one by one, and
 `unstack_pilots`, the per-subcarrier operators of a `PilotSet`.
+The scalar complex Gaussian message and its product (`GaussianMsg`,
+`gaussian_multiply`) live here as the reference that the extrinsic
+division is multiplied back with.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,7 +63,7 @@ from hmpce.denoiser import (
 from hmpce.lmmse import _VAR_FLOOR
 from hmpce.messages import digamma_fn
 from hmpce.priors import VARIANT_BG, VARIANT_TSGM, posterior_variance_mixture
-from hmpce.turbo import MmseSampler, TurboTrace, nmse, run_turbo, to_db
+from hmpce.turbo import NMSE_TOL, MmseSampler, TurboTrace, nmse, run_turbo, to_db
 
 
 def chain_enumeration(first_w, trans_w, log_like):
@@ -213,9 +217,31 @@ def roundtrip_error_columns(h_ext, v_ext, h_pri, v_pri, h_post, v_post, clamped)
     return float(max(err_v[keep].max(), err_m))
 
 
-# the extrinsic variance cap that `run_turbo` divides with, the default of
-# `lmmse.extrinsic_split`
+# the extrinsic variance cap that `run_turbo` divides with,
+# `lmmse._EXT_VAR_CAP`
 EXT_VAR_CAP = 1e8
+
+
+@dataclass(frozen=True)
+class GaussianMsg:
+    """Circular complex Gaussian message with scalar variance."""
+
+    mean: complex
+    variance: float
+
+    def __post_init__(self):
+        if not (self.variance > 0.0 and math.isfinite(self.variance)):
+            raise ValueError(f"variance must be positive and finite, got {self.variance}")
+        if not (math.isfinite(self.mean.real) and math.isfinite(self.mean.imag)):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+
+
+def gaussian_multiply(a, b):
+    """Product of two Gaussian messages (precision-weighted combination)."""
+    denom = a.variance + b.variance
+    variance = a.variance * b.variance / denom
+    mean = (a.mean * b.variance + b.mean * a.variance) / denom
+    return GaussianMsg(mean, variance)
 
 
 def unstack_pilots(pilots):
@@ -320,7 +346,7 @@ def run_turbo_per_subcarrier(measurements, pilots, cfg, truth=None):
         trace.clamped_b.append(int(clamped_b.sum()))
         if truth is not None:
             metric = nmse(h_post_b, truth)
-            converged = it > 1 and abs(metric - prev_metric) < cfg.nmse_tol
+            converged = it > 1 and abs(metric - prev_metric) < NMSE_TOL
             prev_metric = metric
         else:
             metric = float("nan")
@@ -328,7 +354,7 @@ def run_turbo_per_subcarrier(measurements, pilots, cfg, truth=None):
             if change > 0.0:
                 base = float(np.sum(np.abs(h_final) ** 2))
                 change = change / base if base > 0.0 else math.inf
-            converged = it > 1 and change < cfg.nmse_tol
+            converged = it > 1 and change < NMSE_TOL
         h_final = h_post_b
         trace.nmse.append(metric)
         if cfg.early_stop and converged:

@@ -74,6 +74,36 @@ def test_repeated_runs_byte_identical(tmp_path):
         assert body1 == body2, name
 
 
+def read_outputs(out):
+    bodies = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            bodies[name] = fh.read()
+    return bodies
+
+
+@pytest.mark.parametrize("from_file", [False, True])
+def test_repeated_list_values_run_once(tmp_path, from_file):
+    # a repeated pilot length, SNR or algorithm is one point of the sweep:
+    # it used to run, and write its rows and SE block, once per repeat
+    base = ["--N", "32", "--K", "64", "--P", "2", "--iters", "3", "--trials", "1"]
+    once = {"M": "13", "snr": "10", "algos": "hmp-tsgm"}
+    repeated = {"M": "13,13", "snr": "10,10.0", "algos": "hmp-tsgm,hmp-tsgm"}
+    outputs = []
+    for i, lists in enumerate((once, repeated)):
+        out = str(tmp_path / f"run{i}")
+        if from_file:
+            cfg = tmp_path / f"run{i}.cfg"
+            cfg.write_text("".join(f"{key} = {val}\n" for key, val in lists.items()))
+            args = ["--config", str(cfg)]
+        else:
+            args = [arg for key, val in lists.items() for arg in (f"--{key}", val)]
+        assert run_cli(*base, *args, "--out", out) == 0
+        outputs.append(read_outputs(out))
+    assert outputs[0] == outputs[1]
+    assert len(read_lines(str(tmp_path / "run1" / "nmse_vs_snr.csv"))) == 2
+
+
 def test_batched_sweep_rows_equal_the_per_snr_loop(tmp_path):
     # the SNR points of each (trial, M, algorithm) run as one batch; every
     # row equals the one-run-per-point loop's, bit for bit

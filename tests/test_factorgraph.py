@@ -12,18 +12,16 @@ from hmpce.factorgraph import (
     BP,
     FLAT,
     MF,
-    BetaPriorFactor,
-    CGaussPriorFactor,
     FactorGraph,
-    GammaPriorFactor,
     MixtureObservationFactor,
-    PrecisionGaussFactor,
+    PriorFactor,
     TableFactor,
     UnnormalizableMessageError,
     UnsupportedGraphError,
     exact_marginals,
     stretched_graph_equivalence_check,
 )
+from hmpce.messages import BetaBelief, GammaBelief
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -192,7 +190,7 @@ def test_gamma_message_shape_increment_one():
             "mix", ["x"], ["v"],
             log_base=np.zeros(2), exponents=[np.ones(2)], obs_sq=[obs_sq],
         )
-        g.add_factor(GammaPriorFactor("pv", "v", 1.5, 2.0))
+        g.add_factor(PriorFactor("pv", "v", GammaBelief(1.5, 2.0)))
         g.add_factor(factor)
         g.add_factor(TableFactor("ax", ["x"], np.array([0.3, 0.7])))
         g.sweep()
@@ -211,50 +209,15 @@ def test_gamma_message_shape_increment_one():
     assert (belief.shape, belief.rate) == (2.5, 2.0)
 
 
-def test_precision_gauss_single_sweep():
-    # anchored at CN(2, 1) and Ga(1, 1): the combined Gaussian belief is
-    # (mean 1, variance 0.5) and the precision belief becomes Ga(2, 2.5)
-    g = FactorGraph()
-    g.add_variable("h", "cgauss")
-    g.add_variable("v", "gamma")
-    factor = PrecisionGaussFactor("pg", "h", "v")
-    g.add_factor(CGaussPriorFactor("ph", "h", 2.0, 1.0))
-    g.add_factor(GammaPriorFactor("pv", "v", 1.0, 1.0))
-    g.add_factor(factor, tags={"h": BP})
-    g.sweep()
-    hb = g.belief("h")
-    assert hb.mean == pytest.approx(1.0, abs=1e-14)
-    assert hb.variance == pytest.approx(0.5, abs=1e-14)
-    msg = g.message(factor, "v")
-    assert msg.shape == pytest.approx(2.0, abs=1e-14)
-    assert msg.rate == pytest.approx(1.5, abs=1e-14)
-    vb = g.belief("v")
-    assert vb.shape == pytest.approx(2.0, abs=1e-14)
-    assert vb.rate == pytest.approx(2.5, abs=1e-14)
-
-
-def test_precision_gauss_rejects_a_rate_zero_precision_belief():
-    g = FactorGraph()
-    g.add_variable("h", "cgauss")
-    g.add_variable("v", "gamma")
-    g.add_factor(CGaussPriorFactor("ph", "h", 1.0, 1.0))
-    g.add_factor(GammaPriorFactor("pv", "v", 1.0, 0.0))
-    g.add_factor(PrecisionGaussFactor("pg", "h", "v"), tags={"h": BP})
-    with pytest.raises(UnsupportedGraphError, match="factor 'pg'"):
-        g.sweep()
-
-
 def test_prior_factors_validate_parameters():
-    for mean, variance in ((0.0, 0.0), (0.0, -1.0), (0.0, math.inf),
-                           (math.nan, 1.0), (complex(0.0, math.inf), 1.0)):
+    # the belief a prior factor is given does the validation
+    for shape, rate in ((0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)):
         with pytest.raises(ValueError):
-            CGaussPriorFactor("ph", "h", mean, variance)
-    for shape, rate in ((0.0, 1.0), (1.0, -1.0)):
+            PriorFactor("pv", "v", GammaBelief(shape, rate))
+    assert PriorFactor("pv", "v", GammaBelief(1.0, 0.0)).msg.rate == 0.0
+    for a, b in ((0.0, 1.0), (1.0, 0.0)):
         with pytest.raises(ValueError):
-            GammaPriorFactor("pv", "v", shape, rate)
-    assert GammaPriorFactor("pv", "v", 1.0, 0.0).msg.rate == 0.0
-    with pytest.raises(ValueError):
-        BetaPriorFactor("pq", "q", 0.0, 1.0)
+            PriorFactor("pq", "q", BetaBelief(a, b))
 
 
 def test_hybrid_rule_demo_reports_zero_discrepancy(capsys):
@@ -346,7 +309,7 @@ def test_parametric_edges_must_be_mf():
 def test_exact_marginals_rejects_parametric_graphs():
     g = FactorGraph()
     g.add_variable("v", "gamma")
-    g.add_factor(GammaPriorFactor("pv", "v", 1.0, 1.0))
+    g.add_factor(PriorFactor("pv", "v", GammaBelief(1.0, 1.0)))
     with pytest.raises(UnsupportedGraphError):
         exact_marginals(g)
 
@@ -367,7 +330,7 @@ def test_stretched_equivalence_cn_mixture():
     g.add_variable("x1", "discrete", 2)
     g.add_variable("x2", "discrete", 2)
     g.add_variable("v", "gamma")
-    g.add_factor(GammaPriorFactor("pv", "v", 1.5, 1.0))
+    g.add_factor(PriorFactor("pv", "v", GammaBelief(1.5, 1.0)))
     factor = MixtureObservationFactor(
         "mix", ["x1", "x2"], ["v"],
         log_base=rng.normal(size=(2, 2)),

@@ -5,8 +5,10 @@ import pytest
 
 from oracles import (
     FancyIndexPilotSet,
+    GaussianMsg,
     dense_lmmse_measurement_form,
     extrinsic_split_columnwise,
+    gaussian_multiply,
     lmmse_update_out_of_place,
     roundtrip_error_columns,
     unstack_pilots,
@@ -21,7 +23,6 @@ from hmpce.channels import (
     synthesize_measurements,
 )
 from hmpce.lmmse import dense_lmmse, extrinsic_split, lmmse_update
-from hmpce.messages import GaussianMsg, gaussian_multiply
 from hmpce.priors import VARIANT_LVD, ScalarPrior
 
 
@@ -211,7 +212,6 @@ def test_extrinsic_flat_prior_passthrough():
 def test_extrinsic_clamps_when_uninformative():
     h_ext, v_ext, clamped, err = extrinsic_split(
         np.array([[1.0 + 0.0j]]), np.array([1.0]), np.array([[0.0 + 0.0j]]), np.array([1.0]),
-        max_variance=1e8,
     )
     assert clamped[0] and v_ext[0] == 1e8
     assert err == 0.0
@@ -228,12 +228,12 @@ def test_extrinsic_split_columns_with_clamped_columns():
     # that must not enter the round-trip scale
     v_post[[1, 4]] = v_pri[[1, 4]] * np.array([1.0, 1.5])
     h_post[:, 4] *= 1e12
-    h_ext, v_ext, clamped, err = extrinsic_split(h_post, v_post, h_pri, v_pri, cap)
+    h_ext, v_ext, clamped, err = extrinsic_split(h_post, v_post, h_pri, v_pri)
     assert clamped.tolist() == [False, True, False, False, True, False]
     assert np.all(v_ext[clamped] == cap)
     for p in range(P):
         cols = slice(p, p + 1)
-        col = extrinsic_split(h_post[:, cols], v_post[cols], h_pri[:, cols], v_pri[cols], cap)
+        col = extrinsic_split(h_post[:, cols], v_post[cols], h_pri[:, cols], v_pri[cols])
         assert np.array_equal(h_ext[:, p], col[0][:, 0])
         assert v_ext[p] == col[1][0] and clamped[p] == col[2][0]
     h_old = v_ext * (h_post / v_post - h_pri / v_pri)
@@ -241,9 +241,9 @@ def test_extrinsic_split_columns_with_clamped_columns():
     ref = roundtrip_error_columns(h_ext, v_ext, h_pri, v_pri, h_post, v_post, clamped)
     assert err < 1e-14 and ref < 1e-14
     keep = ~clamped
-    kept = extrinsic_split(h_post[:, keep], v_post[keep], h_pri[:, keep], v_pri[keep], cap)
+    kept = extrinsic_split(h_post[:, keep], v_post[keep], h_pri[:, keep], v_pri[keep])
     assert kept[3] == err > 0.0
-    everything = extrinsic_split(h_post, v_pri, h_pri, v_pri, cap)
+    everything = extrinsic_split(h_post, v_pri, h_pri, v_pri)
     assert np.all(everything[2]) and everything[3] == 0.0
 
 

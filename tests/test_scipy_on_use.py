@@ -1,10 +1,10 @@
-"""scipy stays off the estimator's import path.
+"""scipy and the factor-graph engine stay off the estimator's import path.
 
 The package, the default CLI sweep and the state evolution run on numpy
-alone; scipy is imported only by the paths that need it (the exact
-digamma, the dense pilot matrices, the factor-graph engine).  Each check
-runs in a fresh interpreter, because the test process itself has scipy
-loaded.
+alone and never load `hmpce.factorgraph`; scipy is imported only by the
+paths that need it (the exact digamma, the dense pilot matrices, the
+factor-graph engine).  Each check runs in a fresh interpreter, because the
+test process itself has scipy loaded.
 """
 
 import os
@@ -39,8 +39,9 @@ def run_fresh(body, *args):
 
 def default_runs(block_scipy):
     """Import the package and the CLI, then run a small sweep of the three
-    variants and an `--se-only` run; with `block_scipy`, any scipy import
-    raises ImportError."""
+    variants and an `--se-only` run, and check that none of it loaded the
+    factor-graph engine; with `block_scipy`, any scipy import raises
+    ImportError."""
     block = "sys.modules['scipy'] = None" if block_scipy else ""
     return textwrap.dedent(f"""
     import sys
@@ -53,6 +54,7 @@ def default_runs(block_scipy):
     assert rc == 0, rc
     rc = hmpce.cli.main(sweep + ["--se-only", "--out", out + "/se"])
     assert rc == 0, rc
+    assert "hmpce.factorgraph" not in sys.modules
     """)
 
 
