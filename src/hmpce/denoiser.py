@@ -79,24 +79,22 @@ from .messages import digamma_fn
 from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, VARIANTS
 
 
+# Gamma prior shapes, and Beta prior pseudo-counts (a, b) on p10 and p01
+LARGE_SHAPE = SMALL_SHAPE = 1.0
+P10_A = P10_B = P01_A = P01_B = 1.0
+
+
 @dataclass
 class PriorConfig:
     """Prior hyperparameters and algorithm switches for one denoiser.
 
     Raises ValueError naming the field unless 0 < prob_floor < 0.5 and
-    every Gamma and Beta prior parameter and bg_variance is positive and
-    finite.
+    large_rate, small_rate and bg_variance are positive and finite.
     """
 
     variant: str = VARIANT_LVD
-    large_shape: float = 1.0    # Gamma prior (shape, rate) on active precisions
-    large_rate: float = 1.0
-    small_shape: float = 1.0    # Gamma prior on the shared near-zero precision
-    small_rate: float = 0.01
-    p10_a: float = 1.0          # Beta priors on the chain transition probabilities
-    p10_b: float = 1.0
-    p01_a: float = 1.0
-    p01_b: float = 1.0
+    large_rate: float = 1.0     # Gamma prior rate on the active precisions
+    small_rate: float = 0.01    # Gamma prior rate on the near-zero precision
     bg_variance: float = 1.0    # fixed active variance for the bg variant
     exact_digamma: bool = False
     std_gamma_weight: bool = False
@@ -107,8 +105,7 @@ class PriorConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 < self.prob_floor < 0.5:
             raise ValueError(f"prob_floor must lie in (0, 0.5), got {self.prob_floor}")
-        for name in ("large_shape", "large_rate", "small_shape", "small_rate",
-                     "p10_a", "p10_b", "p01_a", "p01_b", "bg_variance"):
+        for name in ("large_rate", "small_rate", "bg_variance"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -154,12 +151,12 @@ def init_state(N, P, cfg, members=1):
     """Prior beliefs for `members` members of N elements and P subcarriers
     each."""
     state = DenoiserState()
-    state.large_shape = np.full((members, N, P), cfg.large_shape)
+    state.large_shape = np.full((members, N, P), LARGE_SHAPE)
     state.large_rate = np.full((members, N, P), cfg.large_rate)
-    state.small_shape = np.full((members, 1, P), cfg.small_shape)
+    state.small_shape = np.full((members, 1, P), SMALL_SHAPE)
     state.small_rate = np.full((members, 1, P), cfg.small_rate)
-    state.p10_a, state.p10_b = np.full(members, cfg.p10_a), np.full(members, cfg.p10_b)
-    state.p01_a, state.p01_b = np.full(members, cfg.p01_a), np.full(members, cfg.p01_b)
+    state.p10_a, state.p10_b = np.full(members, P10_A), np.full(members, P10_B)
+    state.p01_a, state.p01_b = np.full(members, P01_A), np.full(members, P01_B)
     return state
 
 
@@ -479,10 +476,10 @@ def update_transition_beliefs(state, cfg, transitions, llr):
     for j, wj in enumerate(w):
         np.divide(wj, total, out=state.pair_belief[:, j])
     pair_00, pair_01, pair_10, pair_11 = state.pair_belief.sum(axis=2).T
-    state.p10_a = first + cfg.p10_a + pair_10
-    state.p10_b = (1.0 - first) + cfg.p10_b + pair_00
-    state.p01_a = cfg.p01_a + pair_01
-    state.p01_b = cfg.p01_b + pair_11
+    state.p10_a = first + P10_A + pair_10
+    state.p10_b = (1.0 - first) + P10_B + pair_00
+    state.p01_a = P01_A + pair_01
+    state.p01_b = P01_B + pair_11
 
 
 def support_extrinsic(state, cfg, like_logit, llr):
@@ -521,14 +518,12 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_lar
     large_stat *= gain_large
     large_stat *= w
     if cfg.variant == VARIANT_TSGM:
-        state.large_shape = np.broadcast_to(
-            cfg.large_shape + w.sum(axis=1, keepdims=True), w.shape
-        ).copy()
-        state.large_rate = np.broadcast_to(
-            cfg.large_rate + large_stat.sum(axis=1, keepdims=True), w.shape
-        ).copy()
+        N = w.shape[1]
+        state.large_shape = np.repeat(LARGE_SHAPE + w.sum(axis=1, keepdims=True), N, axis=1)
+        state.large_rate = np.repeat(
+            cfg.large_rate + large_stat.sum(axis=1, keepdims=True), N, axis=1)
     else:
-        state.large_shape = cfg.large_shape + w
+        state.large_shape = LARGE_SHAPE + w
         large_stat += cfg.large_rate
         state.large_rate = large_stat
     # the near-zero gain is one per subcarrier, so it leaves the sums
@@ -536,7 +531,7 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_lar
     quiet = 1.0 - w
     quiet_count = quiet.sum(axis=1, keepdims=True)
     quiet *= r2
-    state.small_shape = cfg.small_shape + quiet_count
+    state.small_shape = SMALL_SHAPE + quiet_count
     state.small_rate = cfg.small_rate + gain_small * (
         gain_small * quiet.sum(axis=1, keepdims=True) + v_pri * quiet_count
     )

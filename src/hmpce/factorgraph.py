@@ -10,13 +10,13 @@ with all edges "mf" to coordinate-ascent variational message passing.
 The rule is the hybrid BP/MF rule of Riegler et al., "Merging belief
 propagation and the mean field approximation", IEEE TIT 2013.
 
-Supported variable families: finite-domain (`DiscreteMsg`), and from
-`messages`, Gamma-precision (`GammaBelief`) and Beta probability
-(`BetaBelief`).  The Gamma and Beta variables must sit on mf edges and are
-anchored by a `PriorFactor`.  Expectations are evaluated in closed form per
-family (`messages`' expected logs, and `messages.digamma_exact`, which
-imports scipy on its first call); there is no generic quadrature.  The
-engine runs synchronous flooding sweeps only (`FactorGraph.sweep`).
+Supported variable kinds: "discrete" (`DiscreteMsg`), and from `messages`,
+"gamma" precisions (`GammaBelief`) and "beta" probabilities (`BetaBelief`).
+The Gamma and Beta variables sit on mf edges, anchored by a `PriorFactor` of
+their family; a graph that breaks these rules fails as it is built.
+Expectations are evaluated in closed form per family (`messages`' expected
+logs, and `messages.digamma_exact`, which imports scipy on its first call);
+there is no generic quadrature.  Sweeps are synchronous (`FactorGraph.sweep`).
 
 It is the subject of `demos/demo_hybrid_rule.py` and acceptance criterion
 3; no estimator path calls it, and `import hmpce` does not load it.
@@ -77,6 +77,8 @@ class Variable:
     size: int = None
 
     def __post_init__(self):
+        if self.kind not in ("discrete", "gamma", "beta"):
+            raise UnsupportedGraphError(f"variable '{self.name}' has unknown kind {self.kind!r}")
         if self.kind == "discrete" and not (self.size and self.size >= 2):
             raise ValueError(f"discrete variable {self.name} needs size >= 2")
 
@@ -104,11 +106,9 @@ def _msg_product(kind, msgs):
         shape = sum(m.shape for m in msgs) - (len(msgs) - 1)
         rate = sum(m.rate for m in msgs)
         return GammaBelief(shape, rate)
-    if kind == "beta":
-        a = sum(m.a for m in msgs) - (len(msgs) - 1)
-        b = sum(m.b for m in msgs) - (len(msgs) - 1)
-        return BetaBelief(a, b)
-    raise UnsupportedGraphError(f"unknown variable kind {kind}")
+    a = sum(m.a for m in msgs) - (len(msgs) - 1)
+    b = sum(m.b for m in msgs) - (len(msgs) - 1)
+    return BetaBelief(a, b)
 
 
 def _msg_delta(old, new):
@@ -323,6 +323,7 @@ class PriorFactor(Factor):
     def __init__(self, name, var, belief):
         super().__init__(name, [var])
         self.msg = belief
+        self.kind = {GammaBelief: "gamma", BetaBelief: "beta"}.get(type(belief))
 
     def compute_messages(self, graph):
         return {self.vars[0]: self.msg}
@@ -348,6 +349,10 @@ class FactorGraph:
             if v not in self.variables:
                 raise ValueError(f"factor '{factor.name}' references unknown variable '{v}'")
             kind = self.variables[v].kind
+            if isinstance(factor, PriorFactor) and factor.kind != kind:
+                raise UnsupportedGraphError(
+                    f"prior '{factor.name}' sends a {factor.kind} belief to {kind} variable '{v}'"
+                )
             tag = tags.get(v, BP if kind == "discrete" else MF)
             if kind in ("gamma", "beta") and tag != MF:
                 raise UnsupportedGraphError(

@@ -429,8 +429,8 @@ class SeTrace:
 
 
 def run_state_evolution(prior, snr_db, N, M, max_iters=100, tol=1e-8,
-                        num_samples=200_000, seed=1234, v_init=None, sampler=None):
-    """Iterate the two-map recursion to a fixed point.
+                        num_samples=200_000, seed=1234, sampler=None):
+    """Iterate the two-map recursion from the prior's mean power to a fixed point.
 
     The noise variance is derived from the ensemble mean power of the prior
     (per-sample signal power equals the prior mean power for the
@@ -453,7 +453,7 @@ def run_state_evolution(prior, snr_db, N, M, max_iters=100, tol=1e-8,
     sigma2 = 0.0 if snr_db == math.inf else power / 10.0 ** (snr_db / 10.0)
     if sampler is None:
         sampler = MmseSampler(prior, num_samples, seed)
-    v = power if v_init is None else float(v_init)
+    v = power
     trace = SeTrace()
     for it in range(1, max_iters + 1):
         try:
@@ -463,7 +463,6 @@ def run_state_evolution(prior, snr_db, N, M, max_iters=100, tol=1e-8,
         trace.rows.append((it, v_next, eta, m / power))
         if abs(v_next - v) / max(v, 1e-300) < tol:
             trace.converged = True
-            v = v_next
             break
         v = v_next
     return trace

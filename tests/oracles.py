@@ -48,6 +48,12 @@ from scipy.special import expit
 from hmpce.channels import PilotMatrix, make_pilot_set, synthesize_measurements
 from hmpce.cli import _KEY_NOISE, _KEY_PILOTS, _trial_channel, algo_config_for
 from hmpce.denoiser import (
+    LARGE_SHAPE,
+    P01_A,
+    P01_B,
+    P10_A,
+    P10_B,
+    SMALL_SHAPE,
     _gain,
     _squared_magnitude,
     backward_pass,
@@ -719,16 +725,16 @@ def update_precision_beliefs_complex(h_pri, v_pri, state, cfg):
     large_stat = w * (np.abs(mean_large) ** 2 + var_large)
     if cfg.variant == VARIANT_TSGM:
         state.large_shape = np.broadcast_to(
-            cfg.large_shape + w.sum(axis=-2, keepdims=True), w.shape
+            LARGE_SHAPE + w.sum(axis=-2, keepdims=True), w.shape
         ).copy()
         state.large_rate = np.broadcast_to(
             cfg.large_rate + large_stat.sum(axis=-2, keepdims=True), w.shape
         ).copy()
     else:
-        state.large_shape = cfg.large_shape + w
+        state.large_shape = LARGE_SHAPE + w
         state.large_rate = cfg.large_rate + large_stat
     quiet = 1.0 - w
-    state.small_shape = cfg.small_shape + quiet.sum(axis=-2, keepdims=True)
+    state.small_shape = SMALL_SHAPE + quiet.sum(axis=-2, keepdims=True)
     state.small_rate = cfg.small_rate + (
         quiet * (np.abs(mean_small) ** 2 + var_small)
     ).sum(axis=-2, keepdims=True)
@@ -840,20 +846,20 @@ def update_precision_beliefs_allocating(r2, v_pri, state, cfg, like_logit, ext_l
     large_stat *= w
     if cfg.variant == VARIANT_TSGM:
         state.large_shape = np.broadcast_to(
-            cfg.large_shape + w.sum(axis=1, keepdims=True), w.shape
+            LARGE_SHAPE + w.sum(axis=1, keepdims=True), w.shape
         ).copy()
         state.large_rate = np.broadcast_to(
             cfg.large_rate + large_stat.sum(axis=1, keepdims=True), w.shape
         ).copy()
     else:
-        state.large_shape = cfg.large_shape + w
+        state.large_shape = LARGE_SHAPE + w
         state.large_rate = cfg.large_rate + large_stat
     # the near-zero gain is one per subcarrier, so it leaves the sums
     gain_small = _gain(v_pri, state.small_rate / state.small_shape)
     quiet = 1.0 - w
     quiet_count = quiet.sum(axis=1, keepdims=True)
     quiet *= r2
-    state.small_shape = cfg.small_shape + quiet_count
+    state.small_shape = SMALL_SHAPE + quiet_count
     state.small_rate = cfg.small_rate + gain_small * (
         gain_small * quiet.sum(axis=1, keepdims=True) + v_pri * quiet_count
     )
@@ -1022,10 +1028,10 @@ def update_transition_beliefs_stacked(state, cfg, evidence=None, transitions=Non
     pair_belief = w / w.sum(axis=1, keepdims=True)
     state.first_active_belief = np.array([b1])
     state.pair_belief = pair_belief.T[None]
-    state.p10_a = np.array([b1 + cfg.p10_a + float(pair_belief[:, 2].sum())])
-    state.p10_b = np.array([(1.0 - b1) + cfg.p10_b + float(pair_belief[:, 0].sum())])
-    state.p01_a = np.array([cfg.p01_a + float(pair_belief[:, 1].sum())])
-    state.p01_b = np.array([cfg.p01_b + float(pair_belief[:, 3].sum())])
+    state.p10_a = np.array([b1 + P10_A + float(pair_belief[:, 2].sum())])
+    state.p10_b = np.array([(1.0 - b1) + P10_B + float(pair_belief[:, 0].sum())])
+    state.p01_a = np.array([P01_A + float(pair_belief[:, 1].sum())])
+    state.p01_b = np.array([P01_B + float(pair_belief[:, 3].sum())])
 
 
 def extrinsic_split_columnwise(h_post, v_post, h_pri, v_pri, max_variance=1e8, check=True):

@@ -25,6 +25,12 @@ from oracles import (
     update_transition_beliefs_stacked,
 )
 from hmpce.denoiser import (
+    LARGE_SHAPE,
+    P01_A,
+    P01_B,
+    P10_A,
+    P10_B,
+    SMALL_SHAPE,
     DenoiserState,
     PriorConfig,
     _logit,
@@ -110,7 +116,7 @@ def frozen_chain_state(rng, N, P, cfg):
 
 
 def test_symmetric_mixture_gives_half():
-    cfg = PriorConfig(large_shape=1.0, large_rate=0.5, small_shape=1.0, small_rate=0.5)
+    cfg = PriorConfig(large_rate=0.5, small_rate=0.5)
     state = init_state(4, 2, cfg)
     rng = np.random.default_rng(0)
     h = rng.standard_normal((1, 4, 2)) + 1j * rng.standard_normal((1, 4, 2))
@@ -455,10 +461,10 @@ def test_symmetric_case_pair_beliefs_quarter():
     update_transition_beliefs(state, cfg, x.transitions, x.llr)
     assert np.allclose(state.pair_belief, 0.25, atol=1e-12)
     assert state.first_active_belief == pytest.approx(0.5, abs=1e-12)
-    assert state.p10_a - cfg.p10_a == pytest.approx(0.5 + (N - 1) / 4.0, abs=1e-10)
-    assert state.p10_b - cfg.p10_b == pytest.approx(0.5 + (N - 1) / 4.0, abs=1e-10)
-    assert state.p01_a - cfg.p01_a == pytest.approx((N - 1) / 4.0, abs=1e-10)
-    assert state.p01_b - cfg.p01_b == pytest.approx((N - 1) / 4.0, abs=1e-10)
+    assert state.p10_a - P10_A == pytest.approx(0.5 + (N - 1) / 4.0, abs=1e-10)
+    assert state.p10_b - P10_B == pytest.approx(0.5 + (N - 1) / 4.0, abs=1e-10)
+    assert state.p01_a - P01_A == pytest.approx((N - 1) / 4.0, abs=1e-10)
+    assert state.p01_b - P01_B == pytest.approx((N - 1) / 4.0, abs=1e-10)
 
 
 def test_updated_transition_parameters_exceed_priors():
@@ -466,8 +472,8 @@ def test_updated_transition_parameters_exceed_priors():
     rng = np.random.default_rng(15)
     h = rng.standard_normal((1, 16, 4)) + 1j * rng.standard_normal((1, 16, 4))
     _, _, state = denoise(h, np.full((1, 4), 0.3), cfg)
-    assert state.p10_a >= cfg.p10_a and state.p10_b >= cfg.p10_b
-    assert state.p01_a >= cfg.p01_a and state.p01_b >= cfg.p01_b
+    assert state.p10_a >= P10_A and state.p10_b >= P10_B
+    assert state.p01_a >= P01_A and state.p01_b >= P01_B
 
 
 def test_single_pair_hand_case():
@@ -483,10 +489,10 @@ def test_single_pair_hand_case():
     ref = chain_enumeration(first_w, trans_w, loglike)
     b1 = ref["full"][0, 1]
     pair = ref["pair"][0]
-    assert state.p10_a == pytest.approx(b1 + cfg.p10_a + pair[0, 1], abs=1e-12)
-    assert state.p10_b == pytest.approx((1 - b1) + cfg.p10_b + pair[0, 0], abs=1e-12)
-    assert state.p01_a == pytest.approx(cfg.p01_a + pair[1, 0], abs=1e-12)
-    assert state.p01_b == pytest.approx(cfg.p01_b + pair[1, 1], abs=1e-12)
+    assert state.p10_a == pytest.approx(b1 + P10_A + pair[0, 1], abs=1e-12)
+    assert state.p10_b == pytest.approx((1 - b1) + P10_B + pair[0, 0], abs=1e-12)
+    assert state.p01_a == pytest.approx(P01_A + pair[1, 0], abs=1e-12)
+    assert state.p01_b == pytest.approx(P01_B + pair[1, 1], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +564,9 @@ def test_all_quiet_update():
     v = np.full((1, 1, P), 0.5)
     x = step_inputs(state, cfg, h, v)
     update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
-    assert np.allclose(state.large_shape, cfg.large_shape, atol=1e-8)
+    assert np.allclose(state.large_shape, LARGE_SHAPE, atol=1e-8)
     assert np.allclose(state.large_rate, cfg.large_rate, atol=1e-8)
-    assert np.allclose(state.small_shape, cfg.small_shape + N, atol=1e-8)
+    assert np.allclose(state.small_shape, SMALL_SHAPE + N, atol=1e-8)
 
 
 def test_all_active_update():
@@ -572,8 +578,8 @@ def test_all_active_update():
     v = np.full((1, 1, P), 0.5)
     x = step_inputs(state, cfg, h, v)
     update_precision_beliefs(x.r2, v, state, cfg, x.like_logit, x.ext_logit, x.s_large)
-    assert np.allclose(state.large_shape, cfg.large_shape + 1.0, atol=1e-8)
-    assert np.allclose(state.small_shape, cfg.small_shape, atol=1e-8)
+    assert np.allclose(state.large_shape, LARGE_SHAPE + 1.0, atol=1e-8)
+    assert np.allclose(state.small_shape, SMALL_SHAPE, atol=1e-8)
     assert np.allclose(state.small_rate, cfg.small_rate, atol=1e-8)
 
 
@@ -673,9 +679,7 @@ def test_bg_posterior_matches_spike_grid():
 
 
 def test_degenerate_weight_selects_large_component():
-    cfg = PriorConfig(
-        variant=VARIANT_BG, bg_variance=2.0, large_shape=1.0, large_rate=2.0
-    )
+    cfg = PriorConfig(variant=VARIANT_BG, bg_variance=2.0, large_rate=2.0)
     state = init_state(1, 1, cfg)
     state.support_like = np.array([[[1.0 - 1e-12]]])
     state.support_ext = np.array([[[1.0 - 1e-12]]])
@@ -822,13 +826,7 @@ def test_denoise_rejects_a_non_positive_or_non_finite_v_pri(variant, bad):
     ("prob_floor", 0.5),
     ("prob_floor", 0.6),
     ("small_rate", -1.0),
-    ("large_shape", 0.0),
     ("large_rate", math.inf),
-    ("small_shape", math.nan),
-    ("p10_a", -0.5),
-    ("p10_b", 0.0),
-    ("p01_a", math.inf),
-    ("p01_b", -2.0),
     ("bg_variance", -1.0),
     ("bg_variance", math.nan),
 ])
@@ -839,6 +837,24 @@ def test_prior_config_rejects_invalid_values(field, bad):
     # bg_variance=-1 or NaN gave NaN estimates
     with pytest.raises(ValueError, match=field):
         PriorConfig(**{field: bad})
+
+
+def test_prior_config_fields_and_hyperprior_constants():
+    assert [f.name for f in dataclasses.fields(PriorConfig)] == [
+        "variant", "large_rate", "small_rate", "bg_variance",
+        "exact_digamma", "std_gamma_weight", "prob_floor",
+    ]
+    # the values every run used while they were fields
+    assert LARGE_SHAPE == SMALL_SHAPE == P10_A == P10_B == P01_A == P01_B == 1.0
+    state = init_state(3, 2, PriorConfig(large_rate=0.5, small_rate=0.25), members=2)
+    expected = {
+        "large_shape": (LARGE_SHAPE, (2, 3, 2)), "large_rate": (0.5, (2, 3, 2)),
+        "small_shape": (SMALL_SHAPE, (2, 1, 2)), "small_rate": (0.25, (2, 1, 2)),
+        "p10_a": (P10_A, (2,)), "p10_b": (P10_B, (2,)),
+        "p01_a": (P01_A, (2,)), "p01_b": (P01_B, (2,)),
+    }
+    for name, (value, shape) in expected.items():
+        assert np.array_equal(getattr(state, name), np.full(shape, value)), name
 
 
 @pytest.mark.parametrize("floor", [1e-3, 0.49])
@@ -1238,8 +1254,8 @@ def test_probabilities_stay_in_unit_interval():
         assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
     assert np.allclose(state.pair_belief.sum(axis=1), 1.0, atol=1e-12)
     assert 0.0 <= state.first_active_belief[0] <= 1.0
-    assert np.all(state.large_shape >= cfg.large_shape - 1e-12)
-    assert np.all(state.small_shape >= cfg.small_shape - 1e-12)
+    assert np.all(state.large_shape >= LARGE_SHAPE - 1e-12)
+    assert np.all(state.small_shape >= SMALL_SHAPE - 1e-12)
 
 
 def test_posterior_variance_bounds():

@@ -306,6 +306,27 @@ def test_parametric_edges_must_be_mf():
         g.add_factor(factor, tags={"v": BP})
 
 
+@pytest.mark.parametrize("kind", ["cgauss", "Gamma", ""], ids=["cgauss", "capitalized", "empty"])
+def test_unknown_variable_kind_fails_when_added(kind):
+    g = FactorGraph()
+    with pytest.raises(UnsupportedGraphError, match="unknown kind"):
+        g.add_variable("q", kind)
+    assert "q" not in g.variables
+
+
+@pytest.mark.parametrize("kind, belief", [
+    ("beta", GammaBelief(1.0, 1.0)),
+    ("gamma", BetaBelief(1.0, 1.0)),
+    ("discrete", GammaBelief(1.0, 1.0)),
+], ids=["gamma-on-beta", "beta-on-gamma", "gamma-on-discrete"])
+def test_prior_of_the_wrong_family_fails_when_added(kind, belief):
+    g = FactorGraph()
+    g.add_variable("q", kind, 2 if kind == "discrete" else None)
+    with pytest.raises(UnsupportedGraphError, match="prior 'p'"):
+        g.add_factor(PriorFactor("p", "q", belief))
+    assert g.factors == [] and g.neighbors("q") == []
+
+
 def test_exact_marginals_rejects_parametric_graphs():
     g = FactorGraph()
     g.add_variable("v", "gamma")

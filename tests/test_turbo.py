@@ -92,7 +92,15 @@ def test_to_db():
 # turbo loop
 
 
-def test_noiseless_full_pilots_one_iteration():
+@pytest.mark.parametrize("variant", [
+    VARIANT_LVD,
+    VARIANT_TSGM,
+    # ROADMAP item 6: after its first iteration hmp-bg's NMSE grows to inf
+    # with overflow warnings, while the estimate stays finite
+    pytest.param(VARIANT_BG, marks=pytest.mark.xfail(
+        strict=True, raises=RuntimeWarning, reason="ROADMAP item 6: hmp-bg diverges")),
+])
+def test_noiseless_full_pilots_ten_iterations(variant):
     N = P = 16
     root = np.random.SeedSequence(5)
     s_support, s_gain, s_pilot = root.spawn(3)
@@ -100,8 +108,12 @@ def test_noiseless_full_pilots_one_iteration():
     channel = sample_channel(support, P, rng_seed=s_gain)
     pilots = make_pilot_set(N, N, P, rng_seed=s_pilot)
     meas = synthesize_measurements(channel, pilots, np.inf)
-    _, trace = run_turbo(meas, pilots, algo(max_iters=1), truth=channel.gains)
-    assert trace.nmse[0] < 1e-20
+    cfg = algo(variant, max_iters=10, early_stop=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = run_turbo(meas, pilots, cfg, truth=channel.gains)
+    assert trace.iterations == 10
+    assert max(trace.nmse) < 1e-20
 
 
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
@@ -878,13 +890,11 @@ def test_state_evolution_low_snr_prior_variance():
     assert trace.fixed_point_nmse == pytest.approx(1.0, rel=0.02)
 
 
-def test_state_evolution_v_init_first_step():
+def test_state_evolution_starts_at_the_prior_power():
     prior = ScalarPrior()
     sigma2 = prior.mean_power() / 100.0
-    trace = run_state_evolution(
-        prior, 20.0, 512, 410, num_samples=5000, seed=17, v_init=0.05
-    )
-    assert trace.rows[0][2] == linear_stage_eta(0.05, sigma2, 512, 410)
+    trace = run_state_evolution(prior, 20.0, 512, 410, num_samples=5000, seed=17)
+    assert trace.rows[0][2] == linear_stage_eta(prior.mean_power(), sigma2, 512, 410)
 
 
 def test_state_evolution_deterministic():
