@@ -25,7 +25,7 @@ from .channels import (
     synthesize_measurements,
 )
 from .denoiser import DenoiserState, PriorConfig, denoise, init_state
-from .lmmse import dense_lmmse, extrinsic_split, lmmse_update
+from .lmmse import extrinsic_split, lmmse_update
 from .messages import BetaBelief, GammaBelief, digamma_approx, digamma_exact
 from .priors import (
     VARIANT_BG,

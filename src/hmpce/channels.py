@@ -67,7 +67,6 @@ class ChannelRealization:
     gains: np.ndarray
     support: np.ndarray = None
     large_precisions: np.ndarray = None
-    small_precision: float = None
 
     def __post_init__(self):
         self.gains = np.asarray(self.gains, dtype=np.complex128)
@@ -102,7 +101,7 @@ def sample_channel(support, P, vL_spread=(0.1, 10.0), vS=100.0, rng_seed=0, larg
     gains = np.sqrt(variances / 2.0) * (
         rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
     )
-    return ChannelRealization(gains, support, prec_large, float(vS))
+    return ChannelRealization(gains, support, prec_large)
 
 
 @dataclass

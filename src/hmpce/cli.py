@@ -398,8 +398,9 @@ def run_se(cfg):
     sample bank.
 
     Each row is (snr, iter, v, eta, predicted_nmse_db, converged); the
-    last is 1 on every row of an SNR whose run met the tolerance, 0 when it
-    stopped at the 100-iteration limit.
+    last is 1 on every row of an SNR whose run met the tolerance or, at an
+    SNR of inf, reached exact recovery (v = 0), and 0 when it stopped at
+    `run_state_evolution`'s iteration limit.
     """
     variant_algo = cfg.algos[0] if cfg.algos else "hmp-tsgm-lvd"
     prior = scalar_prior_for(cfg, variant_algo)
@@ -407,9 +408,7 @@ def run_se(cfg):
     sampler = MmseSampler(prior, cfg.se_samples, se_seed)
     rows = []
     for snr in sorted(cfg.snr):
-        trace = run_state_evolution(
-            prior, snr, cfg.N, cfg.M[0], max_iters=100, tol=1e-8, sampler=sampler
-        )
+        trace = run_state_evolution(prior, snr, cfg.N, cfg.M[0], sampler=sampler)
         for it, v, eta, pred in trace.rows:
             rows.append((snr, it, v, eta, to_db(pred), int(trace.converged)))
     return rows

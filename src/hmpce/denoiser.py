@@ -30,9 +30,9 @@ learning ("tsgm-lvd"), subcarrier-pooled active-precision learning
 ("tsgm"), and a fixed-variance Bernoulli-Gaussian ("bg") whose near-zero
 component is an exact spike at zero.
 
-All probabilities are clamped to [floor, 1 - floor], with
-0 < floor < 0.5 (`PriorConfig` checks it).  The chain sweeps run on odds
-p / (1 - p), clamped to the equivalent interval
+All probabilities are clamped to [floor, 1 - floor], floor = PROB_FLOOR, a
+module constant that the steps read at call time.  The chain sweeps run on
+odds p / (1 - p), clamped to the equivalent interval
 [floor / (1 - floor), (1 - floor) / floor]: the scalar loop keeps only the
 predicted odds, the filtered odds follow from them in one array pass, and
 both are stored as probabilities.  The other steps combine probabilities in
@@ -79,17 +79,20 @@ from .messages import digamma_fn
 from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, VARIANTS
 
 
-# Gamma prior shapes, and Beta prior pseudo-counts (a, b) on p10 and p01
+# Gamma prior shapes, Beta prior pseudo-counts (a, b) on p10 and p01, and
+# the floor: every probability is clamped to [PROB_FLOOR, 1 - PROB_FLOOR]
 LARGE_SHAPE = SMALL_SHAPE = 1.0
 P10_A = P10_B = P01_A = P01_B = 1.0
+PROB_FLOOR = 1e-12
 
 
 @dataclass
 class PriorConfig:
     """Prior hyperparameters and algorithm switches for one denoiser.
 
-    Raises ValueError naming the field unless 0 < prob_floor < 0.5 and
-    large_rate, small_rate and bg_variance are positive and finite.
+    Raises ValueError naming the field unless large_rate, small_rate and
+    bg_variance are positive and finite.  The shapes, pseudo-counts and
+    probability floor are the module constants above.
     """
 
     variant: str = VARIANT_LVD
@@ -98,13 +101,10 @@ class PriorConfig:
     bg_variance: float = 1.0    # fixed active variance for the bg variant
     exact_digamma: bool = False
     std_gamma_weight: bool = False
-    prob_floor: float = 1e-12
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not 0.0 < self.prob_floor < 0.5:
-            raise ValueError(f"prob_floor must lie in (0, 0.5), got {self.prob_floor}")
         for name in ("large_rate", "small_rate", "bg_variance"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -182,9 +182,9 @@ def _logit(p, out=None):
     return out
 
 
-def _probability(z, floor):
-    """clip(1 / (1 + exp(-z)), floor, 1 - floor), computed in place in the
-    array z, which the caller gives up, and returned.
+def _probability(z):
+    """clip(1 / (1 + exp(-z)), PROB_FLOOR, 1 - PROB_FLOOR), computed in place
+    in the array z, which the caller gives up, and returned.
 
     Runs on numpy's vectorised exp.  For z < -709, exp(-z) overflows to inf,
     the sigmoid is 0 and the clip lifts it to the floor; NaN stays NaN.
@@ -194,7 +194,7 @@ def _probability(z, floor):
         np.exp(z, out=z)
     z += 1.0
     np.divide(1.0, z, out=z)
-    return np.clip(z, floor, 1.0 - floor, out=z)
+    return np.clip(z, PROB_FLOOR, 1.0 - PROB_FLOOR, out=z)
 
 
 def transition_log_expectations(state, cfg):
@@ -299,7 +299,7 @@ def _activity_likelihood(r2, v_pri, s_large, state, cfg):
         log_term = np.multiply(den_large, s_large)
         log_odds -= np.log(log_term, out=log_term)
         log_odds -= psi(state.small_shape) - np.log(den_small * s_small)
-    return _probability(log_odds, cfg.prob_floor)
+    return _probability(log_odds)
 
 
 def pooled_evidence(state):
@@ -365,9 +365,9 @@ def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, lo, hi):
     return pred
 
 
-def _odds_bounds(floor):
-    """The odds of [floor, 1 - floor]."""
-    return floor / (1.0 - floor), (1.0 - floor) / floor
+def _odds_bounds():
+    """The odds of [PROB_FLOOR, 1 - PROB_FLOOR]."""
+    return PROB_FLOOR / (1.0 - PROB_FLOOR), (1.0 - PROB_FLOOR) / PROB_FLOOR
 
 
 def _sweep_messages(pred, e, lo, hi):
@@ -401,7 +401,7 @@ def forward_pass(state, cfg, transitions, odds):
     over the members.
     """
     e, e_lists = odds
-    lo, hi = _odds_bounds(cfg.prob_floor)
+    lo, hi = _odds_bounds()
     pred = [
         _odds_sweep(turn_on / stay_quiet, e_list, stay_active, turn_on, turn_off, stay_quiet,
                     lo, hi)
@@ -420,7 +420,7 @@ def backward_pass(state, cfg, transitions, odds):
     `np.log` would round differently.
     """
     e, e_lists = odds
-    lo, hi = _odds_bounds(cfg.prob_floor)
+    lo, hi = _odds_bounds()
     pred = [
         _odds_sweep(1.0, e_list, stay_active, turn_off, turn_on, stay_quiet, lo, hi)
         for (stay_active, turn_on, stay_quiet, turn_off), e_list
@@ -443,7 +443,7 @@ def update_transition_beliefs(state, cfg, transitions, llr):
     """
     log_weights = np.array(transitions).T[:, :, None]
     log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = log_weights
-    floor = cfg.prob_floor
+    floor = PROB_FLOOR
     # clamp(sigmoid(logit(fwd) + logit(bwd) + llr)) at the first element, on
     # numpy scalars: the operations of `_logit` and `_probability`.  A loop
     # over the members, as ufunc calls on (B,) arrays cost more than the
@@ -490,7 +490,7 @@ def support_extrinsic(state, cfg, like_logit, llr):
     chain = _logit(state.fwd_pred)
     chain += _logit(state.bwd_pred)
     np.add(chain[:, :, None], loo, out=loo)
-    state.support_ext = _probability(loo, cfg.prob_floor)
+    state.support_ext = _probability(loo)
 
 
 def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_large):
@@ -505,7 +505,7 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_lar
     E|h|^2 = g^2 r2 + g v_pri needs only r2 = |h_pri|^2.  The bg variant has
     no precision beliefs to learn.
     """
-    state.support_post = _probability(like_logit + ext_logit, cfg.prob_floor)
+    state.support_post = _probability(like_logit + ext_logit)
     if cfg.variant == VARIANT_BG:
         return
     w = state.support_post
@@ -559,7 +559,7 @@ def posterior_moments(h_pri, v_pri, state, cfg, r2, ext_logit):
         weight = _activity_likelihood(r2, v_pri, s_large, state, cfg)
         _logit(weight, out=weight)
         weight += ext_logit
-        state.support_post = _probability(weight, cfg.prob_floor)
+        state.support_post = _probability(weight)
         gain_small = _gain(v_pri, state.small_rate / state.small_shape)
     spread = np.divide(var_large, s_large, out=s_large)
     spread -= gain_small

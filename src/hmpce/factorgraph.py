@@ -487,13 +487,14 @@ def _param_message_raw(factor, idx, joint_weights):
     raise UnsupportedGraphError(f"factor type {type(factor)} has no parametric neighbors")
 
 
-def stretched_graph_equivalence_check(graph, max_sweeps=200, tol=1e-10):
+def stretched_graph_equivalence_check(graph):
     """Compare the hybrid-rule messages on `graph` against the combined
     sum-product/variational rule on the stretched construction.
 
     The graph must contain exactly one multi-variable factor; each of its
-    neighbors may carry one unary anchor factor.  Returns a report dict with
-    the worst absolute discrepancy over all corresponding messages.
+    neighbors may carry one unary anchor factor.  Both rules run the sweeps
+    that `FactorGraph.run`'s defaults take to quiescence.  Returns a report
+    dict with the worst absolute discrepancy over all corresponding messages.
     """
     hybrids = [f for f in graph.factors if len(f.vars) > 1]
     if len(hybrids) != 1:
@@ -528,7 +529,7 @@ def stretched_graph_equivalence_check(graph, max_sweeps=200, tol=1e-10):
         return list(astuple(others[0].compute_messages(graph)[var]))
 
     # pipeline 1: hybrid rule on the original graph
-    sweeps = graph.run(max_sweeps=max_sweeps, tol=tol)
+    sweeps = graph.run()
 
     # pipeline 2: combined rule on the stretched graph, same sweep count.
     # n-messages into the hard-constraint factor equal the unary anchors and

@@ -124,18 +124,3 @@ def _max_abs(h, kept):
         return mag.max(axis=(-2, -1))
     return np.max(mag.max(axis=-2), axis=-1, where=kept, initial=0.0)
 
-
-def dense_lmmse(y, A, h_pri, v_pri, sigma2):
-    """Reference dense solve of the same posterior (for validation).
-
-    Solves (A^H A / sigma2 + I / v_pri) h = A^H y / sigma2 + h_pri / v_pri
-    and returns (h_post, v_post) with v_post the average of the posterior
-    covariance diagonal.
-    """
-    N = A.shape[1]
-    G = A.conj().T @ A / sigma2 + np.eye(N) / v_pri
-    rhs = A.conj().T @ y / sigma2 + h_pri / v_pri
-    cov = np.linalg.inv(G)
-    h_post = cov @ rhs
-    v_post = float(np.real(np.trace(cov))) / N
-    return h_post, v_post

@@ -29,7 +29,8 @@ which |r|^2 is formed for each eta, the one statistic the posterior variance
 depends on; they are built in place in the arrays of the draws, from the
 real and imaginary parts of the gains, with no complex temporary.  Each eta
 walks the bank in blocks of `_BLOCK` draws, small enough that a block's
-arrays stay in cache; the estimate is still the mean over the whole bank.
+arrays stay in cache; the estimate is still the mean over the whole bank,
+a float.  Noiseless, the recursion stops at exact recovery, v = 0.
 """
 
 import math
@@ -330,9 +331,8 @@ class MmseSampler:
 
     A call forms |r|^2 and runs the kernel one block of `_BLOCK` draws at a
     time (a bank smaller than a block is one block), writing each block's
-    per-draw variances into one bank-sized array.  The estimate and its
-    standard error are taken over that whole array, so they do not depend on
-    the block size.
+    per-draw variances into one bank-sized array, and returns the mean of
+    that whole array as a float; the block size does not change it.
     """
 
     def __init__(self, prior: ScalarPrior, num_samples=200_000, seed=1234):
@@ -384,12 +384,7 @@ class MmseSampler:
             r_sq += self.gain_sq[block]
             v_large = self.v_large[block] if per_draw else self.v_large
             (var[block],) = posterior_moments_mixture(r_sq, tau, lam, v_large, v_small)
-        est = float(var.mean())
-        var -= est
-        # einsum rather than a BLAS dot: a threaded BLAS can spend milliseconds
-        # waking its threads for this one product
-        stderr = math.sqrt(float(np.einsum("i,i->", var, var)) / ((var.size - 1) * var.size))
-        return est, stderr
+        return float(var.mean())
 
 
 def linear_stage_eta(v, sigma2, N, M):
@@ -403,9 +398,16 @@ def linear_stage_eta(v, sigma2, N, M):
 
 
 def se_step(v, sigma2, N, M, mmse_fn):
-    """One state-evolution step; returns (eta, mmse_value, v_next)."""
+    """One state-evolution step; returns (eta, mmse_value, v_next).
+
+    mmse_fn(eta) returns the MMSE as a float.  Noiseless (sigma2 = 0), an
+    MMSE of exactly 0 is exact recovery, the fixed point v_next = 0; any
+    other that is not positive and finite raises `SeUndefinedError`.
+    """
     eta = linear_stage_eta(v, sigma2, N, M)
-    m, _ = mmse_fn(eta)
+    m = mmse_fn(eta)
+    if m == 0.0 and sigma2 == 0.0:
+        return eta, m, 0.0
     if not (m > 0.0 and math.isfinite(m)):
         raise SeUndefinedError(
             f"SE map undefined at the denoiser stage: mmse = {m} is not positive and finite"
@@ -441,7 +443,8 @@ def run_state_evolution(prior, snr_db, N, M, max_iters=100, tol=1e-8,
     unused, and a sampler whose `prior` differs from `prior` raises
     `ValueError`: the noise power comes from `prior` and the bank from the
     sampler's prior, so a mismatched pair would give a wrong SE.
-    snr_db = +inf is noiseless; -inf and NaN raise `ValueError`.
+    snr_db = +inf is noiseless, and a run that reaches exact recovery, v = 0,
+    stops there converged; -inf and NaN raise `ValueError`.
     """
     if not snr_db > -math.inf:
         raise ValueError(f"snr_db = {snr_db} has no finite noise variance")
@@ -461,7 +464,7 @@ def run_state_evolution(prior, snr_db, N, M, max_iters=100, tol=1e-8,
         except SeUndefinedError as err:
             raise SeUndefinedError(str(err), iteration=it) from None
         trace.rows.append((it, v_next, eta, m / power))
-        if abs(v_next - v) / max(v, 1e-300) < tol:
+        if (v_next == 0.0 and sigma2 == 0.0) or abs(v_next - v) / max(v, 1e-300) < tol:
             trace.converged = True
             break
         v = v_next

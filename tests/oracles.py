@@ -2,8 +2,9 @@
 
 Everything here is written independently of the package code paths it
 checks: brute-force enumeration for the support chain, the probability-domain
-forward/backward sweeps (the package runs them on odds), a measurement-form
-dense LMMSE (the package uses the information form), the turbo loop with
+forward/backward sweeps (the package runs them on odds), the LMMSE as two
+dense solves, the information and the measurement form (the package runs
+it through the FFT-form pilots), the turbo loop with
 module A run one subcarrier at a time (the package stacks the subcarriers),
 the stacked module A on two-array fancy indexing and out-of-place
 temporaries (the package gathers and scatters through flat indices and
@@ -27,14 +28,17 @@ place) are kept verbatim, so that tests can hold the package to their bits.
 The CLI sweep as it was before the SNR points of one (trial, pilot count,
 algorithm) ran as one batch, one `run_turbo` call per point, is kept
 verbatim too (`run_sweep_per_snr`).
-Four helpers that only tests use live here too: `mmse_oracle`, a one-shot
-`MmseSampler` call, `angle_transform`, the unitary DFT between the frequency
+Five helpers that only tests use live here too: `mmse_oracle`, a one-shot
+`MmseSampler` call, `mmse_standard_error`, the Monte-Carlo standard error of
+a sampler's estimate, `angle_transform`, the unitary DFT between the frequency
 and angular bases, `step_inputs`, the per-pass values that `denoise`
 hands to its steps, for tests that call the steps one by one, and
 `unstack_pilots`, the per-subcarrier operators of a `PilotSet`.
 The scalar complex Gaussian message and its product (`GaussianMsg`,
 `gaussian_multiply`) live here as the reference that the extrinsic
-division is multiplied back with.
+division is multiplied back with.  The references clamp probabilities at
+the package's `denoiser.PROB_FLOOR`, read at call time, so that a test that
+patches the floor patches them too.
 """
 
 import itertools
@@ -45,6 +49,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import expit
 
+from hmpce import denoiser
 from hmpce.channels import PilotMatrix, make_pilot_set, synthesize_measurements
 from hmpce.cli import _KEY_NOISE, _KEY_PILOTS, _trial_channel, algo_config_for
 from hmpce.denoiser import (
@@ -159,7 +164,10 @@ def _sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _clamp(p, floor):
+def _clamp(p):
+    """clip(p, floor, 1 - floor) at the package's `PROB_FLOOR`, read at call
+    time so that a test's patch of `denoiser.PROB_FLOOR` reaches it."""
+    floor = denoiser.PROB_FLOOR
     return np.clip(p, floor, 1.0 - floor)
 
 
@@ -426,6 +434,22 @@ def lmmse_update_out_of_place(y, pilot, h_pri, v_pri, sigma2):
     return h_post, np.maximum(v_post, _VAR_FLOOR)
 
 
+def dense_lmmse(y, A, h_pri, v_pri, sigma2):
+    """LMMSE in the information form, a dense solve.
+
+    Solves (A^H A / sigma2 + I / v_pri) h = A^H y / sigma2 + h_pri / v_pri
+    and returns (h_post, v_post) with v_post the average of the posterior
+    covariance diagonal.
+    """
+    N = A.shape[1]
+    G = A.conj().T @ A / sigma2 + np.eye(N) / v_pri
+    rhs = A.conj().T @ y / sigma2 + h_pri / v_pri
+    cov = np.linalg.inv(G)
+    h_post = cov @ rhs
+    v_post = float(np.real(np.trace(cov))) / N
+    return h_post, v_post
+
+
 def dense_lmmse_measurement_form(y, A, h_pri, v_pri, sigma2):
     """LMMSE in the measurement (covariance) form.
 
@@ -576,14 +600,13 @@ class ComplexMmseSampler:
         _, var, _ = posterior_moments_mixture(
             r, tau, self.prior.activation, self.vlarge, small
         )
-        est = float(var.mean())
-        stderr = float(var.std(ddof=1) / math.sqrt(var.size))
-        return est, stderr
+        return float(var.mean())
 
 
-def mmse_unblocked(sampler, eta):
-    """`MmseSampler.__call__` on `sampler`'s bank in one pass: |r|^2 and the
-    kernel over every draw at once, then the same mean and standard error."""
+def mmse_draws(sampler, eta):
+    """The per-draw posterior variances that `MmseSampler.__call__` averages,
+    on `sampler`'s bank in one pass: |r|^2 and the kernel over every draw at
+    once."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     tau = 1.0 / eta
@@ -592,17 +615,26 @@ def mmse_unblocked(sampler, eta):
     r_sq += sampler.cross
     r_sq *= root
     r_sq += sampler.gain_sq
-    var = posterior_variance_mixture(
+    return posterior_variance_mixture(
         r_sq, tau, sampler.prior.activation, sampler.v_large, sampler.v_small
     )
-    est = float(var.mean())
-    var -= est
-    stderr = math.sqrt(float(np.einsum("i,i->", var, var)) / ((var.size - 1) * var.size))
-    return est, stderr
+
+
+def mmse_unblocked(sampler, eta):
+    """`MmseSampler.__call__` on `sampler`'s bank in one pass: the mean of
+    `mmse_draws`."""
+    return float(mmse_draws(sampler, eta).mean())
+
+
+def mmse_standard_error(sampler, eta):
+    """The Monte-Carlo standard error of `sampler(eta)`: the spread of the
+    per-draw variances it averages over sqrt(number of draws)."""
+    var = mmse_draws(sampler, eta)
+    return float(var.std(ddof=1) / math.sqrt(var.size))
 
 
 def mmse_oracle(eta, prior, num_samples=200_000, seed=1234):
-    """One-shot scalar MMSE estimate; returns (value, standard_error)."""
+    """One-shot scalar MMSE estimate, a float."""
     return MmseSampler(prior, num_samples, seed)(eta)
 
 
@@ -682,7 +714,7 @@ def activity_likelihood_complex(h_pri, v_pri, large_shape, large_rate, small_sha
             + cgauss_logpdf(h_pri, 0.0, v_pri + small_rate / small_shape)
         )
         log_odds = log_active - log_quiet
-    return _clamp(expit(log_odds), cfg.prob_floor)
+    return _clamp(expit(log_odds))
 
 
 def mixture_moments_complex(h_pri, v_pri, large_shape, large_rate, small_shape,
@@ -712,9 +744,7 @@ def support_likelihood_complex(h_pri, v_pri, state, cfg):
 def update_precision_beliefs_complex(h_pri, v_pri, state, cfg):
     """Gamma belief refresh with the complex component means,
     |m|^2 + var per component."""
-    state.support_post = _clamp(
-        expit(_logit(state.support_like) + _logit(state.support_ext)), cfg.prob_floor
-    )
+    state.support_post = _clamp(expit(_logit(state.support_like) + _logit(state.support_ext)))
     if cfg.variant == VARIANT_BG:
         return
     mean_large, var_large, mean_small, var_small = mixture_moments_complex(
@@ -750,7 +780,7 @@ def posterior_moments_complex(h_pri, v_pri, state, cfg):
             h_pri, v_pri, state.large_shape, state.large_rate,
             state.small_shape, state.small_rate, cfg,
         )
-        weight = _clamp(expit(_logit(like) + _logit(state.support_ext)), cfg.prob_floor)
+        weight = _clamp(expit(_logit(like) + _logit(state.support_ext)))
     state.support_post = weight
     mean_large, var_large, mean_small, var_small = mixture_moments_complex(
         h_pri, v_pri, state.large_shape, state.large_rate,
@@ -822,20 +852,20 @@ def activity_likelihood_allocating(r2, v_pri, s_large, state, cfg):
         log_odds += psi(state.large_shape)
         log_odds -= np.log(den_large * s_large)
         log_odds -= psi(state.small_shape) - np.log(den_small * s_small)
-    return _clamp(_sigmoid(log_odds), cfg.prob_floor)
+    return _clamp(_sigmoid(log_odds))
 
 
 def support_extrinsic_allocating(state, cfg, like_logit, llr):
     """`support_extrinsic` on fresh arrays."""
     loo = llr[:, :, None] - like_logit
     chain = _logit(state.fwd_pred) + _logit(state.bwd_pred)
-    state.support_ext = _clamp(_sigmoid(chain[:, :, None] + loo), cfg.prob_floor)
+    state.support_ext = _clamp(_sigmoid(chain[:, :, None] + loo))
 
 
 def update_precision_beliefs_allocating(r2, v_pri, state, cfg, like_logit, ext_logit):
     """`update_precision_beliefs` with the active gain var / (v_pri + var)
     formed from rate/shape afresh."""
-    state.support_post = _clamp(_sigmoid(like_logit + ext_logit), cfg.prob_floor)
+    state.support_post = _clamp(_sigmoid(like_logit + ext_logit))
     if cfg.variant == VARIANT_BG:
         return
     w = state.support_post
@@ -875,7 +905,7 @@ def posterior_moments_allocating(h_pri, v_pri, state, cfg, r2, ext_logit):
         gain_small = 0.0
     else:
         like = activity_likelihood_allocating(r2, v_pri, s_large, state, cfg)
-        weight = _clamp(_sigmoid(_logit(like) + ext_logit), cfg.prob_floor)
+        weight = _clamp(_sigmoid(_logit(like) + ext_logit))
         state.support_post = weight
         gain_small = _gain(v_pri, state.small_rate / state.small_shape)
     spread = var_large / s_large
@@ -980,7 +1010,7 @@ def forward_pass_two_lists(state, cfg, evidence=None, transitions=None):
     _, (llr,) = pooled_evidence(state) if evidence is None else evidence
     pred, filt = _odds_sweep_two_lists(
         turn_on / stay_quiet, _evidence_odds(llr),
-        stay_active, turn_on, turn_off, stay_quiet, cfg.prob_floor,
+        stay_active, turn_on, turn_off, stay_quiet, denoiser.PROB_FLOOR,
     )
     state.fwd_pred, state.fwd_filt = _odds_to_prob(pred)[None], _odds_to_prob(filt)[None]
 
@@ -991,7 +1021,7 @@ def backward_pass_two_lists(state, cfg, evidence=None, transitions=None):
     _, (llr,) = pooled_evidence(state) if evidence is None else evidence
     pred, filt = _odds_sweep_two_lists(
         1.0, _evidence_odds(llr[::-1]), stay_active, turn_off, turn_on, stay_quiet,
-        cfg.prob_floor,
+        denoiser.PROB_FLOOR,
     )
     state.bwd_pred = _odds_to_prob(pred[::-1])[None]
     state.bwd_filt = _odds_to_prob(filt[::-1])[None]
@@ -1004,13 +1034,10 @@ def update_transition_beliefs_stacked(state, cfg, evidence=None, transitions=Non
         transitions = transition_log_expectations(state, cfg)
     ((log_stay_active, log_turn_on, log_stay_quiet, log_turn_off),) = transitions
     _, (llr,) = pooled_evidence(state) if evidence is None else evidence
-    floor = cfg.prob_floor
     # the one member's chain fields
     fwd_pred, fwd_filt = state.fwd_pred[0], state.fwd_filt[0]
     bwd_pred, bwd_filt = state.bwd_pred[0], state.bwd_filt[0]
-    b1 = float(
-        _clamp(_sigmoid(_logit(fwd_pred[0]) + _logit(bwd_pred[0]) + llr[0]), floor)
-    )
+    b1 = float(_clamp(_sigmoid(_logit(fwd_pred[0]) + _logit(bwd_pred[0]) + llr[0])))
     up = bwd_filt[1:]
     dn = fwd_filt[:-1]
     with np.errstate(divide="ignore"):

@@ -313,6 +313,40 @@ def test_se_only_small_noisy_and_noiseless(tmp_path, capsys, algo, runs_to_limit
         assert manifest[f"se_converged.{snr}"] == ("false" if unconverged else "true")
 
 
+def test_se_only_noiseless_exact_recovery(tmp_path, capsys):
+    # with M close to N and no noise the Bernoulli-Gaussian MMSE underflows
+    # to 0 (at iteration 78): exact recovery, the fixed point v = 0, which
+    # ends the run converged rather than failing it
+    out = str(tmp_path / "o")
+    rc = run_cli(
+        "--se-only", "--algos", "hmp-bg", "--snr", "inf", "--N", "32", "--M", "31",
+        "--P", "1", "--K", "64", "--out", out,
+    )
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in read_lines(os.path.join(out, "se_trace.csv"))[1:]]
+    assert len(rows) < 100
+    assert all(0.0 < float(r[2]) for r in rows[:-1])
+    assert float(rows[-1][2]) == 0.0 and rows[-1][5] == "1"
+    assert "se_converged.inf=true" in read_lines(os.path.join(out, "manifest.txt"))
+
+
+def test_noiseless_sweep_writes_the_se_trace_and_manifest(tmp_path, capsys):
+    # the sweep runs the SE after its trials; the MMSE underflow at SNR = inf
+    # used to fail that step after the sweep tables were written
+    out = str(tmp_path / "o")
+    args = small_args(out, snr="inf", algos="hmp-bg", M="31", P="1")
+    assert run_cli(*args) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(out)) == [
+        "manifest.txt", "nmse_vs_iter.csv", "nmse_vs_m.csv", "nmse_vs_snr.csv",
+        "se_trace.csv",
+    ]
+    last = read_lines(os.path.join(out, "se_trace.csv"))[-1].split(",")
+    assert float(last[2]) == 0.0 and last[5] == "1"
+    assert "se_converged.inf=true" in read_lines(os.path.join(out, "manifest.txt"))
+
+
 def test_se_shares_one_sample_bank_across_snrs(monkeypatch):
     cfg = resolve_config(build_parser().parse_args(
         ["--se-only", "--algos", "hmp-tsgm", "--snr", "10,20,inf", "--N", "64",

@@ -24,12 +24,14 @@ from oracles import (
     update_precision_beliefs_complex,
     update_transition_beliefs_stacked,
 )
+import hmpce.denoiser as denoiser
 from hmpce.denoiser import (
     LARGE_SHAPE,
     P01_A,
     P01_B,
     P10_A,
     P10_B,
+    PROB_FLOOR,
     SMALL_SHAPE,
     DenoiserState,
     PriorConfig,
@@ -271,10 +273,11 @@ def test_support_extrinsic_matches_leave_one_out_enumeration():
             assert abs(state.support_ext[0, n, p] - ref["full"][n, 1]) < 1e-10
 
 
-def _sweep_case(rng, N, kind):
+def _sweep_case(rng, N, kind, monkeypatch):
     """A frozen chain state: random, clamp-binding, with a clamp-binding first
     prediction, or with saturating pooled evidence (|LLR| > 745, so exp
-    overflows and underflows)."""
+    overflows and underflows).  The clamp-binding kinds raise the floor to
+    1e-3 through `monkeypatch`."""
     if kind == "random":
         cfg = PriorConfig()
         state = frozen_chain_state(rng, N, 2, cfg)
@@ -282,7 +285,8 @@ def _sweep_case(rng, N, kind):
         # a near-certain stay-active transition pins the forward prediction,
         # and strong evidence pins the filtered messages, to the
         # [floor, 1 - floor] clamp
-        cfg = PriorConfig(prob_floor=1e-3)
+        monkeypatch.setattr(denoiser, "PROB_FLOOR", 1e-3)
+        cfg = PriorConfig()
         state = frozen_chain_state(rng, N, 3, cfg)
         state.p01_a = one(rng.uniform(0.02, 0.1))
         state.p01_b = one(rng.uniform(20.0, 60.0))
@@ -292,7 +296,8 @@ def _sweep_case(rng, N, kind):
     elif kind == "sticky":
         # sticky Beta beliefs on p10 put the first prediction
         # turn_on / (turn_on + stay_quiet) within 1e-7 of 1, past 1 - floor
-        cfg = PriorConfig(prob_floor=1e-3)
+        monkeypatch.setattr(denoiser, "PROB_FLOOR", 1e-3)
+        cfg = PriorConfig()
         state = frozen_chain_state(rng, N, 3, cfg)
         state.p10_a = one(rng.uniform(20.0, 60.0))
         state.p10_b = one(rng.uniform(0.02, 0.1))
@@ -310,14 +315,15 @@ def _sweep_case(rng, N, kind):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 64])
 @pytest.mark.parametrize("kind", ["random", "clamp", "sticky", "saturate"])
-def test_odds_sweeps_match_probability_sweeps(N, kind):
+def test_odds_sweeps_match_probability_sweeps(N, kind, monkeypatch):
     rng = np.random.default_rng([N, len(kind), 1])
     for _ in range(5):
-        state, cfg = _sweep_case(rng, N, kind)
+        state, cfg = _sweep_case(rng, N, kind, monkeypatch)
         x = step_inputs(state, cfg)
         weights = [math.exp(v) for v in x.transitions[0]]
         llr = logit(state.support_like[0]).sum(axis=1)
-        ref = chain_sweeps_probability(weights, llr, cfg.prob_floor)
+        floor = denoiser.PROB_FLOOR
+        ref = chain_sweeps_probability(weights, llr, floor)
         forward_pass(state, cfg, x.transitions, x.forward_odds)
         backward_pass(state, cfg, x.transitions, x.backward_odds)
         got = (state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt)
@@ -328,10 +334,9 @@ def test_odds_sweeps_match_probability_sweeps(N, kind):
             assert np.abs(llr).max() > 745.0
         if kind == "sticky":
             stay_active, turn_on, stay_quiet, turn_off = weights
-            assert turn_on / (turn_on + stay_quiet) > 1.0 - cfg.prob_floor
-            assert state.fwd_pred[0, 0] == pytest.approx(1.0 - cfg.prob_floor, abs=1e-15)
+            assert turn_on / (turn_on + stay_quiet) > 1.0 - floor
+            assert state.fwd_pred[0, 0] == pytest.approx(1.0 - floor, abs=1e-15)
         if kind == "clamp" and N == 64:
-            floor = cfg.prob_floor
             for msgs in ((ref[0], ref[2]), (ref[1], ref[3])):
                 pinned = np.concatenate(msgs)
                 assert np.any(np.isclose(pinned, floor, rtol=0, atol=1e-15)
@@ -348,7 +353,7 @@ def _chain_round_case(rng, N, kind, cfg):
     """A frozen chain state whose pooled evidence is random, makes the
     [floor, 1 - floor] clamps bind, saturates (|LLR| > 745), or says that
     every element is quiet or every element is active."""
-    floor = cfg.prob_floor
+    floor = denoiser.PROB_FLOOR
     P = 32 if kind == "saturate" else 3
     state = frozen_chain_state(rng, N, P, cfg)
     if kind == "clamp":
@@ -372,11 +377,13 @@ def _chain_round_case(rng, N, kind, cfg):
 @pytest.mark.parametrize("floor", [1e-12, 1e-3])
 @pytest.mark.parametrize("N", [1, 2, 3, 2048])
 @pytest.mark.parametrize("kind", ["random", "clamp", "saturate", "quiet", "active"])
-def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(variant, floor, N, kind):
+def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(
+        variant, floor, N, kind, monkeypatch):
     # two chain rounds as `denoise` runs them, against the earlier package
     # form: odds sweeps that keep both lists, pair beliefs from a stacked
     # (N-1, 4) array
-    cfg = PriorConfig(variant=variant, prob_floor=floor)
+    monkeypatch.setattr(denoiser, "PROB_FLOOR", floor)
+    cfg = PriorConfig(variant=variant)
     rng = np.random.default_rng([N, len(kind), int(-math.log10(floor))])
     state = _chain_round_case(rng, N, kind, cfg)
     ref = copy.deepcopy(state)
@@ -820,20 +827,13 @@ def test_denoise_rejects_a_non_positive_or_non_finite_v_pri(variant, bad):
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("prob_floor", 0.0),
-    ("prob_floor", -1e-3),
-    ("prob_floor", math.nan),
-    ("prob_floor", 0.5),
-    ("prob_floor", 0.6),
     ("small_rate", -1.0),
     ("large_rate", math.inf),
     ("bg_variance", -1.0),
     ("bg_variance", math.nan),
 ])
 def test_prior_config_rejects_invalid_values(field, bad):
-    # without the check, prob_floor=0 raised ZeroDivisionError in the sweep,
-    # a negative or NaN floor and small_rate=-1 returned non-finite
-    # estimates, and a floor of 0.5 or more pinned every support probability;
+    # without the check, small_rate=-1 returned non-finite estimates, and
     # bg_variance=-1 or NaN gave NaN estimates
     with pytest.raises(ValueError, match=field):
         PriorConfig(**{field: bad})
@@ -842,10 +842,11 @@ def test_prior_config_rejects_invalid_values(field, bad):
 def test_prior_config_fields_and_hyperprior_constants():
     assert [f.name for f in dataclasses.fields(PriorConfig)] == [
         "variant", "large_rate", "small_rate", "bg_variance",
-        "exact_digamma", "std_gamma_weight", "prob_floor",
+        "exact_digamma", "std_gamma_weight",
     ]
     # the values every run used while they were fields
     assert LARGE_SHAPE == SMALL_SHAPE == P10_A == P10_B == P01_A == P01_B == 1.0
+    assert PROB_FLOOR == 1e-12
     state = init_state(3, 2, PriorConfig(large_rate=0.5, small_rate=0.25), members=2)
     expected = {
         "large_shape": (LARGE_SHAPE, (2, 3, 2)), "large_rate": (0.5, (2, 3, 2)),
@@ -857,12 +858,19 @@ def test_prior_config_fields_and_hyperprior_constants():
         assert np.array_equal(getattr(state, name), np.full(shape, value)), name
 
 
+def test_prior_config_takes_no_probability_floor():
+    # the floor is the module constant PROB_FLOOR; a caller that still sets
+    # it gets an error, not a setting that is silently dropped
+    with pytest.raises(TypeError, match="prob_floor"):
+        PriorConfig(prob_floor=1e-3)
+
+
 @pytest.mark.parametrize("floor", [1e-3, 0.49])
-def test_prior_config_accepts_floors_inside_the_half_interval(floor):
+def test_denoise_keeps_probabilities_inside_floors_up_to_one_half(floor, monkeypatch):
     rng = np.random.default_rng(48)
     h = rng.standard_normal((1, 16, 3)) + 1j * rng.standard_normal((1, 16, 3))
-    cfg = PriorConfig(prob_floor=floor)
-    h_post, v_post, state = denoise(h, rng.uniform(0.2, 0.6, (1, 3)), cfg)
+    monkeypatch.setattr(denoiser, "PROB_FLOOR", floor)
+    h_post, v_post, state = denoise(h, rng.uniform(0.2, 0.6, (1, 3)), PriorConfig())
     assert np.all(np.isfinite(h_post)) and np.all(np.isfinite(v_post))
     assert np.all(state.support_post >= floor) and np.all(state.support_post <= 1.0 - floor)
 
@@ -1075,8 +1083,6 @@ def test_carried_belief_arrays_follow_reassigned_beliefs(variant, reassigned):
 def test_denoise_takes_the_active_digamma_once_per_set_of_beliefs(monkeypatch):
     # psi(large_shape) is taken for the initial beliefs and then once after
     # each refresh, which the next pass's likelihood step reuses
-    import hmpce.denoiser as denoiser
-
     N, P = 12, 3
     shapes = []
 
@@ -1110,8 +1116,6 @@ def test_denoise_takes_the_active_digamma_once_per_set_of_beliefs(monkeypatch):
 def test_step_takes_its_per_pass_inputs_as_required_arguments(name, params):
     # one input contract: denoise computes each per-pass value once and
     # hands it in, so a step has no optional input to fall back on
-    import hmpce.denoiser as denoiser
-
     step = getattr(denoiser, name)
     sig = inspect.signature(step)
     assert tuple(sig.parameters) == params
@@ -1123,8 +1127,6 @@ def test_step_takes_its_per_pass_inputs_as_required_arguments(name, params):
 
 
 def test_denoise_computes_transition_weights_once_per_round(monkeypatch):
-    import hmpce.denoiser as denoiser
-
     calls = []
 
     def counted(state, cfg):
@@ -1139,8 +1141,6 @@ def test_denoise_computes_transition_weights_once_per_round(monkeypatch):
 
 
 def test_denoise_computes_evidence_odds_once_per_pass(monkeypatch):
-    import hmpce.denoiser as denoiser
-
     calls = []
 
     def counted(llr):
@@ -1159,8 +1159,6 @@ def test_denoise_computes_evidence_odds_once_per_pass(monkeypatch):
 
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
 def test_denoise_takes_extrinsic_logit_once_per_pass(monkeypatch, variant):
-    import hmpce.denoiser as denoiser
-
     cfg = PriorConfig(variant=variant)
     state = init_state(12, 3, cfg)
     calls = []
@@ -1179,33 +1177,36 @@ def test_denoise_takes_extrinsic_logit_once_per_pass(monkeypatch, variant):
         assert len(calls) == passes
 
 
-def test_sigmoid_matches_expit_within_4_ulp():
+def test_sigmoid_matches_expit_within_4_ulp(monkeypatch):
     # `_probability` works in place in its argument, hence the copies; a
     # floor of 0 leaves the sigmoid in [0, 1] unclipped
     z = np.linspace(-800.0, 800.0, 1_600_001)
-    got, want = _probability(z.copy(), 0.0), expit(z)
+    monkeypatch.setattr(denoiser, "PROB_FLOOR", 0.0)
+    got, want = _probability(z.copy()), expit(z)
     # both are non-negative, so the integer views count the ulps between them
     ulps = np.abs(got.view(np.int64) - want.view(np.int64))
     assert ulps.max() <= 4
     for floor in (1e-12, 1e-3):
+        monkeypatch.setattr(denoiser, "PROB_FLOOR", floor)
         assert np.allclose(
-            _probability(z.copy(), floor), np.clip(want, floor, 1.0 - floor),
+            _probability(z.copy()), np.clip(want, floor, 1.0 - floor),
             rtol=1e-15, atol=0.0,
         )
 
 
-def test_sigmoid_clamp_bounds_are_exact_and_quiet():
-    floor = 1e-12
+def test_sigmoid_clamp_bounds_are_exact_and_quiet(monkeypatch):
+    floor = PROB_FLOOR
     z = np.array([-1e4, -800.0, -50.0, 50.0, 800.0, 1e4])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = _probability(z.copy(), floor)
-        first = float(_probability(np.array([-1e4]), floor)[0])
+        p = _probability(z.copy())
+        first = float(_probability(np.array([-1e4]))[0])
     assert np.all(p[:3] == floor)
     assert np.all(p[3:] == 1.0 - floor)
     assert first == floor
-    assert np.isnan(_probability(np.array([np.nan]), 0.0)[0])
-    assert np.isnan(_probability(np.array([0.0, np.nan]), floor)[1])
+    assert np.isnan(_probability(np.array([0.0, np.nan]))[1])
+    monkeypatch.setattr(denoiser, "PROB_FLOOR", 0.0)
+    assert np.isnan(_probability(np.array([np.nan]))[0])
 
 
 def test_zero_input_symmetry():

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import runpy
@@ -343,6 +344,11 @@ def test_stretched_check_needs_single_hybrid_factor():
     g.add_factor(TableFactor("f2", ["b", "c"], np.ones((2, 2))))
     with pytest.raises(UnsupportedGraphError):
         stretched_graph_equivalence_check(g)
+
+
+def test_stretched_check_takes_only_the_graph():
+    # the sweep limit and tolerance are `FactorGraph.run`'s defaults
+    assert tuple(inspect.signature(stretched_graph_equivalence_check).parameters) == ("graph",)
 
 
 def test_stretched_equivalence_cn_mixture():

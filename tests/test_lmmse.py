@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     FancyIndexPilotSet,
     GaussianMsg,
+    dense_lmmse,
     dense_lmmse_measurement_form,
     extrinsic_split_columnwise,
     gaussian_multiply,
@@ -22,7 +23,7 @@ from hmpce.channels import (
     sample_support,
     synthesize_measurements,
 )
-from hmpce.lmmse import dense_lmmse, extrinsic_split, lmmse_update
+from hmpce.lmmse import extrinsic_split, lmmse_update
 from hmpce.priors import VARIANT_LVD, ScalarPrior
 
 

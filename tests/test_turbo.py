@@ -12,6 +12,7 @@ from oracles import (
     denoise_complex,
     lmmse_update_out_of_place,
     mmse_oracle,
+    mmse_standard_error,
     mmse_unblocked,
     posterior_moments_mixture,
     run_turbo_per_subcarrier,
@@ -605,7 +606,7 @@ def test_linear_stage_eta_value():
 
 
 def test_se_step_algebra():
-    eta, m, v_next = se_step(1.0, 0.25, 2, 1, lambda e: (0.3, 0.0))
+    eta, m, v_next = se_step(1.0, 0.25, 2, 1, lambda e: 0.3)
     assert eta == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert m == 0.3
     assert v_next == pytest.approx(1.0 / (1.0 / 0.3 - 2.0 / 3.0), abs=1e-15)
@@ -614,7 +615,31 @@ def test_se_step_algebra():
 @pytest.mark.parametrize("mmse", (0.0, -1e-3, math.nan, math.inf))
 def test_se_step_rejects_a_non_positive_or_non_finite_mmse(mmse):
     with pytest.raises(SeUndefinedError, match="denoiser stage"):
-        se_step(1.0, 0.25, 2, 1, lambda e: (mmse, 0.0))
+        se_step(1.0, 0.25, 2, 1, lambda e: mmse)
+
+
+def test_se_step_takes_a_zero_mmse_without_noise_as_exact_recovery():
+    # noiseless, an MMSE of exactly 0 is the fixed point v = 0; a negative or
+    # non-finite one still raises, as a zero one does at finite noise
+    assert se_step(1.0, 0.0, 2, 1, lambda e: 0.0) == (1.0, 0.0, 0.0)
+    for mmse in (-1e-3, math.nan, math.inf):
+        with pytest.raises(SeUndefinedError, match="denoiser stage"):
+            se_step(1.0, 0.0, 2, 1, lambda e: mmse)
+
+
+def test_noiseless_state_evolution_stops_at_exact_recovery():
+    # bg at M close to N without noise shrinks v geometrically until the
+    # MMSE underflows to 0: that row is the fixed point v = 0, and the run
+    # stops there converged.  At M = 28 the decay stops short of underflow,
+    # and 100 iterations end unconverged.
+    prior = ScalarPrior(variant=VARIANT_BG)
+    trace = run_state_evolution(prior, math.inf, 32, 31, num_samples=20_000, seed=3)
+    assert trace.converged and len(trace.rows) < 100
+    assert trace.rows[-1][1] == 0.0 and trace.fixed_point_nmse == 0.0
+    assert all(row[1] > 0.0 for row in trace.rows[:-1])
+    slower = run_state_evolution(prior, math.inf, 32, 28, num_samples=20_000, seed=3)
+    assert not slower.converged and len(slower.rows) == 100
+    assert 0.0 < slower.rows[-1][1] < 1e-100
 
 
 def test_se_map_undefined():
@@ -629,20 +654,22 @@ def test_se_map_undefined():
 
 def test_mmse_single_gaussian_wiener():
     prior = ScalarPrior(variant=VARIANT_TSGM, activation=1.0, large_power=1.0)
+    sampler = MmseSampler(prior, num_samples=20_000, seed=7)
     for eta in (0.5, 2.0, 10.0):
-        est, stderr = mmse_oracle(eta, prior, num_samples=20_000, seed=7)
-        assert abs(est - 1.0 / (1.0 + eta)) <= 3.0 * stderr + 1e-12
+        est = sampler(eta)
+        assert type(est) is float
+        assert abs(est - 1.0 / (1.0 + eta)) <= 3.0 * mmse_standard_error(sampler, eta) + 1e-12
 
 
 def test_mmse_limits_and_monotonicity():
     prior = ScalarPrior()
     assert prior.mean_power() == pytest.approx(0.208, abs=1e-12)
-    low, _ = mmse_oracle(1e-8, prior, num_samples=200_000, seed=9)
+    low = mmse_oracle(1e-8, prior, num_samples=200_000, seed=9)
     assert abs(low - 0.208) < 3e-3
-    high, _ = mmse_oracle(1e8, prior, num_samples=20_000, seed=9)
+    high = mmse_oracle(1e8, prior, num_samples=20_000, seed=9)
     assert high < 1e-6
-    mid1, _ = mmse_oracle(0.1, prior, num_samples=20_000, seed=9)
-    mid2, _ = mmse_oracle(10.0, prior, num_samples=20_000, seed=9)
+    mid1 = mmse_oracle(0.1, prior, num_samples=20_000, seed=9)
+    mid2 = mmse_oracle(10.0, prior, num_samples=20_000, seed=9)
     assert low > mid1 > mid2 > high
 
 
@@ -661,7 +688,7 @@ def test_mmse_sampler_needs_two_samples():
 
 @pytest.mark.parametrize("eta", (math.nan, 0.0, -1.0))
 def test_mmse_sampler_rejects_an_eta_that_is_not_positive(eta):
-    # NaN used to pass the check and return (nan, nan)
+    # NaN used to pass the check and return nan
     sampler = MmseSampler(ScalarPrior(), num_samples=100)
     with pytest.raises(ValueError, match="eta"):
         sampler(eta)
@@ -762,7 +789,7 @@ def test_bank_build_peak_memory(variant):
 )
 def test_blocked_mmse_matches_the_one_shot_evaluation(variant, activation, num_samples):
     # the block walk changes only where each draw's variance is computed, so
-    # the estimate and its standard error keep every bit
+    # the estimate keeps every bit
     sampler = MmseSampler(ScalarPrior(variant=variant, activation=activation), num_samples, seed=3)
     for eta in np.logspace(-8.0, 6.0, 8):
         assert sampler(eta) == mmse_unblocked(sampler, eta), eta
@@ -775,8 +802,8 @@ def test_posterior_variance_matches_the_complex_oracle(variant, activation):
     # |r|^2, so it carries an absolute error of a few ulps of |r|^2, about
     # 1e-10 of the variance at eta = 1e6; the package's |r|^2 from the real
     # bank rounds within ulps of |g|^2 + tau |n|^2.  Each draw may therefore
-    # differ by 16 ulps of |g|^2 + tau |n|^2 + var, the mean by the mean of
-    # that bound and the standard error by its maximum over sqrt(n).
+    # differ by 16 ulps of |g|^2 + tau |n|^2 + var, and the mean by the mean
+    # of that bound.
     prior = ScalarPrior(variant=variant, activation=activation)
     sampler = MmseSampler(prior, num_samples=20_000, seed=7)
     ref = ComplexMmseSampler(prior, num_samples=20_000, seed=7)
@@ -790,10 +817,7 @@ def test_posterior_variance_matches_the_complex_oracle(variant, activation):
         )
         bound = 16.0 * eps * (np.abs(ref.gains) ** 2 + tau * np.abs(ref.noise) ** 2 + var_ref)
         assert np.all(np.abs(var - var_ref) <= bound), eta
-        est, stderr = sampler(eta)
-        est_ref, stderr_ref = ref(eta)
-        assert abs(est - est_ref) <= bound.mean(), eta
-        assert abs(stderr - stderr_ref) <= bound.max() / math.sqrt(var.size) + 1e-12 * stderr_ref
+        assert abs(sampler(eta) - ref(eta)) <= bound.mean(), eta
 
 
 @pytest.mark.parametrize("lam", (0.0, 0.3, 1.0))
