@@ -62,20 +62,6 @@ def _parse_str(text, key):
     return text
 
 
-def _parse_int(text, key):
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
-
-
-def _parse_float(text, key):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-
-
 def _parse_bool(text, key):
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -85,22 +71,47 @@ def _parse_bool(text, key):
     raise ConfigError(f"{key}: expected a boolean, got {text!r}")
 
 
-def _split_list(text):
-    return [t.strip() for t in text.split(",") if t.strip()]
+def _checked(rule, wanted, convert=float, noun="a number"):
+    """A parser that converts the text with `convert` and keeps the knob's
+    own rule: a value for which `rule` is false is bad input, worded as
+    `<key>: must be <wanted>`."""
+    def parse(text, key):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {noun}, got {text!r}") from None
+        if not rule(value):
+            raise ConfigError(f"{key}: must be {wanted}, got {value}")
+        return value
+    return parse
 
 
-def _list_of(parse):
+def _int_at_least(low):
+    return _checked(lambda n: n >= low, f"at least {low}", int, "an integer")
+
+
+_positive_finite = _checked(lambda x: 0.0 < x < math.inf, "positive and finite")
+_in_unit_interval = _checked(lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_snr_db = _checked(lambda x: not math.isnan(x) and x != -math.inf, "a dB value or inf")
+
+
+def _list_of(parse, empty_ok=False):
     """A parser for a comma list whose items each go through `parse`; a
-    repeated value is kept once, where it first appears."""
+    repeated value is kept once, where it first appears.  An empty list is
+    bad input unless `empty_ok`."""
     def parse_list(text, key):
-        return tuple(dict.fromkeys(parse(t, key) for t in _split_list(text)))
+        items = (t.strip() for t in text.split(","))
+        values = tuple(dict.fromkeys(parse(t, key) for t in items if t))
+        if not values and not empty_ok:
+            raise ConfigError(f"{key}: need at least one value")
+        return values
     return parse_list
 
 
 def _parse_algo(text, key):
     if text not in ALGO_CHOICES:
         raise ConfigError(
-            f"unknown algorithm {text!r}; choose from {', '.join(ALGO_CHOICES)}"
+            f"{key}: unknown algorithm {text!r}; choose from {', '.join(ALGO_CHOICES)}"
         )
     return text
 
@@ -109,7 +120,8 @@ def _knob(default, parse, help=None, metavar=None, manifest=True):
     """A run knob.  The field name is its config-file key, its manifest key
     and, with help text, its flag `--<name>` (`_` written as `-`; a boolean
     flag takes no value).  `parse(text, key)` turns the text from the config
-    file or a flag into the value."""
+    file or a flag into the value and raises `ConfigError` for a value that
+    breaks the knob's own rule; `_validate` keeps the rules between knobs."""
     return field(default=default, metadata={
         "parse": parse, "help": help, "metavar": metavar, "manifest": manifest,
     })
@@ -117,18 +129,18 @@ def _knob(default, parse, help=None, metavar=None, manifest=True):
 
 @dataclass
 class ExperimentConfig:
-    N: int = _knob(256, _parse_int, "transform size / antenna count")
-    K: int = _knob(512, _parse_int, "total subcarrier count: checked against P (P <= K) "
+    N: int = _knob(256, _int_at_least(2), "transform size / antenna count")
+    K: int = _knob(512, _int_at_least(1), "total subcarrier count: checked against P (P <= K) "
                    "and recorded in the manifest; no computation reads it")
-    P: int = _knob(32, _parse_int, "pilot subcarrier count")
-    M: tuple = _knob((103,), _list_of(_parse_int),
+    P: int = _knob(32, _int_at_least(1), "pilot subcarrier count")
+    M: tuple = _knob((103,), _list_of(_int_at_least(1)),
                      "pilot length(s), comma list sweeps the pilot count")
-    snr: tuple = _knob((10.0, 20.0, 30.0), _list_of(_parse_float), "SNR in dB, comma list")
-    algos: tuple = _knob(ALGO_CHOICES, _list_of(_parse_algo),
+    snr: tuple = _knob((10.0, 20.0, 30.0), _list_of(_snr_db), "SNR in dB, comma list")
+    algos: tuple = _knob(ALGO_CHOICES, _list_of(_parse_algo, empty_ok=True),
                          "comma list from: " + ",".join(ALGO_CHOICES))
-    trials: int = _knob(1, _parse_int, "Monte-Carlo trials per point")
-    iters: int = _knob(15, _parse_int, "max turbo iterations")
-    seed: int = _knob(0, _parse_int, "master seed")
+    trials: int = _knob(1, _int_at_least(1), "Monte-Carlo trials per point")
+    iters: int = _knob(15, _int_at_least(1), "max turbo iterations")
+    seed: int = _knob(0, _int_at_least(0), "master seed")
     channel_file: str = _knob("", _parse_str, "load the channel instead of sampling",
                               metavar="PATH")
     out: str = _knob("out", _parse_str, "output directory", metavar="DIR", manifest=False)
@@ -141,14 +153,14 @@ class ExperimentConfig:
     no_early_stop: bool = _knob(False, _parse_bool, "always run the full iteration budget")
     se_only: bool = _knob(False, _parse_bool, "write only the state-evolution trace")
     # prior knobs (config-file keys only, no flags)
-    p10: float = _knob(0.05, _parse_float)
-    p01: float = _knob(0.20, _parse_float)
-    large_power: float = _knob(1.0, _parse_float)
-    small_variance: float = _knob(0.01, _parse_float)
-    bg_variance: float = _knob(1.0, _parse_float)
-    vl_lo: float = _knob(0.1, _parse_float)
-    vl_hi: float = _knob(10.0, _parse_float)
-    se_samples: int = _knob(200_000, _parse_int)
+    p10: float = _knob(0.05, _in_unit_interval)
+    p01: float = _knob(0.20, _in_unit_interval)
+    large_power: float = _knob(1.0, _positive_finite)
+    small_variance: float = _knob(0.01, _positive_finite)
+    bg_variance: float = _knob(1.0, _positive_finite)
+    vl_lo: float = _knob(0.1, _positive_finite)
+    vl_hi: float = _knob(10.0, _positive_finite)
+    se_samples: int = _knob(200_000, _int_at_least(100))
     channel: object = field(default=None, repr=False)
 
 
@@ -213,48 +225,30 @@ def resolve_config(args):
 
 
 def _validate(cfg):
-    if cfg.N < 2:
-        raise ConfigError("N must be at least 2")
-    if not cfg.M:
-        raise ConfigError("need at least one pilot length")
+    """The rules that read more than one knob; each knob's own rule is kept
+    by its parser."""
     for m in cfg.M:
-        if not 1 <= m < cfg.N:
-            raise ConfigError(f"pilot length M={m} must satisfy 1 <= M < N={cfg.N}")
-    if cfg.P < 1 or cfg.P > cfg.K:
-        raise ConfigError(f"need 1 <= P <= K, got P={cfg.P}, K={cfg.K}")
-    if not cfg.snr:
-        raise ConfigError("need at least one SNR value")
-    for snr in cfg.snr:
-        if math.isnan(snr) or snr == -math.inf:
-            raise ConfigError(f"snr: an SNR value is {snr}; give dB values or inf")
-    if cfg.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if cfg.iters < 1:
-        raise ConfigError("iters must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if not cfg.algos and not cfg.se_only:
-        raise ConfigError("need at least one algorithm")
-    if not (0.0 < cfg.p10 < 1.0 and 0.0 < cfg.p01 < 1.0):
-        raise ConfigError("p10 and p01 must lie in (0, 1)")
-    for name in ("large_power", "small_variance", "bg_variance", "vl_lo", "vl_hi"):
-        value = getattr(cfg, name)
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if m >= cfg.N:
+            raise ConfigError(f"M: pilot length {m} must be less than N={cfg.N}")
+    if cfg.P > cfg.K:
+        raise ConfigError(f"need P <= K, got P={cfg.P}, K={cfg.K}")
     if cfg.vl_lo > cfg.vl_hi:
-        raise ConfigError("need vl_lo <= vl_hi")
-    if cfg.se_samples < 100:
-        raise ConfigError("se_samples must be >= 100")
+        raise ConfigError(f"need vl_lo <= vl_hi, got vl_lo={cfg.vl_lo}, vl_hi={cfg.vl_hi}")
+    if not cfg.algos and not cfg.se_only:
+        raise ConfigError("algos: need at least one algorithm unless se_only is set")
 
 
 def _load_channel_checked(cfg):
     path = cfg.channel_file
     if not os.path.exists(path):
-        raise ConfigError(f"no such file: {path}")
+        raise ConfigError(f"channel_file: no such file: {path}")
     try:
         channel = load_channel(path)
     except ValueError as err:
-        raise ConfigError(str(err)) from None
+        raise ConfigError(f"channel_file: {err}") from None
+    if not np.any(channel.gains):
+        raise ConfigError(f"channel_file: {path} holds an all-zero channel, whose NMSE "
+                          "is undefined")
     if channel.N != cfg.N or channel.P != cfg.P:
         raise ConfigError(
             f"channel file has N={channel.N}, P={channel.P}; "

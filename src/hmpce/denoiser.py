@@ -390,7 +390,7 @@ def _member_rates(transitions):
     return [[math.exp(v) for v in logs] for logs in transitions]
 
 
-def forward_pass(state, cfg, transitions, odds):
+def forward_pass(state, transitions, odds):
     """Forward sweep of the support chain (predict, then fold in evidence).
 
     Runs on odds p / (1 - p) (see `_odds_sweep`) from the first element,
@@ -411,7 +411,7 @@ def forward_pass(state, cfg, transitions, odds):
     state.fwd_pred, state.fwd_filt = _sweep_messages(pred, e, lo, hi)
 
 
-def backward_pass(state, cfg, transitions, odds):
+def backward_pass(state, transitions, odds):
     """Backward sweep; the terminal message is uninformative (1/2).
 
     Runs like `forward_pass` from the last element down, on the backward
@@ -430,7 +430,7 @@ def backward_pass(state, cfg, transitions, odds):
     state.bwd_pred, state.bwd_filt = pred[:, ::-1].copy(), filt[:, ::-1].copy()
 
 
-def update_transition_beliefs(state, cfg, transitions, llr):
+def update_transition_beliefs(state, transitions, llr):
     """First/pair support beliefs and the Beta pseudo-count refresh.
 
     transitions are the log weights the sweeps ran on, llr the pooled
@@ -482,7 +482,7 @@ def update_transition_beliefs(state, cfg, transitions, llr):
     state.p01_b = P01_B + pair_11
 
 
-def support_extrinsic(state, cfg, like_logit, llr):
+def support_extrinsic(state, like_logit, llr):
     """Chain-side activity message for each subcarrier, excluding its own
     likelihood (leave-one-out in the log-odds domain); like_logit and llr
     are the pair of `pooled_evidence`."""
@@ -610,10 +610,10 @@ def denoise(h_pri, v_pri, cfg, state=None):
     forward_odds, backward_odds = evidence_odds(llr)
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
-        forward_pass(state, cfg, transitions, forward_odds)
-        backward_pass(state, cfg, transitions, backward_odds)
-        update_transition_beliefs(state, cfg, transitions, llr)
-    support_extrinsic(state, cfg, like_logit, llr)
+        forward_pass(state, transitions, forward_odds)
+        backward_pass(state, transitions, backward_odds)
+        update_transition_beliefs(state, transitions, llr)
+    support_extrinsic(state, like_logit, llr)
     ext_logit = _logit(state.support_ext)
     update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_large)
     h_post, v_post = posterior_moments(h_pri, v_pri, state, cfg, r2, ext_logit)

@@ -1,5 +1,8 @@
-"""Scalar belief types and expected logarithms shared by the denoiser and
-the factor-graph engine.
+"""Scalar belief types, expected logarithms and the digamma.
+
+The denoiser reads only `digamma_fn`; the belief types `GammaBelief` and
+`BetaBelief` and the expected logarithms `beta_log_expectations` and
+`gamma_log_mean` serve the factor-graph engine.
 
 Gamma beliefs are parameterized by (shape, rate) on a precision, Beta
 beliefs by the usual pseudo-counts.  The digamma approximation

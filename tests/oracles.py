@@ -807,10 +807,10 @@ def denoise_complex(h_pri, v_pri, cfg, state=None):
     forward_odds, backward_odds = evidence_odds(llr)
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
-        forward_pass(state, cfg, transitions, forward_odds)
-        backward_pass(state, cfg, transitions, backward_odds)
-        update_transition_beliefs(state, cfg, transitions, llr)
-    support_extrinsic(state, cfg, like_logit, llr)
+        forward_pass(state, transitions, forward_odds)
+        backward_pass(state, transitions, backward_odds)
+        update_transition_beliefs(state, transitions, llr)
+    support_extrinsic(state, like_logit, llr)
     update_precision_beliefs_complex(h_pri, v_pri, state, cfg)
     h_post, v_post = posterior_moments_complex(h_pri, v_pri, state, cfg)
     return h_post, v_post, state
@@ -855,7 +855,7 @@ def activity_likelihood_allocating(r2, v_pri, s_large, state, cfg):
     return _clamp(_sigmoid(log_odds))
 
 
-def support_extrinsic_allocating(state, cfg, like_logit, llr):
+def support_extrinsic_allocating(state, like_logit, llr):
     """`support_extrinsic` on fresh arrays."""
     loo = llr[:, :, None] - like_logit
     chain = _logit(state.fwd_pred) + _logit(state.bwd_pred)
@@ -941,7 +941,7 @@ def denoise_allocating(h_pri, v_pri, cfg, state=None):
         forward_pass_two_lists(state, cfg, evidence, transitions)
         backward_pass_two_lists(state, cfg, evidence, transitions)
         update_transition_beliefs_stacked(state, cfg, evidence, transitions)
-    support_extrinsic_allocating(state, cfg, *evidence)
+    support_extrinsic_allocating(state, *evidence)
     ext_logit = _logit(state.support_ext)
     update_precision_beliefs_allocating(r2, v_pri, state, cfg, like_logit, ext_logit)
     h_post, v_post = posterior_moments_allocating(h_pri, v_pri, state, cfg, r2, ext_logit)

@@ -109,9 +109,9 @@ def test_criterion_1_markov_smoothing_exactness():
             axis=1,
         )
         x = step_inputs(state, cfg)
-        forward_pass(state, cfg, x.transitions, x.forward_odds)
-        backward_pass(state, cfg, x.transitions, x.backward_odds)
-        update_transition_beliefs(state, cfg, x.transitions, x.llr)
+        forward_pass(state, x.transitions, x.forward_odds)
+        backward_pass(state, x.transitions, x.backward_odds)
+        update_transition_beliefs(state, x.transitions, x.llr)
         ref = chain_enumeration(first_w, trans_w, loglike)
         pair_cols = np.stack(
             [

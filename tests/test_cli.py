@@ -8,7 +8,7 @@ import pytest
 
 from oracles import run_sweep_per_snr
 from hmpce import cli, turbo
-from hmpce.channels import sample_channel, sample_support, save_channel
+from hmpce.channels import ChannelRealization, sample_channel, sample_support, save_channel
 from hmpce.cli import (
     ExperimentConfig,
     build_parser,
@@ -280,6 +280,21 @@ def test_se_only_outputs(tmp_path):
     assert finals[10.0] > finals[20.0] > finals[30.0]
 
 
+def test_se_only_without_an_algorithm_runs_the_tsgm_lvd_prior(tmp_path):
+    # `--se-only` needs no algorithm: the trace is the tsgm-lvd prior's, and
+    # the manifest records the empty list
+    runs = {}
+    for algos in ("", "hmp-tsgm-lvd"):
+        out = str(tmp_path / (algos or "none"))
+        rc = run_cli("--se-only", "--algos", algos, "--snr", "10,inf", "--N", "64",
+                     "--M", "51", "--P", "2", "--K", "64", "--out", out)
+        assert rc == 0
+        assert sorted(os.listdir(out)) == ["manifest.txt", "se_trace.csv"]
+        runs[algos] = read_outputs(out)
+    assert runs[""]["se_trace.csv"] == runs["hmp-tsgm-lvd"]["se_trace.csv"]
+    assert "algos=" in runs[""]["manifest.txt"].decode().splitlines()
+
+
 @pytest.mark.parametrize(
     "algo, runs_to_limit",
     [("hmp-tsgm-lvd", False), ("hmp-tsgm", False), ("hmp-bg", True)],
@@ -412,6 +427,20 @@ def test_channel_file_run_and_dimension_check(tmp_path, capsys):
     assert "channel file has N=32" in capsys.readouterr().err
 
 
+def test_all_zero_channel_file_is_bad_input(tmp_path, capsys):
+    # an all-zero channel has no NMSE: it is bad input, reported before the
+    # turbo loop's truth-energy check can raise
+    path = str(tmp_path / "zero.haf")
+    save_channel(path, ChannelRealization(np.zeros((32, 2), dtype=complex), None))
+    out = tmp_path / "o"
+    rc = run_cli(*small_args(str(out), algos="hmp-bg", **{"channel-file": path}))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: channel_file: {path} holds an all-zero channel, whose NMSE " \
+                  "is undefined\n"
+    assert not out.exists()
+
+
 def test_pilot_sweep_rows(tmp_path):
     out = str(tmp_path / "o")
     rc = run_cli(*small_args(out, M="13,26", iters="3"), "--no-early-stop")
@@ -486,3 +515,54 @@ def test_help_lists_the_config_flag_and_the_sixteen_knob_flags(capsys):
         "--iters", "--seed", "--channel-file", "--out", "--reset-beliefs",
         "--std-gamma-weight", "--exact-digamma", "--no-early-stop", "--se-only",
     ]
+
+
+@pytest.mark.parametrize("key, bad, rule", [
+    ("N", "1", "must be at least 2, got 1"),
+    ("K", "0", "must be at least 1, got 0"),
+    ("P", "0", "must be at least 1, got 0"),
+    ("M", "13,0", "must be at least 1, got 0"),
+    ("M", ",", "need at least one value"),
+    ("snr", "", "need at least one value"),
+    ("trials", "0", "must be at least 1, got 0"),
+    ("iters", "-2", "must be at least 1, got -2"),
+    ("seed", "-1", "must be at least 0, got -1"),
+    ("p10", "1.5", "must be in (0, 1), got 1.5"),
+    ("p01", "0", "must be in (0, 1), got 0.0"),
+    ("vl_lo", "-1", "must be positive and finite, got -1.0"),
+    ("se_samples", "99", "must be at least 100, got 99"),
+])
+def test_a_knobs_own_rule_is_kept_by_its_parser(tmp_path, capsys, key, bad, rule):
+    # the same one-line error, naming the key, from the config file and, for
+    # a knob with a flag, from the flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {bad}\n")
+    runs = [["--config", str(cfg)]]
+    if key in vars(build_parser().parse_args([])):
+        runs.append([f"--{key}", bad])
+    out = tmp_path / "o"
+    for args in runs:
+        assert run_cli(*args, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {key}: {rule}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values, error", [
+    ({"M": "13,32"}, "M: pilot length 32 must be less than N=32"),
+    ({"P": "65"}, "need P <= K, got P=65, K=64"),
+    ({"vl_lo": "2", "vl_hi": "1"}, "need vl_lo <= vl_hi, got vl_lo=2.0, vl_hi=1.0"),
+    ({"algos": ""}, "algos: need at least one algorithm unless se_only is set"),
+    ({"vl_lo": "2", "vl_hi": "2"}, None),
+    ({"algos": "", "se_only": "true"}, None),
+])
+def test_rules_between_knobs(tmp_path, capsys, values, error):
+    cfg = tmp_path / "run.cfg"
+    base = {"N": "32", "M": "13", "P": "2", "K": "64", "snr": "10", "algos": "hmp-bg",
+            "iters": "2", "se_samples": "1000"}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**base, **values}.items()))
+    rc = run_cli("--config", str(cfg), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    if error is None:
+        assert (rc, err) == (0, "")
+    else:
+        assert (rc, err) == (2, f"error: {error}\n")

@@ -229,9 +229,9 @@ def test_chain_quantities_match_enumeration():
         loglike = loglike_from_pi(state.support_like)
         llr = logit(state.support_like[0]).sum(axis=1)
         x = step_inputs(state, cfg)
-        forward_pass(state, cfg, x.transitions, x.forward_odds)
-        backward_pass(state, cfg, x.transitions, x.backward_odds)
-        update_transition_beliefs(state, cfg, x.transitions, x.llr)
+        forward_pass(state, x.transitions, x.forward_odds)
+        backward_pass(state, x.transitions, x.backward_odds)
+        update_transition_beliefs(state, x.transitions, x.llr)
         ref = chain_enumeration(first_w, trans_w, loglike)
         assert np.max(np.abs(state.fwd_filt[0] - ref["prefix_filt"][:, 1])) < 1e-10
         assert np.max(np.abs(state.fwd_pred[0] - ref["prefix_pred"][:, 1])) < 1e-10
@@ -260,9 +260,9 @@ def test_support_extrinsic_matches_leave_one_out_enumeration():
     first_w, trans_w = chain_weights(state)
     loglike = loglike_from_pi(state.support_like)
     x = step_inputs(state, cfg)
-    forward_pass(state, cfg, x.transitions, x.forward_odds)
-    backward_pass(state, cfg, x.transitions, x.backward_odds)
-    support_extrinsic(state, cfg, x.like_logit, x.llr)
+    forward_pass(state, x.transitions, x.forward_odds)
+    backward_pass(state, x.transitions, x.backward_odds)
+    support_extrinsic(state, x.like_logit, x.llr)
     for n in range(N):
         for p in range(P):
             reduced = loglike.copy()
@@ -324,8 +324,8 @@ def test_odds_sweeps_match_probability_sweeps(N, kind, monkeypatch):
         llr = logit(state.support_like[0]).sum(axis=1)
         floor = denoiser.PROB_FLOOR
         ref = chain_sweeps_probability(weights, llr, floor)
-        forward_pass(state, cfg, x.transitions, x.forward_odds)
-        backward_pass(state, cfg, x.transitions, x.backward_odds)
+        forward_pass(state, x.transitions, x.forward_odds)
+        backward_pass(state, x.transitions, x.backward_odds)
         got = (state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt)
         for g, r in zip(got, ref):
             assert g.shape == (1, N)
@@ -394,9 +394,9 @@ def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(
         assert np.abs(llr).max() > 745.0
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
-        forward_pass(state, cfg, transitions, forward_odds)
-        backward_pass(state, cfg, transitions, backward_odds)
-        update_transition_beliefs(state, cfg, transitions, llr)
+        forward_pass(state, transitions, forward_odds)
+        backward_pass(state, transitions, backward_odds)
+        update_transition_beliefs(state, transitions, llr)
         transitions = transition_log_expectations(ref, cfg)
         forward_pass_two_lists(ref, cfg, evidence=evidence, transitions=transitions)
         backward_pass_two_lists(ref, cfg, evidence=evidence, transitions=transitions)
@@ -417,7 +417,7 @@ def test_symmetric_beta_gives_half_first_prediction():
     state = frozen_chain_state(np.random.default_rng(7), 5, 2, cfg)
     state.p10_a = state.p10_b = one(1.7)
     x = step_inputs(state, cfg)
-    forward_pass(state, cfg, x.transitions, x.forward_odds)
+    forward_pass(state, x.transitions, x.forward_odds)
     assert state.fwd_pred[0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
@@ -426,7 +426,7 @@ def test_balanced_likelihoods_make_filtered_equal_predicted():
     state = frozen_chain_state(np.random.default_rng(9), 6, 2, cfg)
     state.support_like = np.full((1, 6, 2), 0.5)
     x = step_inputs(state, cfg)
-    forward_pass(state, cfg, x.transitions, x.forward_odds)
+    forward_pass(state, x.transitions, x.forward_odds)
     assert np.allclose(state.fwd_filt, state.fwd_pred, atol=1e-14)
 
 
@@ -436,8 +436,8 @@ def test_symmetric_weights_keep_backward_half():
     state.p10_a = state.p10_b = state.p01_a = state.p01_b = one(2.0)
     state.support_like = np.full((1, 6, 2), 0.5)
     x = step_inputs(state, cfg)
-    forward_pass(state, cfg, x.transitions, x.forward_odds)
-    backward_pass(state, cfg, x.transitions, x.backward_odds)
+    forward_pass(state, x.transitions, x.forward_odds)
+    backward_pass(state, x.transitions, x.backward_odds)
     assert np.allclose(state.bwd_pred, 0.5, atol=1e-14)
     assert np.allclose(state.bwd_filt, 0.5, atol=1e-14)
 
@@ -463,9 +463,9 @@ def test_symmetric_case_pair_beliefs_quarter():
     state = init_state(N, 2, cfg)
     state.support_like = np.full((1, N, 2), 0.5)
     x = step_inputs(state, cfg)
-    forward_pass(state, cfg, x.transitions, x.forward_odds)
-    backward_pass(state, cfg, x.transitions, x.backward_odds)
-    update_transition_beliefs(state, cfg, x.transitions, x.llr)
+    forward_pass(state, x.transitions, x.forward_odds)
+    backward_pass(state, x.transitions, x.backward_odds)
+    update_transition_beliefs(state, x.transitions, x.llr)
     assert np.allclose(state.pair_belief, 0.25, atol=1e-12)
     assert state.first_active_belief == pytest.approx(0.5, abs=1e-12)
     assert state.p10_a - P10_A == pytest.approx(0.5 + (N - 1) / 4.0, abs=1e-10)
@@ -490,9 +490,9 @@ def test_single_pair_hand_case():
     first_w, trans_w = chain_weights(state)
     loglike = loglike_from_pi(state.support_like)
     x = step_inputs(state, cfg)
-    forward_pass(state, cfg, x.transitions, x.forward_odds)
-    backward_pass(state, cfg, x.transitions, x.backward_odds)
-    update_transition_beliefs(state, cfg, x.transitions, x.llr)
+    forward_pass(state, x.transitions, x.forward_odds)
+    backward_pass(state, x.transitions, x.backward_odds)
+    update_transition_beliefs(state, x.transitions, x.llr)
     ref = chain_enumeration(first_w, trans_w, loglike)
     b1 = ref["full"][0, 1]
     pair = ref["pair"][0]
@@ -510,9 +510,9 @@ def test_extrinsic_single_subcarrier_formula():
     cfg = PriorConfig()
     state = frozen_chain_state(np.random.default_rng(19), 6, 1, cfg)
     x = step_inputs(state, cfg)
-    forward_pass(state, cfg, x.transitions, x.forward_odds)
-    backward_pass(state, cfg, x.transitions, x.backward_odds)
-    support_extrinsic(state, cfg, x.like_logit, x.llr)
+    forward_pass(state, x.transitions, x.forward_odds)
+    backward_pass(state, x.transitions, x.backward_odds)
+    support_extrinsic(state, x.like_logit, x.llr)
     up, dn = state.bwd_pred[0], state.fwd_pred[0]
     expect = up * dn / (up * dn + (1.0 - up) * (1.0 - dn))
     assert np.allclose(state.support_ext[0, :, 0], expect, atol=1e-12)
@@ -524,9 +524,9 @@ def test_extrinsic_symmetric_everything_half():
     state.p10_a = state.p10_b = state.p01_a = state.p01_b = one(1.0)
     state.support_like = np.full((1, 5, 3), 0.5)
     x = step_inputs(state, cfg)
-    forward_pass(state, cfg, x.transitions, x.forward_odds)
-    backward_pass(state, cfg, x.transitions, x.backward_odds)
-    support_extrinsic(state, cfg, x.like_logit, x.llr)
+    forward_pass(state, x.transitions, x.forward_odds)
+    backward_pass(state, x.transitions, x.backward_odds)
+    support_extrinsic(state, x.like_logit, x.llr)
     assert np.allclose(state.support_ext, 0.5, atol=1e-12)
 
 
@@ -534,9 +534,9 @@ def test_extrinsic_three_subcarrier_direct_products():
     cfg = PriorConfig()
     state = frozen_chain_state(np.random.default_rng(21), 5, 3, cfg)
     x = step_inputs(state, cfg)
-    forward_pass(state, cfg, x.transitions, x.forward_odds)
-    backward_pass(state, cfg, x.transitions, x.backward_odds)
-    support_extrinsic(state, cfg, x.like_logit, x.llr)
+    forward_pass(state, x.transitions, x.forward_odds)
+    backward_pass(state, x.transitions, x.backward_odds)
+    support_extrinsic(state, x.like_logit, x.llr)
     (pi,) = state.support_like
     for n in range(5):
         for p in range(3):
@@ -743,9 +743,9 @@ def test_bg_full_posterior_matches_enumeration():
         loglike[n, 1] = sum(cn_logpdf(h[n, p], v[p] + 1.0) for p in range(P))
         loglike[n, 0] = sum(cn_logpdf(h[n, p], v[p]) for p in range(P))
     x = step_inputs(state, cfg)
-    forward_pass(state, cfg, x.transitions, x.forward_odds)
-    backward_pass(state, cfg, x.transitions, x.backward_odds)
-    support_extrinsic(state, cfg, x.like_logit, x.llr)
+    forward_pass(state, x.transitions, x.forward_odds)
+    backward_pass(state, x.transitions, x.backward_odds)
+    support_extrinsic(state, x.like_logit, x.llr)
     x = step_inputs(state, cfg, h[None], v[None, None])
     update_precision_beliefs(x.r2, v[None, None], state, cfg, x.like_logit, x.ext_logit,
                              x.s_large)
@@ -904,10 +904,10 @@ def test_denoise_equals_manual_schedule(variant):
         forward_odds, backward_odds = evidence_odds(llr)
         for _ in range(2):
             transitions = transition_log_expectations(ref, cfg)
-            forward_pass(ref, cfg, transitions, forward_odds)
-            backward_pass(ref, cfg, transitions, backward_odds)
-            update_transition_beliefs(ref, cfg, transitions, llr)
-        support_extrinsic(ref, cfg, like_logit, llr)
+            forward_pass(ref, transitions, forward_odds)
+            backward_pass(ref, transitions, backward_odds)
+            update_transition_beliefs(ref, transitions, llr)
+        support_extrinsic(ref, like_logit, llr)
         ext_logit = _logit(ref.support_ext)
         update_precision_beliefs(r2, v_steps, ref, cfg, like_logit, ext_logit, s_large)
         h_ref, v_ref = posterior_moments(h, v_steps, ref, cfg, r2, ext_logit)
@@ -1105,10 +1105,10 @@ def test_denoise_takes_the_active_digamma_once_per_set_of_beliefs(monkeypatch):
 
 @pytest.mark.parametrize("name, params", [
     ("support_likelihood", ("r2", "v_pri", "state", "cfg")),
-    ("forward_pass", ("state", "cfg", "transitions", "odds")),
-    ("backward_pass", ("state", "cfg", "transitions", "odds")),
-    ("update_transition_beliefs", ("state", "cfg", "transitions", "llr")),
-    ("support_extrinsic", ("state", "cfg", "like_logit", "llr")),
+    ("forward_pass", ("state", "transitions", "odds")),
+    ("backward_pass", ("state", "transitions", "odds")),
+    ("update_transition_beliefs", ("state", "transitions", "llr")),
+    ("support_extrinsic", ("state", "like_logit", "llr")),
     ("update_precision_beliefs",
      ("r2", "v_pri", "state", "cfg", "like_logit", "ext_logit", "s_large")),
     ("posterior_moments", ("h_pri", "v_pri", "state", "cfg", "r2", "ext_logit")),
