@@ -34,7 +34,9 @@ from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, ScalarPrior
 from .turbo import (
     AlgoConfig,
     MmseSampler,
+    NonFiniteStateError,
     SeUndefinedError,
+    _truth_energy,
     run_state_evolution,
     run_turbo,
     to_db,
@@ -56,6 +58,10 @@ _KEY_SE = 3
 
 class ConfigError(Exception):
     pass
+
+
+class SweepError(Exception):
+    """A turbo run of the sweep failed; the message names where."""
 
 
 def _parse_str(text, key):
@@ -246,9 +252,10 @@ def _load_channel_checked(cfg):
         channel = load_channel(path)
     except ValueError as err:
         raise ConfigError(f"channel_file: {err}") from None
-    if not np.any(channel.gains):
-        raise ConfigError(f"channel_file: {path} holds an all-zero channel, whose NMSE "
-                          "is undefined")
+    try:
+        _truth_energy(channel.gains)
+    except ValueError as err:
+        raise ConfigError(f"channel_file: {path}: {err}") from None
     if channel.N != cfg.N or channel.P != cfg.P:
         raise ConfigError(
             f"channel file has N={channel.N}, P={channel.P}; "
@@ -344,7 +351,8 @@ def run_sweep(cfg):
 
     The SNR points of one (trial, pilot length, algorithm) share the
     channel and the pilots, so they run as the members of one batched
-    `run_turbo` call.
+    `run_turbo` call.  A `NonFiniteStateError` of that call becomes a
+    `SweepError` that names the algorithm, the SNR, the trial and M.
     """
     iter_rows = []
     finals = {}  # (algo, snr, m) -> [linear nmse per trial]
@@ -366,7 +374,12 @@ def run_sweep(cfg):
             ]
             for algo in cfg.algos:
                 # every SNR point as one member of one batched run
-                _, traces = run_turbo(meas, pilots, algo_cfgs[algo], [truth] * len(meas))
+                try:
+                    _, traces = run_turbo(meas, pilots, algo_cfgs[algo], [truth] * len(meas))
+                except NonFiniteStateError as err:
+                    snr = snrs[min(err.failed)]
+                    raise SweepError(f"{algo} at snr={_fmt(snr)} dB, trial {trial}, M={m}: "
+                                     f"{err}") from None
                 for snr, trace in zip(snrs, traces):
                     if m == primary_m:
                         for it, val in enumerate(trace.nmse, 1):
@@ -447,6 +460,9 @@ def run(cfg):
     except SeUndefinedError as err:
         print(f"error: state evolution undefined at iteration {err.iteration}: {err}",
               file=sys.stderr)
+        return 1
+    except SweepError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -344,7 +344,7 @@ def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, lo, hi):
     q = (x stay + enter) / (x leave + stay_out).  The start value and both of
     these are clamped to the odds bounds [lo, hi], which also absorb e = inf
     or 0.  Returns the predicted odds only, as a list in visit order;
-    `_sweep_messages` computes the filtered odds from them in one array
+    `_chain_messages` computes the filtered odds from them in one array
     pass.
     """
     q = min(max(q, lo), hi)
@@ -370,63 +370,49 @@ def _odds_bounds():
     return PROB_FLOOR / (1.0 - PROB_FLOOR), (1.0 - PROB_FLOOR) / PROB_FLOOR
 
 
-def _sweep_messages(pred, e, lo, hi):
-    """Predicted and filtered odds as probabilities, in visit order.
+def _chain_messages(transitions, odds, backward):
+    """Predicted and filtered messages of one sweep, as (B, N) probabilities
+    in visit order, one row per member.
 
-    pred holds one list of predicted odds per member, e the (B, N) evidence
-    odds.  The filtered odds are clip(pred e, lo, hi) in one array pass: the
-    same IEEE product and clamp as the sweep's loop, so the same bits (an
-    overflow to inf is clamped to hi).
+    transitions are the log weights of `transition_log_expectations`, odds
+    one direction's pair (array, lists) of `evidence_odds`.  Each member's
+    `_odds_sweep` runs on the linear weights math.exp(log weight) from the
+    first element's odds turn_on / stay_quiet, clamped like every other
+    message, or, backward, from 1 with the entering and leaving weights
+    swapped.  The filtered odds are clip(pred e, lo, hi) in one array pass:
+    the same IEEE product and clamp as the sweep's loop, so the same bits
+    (an overflow to inf is clamped to hi).
     """
+    e, e_lists = odds
+    lo, hi = _odds_bounds()
+    pred = []
+    for logs, e_list in zip(transitions, e_lists):
+        stay_active, turn_on, stay_quiet, turn_off = [math.exp(v) for v in logs]
+        if backward:
+            start, enter, leave = 1.0, turn_off, turn_on
+        else:
+            start, enter, leave = turn_on / stay_quiet, turn_on, turn_off
+        pred.append(_odds_sweep(start, e_list, stay_active, enter, leave, stay_quiet, lo, hi))
     pred = np.array(pred, dtype=float)
     with np.errstate(over="ignore"):
         filt = np.clip(pred * e, lo, hi)
     return pred / (1.0 + pred), filt / (1.0 + filt)
 
 
-def _member_rates(transitions):
-    """(stay_active, turn_on, stay_quiet, turn_off) of each member as linear
-    weights, from the log weights of `transition_log_expectations`."""
-    return [[math.exp(v) for v in logs] for logs in transitions]
-
-
 def forward_pass(state, transitions, odds):
-    """Forward sweep of the support chain (predict, then fold in evidence).
-
-    Runs on odds p / (1 - p) (see `_odds_sweep`) from the first element,
-    whose prediction has odds turn_on / stay_quiet, clamped like every other
-    message; the stored messages are probabilities, one row per member.
-    transitions are the log weights of `transition_log_expectations`, odds
-    the forward pair (array, lists) of `evidence_odds`.  The sweep loops
-    over the members.
-    """
-    e, e_lists = odds
-    lo, hi = _odds_bounds()
-    pred = [
-        _odds_sweep(turn_on / stay_quiet, e_list, stay_active, turn_on, turn_off, stay_quiet,
-                    lo, hi)
-        for (stay_active, turn_on, stay_quiet, turn_off), e_list
-        in zip(_member_rates(transitions), e_lists)
-    ]
-    state.fwd_pred, state.fwd_filt = _sweep_messages(pred, e, lo, hi)
+    """Forward sweep of the support chain (predict, then fold in evidence)
+    on the forward odds, from the first element (`_chain_messages`)."""
+    state.fwd_pred, state.fwd_filt = _chain_messages(transitions, odds, backward=False)
 
 
 def backward_pass(state, transitions, odds):
-    """Backward sweep; the terminal message is uninformative (1/2).
+    """Backward sweep on the backward odds, exp(llr[b, ::-1]), from the last
+    element down; the terminal message is uninformative (1/2).
 
-    Runs like `forward_pass` from the last element down, on the backward
-    pair of `evidence_odds`, exp(llr[b, ::-1]).  The messages are stored as
-    contiguous arrays in element order, not as reversed views, whose later
-    `np.log` would round differently.
+    The messages are stored as contiguous arrays in element order, not as
+    reversed views, whose later `np.log` would round differently.
     """
-    e, e_lists = odds
-    lo, hi = _odds_bounds()
-    pred = [
-        _odds_sweep(1.0, e_list, stay_active, turn_off, turn_on, stay_quiet, lo, hi)
-        for (stay_active, turn_on, stay_quiet, turn_off), e_list
-        in zip(_member_rates(transitions), e_lists)
-    ]
-    pred, filt = _sweep_messages(pred, e, lo, hi)
+    pred, filt = _chain_messages(transitions, odds, backward=True)
     state.bwd_pred, state.bwd_filt = pred[:, ::-1].copy(), filt[:, ::-1].copy()
 
 

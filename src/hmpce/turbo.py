@@ -99,10 +99,14 @@ def _energy(x):
 
 
 def _truth_energy(truth):
-    """||truth||^2, the NMSE denominator; ValueError when it is 0."""
-    den = _energy(truth)
+    """||truth||^2, the NMSE denominator; ValueError when it is 0 or not
+    finite (an overflow of the squares raises no RuntimeWarning)."""
+    with np.errstate(over="ignore"):
+        den = _energy(truth)
     if den == 0.0:
         raise ValueError("NMSE undefined for an all-zero truth")
+    if not den < math.inf:
+        raise ValueError("NMSE undefined for a truth whose energy is not finite")
     return den
 
 

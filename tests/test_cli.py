@@ -427,18 +427,38 @@ def test_channel_file_run_and_dimension_check(tmp_path, capsys):
     assert "channel file has N=32" in capsys.readouterr().err
 
 
-def test_all_zero_channel_file_is_bad_input(tmp_path, capsys):
-    # an all-zero channel has no NMSE: it is bad input, reported before the
-    # turbo loop's truth-energy check can raise
-    path = str(tmp_path / "zero.haf")
-    save_channel(path, ChannelRealization(np.zeros((32, 2), dtype=complex), None))
+@pytest.mark.parametrize("scale, reason", [
+    (0.0, "NMSE undefined for an all-zero truth"),
+    (1e160, "NMSE undefined for a truth whose energy is not finite"),
+], ids=["zero", "overflow"])
+def test_all_zero_channel_file_is_bad_input(tmp_path, capsys, scale, reason):
+    # an all-zero channel, or one whose energy overflows, has no NMSE: it is
+    # bad input, reported before the measurements are synthesized and before
+    # the turbo loop's truth-energy check can raise
+    rng = np.random.default_rng(3)
+    gains = scale * (rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2)))
+    path = str(tmp_path / "bad.haf")
+    save_channel(path, ChannelRealization(gains, None))
     out = tmp_path / "o"
     rc = run_cli(*small_args(str(out), algos="hmp-bg", **{"channel-file": path}))
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == f"error: channel_file: {path} holds an all-zero channel, whose NMSE " \
-                  "is undefined\n"
+    assert err == f"error: channel_file: {path}: {reason}\n"
     assert not out.exists()
+
+
+def test_non_finite_turbo_state_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a member whose turbo state goes non-finite ends the run with one line
+    # that names the algorithm and the iteration, not a traceback
+    def non_finite(measurements, pilots, algo_cfg, truth=None):
+        traces = [turbo.TurboTrace() for _ in measurements]
+        raise turbo.NonFiniteStateError({0: 3}, [None] * len(measurements), traces)
+
+    monkeypatch.setattr(cli, "run_turbo", non_finite)
+    rc = run_cli(*small_args(str(tmp_path / "o"), algos="hmp-bg", snr="10"))
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: hmp-bg at snr=10 dB, trial 1, M=13: non-finite turbo state at iteration 3\n"
 
 
 def test_pilot_sweep_rows(tmp_path):

@@ -78,9 +78,14 @@ def test_nmse_trivial_values():
     assert nmse(2.0 * truth, truth) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_nmse_zero_truth_error():
-    with pytest.raises(ValueError, match="all-zero truth"):
-        nmse(np.ones((2, 2)), np.zeros((2, 2)))
+@pytest.mark.parametrize("truth, match", [
+    (np.zeros((2, 2)), "all-zero truth"),
+    # ||truth||^2 overflows to inf, with no RuntimeWarning
+    (np.full((2, 2), 1e160 + 0j), "energy is not finite"),
+], ids=["zero", "overflow"])
+def test_nmse_zero_truth_error(truth, match):
+    with pytest.raises(ValueError, match=match):
+        nmse(np.ones((2, 2)), truth)
 
 
 def test_to_db():
