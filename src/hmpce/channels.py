@@ -19,9 +19,6 @@ each member's block as it maps alone.
 `PilotSet.stack` is the one way from such operators to a set.
 `PilotMatrix.matrix` is the dense reference that tests, the acceptance gate
 and a demo build.
-
-The module runs on numpy alone.  Only `PilotMatrix.matrix` imports
-`scipy.linalg`, on first use.
 """
 
 import math
@@ -135,14 +132,14 @@ class PilotMatrix:
     def matrix(self):
         """Dense M x N matrix (built on demand; the hot path is matrix-free).
 
-        scipy is imported only here, when the matrix is first built.
+        The DFT matrix is built as `scipy.linalg.dft` builds it, powers of
+        the column of roots of unity, so the two agree bit for bit.
         """
         if self._matrix is None:
-            from scipy.linalg import dft
-
             theta = np.zeros((self.N, self.N), dtype=np.complex128)
             theta[np.arange(self.N), self.perm] = self.phases
-            F = dft(self.N) / np.sqrt(self.N)
+            roots = np.exp(-2j * np.pi * np.arange(self.N) / self.N).reshape(-1, 1)
+            F = roots ** np.arange(self.N) / np.sqrt(self.N)
             self._matrix = (F @ theta)[self.rows]
         return self._matrix
 

@@ -15,8 +15,8 @@ Supported variable kinds: "discrete" (`DiscreteMsg`), and from `messages`,
 The Gamma and Beta variables sit on mf edges, anchored by a `PriorFactor` of
 their family; a graph that breaks these rules fails as it is built.
 Expectations are evaluated in closed form per family (`messages`' expected
-logs, and `messages.digamma_exact`, which imports scipy on its first call);
-there is no generic quadrature.  Sweeps are synchronous (`FactorGraph.sweep`).
+logs and its exact digamma); there is no generic quadrature.  Sweeps are
+synchronous (`FactorGraph.sweep`).
 
 It is the subject of `demos/demo_hybrid_rule.py` and acceptance criterion
 3; no estimator path calls it, and `import hmpce` does not load it.

@@ -9,8 +9,8 @@ beliefs by the usual pseudo-counts.  The digamma approximation
 ln(x) - 1/(2x) is the default everywhere an expected logarithm of a
 Gamma/Beta variable is needed; the exact digamma is available behind a
 flag.  It is the package's one exact digamma (the factor-graph engine calls
-it too), and it imports `scipy.special` on its first call, so the default
-path needs numpy only.  The expected logarithms take raw parameters.
+it too), computed in numpy by a recurrence and an asymptotic series.  The
+expected logarithms take raw parameters.
 Discrete messages live in `factorgraph`; the Gaussian extrinsic division
 is `lmmse.extrinsic_split`.
 """
@@ -64,19 +64,32 @@ def digamma_approx(x):
     return out if out.ndim else float(out)
 
 
+# psi(x) = psi(x + 10) - sum_{k < 10} 1/(x + k), and at y = x + 10 the
+# asymptotic series psi(y) = ln y - 1/(2y) - sum_k B_2k / (2k y^2k) through
+# y^-14 is exact to double precision; its coefficients -B_2k / (2k), k = 7..1.
+_PSI_SHIFT = 10
+_PSI_SERIES = (-1.0 / 12.0, 691.0 / 32760.0, -1.0 / 132.0, 1.0 / 240.0,
+               -1.0 / 252.0, 1.0 / 120.0, -1.0 / 12.0)
+
+
 def digamma_exact(x):
     """Exact digamma, same domain contract as digamma_approx.
 
-    scipy is imported on the first call, so the default path loads numpy
-    only.
+    Its relative error is below 1e-13, except near the root at 1.4616,
+    where its absolute error is below 1e-15.  NaN gives NaN and +inf gives
+    inf; below about 5.6e-309, where psi(x) ~ -1/x overflows, it gives -inf
+    without a warning.
     """
-    from scipy.special import digamma
-
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("digamma_exact requires x > 0")
-    out = digamma(x)
-    return out if np.ndim(out) else float(out)
+    with np.errstate(over="ignore"):
+        shift = sum(1.0 / (x + k) for k in range(_PSI_SHIFT))
+    y = x + _PSI_SHIFT
+    z = 1.0 / y
+    z2 = z * z
+    out = np.log(y) - 0.5 * z + np.polyval(_PSI_SERIES, z2) * z2 - shift
+    return out if out.ndim else float(out)
 
 
 def digamma_fn(exact=False):

@@ -111,7 +111,9 @@ def _truth_energy(truth):
 
 
 def nmse(estimate, truth):
-    """||estimate - truth||^2 / ||truth||^2 (Frobenius)."""
+    """||estimate - truth||^2 / ||truth||^2 (Frobenius), for equal shapes."""
+    if np.shape(estimate) != np.shape(truth):
+        raise ValueError(f"estimate is {np.shape(estimate)}, truth is {np.shape(truth)}")
     den = _truth_energy(truth)
     return _energy(estimate - truth) / den
 

@@ -22,13 +22,14 @@ def test_psi_hat_values():
 
 
 def test_psi_hat_domain():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, -math.inf):
         with pytest.raises(ValueError):
             digamma_approx(bad)
         with pytest.raises(ValueError):
             digamma_exact(bad)
-    with pytest.raises(ValueError):
-        digamma_approx(np.array([1.0, 0.0]))
+    for psi in (digamma_approx, digamma_exact):
+        with pytest.raises(ValueError):
+            psi(np.array([1.0, 0.0]))
 
 
 def test_psi_hat_approaches_digamma():
@@ -189,8 +190,9 @@ def test_gamma_expected_log_values():
     assert gamma_log_mean(2.0, 4.0) == pytest.approx(
         math.log(2.0) - 0.25 - math.log(4.0), abs=1e-15
     )
+    # the numpy digamma is within a few ulp of scipy's, not bit-equal to it
     exact = gamma_log_mean(2.5, 2.0, exact=True)
-    assert exact == float(digamma(2.5)) - math.log(2.0)
+    assert exact == pytest.approx(float(digamma(2.5)) - math.log(2.0), abs=1e-15)
     with pytest.raises(ValueError):
         gamma_log_mean(0.0, 1.0)
 

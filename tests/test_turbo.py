@@ -82,7 +82,9 @@ def test_nmse_trivial_values():
     (np.zeros((2, 2)), "all-zero truth"),
     # ||truth||^2 overflows to inf, with no RuntimeWarning
     (np.full((2, 2), 1e160 + 0j), "energy is not finite"),
-], ids=["zero", "overflow"])
+    # a (2, 1) truth would broadcast against the (2, 2) estimate
+    (np.ones((2, 1)), "estimate is"),
+], ids=["zero", "overflow", "shape"])
 def test_nmse_zero_truth_error(truth, match):
     with pytest.raises(ValueError, match=match):
         nmse(np.ones((2, 2)), truth)
@@ -242,7 +244,8 @@ def test_run_turbo_nmse_trace_equals_nmse_of_each_estimate(monkeypatch, variant)
     meas, pilots, truth = make_sim(64, 26, 4, 20.0, seed=14)
     _, trace = run_turbo(meas, pilots, algo(variant, max_iters=6, early_stop=False), truth)
     assert len(estimates) == trace.iterations == 6
-    assert trace.nmse == [nmse(h, truth) for h in estimates]
+    # each estimate is the (1, N, P) batch of this one run
+    assert trace.nmse == [nmse(h[0], truth) for h in estimates]
 
 
 def _lmmse_must_not_run(*args):
