@@ -19,11 +19,15 @@ fields (B, N, P), its per-subcarrier fields (B, 1, P), its chain fields
 (B, N) and its Beta counts (B,).  Member b's block [b] of each array is
 C-contiguous, with the memory layout of a one-member pass, so each member's
 output is bit for bit that pass's: numpy sums each block as it sums the
-block alone.  The scalar sweeps and the first element's belief loop over
-the members, and the backward odds are taken row by row, as exp rounds a
-2-D reversed view differently.  `denoise` takes (B, P) prior variances and
-hands the steps the same values on the means' axes, v_pri of shape
-(B, 1, P).  `select_members` drops members from a state.
+block alone.  The first element's belief loops over the members, and the
+backward odds are taken row by row, as exp rounds a 2-D reversed view
+differently.  The chain sweeps loop over the members in scalar Python on
+short chains; a direction of at least LANE_MIN_ELEMENTS chain elements
+(B N) runs in lanes of LANE elements, one numpy step for every lane of
+every member, with the scalar loop's bits (`_lane_sweeps`).  `denoise`
+takes (B, P) prior variances and hands the steps the same values on the
+means' axes, v_pri of shape (B, 1, P).  `select_members` drops members
+from a state.
 
 Three prior variants share the schedule: per-element active-precision
 learning ("tsgm-lvd"), subcarrier-pooled active-precision learning
@@ -33,7 +37,7 @@ component is an exact spike at zero.
 All probabilities are clamped to [floor, 1 - floor], floor = PROB_FLOOR, a
 module constant that the steps read at call time.  The chain sweeps run on
 odds p / (1 - p), clamped to the equivalent interval
-[floor / (1 - floor), (1 - floor) / floor]: the scalar loop keeps only the
+[floor / (1 - floor), (1 - floor) / floor]: the sweeps keep only the
 predicted odds, the filtered odds follow from them in one array pass, and
 both are stored as probabilities.  The other steps combine probabilities in
 the log-odds domain and map back with clamp(sigmoid(.)).  `_probability`
@@ -318,21 +322,24 @@ def evidence_odds(llr):
 
     llr is (B, N).  Returns (forward, backward): the forward odds exp(llr)
     and the backward odds exp(llr[b, ::-1]) of each member b, each as a pair
-    ((B, N) array, one list of floats per member), the lists for the
-    sweeps' scalar loops.  The backward odds are exp of the reversed LLR,
-    not the reversed forward odds, and are taken row by row: numpy's exp
-    rounds a negative-stride view differently from a contiguous array, and
-    a 2-D reversed view differently again, and the sweeps keep the bits of
-    one member's 1-D exp.  inf and 0 from overflow and underflow are left to
-    the sweep's clamp.  `denoise` computes them once per pass for both chain
-    rounds.
+    (odds, sweep input) of the (B, N) array and what the sweeps step
+    through: the odds in the (LANE, B, K) layout of `_lane_sweeps` when the
+    direction has at least LANE_MIN_ELEMENTS chain elements (B N), one list
+    of floats per member for the scalar loops otherwise.  The backward odds
+    are exp of the reversed LLR, not the reversed forward odds, and are taken
+    row by row: numpy's exp rounds a negative-stride view differently from a
+    contiguous array, and a 2-D reversed view differently again, and the
+    sweeps keep the bits of one member's 1-D exp.  inf and 0 from overflow
+    and underflow are left to the sweep's clamp.  `denoise` computes them
+    once per pass for both chain rounds.
     """
     e_rev = np.empty_like(llr)
     with np.errstate(over="ignore", under="ignore"):
         e = np.exp(llr)
         for row, out in zip(llr, e_rev):
             np.exp(row[::-1], out=out)
-    return (e, e.tolist()), (e_rev, e_rev.tolist())
+    layout = _lane_layout if llr.size >= LANE_MIN_ELEMENTS else np.ndarray.tolist
+    return (e, layout(e)), (e_rev, layout(e_rev))
 
 
 def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, lo, hi):
@@ -365,9 +372,117 @@ def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, lo, hi):
     return pred
 
 
+# The lane path of the sweeps: lanes of LANE elements, at most LANE_ROUNDS
+# fix-up rounds, for directions of at least LANE_MIN_ELEMENTS chain elements
+# (B N): on fewer, the numpy calls of a lane pass cost more than the loop
+LANE = 8
+LANE_ROUNDS = 3
+LANE_MIN_ELEMENTS = 1024
+
+
+def _lane_layout(e):
+    """The (B, N) odds e as (LANE, B, K) lanes, K = ceil(N / LANE): entry
+    [j, b, k] is e[b, k LANE + j], and the last lane is padded with ones."""
+    B, N = e.shape
+    K = -(-N // LANE)
+    padded = np.ones((B, K * LANE))
+    padded[:, :N] = e
+    return np.ascontiguousarray(padded.reshape(B, K, LANE).transpose(2, 0, 1))
+
+
+def _lane_steps(q, lanes, pred, coef, lo, hi, check):
+    """Run every lane through its LANE elements from the odds q, (B, K),
+    the way `_odds_sweep` steps, writing the odds into element j to pred[j]
+    and, at the end, the odds out of the lane to pred[LANE].  q is
+    overwritten.
+
+    With check, pred holds a recorded run, and the pass stops as soon as
+    every lane's odds equal the recorded ones bit for bit (compared as
+    bytes, so that NaN equals itself): from there on each lane repeats its
+    record.
+    """
+    stay, enter, leave, stay_out = coef
+    x, y = np.empty_like(q), np.empty_like(q)
+    for j, e in enumerate(lanes):
+        pred[j] = q
+        np.multiply(q, e, out=x)
+        np.maximum(x, lo, out=x)
+        np.minimum(x, hi, out=x)
+        np.multiply(x, leave, out=y)
+        y += stay_out
+        np.multiply(x, stay, out=q)
+        q += enter
+        q /= y
+        np.maximum(q, lo, out=q)
+        np.minimum(q, hi, out=q)
+        if check and q.tobytes() == pred[j + 1].tobytes():
+            return
+    pred[-1] = q
+
+
+def _lane_sweeps(members, lanes, e, lo, hi):
+    """The predicted odds of `_odds_sweep` for every member at once, (B, N),
+    bit for bit.
+
+    members holds one (start, stay, enter, leave, stay_out) per member,
+    lanes the odds e (B, N) in the layout of `_lane_layout`.  Each member's
+    chain is cut into K lanes of LANE elements, and one numpy step advances
+    every lane of every member, with the IEEE products, sums, quotient and
+    clamps of `_odds_sweep`, so that a lane run from the right start gives
+    that loop's values.  The first lane of each chain starts from its true
+    start, every other lane from odds 1.  A lane is confirmed when it
+    starts where its predecessor ends, bit for bit (compared as int64, so
+    that NaN equals itself); once every lane is, all are exact, as the
+    first lanes are.  Each fix-up round re-runs every lane from its
+    predecessor's end, until every lane meets its record (`_lane_steps`; a
+    confirmed lane only repeats it).  After LANE_ROUNDS rounds, or after any
+    round that leaves most lanes unconfirmed, `_odds_sweep` finishes each
+    chain from its first unconfirmed lane, whose start is exact.
+    """
+    L, B, K = lanes.shape
+    start, *coef = (np.array(c)[:, None] for c in zip(*members))
+    pred = np.empty((L + 1, B, K))
+    q = np.ones((B, K))
+    q[:, :1] = np.minimum(np.maximum(start, lo), hi)
+    with np.errstate(over="ignore"):
+        _lane_steps(q, lanes, pred, coef, lo, hi, check=False)
+        for fixups in range(LANE_ROUNDS + 1):
+            # each lane's start: the true one for the first lanes, the end
+            # of its predecessor for the others
+            q = np.concatenate((pred[0, :, :1], pred[L, :, :-1]), axis=1)
+            unconfirmed = q.view(np.int64) != pred[0].view(np.int64)
+            count = np.count_nonzero(unconfirmed)
+            if not count or fixups == LANE_ROUNDS or (fixups and 2 * count > unconfirmed.size):
+                break
+            _lane_steps(q, lanes, pred, coef, lo, hi, check=True)
+    out = np.ascontiguousarray(pred[:L].transpose(1, 2, 0).reshape(B, K * L)[:, :e.shape[1]])
+    if count:
+        for b in np.flatnonzero(unconfirmed.any(axis=1)):
+            k = int(unconfirmed[b].argmax())
+            out[b, k * L:] = _odds_sweep(
+                float(pred[L, b, k - 1]), e[b, k * L:].tolist(), *members[b][1:], lo, hi)
+    return out
+
+
 def _odds_bounds():
     """The odds of [PROB_FLOOR, 1 - PROB_FLOOR]."""
     return PROB_FLOOR / (1.0 - PROB_FLOOR), (1.0 - PROB_FLOOR) / PROB_FLOOR
+
+
+def _sweep_members(transitions, backward):
+    """One (start, stay, enter, leave, stay_out) per member for the sweeps of
+    `_odds_sweep` and `_lane_sweeps`: the linear weights math.exp(log
+    weight) of `transition_log_expectations`, from the first element's odds
+    turn_on / stay_quiet, or, backward, from 1 with the entering and leaving
+    weights swapped."""
+    members = []
+    for logs in transitions:
+        stay_active, turn_on, stay_quiet, turn_off = [math.exp(v) for v in logs]
+        if backward:
+            members.append((1.0, stay_active, turn_off, turn_on, stay_quiet))
+        else:
+            members.append((turn_on / stay_quiet, stay_active, turn_on, turn_off, stay_quiet))
+    return members
 
 
 def _chain_messages(transitions, odds, backward):
@@ -375,25 +490,22 @@ def _chain_messages(transitions, odds, backward):
     in visit order, one row per member.
 
     transitions are the log weights of `transition_log_expectations`, odds
-    one direction's pair (array, lists) of `evidence_odds`.  Each member's
-    `_odds_sweep` runs on the linear weights math.exp(log weight) from the
-    first element's odds turn_on / stay_quiet, clamped like every other
-    message, or, backward, from 1 with the entering and leaving weights
-    swapped.  The filtered odds are clip(pred e, lo, hi) in one array pass:
-    the same IEEE product and clamp as the sweep's loop, so the same bits
-    (an overflow to inf is clamped to hi).
+    one direction's pair of `evidence_odds`.  The members' chains run from
+    the starts and on the weights of `_sweep_members`: through
+    `_lane_sweeps` when `evidence_odds` laid the odds out in lanes, through
+    one `_odds_sweep` per member otherwise, with the same bits either way.
+    The filtered odds are clip(pred e, lo, hi) in one array pass: the same
+    IEEE product and clamp as the sweep's loop, so the same bits (an
+    overflow to inf is clamped to hi).
     """
-    e, e_lists = odds
+    e, sweep_odds = odds
     lo, hi = _odds_bounds()
-    pred = []
-    for logs, e_list in zip(transitions, e_lists):
-        stay_active, turn_on, stay_quiet, turn_off = [math.exp(v) for v in logs]
-        if backward:
-            start, enter, leave = 1.0, turn_off, turn_on
-        else:
-            start, enter, leave = turn_on / stay_quiet, turn_on, turn_off
-        pred.append(_odds_sweep(start, e_list, stay_active, enter, leave, stay_quiet, lo, hi))
-    pred = np.array(pred, dtype=float)
+    members = _sweep_members(transitions, backward)
+    if isinstance(sweep_odds, np.ndarray):
+        pred = _lane_sweeps(members, sweep_odds, e, lo, hi)
+    else:
+        pred = np.array([_odds_sweep(m[0], e_list, *m[1:], lo, hi)
+                         for m, e_list in zip(members, sweep_odds)], dtype=float)
     with np.errstate(over="ignore"):
         filt = np.clip(pred * e, lo, hi)
     return pred / (1.0 + pred), filt / (1.0 + filt)

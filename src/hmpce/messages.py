@@ -55,12 +55,15 @@ class BetaBelief:
 def digamma_approx(x):
     """ln(x) - 1/(2x), the asymptotic digamma approximation.
 
-    Only defined for x > 0.  Accepts scalars or arrays.
+    Only defined for x > 0.  Accepts scalars or arrays.  NaN gives NaN and
+    +inf gives inf; below about 2.8e-309, where 1/(2x) overflows, it gives
+    -inf without a warning, as `digamma_exact` does.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("digamma_approx requires x > 0")
-    out = np.log(x) - 0.5 / x
+    with np.errstate(over="ignore"):
+        out = np.log(x) - 0.5 / x
     return out if out.ndim else float(out)
 
 

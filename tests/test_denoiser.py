@@ -373,23 +373,36 @@ def _chain_round_case(rng, N, kind, cfg):
     return state
 
 
+def _stack_members(states):
+    """One state whose members are those of `states`, in order."""
+    stacked = DenoiserState()
+    for name, value in vars(states[0]).items():
+        if isinstance(value, np.ndarray):
+            setattr(stacked, name, np.concatenate([getattr(s, name) for s in states]))
+    return stacked
+
+
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
 @pytest.mark.parametrize("floor", [1e-12, 1e-3])
-@pytest.mark.parametrize("N", [1, 2, 3, 2048])
+@pytest.mark.parametrize("N, members", [(1, 1), (2, 1), (3, 1), (2048, 1), (2048, 2)],
+                         ids=["1", "2", "3", "2048", "2048x2"])
 @pytest.mark.parametrize("kind", ["random", "clamp", "saturate", "quiet", "active"])
 def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(
-        variant, floor, N, kind, monkeypatch):
+        variant, floor, N, members, kind, monkeypatch):
     # two chain rounds as `denoise` runs them, against the earlier package
     # form: odds sweeps that keep both lists, pair beliefs from a stacked
-    # (N-1, 4) array
+    # (N-1, 4) array.  At N = 2048 the chains take the lane path, with one
+    # member and with two at once, each member against the earlier form on
+    # that member alone
     monkeypatch.setattr(denoiser, "PROB_FLOOR", floor)
     cfg = PriorConfig(variant=variant)
     rng = np.random.default_rng([N, len(kind), int(-math.log10(floor))])
-    state = _chain_round_case(rng, N, kind, cfg)
-    ref = copy.deepcopy(state)
+    refs = [_chain_round_case(rng, N, kind, cfg) for _ in range(members)]
+    state = _stack_members(refs)
     evidence = pooled_evidence(state)
     llr = evidence[1]
     forward_odds, backward_odds = evidence_odds(llr)
+    ref_evidence = [pooled_evidence(ref) for ref in refs]
     if kind == "saturate":
         assert np.abs(llr).max() > 745.0
     for _ in range(2):
@@ -397,19 +410,175 @@ def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(
         forward_pass(state, transitions, forward_odds)
         backward_pass(state, transitions, backward_odds)
         update_transition_beliefs(state, transitions, llr)
-        transitions = transition_log_expectations(ref, cfg)
-        forward_pass_two_lists(ref, cfg, evidence=evidence, transitions=transitions)
-        backward_pass_two_lists(ref, cfg, evidence=evidence, transitions=transitions)
-        update_transition_beliefs_stacked(ref, cfg, evidence=evidence, transitions=transitions)
-        for name in CHAIN_FIELDS:
-            np.testing.assert_array_equal(getattr(state, name), getattr(ref, name), err_msg=name)
+        for b, (ref, evidence) in enumerate(zip(refs, ref_evidence)):
+            transitions = transition_log_expectations(ref, cfg)
+            forward_pass_two_lists(ref, cfg, evidence=evidence, transitions=transitions)
+            backward_pass_two_lists(ref, cfg, evidence=evidence, transitions=transitions)
+            update_transition_beliefs_stacked(ref, cfg, evidence=evidence, transitions=transitions)
+            for name in CHAIN_FIELDS:
+                np.testing.assert_array_equal(getattr(state, name)[b], getattr(ref, name)[0],
+                                              err_msg=name)
         for name in ("fwd_pred", "fwd_filt", "bwd_pred", "bwd_filt", "pair_belief"):
             assert getattr(state, name).flags.c_contiguous, name
-        assert state.pair_belief.shape == (1, 4, N - 1)
+        assert state.pair_belief.shape == (len(refs), 4, N - 1)
     if kind == "clamp" and N > 3:
         odds_lo = floor / (1.0 - floor)
         pinned = np.concatenate([state.fwd_pred, state.fwd_filt, state.bwd_filt])
         assert np.any(pinned == odds_lo / (1.0 + odds_lo))
+
+
+# ---------------------------------------------------------------------------
+# the lane path of the chain sweeps
+
+
+def _lane_members(rng, B, backward, p10=((0.5, 30.0),) * 2, p01=((0.5, 30.0),) * 2):
+    """`_sweep_members` of B members, each with its own Beta beliefs: the
+    pseudo-counts a and b of p10 and of p01 drawn from the given ranges."""
+    state = init_state(1, 1, PriorConfig(), B)
+    state.p10_a, state.p10_b = (rng.uniform(*bounds, B) for bounds in p10)
+    state.p01_a, state.p01_b = (rng.uniform(*bounds, B) for bounds in p01)
+    transitions = transition_log_expectations(state, PriorConfig())
+    return denoiser._sweep_members(transitions, backward)
+
+
+def _lanes_against_scalar_loop(members, e, monkeypatch):
+    """The lane path's predicted odds, asserted equal bit for bit to one
+    `_odds_sweep` per member (NaN payloads included), and the length of
+    each chain that the lane path finished with `_odds_sweep`."""
+    lo, hi = denoiser._odds_bounds()
+    sweep = denoiser._odds_sweep
+    want = np.array([sweep(m[0], row, *m[1:], lo, hi)
+                     for m, row in zip(members, e.tolist())]).reshape(e.shape)
+    calls = []
+    monkeypatch.setattr(denoiser, "_odds_sweep",
+                        lambda *args: calls.append(len(args[1])) or sweep(*args))
+    got = denoiser._lane_sweeps(members, denoiser._lane_layout(e), e, lo, hi)
+    monkeypatch.setattr(denoiser, "_odds_sweep", sweep)
+    assert got.shape == e.shape and got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    return got, calls
+
+
+def _odds(llr):
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(llr)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 8, 9, 1023, 1024, 2048, 2049])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("scale", [1, 20, 400])
+def test_lane_sweeps_equal_the_scalar_loop_bit_for_bit(N, B, backward, scale, monkeypatch):
+    # llr ~ N(0, scale^2): slowly mixing at 1, mostly decisive at 20, and at
+    # 400 exp overflows to inf and underflows to 0
+    rng = np.random.default_rng([N, B, backward, scale])
+    members = _lane_members(rng, B, backward)
+    e = _odds(scale * rng.standard_normal((B, N)))
+    pred, _ = _lanes_against_scalar_loop(members, e, monkeypatch)
+    if scale == 400 and N >= 1023:
+        lo, hi = denoiser._odds_bounds()
+        with np.errstate(over="ignore"):
+            filt = np.clip(pred * e, lo, hi)
+        assert np.isinf(e).any() and (e == 0.0).any()
+        assert (filt == lo).any() and (filt == hi).any()
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_lane_sweeps_keep_the_bits_under_a_patched_floor(backward, monkeypatch):
+    # a floor of 1e-3 and sticky transitions, p10 about 1e-2 and p01 about
+    # 1e-4 for the first member and the other way round for the second,
+    # make the predicted odds' clamp bind at hi in the first member and at
+    # lo in the second
+    monkeypatch.setattr(denoiser, "PROB_FLOOR", 1e-3)
+    rng = np.random.default_rng([backward, 3])
+    often, rarely = ((0.02, 0.05), (2.0, 4.0)), ((0.02, 0.05), (200.0, 400.0))
+    members = (_lane_members(rng, 1, backward, p10=often, p01=rarely)
+               + _lane_members(rng, 1, backward, p10=rarely, p01=often))
+    e = _odds(20.0 * rng.standard_normal((2, 2048)))
+    pred, _ = _lanes_against_scalar_loop(members, e, monkeypatch)
+    lo, hi = denoiser._odds_bounds()
+    assert (pred[0] == hi).any() and (pred[1] == lo).any()
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_lane_sweeps_end_and_keep_the_bits_on_nan_evidence(B, monkeypatch):
+    # every message after a NaN is NaN, one more lane per fix-up round, so
+    # the round cap ends it; where NaN is the start of a chain's last lane,
+    # that lane is confirmed without the scalar loop only because the
+    # lanes compare bits (NaN != NaN)
+    rng = np.random.default_rng([B, 4])
+    members = _lane_members(rng, B, False)
+    e = _odds(20.0 * rng.standard_normal((B, 2048)))
+    e[0, 700] = math.nan
+    pred, calls = _lanes_against_scalar_loop(members, e, monkeypatch)
+    assert np.isnan(pred[0, 701:]).all() and not np.isnan(pred[0, :701]).any()
+    assert len(calls) == 1
+    e[0, 700] = 1.0
+    e[:, 2047 - denoiser.LANE] = math.nan
+    pred, calls = _lanes_against_scalar_loop(members, e, monkeypatch)
+    assert np.isnan(pred[:, 2048 - denoiser.LANE:]).all()
+    assert calls == []
+
+
+# slowly mixing evidence on the chain's own persistence (p10 about 0.05,
+# p01 about 0.2): no lane forgets its start within LANE elements
+SLOW_MIXING = {"llr ~ N(0, 1)": lambda rng: rng.standard_normal((1, 2048)),
+               "e = 1": lambda rng: np.zeros((1, 2048))}
+
+
+@pytest.mark.parametrize("kind", SLOW_MIXING)
+def test_lane_sweeps_finish_slowly_mixing_chains_with_the_scalar_loop(kind, monkeypatch):
+    rng = np.random.default_rng(5)
+    members = _lane_members(rng, 1, False, p10=((4.0, 6.0), (76.0, 80.0)),
+                            p01=((16.0, 18.0), (64.0, 66.0)))
+    llr = SLOW_MIXING[kind](rng)
+    _, calls = _lanes_against_scalar_loop(members, np.exp(llr), monkeypatch)
+    # from the third lane, after one fix-up round: the round confirms the
+    # second lane and leaves most others unconfirmed
+    assert calls == [2048 - 2 * denoiser.LANE]
+
+
+def _takes_lanes(llr):
+    """Whether both directions' sweeps over the (B, N) llr take the lane
+    path, that is, get their odds in a lane layout from `evidence_odds`."""
+    kinds = {type(sweep_odds) for _, sweep_odds in evidence_odds(llr)}
+    assert len(kinds) == 1
+    return kinds == {np.ndarray}
+
+
+def test_the_lane_path_starts_at_1024_chain_elements():
+    llr = np.random.default_rng(7).standard_normal((1, 2048))
+    assert _takes_lanes(llr)
+    assert _takes_lanes(llr[:, :1024])
+    assert _takes_lanes(llr.reshape(2, 1024)[:, :512])
+    # subcarrier-wide's one chain of 256 and cli-sweep's two take the loop
+    assert not _takes_lanes(llr[:, :1023])
+    assert not _takes_lanes(llr[:, :256])
+    assert not _takes_lanes(llr.reshape(8, 256)[:2])
+    # whatever the evidence: weak, constant or NaN
+    assert _takes_lanes(np.zeros((1, 1024)))
+    assert _takes_lanes(np.full((1, 1024), math.nan))
+
+
+def test_long_chains_run_the_scalar_loop_only_as_the_fallback(monkeypatch):
+    # at chain-long's N = 2048: a guard that the lane path is on where it
+    # should be, and that the slowly mixing fallback input finishes each
+    # direction with one scalar loop
+    calls = []
+    sweep = denoiser._odds_sweep
+    monkeypatch.setattr(denoiser, "_odds_sweep", lambda *args: calls.append(1) or sweep(*args))
+    rng = np.random.default_rng(6)
+    cfg = PriorConfig()
+    state = init_state(2048, 1, cfg)
+    state.p10_a, state.p10_b, state.p01_a, state.p01_b = one(4.0), one(80.0), one(16.0), one(64.0)
+    transitions = transition_log_expectations(state, cfg)
+    for scale, want in ((20.0, 0), (1.0, 2)):
+        calls.clear()
+        forward_odds, backward_odds = evidence_odds(scale * rng.standard_normal((1, 2048)))
+        assert isinstance(forward_odds[1], np.ndarray), scale
+        forward_pass(state, transitions, forward_odds)
+        backward_pass(state, transitions, backward_odds)
+        assert len(calls) == want, scale
 
 
 def test_symmetric_beta_gives_half_first_prediction():

@@ -23,7 +23,7 @@ import pytest
 
 import hmpce
 from hmpce.channels import make_pdft_rp
-from hmpce.messages import digamma_exact
+from hmpce.messages import digamma_approx, digamma_exact
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hmpce.__file__)))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -142,13 +142,16 @@ def test_digamma_edge_inputs():
     assert digamma_exact(math.inf) == math.inf
     assert type(digamma_exact(2.0)) is float
     assert digamma_exact(1.0) == pytest.approx(-0.5772156649015329, abs=1e-15)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # psi(x) ~ -1/x overflows for a subnormal x; ln(x) at 1e308
-        got = digamma_exact(np.array([5e-324, 1e-310, 1e308, math.nan]))
-    assert got[0] == got[1] == -math.inf
-    assert got[2] == pytest.approx(math.log(1e308), rel=1e-15)
-    assert math.isnan(got[3])
+    assert math.isnan(digamma_approx(math.nan))
+    assert digamma_approx(math.inf) == math.inf
+    for psi in (digamma_exact, digamma_approx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # psi(x) ~ -1/x overflows for a subnormal x; ln(x) at 1e308
+            got = psi(np.array([5e-324, 1e-310, 1e308, math.nan]))
+        assert got[0] == got[1] == -math.inf, psi.__name__
+        assert got[2] == pytest.approx(math.log(1e308), rel=1e-15), psi.__name__
+        assert math.isnan(got[3]), psi.__name__
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 16, 64, 256])
