@@ -79,19 +79,7 @@ def extrinsic_split(h_post, v_post, h_pri, v_pri):
     clamped = ~(inv > 1.0 / _EXT_VAR_CAP)
     v_ext = np.where(clamped, _EXT_VAR_CAP, 1.0 / np.where(clamped, 1.0, inv))
     h_ext = h_post * (v_ext / v_post)[..., None, :] - h_pri * (v_ext / v_pri)[..., None, :]
-    kept = ~clamped
-    checked = kept.any(axis=-1)
-    if checked.all():
-        err = _roundtrip_error((h_post, v_post), (h_pri, v_pri), (h_ext, v_ext), kept)
-    else:
-        # a member whose columns are all clamped is checked on nothing, as in
-        # its run alone: the round trip of its columns can overflow
-        err = np.zeros(checked.shape)
-        if checked.any():
-            err[checked] = _roundtrip_error(
-                (h_post[checked], v_post[checked]), (h_pri[checked], v_pri[checked]),
-                (h_ext[checked], v_ext[checked]), kept[checked],
-            )
+    err = _roundtrip_error((h_post, v_post), (h_pri, v_pri), (h_ext, v_ext), ~clamped)
     return h_ext, v_ext, clamped, err
 
 
@@ -99,10 +87,10 @@ def _roundtrip_error(post, pri, ext, kept):
     """Each member's round-trip error over its kept columns.
 
     post, pri and ext are (mean, variance) pairs of (..., N, P) means and
-    (..., P) variances; kept is (..., P), with a kept column in every
-    member.  The error is the worst relative variance mismatch or the worst
-    mean mismatch relative to the member's max |h_post|, whichever is
-    larger.
+    (..., P) variances; kept is (..., P).  The error is the worst relative
+    variance mismatch or the worst mean mismatch relative to the member's
+    max |h_post|, whichever is larger, and 0 for a member with no kept
+    column.
     """
     (h_post, v_post), (h_pri, v_pri), (h_ext, v_ext) = post, pri, ext
     v_rec = 1.0 / (1.0 / v_ext + 1.0 / v_pri)

@@ -149,14 +149,20 @@ def test_update_takes_one_noise_variance_per_column(bad):
         lmmse_update(Y, pilots, H_pri, v_pri, bad)
 
 
-@pytest.mark.parametrize("clamp_cols", [[], [1], [0, 1, 2], [4, 7]])
-def test_extrinsic_split_checks_each_member_alone(clamp_cols):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("clamp_cols, huge", [
+    ([], False), ([1], False), ([0, 1, 2], False), ([4, 7], False), ([0, 1, 2], True),
+])
+def test_extrinsic_split_checks_each_member_alone(clamp_cols, huge):
     # on a (B, N, P) stack each member's message and round-trip error are
     # those of its (N, P) block alone; a member whose columns are all
-    # clamped is checked on nothing
+    # clamped is checked on nothing, even where its columns hold a 1e300
+    # entry, with every warning an error
     members, P = 3, 3
     rng = np.random.default_rng(len(clamp_cols))
     h_post, v_post, h_pri, v_pri = _split_case(rng, 64, members * P, clamp_cols, False)
+    if huge:
+        h_post[5, 1] = 1e300
     args = [np.stack(np.split(x, members, axis=-1)) for x in (h_post, v_post, h_pri, v_pri)]
     split = extrinsic_split(*args)
     assert split[3].shape == (members,)

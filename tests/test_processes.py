@@ -1,15 +1,24 @@
-"""The package runs on numpy alone, and the factor-graph engine stays off the
-estimator's import path.
+"""Every check that needs its own interpreter: the package on numpy alone,
+the demos, and the CLI with the exit status that `sys.exit` gives.
 
 No module under `src/hmpce` imports scipy.  The default CLI sweep and the
 state evolution never load `hmpce.factorgraph`, and every path, the exact
 digamma, the dense pilot matrices and the factor-graph engine included, runs
 where scipy cannot be imported.  Those checks run in a fresh interpreter,
 because the test process itself may have scipy loaded.  The numpy digamma
-and DFT matrix are compared with scipy's where scipy is installed.
+and DFT matrix are compared with scipy's where scipy is installed; where it
+is not, those comparisons skip themselves and the rest of the module runs.
+
+Each demo and each CLI run below is a separate process, run with every
+RuntimeWarning and DeprecationWarning an error: a run must exit 0 with
+nothing on stderr, bad input must exit 2 and an unwritable `--out` exit 1,
+each with one stderr line.  The in-process CLI tests in `test_cli.py` see
+neither the exit status nor a warning that a filter would turn into an
+exception.
 """
 
 import ast
+import glob
 import math
 import os
 import pathlib
@@ -22,14 +31,18 @@ import numpy as np
 import pytest
 
 import hmpce
-from hmpce.channels import make_pdft_rp
+from hmpce.channels import ChannelRealization, make_pdft_rp, save_channel
 from hmpce.messages import digamma_approx, digamma_exact
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hmpce.__file__)))
 TESTS = os.path.dirname(os.path.abspath(__file__))
+DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(TESTS), "demos", "*.py")))
 
+ALGOS = "hmp-tsgm-lvd,hmp-tsgm,hmp-bg"
 SWEEP = ["--N", "32", "--K", "64", "--P", "2", "--M", "13", "--snr", "10,inf",
          "--iters", "3", "--trials", "1", "--seed", "3"]
+# The small sweep: every variant on SWEEP's grid, at the default seed.
+SMALL_SWEEP = SWEEP[:-2] + ["--algos", ALGOS]
 
 # Prints the scipy modules loaded by the end of the script.
 REPORT_SCIPY = 'print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n'
@@ -38,15 +51,24 @@ REPORT_SCIPY = 'print(*sorted(m for m in sys.modules if m.split(".")[0] == "scip
 PSI_ROOT = 1.4616321449683623
 
 
-def run_fresh(body, *args):
-    """Run `body` in a new interpreter with the package and the test
-    helpers importable; returns the finished process."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS])
+def run_python(*args, env=None):
+    """Run `python *args` in a new interpreter with every RuntimeWarning and
+    DeprecationWarning an error, `src` and `tests` first on PYTHONPATH and
+    any inherited entries after them, and the variables of `env` set;
+    returns the finished process, or raises after 600 s."""
+    env = dict(os.environ, **(env or {}))
+    inherited = os.environ.get("PYTHONPATH")
+    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS] + ([inherited] if inherited else []))
     return subprocess.run(
-        [sys.executable, "-c", body, *args],
-        capture_output=True, text=True, timeout=300, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         *args],
+        capture_output=True, text=True, timeout=600, env=env,
     )
+
+
+def run_fresh(body, *args):
+    """Run the script `body` with `args` as sys.argv[1:]; see run_python."""
+    return run_python("-c", body, *args)
 
 
 def default_runs(block_scipy):
@@ -162,3 +184,85 @@ def test_pilot_matrix_matches_scipy_dft_bit_for_bit(N):
     theta[np.arange(N), A.perm] = A.phases
     want = (linalg.dft(N) / np.sqrt(N) @ theta)[A.rows]
     np.testing.assert_array_equal(A.matrix.view(np.float64), want.view(np.float64))
+
+
+def assert_clean(proc):
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def assert_one_error_line(proc, returncode):
+    assert proc.returncode == returncode, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
+def test_demo_exits_0_with_empty_stderr(demo):
+    assert_clean(run_python(demo))
+
+
+# Each CLI run that must exit 0 with nothing on stderr, by id.
+CLEAN_RUNS = {
+    **{f"se-{algo}": ["--se-only", "--algos", algo, "--snr", "10,inf", "--N", "64",
+                      "--M", "51", "--P", "2", "--K", "64"] for algo in ALGOS.split(",")},
+    "sweep": SMALL_SWEEP,
+    "sweep-exact-digamma": SMALL_SWEEP + ["--exact-digamma"],
+    # five SNR points of 256 x 32 as one batch, whose (B, N, P) arrays pass
+    # the 256 KiB at which numpy's temporary elision swaps the operands of a
+    # product while each point's own arrays do not
+    "batched": ["--N", "256", "--K", "512", "--P", "32", "--M", "103",
+                "--snr", "0,10,20,30,inf", "--algos", ALGOS, "--iters", "5"],
+    # N = 2048 with two SNR members, so the chain sweeps run in lanes
+    "long-chain": ["--N", "2048", "--K", "4096", "--P", "2", "--M", "819",
+                   "--snr", "10,inf", "--algos", ALGOS, "--iters", "3"],
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("args", CLEAN_RUNS.values(), ids=CLEAN_RUNS.keys())
+def test_cli_run_exits_0_with_empty_stderr(tmp_path, args):
+    assert_clean(run_python("-m", "hmpce.cli", *args, "--out", str(tmp_path / "out")))
+
+
+# Bad input, by id: a value that does not parse, a NaN SNR, a knob out of
+# its range from a flag or the config file, and a channel file that is all
+# zero or whose energy overflows.  {tmp} is the test's directory.
+CHANNEL_RUN = ["--N", "32", "--M", "13", "--P", "2", "--K", "4", "--snr", "10",
+               "--algos", "hmp-bg", "--channel-file"]
+BAD_INPUTS = {
+    "N-abc": ["--N", "abc"],
+    "snr-nan": ["--snr", "nan"],
+    "trials-0": ["--trials", "0"],
+    "p10-config": ["--config", "{tmp}/p10.cfg"],
+    "zero-channel": CHANNEL_RUN + ["{tmp}/zero.haf"],
+    "huge-channel": CHANNEL_RUN + ["{tmp}/huge.haf"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_with_one_stderr_line(tmp_path, args):
+    (tmp_path / "p10.cfg").write_text("p10 = 1.5\n")
+    for name, value in (("zero", 0.0), ("huge", 1e160)):
+        gains = np.full((32, 2), value, dtype=complex)
+        save_channel(str(tmp_path / f"{name}.haf"), ChannelRealization(gains, None))
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    assert_one_error_line(run_python("-m", "hmpce.cli", *args, "--out", str(tmp_path / "out")), 2)
+
+
+def test_out_that_is_a_file_exits_1_with_one_stderr_line(tmp_path):
+    out = tmp_path / "file"
+    out.write_text("x")
+    assert_one_error_line(run_python("-m", "hmpce.cli", *SMALL_SWEEP, "--out", str(out)), 1)
+
+
+def test_small_sweep_is_byte_identical_across_hash_seeds(tmp_path):
+    # criterion 8 runs both of its runs in one interpreter, so under one
+    # hash seed; here each run has its own
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        assert_clean(run_python("-m", "hmpce.cli", *SMALL_SWEEP, "--out", str(out),
+                                env={"PYTHONHASHSEED": seed}))
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(outputs[0]) == ["manifest.txt", "nmse_vs_iter.csv", "nmse_vs_m.csv",
+                                  "nmse_vs_snr.csv", "se_trace.csv"]
+    assert outputs[0] == outputs[1]
