@@ -13,7 +13,6 @@ measurement SNR.
 import numpy as np
 
 from hmpce.channels import (
-    make_pdft_rp,
     make_pilot_set,
     sample_channel,
     sample_support,
@@ -67,12 +66,11 @@ print(f"|h| profile, subcarrier 0, first 80 of {N} elements:\n  {bar}")
 # ---------------------------------------------------------------------------
 # pilots and measurements
 
-pilot = make_pdft_rp(N, M, rng_seed=3)
-gram = pilot.matrix @ pilot.matrix.conj().T
-print(f"\npilot rows: ||A A^H - I|| = {np.abs(gram - np.eye(M)).max():.2e} "
-      f"(row-orthonormal by construction)")
-
 pilots = make_pilot_set(N, M, P, rng_seed=3)
+A = pilots.matrix
+gram = A @ A.conj().swapaxes(1, 2)
+print(f"\npilot rows: max ||A_p A_p^H - I|| over the {P} subcarriers = "
+      f"{np.abs(gram - np.eye(M)).max():.2e} (row-orthonormal by construction)")
 meas = synthesize_measurements(channel, pilots, SNR_DB, rng_seed=4)
 clean_power = np.mean(np.abs(pilots.apply(channel.gains)) ** 2)
 snr_hat = 10.0 * np.log10(clean_power / meas.noise_variance)

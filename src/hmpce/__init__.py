@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 from .channels import (
     ChannelRealization,
     MeasurementSet,
-    PilotMatrix,
     PilotSet,
     load_channel,
-    make_pdft_rp,
     make_pilot_set,
     sample_channel,
     sample_support,

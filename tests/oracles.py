@@ -34,6 +34,11 @@ a sampler's estimate, `angle_transform`, the unitary DFT between the frequency
 and angular bases, `step_inputs`, the per-pass values that `denoise`
 hands to its steps, for tests that call the steps one by one, and
 `unstack_pilots`, the per-subcarrier operators of a `PilotSet`.
+The per-subcarrier pilot operator that the package drew and stacked before
+`make_pilot_set` drew the stacked indices itself (`PilotMatrix`, its draw
+`make_pdft_rp` and `stack_pilots`, formerly `PilotSet.stack`) is kept
+verbatim, as the reference behind `unstack_pilots`,
+`run_turbo_per_subcarrier` and `FancyIndexPilotSet`.
 The scalar complex Gaussian message and its product (`GaussianMsg`,
 `gaussian_multiply`) live here as the reference that the extrinsic
 division is multiplied back with.  The references clamp probabilities at
@@ -43,14 +48,14 @@ patches the floor patches them too.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit
 
 from hmpce import denoiser
-from hmpce.channels import PilotMatrix, make_pilot_set, synthesize_measurements
+from hmpce.channels import PilotSet, make_pilot_set, synthesize_measurements
 from hmpce.cli import _KEY_NOISE, _KEY_PILOTS, _trial_channel, algo_config_for
 from hmpce.denoiser import (
     LARGE_SHAPE,
@@ -258,10 +263,82 @@ def gaussian_multiply(a, b):
     return GaussianMsg(mean, variance)
 
 
+@dataclass
+class PilotMatrix:
+    """Row-orthonormal pilot operator: M-row selection of unitary-DFT after
+    a random permutation and random unit-modulus phases."""
+
+    N: int
+    M: int
+    rows: np.ndarray
+    perm: np.ndarray
+    phases: np.ndarray
+    _matrix: np.ndarray = field(default=None, repr=False)
+
+    def apply(self, h):
+        """A @ h for h of shape (N,) or (N, ...)."""
+        scrambled = self.phases.reshape((-1,) + (1,) * (h.ndim - 1)) * h[self.perm]
+        spectrum = np.fft.fft(scrambled, axis=0) / np.sqrt(self.N)
+        return spectrum[self.rows]
+
+    def adjoint(self, y):
+        """A^H @ y for y of shape (M,) or (M, ...)."""
+        z = np.zeros((self.N,) + y.shape[1:], dtype=np.complex128)
+        z[self.rows] = y
+        w = np.fft.ifft(z, axis=0) * np.sqrt(self.N)
+        out = np.empty_like(w)
+        out[self.perm] = np.conj(self.phases).reshape((-1,) + (1,) * (w.ndim - 1)) * w
+        return out
+
+    @property
+    def matrix(self):
+        """Dense M x N matrix (built on demand; the hot path is matrix-free).
+
+        The DFT matrix is built as `scipy.linalg.dft` builds it, powers of
+        the column of roots of unity, so the two agree bit for bit.
+        """
+        if self._matrix is None:
+            theta = np.zeros((self.N, self.N), dtype=np.complex128)
+            theta[np.arange(self.N), self.perm] = self.phases
+            roots = np.exp(-2j * np.pi * np.arange(self.N) / self.N).reshape(-1, 1)
+            F = roots ** np.arange(self.N) / np.sqrt(self.N)
+            self._matrix = (F @ theta)[self.rows]
+        return self._matrix
+
+
+def make_pdft_rp(N, M, rng_seed=0):
+    """Random partial-DFT pilot with random permutation and phases."""
+    if not 1 <= M <= N:
+        raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
+    rng = np.random.default_rng(rng_seed)
+    rows = np.sort(rng.choice(N, size=M, replace=False))
+    perm = rng.permutation(N)
+    phases = np.exp(2j * np.pi * rng.random(N))
+    return PilotMatrix(N, M, rows, perm, phases)
+
+
+def stack_pilots(pilots):
+    """`PilotSet.stack`, verbatim: stack a sequence of `PilotMatrix` operators
+    that share N and M into a `PilotSet`."""
+    pilots = list(pilots)
+    if not pilots:
+        raise ValueError("need at least one pilot operator")
+    N, M = pilots[0].N, pilots[0].M
+    if any((p.N, p.M) != (N, M) for p in pilots):
+        raise ValueError("stacked pilot operators must share N and M")
+    sub = np.arange(len(pilots))[:, None]
+    gather = np.stack([p.perm for p in pilots]).astype(np.int64, copy=False)
+    gather *= len(pilots)
+    gather += sub
+    select = np.stack([p.rows for p in pilots]).astype(np.int64, copy=False)
+    select += N * sub
+    return PilotSet(N, M, gather, select, np.stack([p.phases for p in pilots]))
+
+
 def unstack_pilots(pilots):
     """The P operators of a `PilotSet` as a list of `PilotMatrix`, rows and
     perm decoded from the flat `select` and `gather` indices (the inverse of
-    `PilotSet.stack`); each `phases` is a view into the set's."""
+    `stack_pilots`); each `phases` is a view into the set's."""
     P, N = len(pilots), pilots.N
     rows = pilots.select - N * np.arange(P)[:, None]
     perm = pilots.gather // P

@@ -16,10 +16,14 @@ import numpy as np
 import pytest
 
 from graphgen import random_hybrid_graph, random_tree_graph
-from oracles import chain_enumeration, dense_lmmse_measurement_form, step_inputs
-from hmpce.channels import (
-    PilotSet,
+from oracles import (
+    chain_enumeration,
+    dense_lmmse_measurement_form,
     make_pdft_rp,
+    stack_pilots,
+    step_inputs,
+)
+from hmpce.channels import (
     make_pilot_set,
     sample_channel,
     sample_support,
@@ -149,16 +153,16 @@ def test_criterion_2_lmmse_oracle_equivalence():
     worst = 0.0
     t0 = time.perf_counter()
     for _ in range(100):
-        pilot = make_pdft_rp(N, M, rng_seed=int(rng.integers(1 << 31)))
+        # the estimator's operator: a P = 1 set of one per-subcarrier draw
+        pilots = stack_pilots([make_pdft_rp(N, M, rng_seed=int(rng.integers(1 << 31)))])
         v_pri = float(rng.uniform(0.1, 3.0))
         sigma2 = float(rng.uniform(0.01, 1.0))
         h_pri = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         y = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        # the estimator's operator: a P = 1 set of this draw
         h_post, v_post = lmmse_update(
-            y[:, None], PilotSet.stack([pilot]), h_pri[:, None], np.array([v_pri]), sigma2
+            y[:, None], pilots, h_pri[:, None], np.array([v_pri]), sigma2
         )
-        h_ref, v_ref = dense_lmmse_measurement_form(y, pilot.matrix, h_pri, v_pri, sigma2)
+        h_ref, v_ref = dense_lmmse_measurement_form(y, pilots.matrix[0], h_pri, v_pri, sigma2)
         worst = max(
             worst,
             float(np.max(np.abs(h_post[:, 0] - h_ref))),

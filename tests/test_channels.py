@@ -4,12 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import angle_transform, unstack_pilots
+from oracles import angle_transform, make_pdft_rp, stack_pilots, unstack_pilots
 from hmpce.channels import (
-    PilotMatrix,
     PilotSet,
     load_channel,
-    make_pdft_rp,
     make_pilot_set,
     sample_channel,
     sample_support,
@@ -30,6 +28,12 @@ def test_support_rejects_bad_probabilities():
     for p10, p01 in ((0.0, 0.2), (1.0, 0.2), (0.05, 0.0), (0.05, 1.5), (-0.1, 0.2)):
         with pytest.raises(ValueError):
             sample_support(8, p10=p10, p01=p01)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_support_rejects_a_chain_without_elements(N):
+    with pytest.raises(ValueError, match=f"N={N}"):
+        sample_support(N)
 
 
 def test_support_transition_frequencies():
@@ -94,45 +98,39 @@ def test_channel_reproducible():
     assert np.array_equal(a.large_precisions, b.large_precisions)
 
 
-def test_pdft_rp_row_orthonormal():
-    for seed in range(5):
-        pilot = make_pdft_rp(64, 29, rng_seed=seed)
-        A = pilot.matrix
-        gram = A @ A.conj().T
+def test_pilot_set_row_orthonormal():
+    # the five per-subcarrier draws, stacked as one set
+    A = stack_pilots([make_pdft_rp(64, 29, rng_seed=seed) for seed in range(5)]).matrix
+    assert A.shape == (5, 29, 64)
+    for A_p in A:
+        gram = A_p @ A_p.conj().T
         assert np.max(np.abs(gram - np.eye(29))) < 1e-12
 
 
-def test_pdft_rp_identity_config_is_unitary():
-    pilot = PilotMatrix(8, 8, np.arange(8), np.arange(8), np.ones(8))
-    A = pilot.matrix
+def test_pilot_set_identity_config_is_unitary():
+    index = np.arange(8)[None]
+    A = PilotSet(8, 8, index, index, np.ones((1, 8), complex)).matrix[0]
     assert np.max(np.abs(A @ A.conj().T - np.eye(8))) < 1e-12
     assert np.max(np.abs(A.conj().T @ A - np.eye(8))) < 1e-12
 
 
-def test_pdft_rp_rejects_bad_m():
-    with pytest.raises(ValueError):
-        make_pdft_rp(8, 9)
-    with pytest.raises(ValueError):
-        make_pdft_rp(8, 0)
+@pytest.mark.parametrize("N, M, P, bad", [
+    (8, 9, 1, "M=9"), (8, 0, 1, "M=0"), (0, 1, 1, "N=0"), (8, 3, 0, "P=0"), (8, 3, -1, "P=-1"),
+])
+def test_make_pilot_set_rejects_bad_sizes(N, M, P, bad):
+    with pytest.raises(ValueError, match=bad):
+        make_pilot_set(N, M, P)
 
 
-def test_pdft_rp_energy_compaction():
+def test_pilot_set_energy_compaction():
     N, M, draws = 64, 26, 10_000
-    pilot = make_pdft_rp(N, M, rng_seed=4)
+    pilots = stack_pilots([make_pdft_rp(N, M, rng_seed=4)])
     rng = np.random.default_rng(8)
     h = (rng.standard_normal((N, draws)) + 1j * rng.standard_normal((N, draws)))
     h *= math.sqrt(0.5 / N)     # unit expected total power per column
-    energy = np.sum(np.abs(pilot.apply(h)) ** 2, axis=0)
+    # each column is a member of a P = 1 stack
+    energy = np.sum(np.abs(pilots.apply(h.T[:, :, None])) ** 2, axis=(1, 2))
     assert float(energy.mean()) == pytest.approx(M / N, rel=0.02)
-
-
-def test_pdft_rp_apply_matches_dense():
-    pilot = make_pdft_rp(32, 13, rng_seed=6)
-    rng = np.random.default_rng(9)
-    h = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    assert np.allclose(pilot.apply(h), pilot.matrix @ h, atol=1e-12)
-    y = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-    assert np.allclose(pilot.adjoint(y), pilot.matrix.conj().T @ y, atol=1e-12)
 
 
 def test_make_pilot_set_deterministic():
@@ -147,18 +145,22 @@ def test_make_pilot_set_deterministic():
     assert not (np.array_equal(a0.rows, a1.rows) and np.array_equal(a0.perm, a1.perm))
 
 
-@pytest.mark.parametrize("N, M, P", [(32, 13, 5), (32, 13, 1), (16, 16, 3), (8, 8, 1)])
-def test_pilot_set_matches_dense_per_subcarrier(N, M, P):
+@pytest.mark.parametrize("N, M, P, lead", [
+    (32, 13, 5, ()), (32, 13, 1, ()), (16, 16, 3, ()), (8, 8, 1, ()),
+    (32, 13, 3, (4,)), (16, 16, 4, (2, 3)),
+])
+def test_pilot_set_matches_dense_per_subcarrier(N, M, P, lead):
+    # members on the leading axes share the P dense operators
     pilots = make_pilot_set(N, M, P, rng_seed=N + M + P)
     rng = np.random.default_rng(P)
-    H = rng.standard_normal((N, P)) + 1j * rng.standard_normal((N, P))
-    Y = rng.standard_normal((M, P)) + 1j * rng.standard_normal((M, P))
+    H = rng.standard_normal(lead + (N, P)) + 1j * rng.standard_normal(lead + (N, P))
+    Y = rng.standard_normal(lead + (M, P)) + 1j * rng.standard_normal(lead + (M, P))
     AH, AY = pilots.apply(H), pilots.adjoint(Y)
-    assert AH.shape == (M, P) and AY.shape == (N, P)
-    for p, pilot in enumerate(unstack_pilots(pilots)):
-        A = pilot.matrix
-        assert np.max(np.abs(AH[:, p] - A @ H[:, p])) < 1e-12
-        assert np.max(np.abs(AY[:, p] - A.conj().T @ Y[:, p])) < 1e-12
+    assert AH.shape == lead + (M, P) and AY.shape == lead + (N, P)
+    A = pilots.matrix
+    assert A.shape == (P, M, N)
+    assert np.max(np.abs(AH - np.einsum("pmn,...np->...mp", A, H))) < 1e-12
+    assert np.max(np.abs(AY - np.einsum("pmn,...mp->...np", A.conj(), Y))) < 1e-12
 
 
 def test_pilot_set_runs_on_the_numpy_1_fft_signature(monkeypatch):
@@ -198,9 +200,19 @@ def test_pilot_set_stacks_the_per_subcarrier_draws():
     assert pilots.gather.dtype == pilots.select.dtype == np.int64
     assert np.array_equal(pilots.gather, np.stack([ref.perm for ref in refs]) * P + sub)
     assert np.array_equal(pilots.select, np.stack([ref.rows for ref in refs]) + N * sub)
-    again = PilotSet.stack(unstack_pilots(pilots))
+    again = stack_pilots(unstack_pilots(pilots))
     for field in ("gather", "select", "phases"):
         assert np.array_equal(getattr(again, field), getattr(pilots, field))
+
+
+@pytest.mark.parametrize("N, M, P", [(1, 1, 1), (32, 13, 5), (16, 16, 3), (256, 103, 4)])
+def test_pilot_set_matrix_equals_the_per_subcarrier_matrices_bit_for_bit(N, M, P):
+    # each subcarrier's matrix as the per-subcarrier operator built it
+    pilots = make_pilot_set(N, M, P, rng_seed=M)
+    A = pilots.matrix
+    assert A.dtype == np.complex128
+    for A_p, pilot in zip(A, unstack_pilots(pilots), strict=True):
+        assert A_p.tobytes() == pilot.matrix.tobytes()
 
 
 @pytest.mark.parametrize("N, M, P, lead", [
@@ -222,15 +234,25 @@ def test_pilot_set_on_a_member_stack_equals_each_member_alone(N, M, P, lead):
 
 
 def test_pilot_set_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        PilotSet.stack([])
-    with pytest.raises(ValueError):
-        PilotSet.stack([make_pdft_rp(16, 5), make_pdft_rp(16, 6)])
     pilots = make_pilot_set(16, 5, 3)
     with pytest.raises(ValueError):
         pilots.apply(np.zeros((16, 4), complex))
     with pytest.raises(ValueError):
         pilots.adjoint(np.zeros((16, 3), complex))
+    with pytest.raises(ValueError):
+        pilots.apply(np.zeros((5, 3)).tolist())
+    with pytest.raises(ValueError):
+        pilots.adjoint([0j, 1j, 2j])
+
+
+def test_pilot_set_takes_array_likes():
+    pilots = make_pilot_set(8, 3, 2)
+    H = np.arange(16.0).reshape(8, 2)
+    Y = np.arange(6.0).reshape(3, 2) - 2j
+    assert pilots.apply(H.tolist()).tobytes() == pilots.apply(H).tobytes()
+    assert pilots.adjoint(Y.tolist()).tobytes() == pilots.adjoint(Y).tobytes()
+    # nested lists with members on a leading axis
+    assert pilots.apply([H.tolist()] * 2).tobytes() == pilots.apply(np.stack([H, H])).tobytes()
 
 
 def _toy_setup(N=64, M=32, P=50, seed=0):

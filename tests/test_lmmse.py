@@ -9,15 +9,15 @@ from oracles import (
     dense_lmmse,
     dense_lmmse_measurement_form,
     extrinsic_split_columnwise,
+    PilotMatrix,
     gaussian_multiply,
     lmmse_update_out_of_place,
+    make_pdft_rp,
     roundtrip_error_columns,
+    stack_pilots,
     unstack_pilots,
 )
 from hmpce.channels import (
-    PilotMatrix,
-    PilotSet,
-    make_pdft_rp,
     make_pilot_set,
     sample_channel,
     sample_support,
@@ -28,7 +28,7 @@ from hmpce.priors import VARIANT_LVD, ScalarPrior
 
 
 def _identity_pilot():
-    return PilotSet.stack(
+    return stack_pilots(
         [PilotMatrix(1, 1, np.array([0]), np.array([0]), np.ones(1, dtype=complex))]
     )
 
@@ -44,7 +44,7 @@ def test_scalar_wiener_filter():
 
 def test_uninformative_measurement_returns_prior():
     rng = np.random.default_rng(2)
-    pilots = PilotSet.stack([make_pdft_rp(32, 13, rng_seed=0)])
+    pilots = stack_pilots([make_pdft_rp(32, 13, rng_seed=0)])
     h_pri = (rng.standard_normal(32) + 1j * rng.standard_normal(32))[:, None]
     y = (rng.standard_normal(13) + 1j * rng.standard_normal(13))[:, None]
     h_post, v_post = lmmse_update(y, pilots, h_pri, np.ones(1), 1e12)
@@ -77,7 +77,7 @@ def test_rejects_a_nan_noise_variance():
 
 
 def test_noiseless_determined_system_floors_variance():
-    pilots = PilotSet.stack([make_pdft_rp(16, 16, rng_seed=1)])
+    pilots = stack_pilots([make_pdft_rp(16, 16, rng_seed=1)])
     rng = np.random.default_rng(3)
     h = (rng.standard_normal(16) + 1j * rng.standard_normal(16))[:, None]
     h_post, v_post = lmmse_update(
@@ -90,14 +90,14 @@ def test_noiseless_determined_system_floors_variance():
 def test_matches_dense_oracles():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        pilot = make_pdft_rp(32, 13, rng_seed=int(rng.integers(1 << 31)))
-        A = pilot.matrix
+        pilots = stack_pilots([make_pdft_rp(32, 13, rng_seed=int(rng.integers(1 << 31)))])
+        A = pilots.matrix[0]
         v_pri = float(rng.uniform(0.1, 3.0))
         sigma2 = float(rng.uniform(0.01, 1.0))
         h_pri = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         y = rng.standard_normal(13) + 1j * rng.standard_normal(13)
         h_post, v_post = lmmse_update(
-            y[:, None], PilotSet.stack([pilot]), h_pri[:, None], np.array([v_pri]), sigma2
+            y[:, None], pilots, h_pri[:, None], np.array([v_pri]), sigma2
         )
         h_post, v_post = h_post[:, 0], v_post[0]
         h_ref, v_ref = dense_lmmse_measurement_form(y, A, h_pri, v_pri, sigma2)
@@ -119,7 +119,7 @@ def test_batched_update_matches_per_subcarrier(N, M, P):
     assert H_post.shape == (N, P) and v_post.shape == (P,)
     for p, pilot in enumerate(unstack_pilots(pilots)):
         h_ref, v_ref = lmmse_update(
-            Y[:, p:p + 1], PilotSet.stack([pilot]), H_pri[:, p:p + 1], v_pri[p:p + 1], 0.05
+            Y[:, p:p + 1], stack_pilots([pilot]), H_pri[:, p:p + 1], v_pri[p:p + 1], 0.05
         )
         assert np.max(np.abs(H_post[:, p] - h_ref[:, 0])) < 1e-12
         assert v_post[p] == v_ref[0]
@@ -407,7 +407,7 @@ def test_extrinsic_error_concentrates_on_se_map():
     for trial in range(trials):
         support = sample_support(N, rng_seed=1000 + trial)
         channel = sample_channel(support, P=1, rng_seed=2000 + trial)
-        pilots = PilotSet.stack([make_pdft_rp(N, M, rng_seed=3000 + trial)])
+        pilots = stack_pilots([make_pdft_rp(N, M, rng_seed=3000 + trial)])
         rng = np.random.default_rng(4000 + trial)
         noise = math.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(M) + 1j * rng.standard_normal(M)
@@ -431,7 +431,7 @@ def test_posterior_error_orthogonal_to_residual():
     for trial in range(trials):
         support = sample_support(N, rng_seed=trial)
         channel = sample_channel(support, P=1, rng_seed=trial + 1)
-        pilots = PilotSet.stack([make_pdft_rp(N, M, rng_seed=trial + 2)])
+        pilots = stack_pilots([make_pdft_rp(N, M, rng_seed=trial + 2)])
         rng = np.random.default_rng(trial + 3)
         noise = math.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(M) + 1j * rng.standard_normal(M)

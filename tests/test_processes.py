@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 import hmpce
-from hmpce.channels import ChannelRealization, make_pdft_rp, save_channel
+from hmpce.channels import ChannelRealization, save_channel
 from hmpce.messages import digamma_approx, digamma_exact
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hmpce.__file__)))
@@ -97,15 +97,18 @@ def default_runs(block_scipy):
 FORMER_SCIPY_PATHS = textwrap.dedent(f"""
     import numpy as np
     from graphgen import random_hybrid_graph
-    from hmpce.channels import make_pdft_rp
+    from hmpce.channels import PilotSet
     from hmpce.factorgraph import stretched_graph_equivalence_check
     rc = hmpce.cli.main({SWEEP!r} + ["--algos", "hmp-tsgm-lvd,hmp-tsgm,hmp-bg",
                                     "--exact-digamma", "--out", out + "/exact"])
     assert rc == 0, rc
-    A = make_pdft_rp(16, 7, rng_seed=4)
+    rng = np.random.default_rng(4)  # the operator of make_pdft_rp(16, 7, rng_seed=4)
+    rows = np.sort(rng.choice(16, size=7, replace=False))
+    perm = rng.permutation(16)
+    A = PilotSet(16, 7, perm[None], rows[None], np.exp(2j * np.pi * rng.random(16))[None])
     h = np.random.default_rng(1).standard_normal(16) + 0j
-    err = np.max(np.abs(A.matrix @ h - A.apply(h)))
-    assert A.matrix.shape == (7, 16) and err < 1e-12, err
+    err = np.max(np.abs(A.matrix[0] @ h - A.apply(h[:, None])[:, 0]))
+    assert A.matrix.shape == (1, 7, 16) and err < 1e-12, err
     rng = np.random.default_rng(9003)
     worst = max(stretched_graph_equivalence_check(random_hybrid_graph(rng))
                 ["max_discrepancy"] for _ in range(3))
@@ -177,13 +180,16 @@ def test_digamma_edge_inputs():
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 16, 64, 256])
-def test_pilot_matrix_matches_scipy_dft_bit_for_bit(N):
+def test_pilot_set_matrix_matches_scipy_dft_bit_for_bit(N):
     linalg = pytest.importorskip("scipy.linalg")
+    from oracles import make_pdft_rp, stack_pilots  # loads scipy
+
     A = make_pdft_rp(N, (N + 1) // 2, rng_seed=N)
     theta = np.zeros((N, N), dtype=np.complex128)
     theta[np.arange(N), A.perm] = A.phases
     want = (linalg.dft(N) / np.sqrt(N) @ theta)[A.rows]
-    np.testing.assert_array_equal(A.matrix.view(np.float64), want.view(np.float64))
+    got = stack_pilots([A]).matrix[0]
+    np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
 
 
 def assert_clean(proc):
