@@ -19,13 +19,13 @@ from hmpce.factorgraph import (
     BP,
     MF,
     FactorGraph,
+    GammaBelief,
     MixtureObservationFactor,
     PriorFactor,
     TableFactor,
     exact_marginals,
     stretched_graph_equivalence_check,
 )
-from hmpce.messages import GammaBelief
 
 rng = np.random.default_rng(7)
 

@@ -24,12 +24,13 @@ from .channels import (
 )
 from .denoiser import DenoiserState, PriorConfig, denoise, init_state
 from .lmmse import extrinsic_split, lmmse_update
-from .messages import BetaBelief, GammaBelief, digamma_approx, digamma_exact
 from .priors import (
     VARIANT_BG,
     VARIANT_LVD,
     VARIANT_TSGM,
     ScalarPrior,
+    digamma_approx,
+    digamma_exact,
     posterior_variance_mixture,
 )
 from .turbo import (

@@ -79,8 +79,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .messages import digamma_fn
-from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, VARIANTS
+from .priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, VARIANTS, digamma_fn
 
 
 # Gamma prior shapes, Beta prior pseudo-counts (a, b) on p10 and p01, and
@@ -207,9 +206,9 @@ def transition_log_expectations(state, cfg):
     Returns one tuple (stay_active, turn_on, stay_quiet, turn_off) of floats
     per member, in the log domain: E[ln(1-p01)], E[ln p10], E[ln(1-p10)],
     E[ln p01].  `denoise` computes them once per chain round for the sweeps
-    and the Beta update.  The six digammas of the two
-    `beta_log_expectations` of every member go through one array call, with
-    the same bits; NaN pseudo-counts give NaN, as there.
+    and the Beta update.  The six digammas of every member, psi(a + b),
+    psi(a) and psi(b) of each Beta belief, go through one array call, with
+    the bits of six scalar calls; NaN pseudo-counts give NaN.
     """
     p10_a, p10_b, p01_a, p01_b = state.p10_a, state.p10_b, state.p01_a, state.p01_b
     psi = digamma_fn(cfg.exact_digamma)

@@ -10,12 +10,12 @@ with all edges "mf" to coordinate-ascent variational message passing.
 The rule is the hybrid BP/MF rule of Riegler et al., "Merging belief
 propagation and the mean field approximation", IEEE TIT 2013.
 
-Supported variable kinds: "discrete" (`DiscreteMsg`), and from `messages`,
-"gamma" precisions (`GammaBelief`) and "beta" probabilities (`BetaBelief`).
-The Gamma and Beta variables sit on mf edges, anchored by a `PriorFactor` of
-their family; a graph that breaks these rules fails as it is built.
-Expectations are evaluated in closed form per family (`messages`' expected
-logs and its exact digamma); there is no generic quadrature.  Sweeps are
+Supported variable kinds: "discrete" (`DiscreteMsg`), "gamma" precisions
+(`GammaBelief`) and "beta" probabilities (`BetaBelief`).  The Gamma and Beta
+variables sit on mf edges, anchored by a `PriorFactor` of their family; a
+graph that breaks these rules fails as it is built (`FactorGraph.add_factor`).
+Expectations are evaluated in closed form per family, E[ln v] and E[ln p]
+from `priors.digamma_exact`; there is no generic quadrature.  Sweeps are
 synchronous (`FactorGraph.sweep`).
 
 It is the subject of `demos/demo_hybrid_rule.py` and acceptance criterion
@@ -33,13 +33,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .messages import (
-    BetaBelief,
-    GammaBelief,
-    beta_log_expectations,
-    digamma_exact,
-    gamma_log_mean,
-)
+from .priors import digamma_exact
 
 BP = "bp"
 MF = "mf"
@@ -68,6 +62,37 @@ FLAT = _Flat()
 @dataclass
 class DiscreteMsg:
     probs: np.ndarray
+
+
+@dataclass(frozen=True)
+class GammaBelief:
+    """Gamma belief Ga(shape, rate) over a precision.
+
+    The rate may be 0: a mixture observation whose squared observations or
+    exponents vanish sends such a message, flat in the rate direction.
+    """
+
+    shape: float
+    rate: float
+
+    def __post_init__(self):
+        if not (self.shape > 0.0 and self.rate >= 0.0):
+            raise ValueError(f"need shape > 0 and rate >= 0, got ({self.shape}, {self.rate})")
+
+    def mean(self):
+        return self.shape / self.rate
+
+
+@dataclass(frozen=True)
+class BetaBelief:
+    """Beta belief with pseudo-counts (a, b) for (success, failure)."""
+
+    a: float
+    b: float
+
+    def __post_init__(self):
+        if not (self.a > 0.0 and self.b > 0.0):
+            raise ValueError(f"pseudo-counts must be positive, got ({self.a}, {self.b})")
 
 
 @dataclass
@@ -123,7 +148,11 @@ def _msg_delta(old, new):
 
 
 class Factor:
-    """Base: subclasses fill vars and implement compute_messages(graph)."""
+    """Base: subclasses fill vars and implement compute_messages(graph).
+    The variables in `disc_vars` are discrete, the others of `param_kind`."""
+
+    disc_vars = ()
+    param_kind = None
 
     def __init__(self, name, variables):
         self.name = name
@@ -270,6 +299,8 @@ class MixtureObservationFactor(_DiscreteCoreFactor):
     squared observations |y_l(x)|^2 are arrays over the discrete dimensions.
     """
 
+    param_kind = "gamma"
+
     def __init__(self, name, disc_vars, gamma_vars, log_base, exponents, obs_sq):
         super().__init__(name, disc_vars, gamma_vars)
         self.log_base = np.asarray(log_base, dtype=float)
@@ -281,7 +312,7 @@ class MixtureObservationFactor(_DiscreteCoreFactor):
     def current_log_table(self, param_beliefs):
         LT = self.log_base.astype(float).copy()
         for e, q, b in zip(self.exponents, self.obs_sq, param_beliefs):
-            LT = LT + e * (gamma_log_mean(b.shape, b.rate, exact=True) - math.log(math.pi))
+            LT = LT + e * (digamma_exact(b.shape) - math.log(b.rate) - math.log(math.pi))
             LT = LT - b.mean() * e * q
         return LT
 
@@ -296,17 +327,21 @@ class BernoulliMixFactor(_DiscreteCoreFactor):
     """f(x, q_1..q_J) = base(x) * prod_j q_j^(s_j(x)) (1-q_j)^(t_j(x)) with
     Beta probability variables on mf edges."""
 
+    param_kind = "beta"
+
     def __init__(self, name, disc_vars, beta_vars, log_base, succ, fail):
         super().__init__(name, disc_vars, beta_vars)
         self.log_base = np.asarray(log_base, dtype=float)
         self.succ = [np.asarray(s, dtype=float) for s in succ]
         self.fail = [np.asarray(t, dtype=float) for t in fail]
+        if len(self.succ) != len(beta_vars) or len(self.fail) != len(beta_vars):
+            raise ValueError("need one succ and one fail array per beta variable")
 
     def current_log_table(self, param_beliefs):
         LT = self.log_base.astype(float).copy()
         for s, t, b in zip(self.succ, self.fail, param_beliefs):
-            lp, lq = beta_log_expectations(b.a, b.b, exact=True)
-            LT = LT + s * lp + t * lq
+            tot = digamma_exact(b.a + b.b)
+            LT = LT + s * (digamma_exact(b.a) - tot) + t * (digamma_exact(b.b) - tot)
         return LT
 
     def param_message(self, idx, joint_weights):
@@ -323,7 +358,7 @@ class PriorFactor(Factor):
     def __init__(self, name, var, belief):
         super().__init__(name, [var])
         self.msg = belief
-        self.kind = {GammaBelief: "gamma", BetaBelief: "beta"}.get(type(belief))
+        self.param_kind = {GammaBelief: "gamma", BetaBelief: "beta"}.get(type(belief))
 
     def compute_messages(self, graph):
         return {self.vars[0]: self.msg}
@@ -344,27 +379,49 @@ class FactorGraph:
         self.variables[name] = Variable(name, kind, size)
 
     def add_factor(self, factor, tags=None):
-        tags = dict(tags or {})
+        """Add `factor`, each edge on its tag in `tags`: bp (the default) or mf
+        for a discrete variable, mf for a Gamma or Beta one.  A new name,
+        distinct variables of the kinds it takes and arrays of its discrete
+        sizes are required too; a factor that breaks a rule raises, naming
+        itself, before anything is written."""
+        name, tags = factor.name, dict(tags or {})
+        stray = sorted(set(tags) - set(factor.vars))
+        if any(f.name == name for f in self.factors):
+            raise UnsupportedGraphError(f"duplicate factor '{name}'")
+        if len(set(factor.vars)) != len(factor.vars):
+            raise UnsupportedGraphError(f"factor '{name}' lists a variable twice: {factor.vars}")
+        if stray:
+            raise UnsupportedGraphError(f"factor '{name}' tags variables it does not touch: {stray}")
+        edges = {}
         for v in factor.vars:
             if v not in self.variables:
-                raise ValueError(f"factor '{factor.name}' references unknown variable '{v}'")
+                raise ValueError(f"factor '{name}' references unknown variable '{v}'")
             kind = self.variables[v].kind
-            if isinstance(factor, PriorFactor) and factor.kind != kind:
+            want = "discrete" if v in factor.disc_vars else factor.param_kind
+            if kind != want:
+                who = "prior" if isinstance(factor, PriorFactor) else "factor"
                 raise UnsupportedGraphError(
-                    f"prior '{factor.name}' sends a {factor.kind} belief to {kind} variable '{v}'"
-                )
-            tag = tags.get(v, BP if kind == "discrete" else MF)
-            if kind in ("gamma", "beta") and tag != MF:
+                    f"{who} '{name}' sends a {want} belief to {kind} variable '{v}'")
+            tag = edges[(name, v)] = tags.get(v, BP if kind == "discrete" else MF)
+            if tag not in (BP, MF) or (kind != "discrete" and tag != MF):
                 raise UnsupportedGraphError(
-                    f"{kind} variable '{v}' must sit on an mf edge"
-                )
-            self._tags[(factor.name, v)] = tag
-            self._m[(factor.name, v)] = FLAT
+                    f"factor '{name}': {kind} variable '{v}' cannot sit on a {tag!r} edge")
+        sizes = tuple(self.variables[v].size for v in factor.disc_vars)
+        for attr, value in vars(factor).items():  # every array is over disc_vars
+            for arr in value if isinstance(value, list) else [value]:
+                if isinstance(arr, np.ndarray) and arr.shape != sizes:
+                    raise UnsupportedGraphError(
+                        f"factor '{name}': {attr} has shape {arr.shape}, not {sizes}")
+        self._tags.update(edges)
+        try:  # unary messages are constant; make them available immediately
+            unary = factor.compute_messages(self) if len(factor.vars) == 1 else {}
+        except ValueError:
+            for key in edges:
+                del self._tags[key]
+            raise
         self.factors.append(factor)
-        if len(factor.vars) == 1:
-            # unary messages are constant; make them available immediately
-            for v, msg in factor.compute_messages(self).items():
-                self._m[(factor.name, v)] = msg
+        self._m.update(dict.fromkeys(edges, FLAT))
+        self._m.update(((name, v), msg) for v, msg in unary.items())
         self._beliefs = {}
 
     # accessors ------------------------------------------------------------

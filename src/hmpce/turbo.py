@@ -40,7 +40,7 @@ import numpy as np
 
 from .denoiser import PriorConfig, denoise, init_state, select_members
 from .lmmse import extrinsic_split, lmmse_update
-from .priors import VARIANT_BG, ScalarPrior, posterior_variance_mixture
+from .priors import ScalarPrior, posterior_variance_mixture
 
 # Draws per block of `MmseSampler.__call__`: 256 KiB per float64 array, so
 # one block's working set stays in a 2 MiB L2.
@@ -348,7 +348,7 @@ class MmseSampler:
         re, im, v_large = prior.sample(rng, num_samples)
         self.prior = prior
         self.v_large = v_large
-        self.v_small = 0.0 if prior.variant == VARIANT_BG else prior.small_variance
+        self.v_small = prior.near_zero_variance
         # |g|^2 = re^2 + im^2 before the noise draws, so that each draw below
         # is consumed in place: n = (a + i b) / sqrt(2), and
         # 2 Re(g conj(n)) = sqrt(2) (re a + im b), |n|^2 = (a^2 + b^2) / 2.
@@ -450,8 +450,11 @@ def run_state_evolution(prior, snr_db, N, M, max_iters=100, tol=1e-8,
     `ValueError`: the noise power comes from `prior` and the bank from the
     sampler's prior, so a mismatched pair would give a wrong SE.
     snr_db = +inf is noiseless, and a run that reaches exact recovery, v = 0,
-    stops there converged; -inf and NaN raise `ValueError`.
+    stops there converged; -inf and NaN raise `ValueError`, and so do sizes
+    outside 1 <= M <= N.
     """
+    if not 1 <= M <= N:
+        raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
     if not snr_db > -math.inf:
         raise ValueError(f"snr_db = {snr_db} has no finite noise variance")
     if sampler is not None and sampler.prior != prior:

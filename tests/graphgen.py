@@ -6,12 +6,13 @@ from hmpce.factorgraph import (
     BP,
     MF,
     BernoulliMixFactor,
+    BetaBelief,
     FactorGraph,
+    GammaBelief,
     MixtureObservationFactor,
     PriorFactor,
     TableFactor,
 )
-from hmpce.messages import BetaBelief, GammaBelief
 
 
 def random_tree_graph(rng):

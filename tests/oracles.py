@@ -77,8 +77,7 @@ from hmpce.denoiser import (
     update_transition_beliefs,
 )
 from hmpce.lmmse import _VAR_FLOOR
-from hmpce.messages import digamma_fn
-from hmpce.priors import VARIANT_BG, VARIANT_TSGM, posterior_variance_mixture
+from hmpce.priors import VARIANT_BG, VARIANT_TSGM, digamma_fn, posterior_variance_mixture
 from hmpce.turbo import NMSE_TOL, MmseSampler, TurboTrace, nmse, run_turbo, to_db
 
 

@@ -10,6 +10,7 @@ from scipy.special import digamma as scipy_digamma
 from scipy.special import expit
 
 from oracles import (
+    cgauss_logpdf,
     chain_enumeration,
     backward_pass_two_lists,
     chain_sweeps_probability,
@@ -52,8 +53,7 @@ from hmpce.denoiser import (
     update_precision_beliefs,
     update_transition_beliefs,
 )
-from hmpce.messages import beta_log_expectations, digamma_fn
-from hmpce.priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM
+from hmpce.priors import VARIANT_BG, VARIANT_LVD, VARIANT_TSGM, digamma_fn
 
 
 def psi_hat(x):
@@ -185,17 +185,54 @@ def test_transition_log_expectations_equal_two_beta_calls_bit_for_bit(exact):
         case = [2.0, 30.0, 5.0, 400.0]
         case[slot] = math.nan
         counts.append(tuple(case))
+    psi = digamma_fn(exact)
+
+    def beta_logs(a, b):
+        # (E[ln p], E[ln(1-p)]) under Beta(a, b), one scalar digamma at a time
+        tot = psi(a + b)
+        return psi(a) - tot, psi(b) - tot
+
     for p10_a, p10_b, p01_a, p01_b in counts:
         state = DenoiserState(p10_a=one(p10_a), p10_b=one(p10_b), p01_a=one(p01_a),
                               p01_b=one(p01_b))
         (got,) = transition_log_expectations(state, cfg)
-        turn_on, stay_quiet = beta_log_expectations(p10_a, p10_b, exact)
-        turn_off, stay_active = beta_log_expectations(p01_a, p01_b, exact)
+        turn_on, stay_quiet = beta_logs(p10_a, p10_b)
+        turn_off, stay_active = beta_logs(p01_a, p01_b)
         want = (stay_active, turn_on, stay_quiet, turn_off)
         assert all(type(x) is float for x in got)
         np.testing.assert_array_equal(
             np.array(got).view(np.uint64), np.array(want).view(np.uint64)
         )
+
+
+def test_cgauss_values():
+    def pdf(x, mean, variance):
+        return np.exp(cgauss_logpdf(x, mean, variance))
+
+    assert pdf(0.0, 0.0, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
+    assert pdf(1.0, 1.0, 2.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+    assert pdf(1.0, 0.0, 1.0) == pytest.approx(math.exp(-1.0) / math.pi, rel=1e-12)
+    x = np.array([0.3 + 0.4j, -1.0j])
+    expect = np.exp(-np.abs(x - 0.1) ** 2 / 0.7) / (math.pi * 0.7)
+    assert np.allclose(pdf(x, 0.1, 0.7), expect, rtol=1e-12, atol=0.0)
+
+
+def test_cgauss_domain():
+    for bad in (0.0, -2.0):
+        with pytest.raises(ValueError):
+            cgauss_logpdf(0.0, 0.0, bad)
+        with pytest.raises(ValueError):
+            cgauss_logpdf(np.zeros(2), 0.0, np.array([1.0, bad]))
+
+
+def test_cgauss_grid_integral():
+    v = 0.8
+    sigma = math.sqrt(v)
+    ax = np.linspace(-6.0 * sigma, 6.0 * sigma, 601)
+    re, im = np.meshgrid(ax, ax)
+    cell = (ax[1] - ax[0]) ** 2
+    total = np.exp(cgauss_logpdf(re + 1j * im, 0.2 + 0.1j, v)).sum() * cell
+    assert abs(total - 1.0) < 1e-3
 
 
 def test_bg_likelihood_is_spike_slab_ratio():

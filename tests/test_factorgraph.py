@@ -6,14 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import digamma
 
 from graphgen import random_hybrid_graph, random_tree_graph
 from hmpce.factorgraph import (
     BP,
     FLAT,
     MF,
+    BernoulliMixFactor,
+    BetaBelief,
     FactorGraph,
+    GammaBelief,
     MixtureObservationFactor,
     PriorFactor,
     TableFactor,
@@ -22,7 +24,6 @@ from hmpce.factorgraph import (
     exact_marginals,
     stretched_graph_equivalence_check,
 )
-from hmpce.messages import BetaBelief, GammaBelief
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -183,6 +184,7 @@ def test_gamma_message_shape_increment_one():
     # unit exponents make the shape increment equal the total joint weight;
     # obs_sq = 0 gives the flat-in-rate message Ga(2, 0) and the belief
     # Ga(2.5, 2), which must be accepted
+    digamma = pytest.importorskip("scipy.special").digamma
     for obs_sq in (np.array([0.4, 1.3]), np.zeros(2)):
         g = FactorGraph()
         g.add_variable("x", "discrete", 2)
@@ -219,6 +221,48 @@ def test_prior_factors_validate_parameters():
     for a, b in ((0.0, 1.0), (1.0, 0.0)):
         with pytest.raises(ValueError):
             PriorFactor("pq", "q", BetaBelief(a, b))
+
+
+def test_belief_types_validate_parameters():
+    # Gamma: shape > 0 and rate >= 0; rate 0 is the flat-in-rate message
+    for shape, rate in ((0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, -1e-300),
+                        (float("nan"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            GammaBelief(shape, rate)
+    assert GammaBelief(2.0, 0.0).rate == 0.0
+    with pytest.raises(ValueError):
+        BetaBelief(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        BetaBelief(1.0, 0.0)
+    assert GammaBelief(2.0, 4.0).mean() == pytest.approx(0.5)
+
+
+def test_expected_log_tables_match_scipy():
+    # a one-hot x reads E[ln v] - ln(pi) under Ga(shape, rate), and E[ln p]
+    # and E[ln(1-p)] under Beta(a, b), off the engine's log tables
+    onehot = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    mix = MixtureObservationFactor("mix", ["x"], ["v"], log_base=np.zeros(2),
+                                   exponents=onehot[:1], obs_sq=[np.zeros(2)])
+    bern = BernoulliMixFactor("bern", ["x"], ["q"], log_base=np.zeros(2),
+                              succ=onehot[:1], fail=onehot[1:])
+    # swapped pseudo-counts swap the two logs bit for bit
+    rng = np.random.default_rng(3)
+    for a, b in rng.uniform(0.2, 6.0, size=(20, 2)):
+        np.testing.assert_array_equal(bern.current_log_table([BetaBelief(a, b)]),
+                                      bern.current_log_table([BetaBelief(b, a)])[::-1])
+    lp, lq = bern.current_log_table([BetaBelief(2.0, 2.0)])
+    assert lp == lq
+    lp, lq = bern.current_log_table([BetaBelief(3.0, 1.0)])
+    assert lp > lq
+    digamma = pytest.importorskip("scipy.special").digamma
+    # the numpy digamma is within a few ulp of scipy's, not bit-equal to it
+    log_v, zero = mix.current_log_table([GammaBelief(2.5, 2.0)])
+    assert zero == 0.0
+    assert log_v + math.log(math.pi) == pytest.approx(
+        float(digamma(2.5)) - math.log(2.0), abs=1e-15)
+    lp, lq = bern.current_log_table([BetaBelief(2.5, 1.5)])
+    assert lp == pytest.approx(digamma(2.5) - digamma(4.0), abs=1e-14)
+    assert lq == pytest.approx(digamma(1.5) - digamma(4.0), abs=1e-14)
 
 
 def test_hybrid_rule_demo_reports_zero_discrepancy(capsys):
@@ -326,6 +370,92 @@ def test_prior_of_the_wrong_family_fails_when_added(kind, belief):
     with pytest.raises(UnsupportedGraphError, match="prior 'p'"):
         g.add_factor(PriorFactor("p", "q", belief))
     assert g.factors == [] and g.neighbors("q") == []
+
+
+def _graph_with_one_factor():
+    """a, b binary, c ternary, a Gamma v and a Beta q, and the factor 'f'."""
+    g = FactorGraph()
+    for name, size in (("a", 2), ("b", 2), ("c", 3)):
+        g.add_variable(name, "discrete", size)
+    g.add_variable("v", "gamma")
+    g.add_variable("q", "beta")
+    g.add_factor(TableFactor("f", ["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]])))
+    return g
+
+
+def _mix(log_base=np.zeros((2, 3)), exponent=np.ones((2, 3)), obs_sq=np.ones((2, 3)),
+         disc=("a", "c"), gammas=("v",)):
+    return MixtureObservationFactor("h", disc, gammas, log_base=log_base,
+                                    exponents=[exponent], obs_sq=[obs_sq])
+
+
+def _bern(log_base=np.zeros((2, 3)), succ=np.ones((2, 3)), fail=np.ones((2, 3))):
+    return BernoulliMixFactor("h", ["a", "c"], ["q"], log_base=log_base, succ=[succ],
+                              fail=[fail])
+
+
+# Factors that fail as they are added, each with its tags and the start of
+# its error; before the checks ran at build time, the first two gave wrong
+# beliefs (a: [0.155, 0.845] against enumeration's [0.794, 0.206], and
+# [0.273, 0.727] against [0.25, 0.75]), the tag cases failed at the first
+# sweep or were ignored, and the shape cases failed at the first sweep or
+# broadcast.
+BAD_FACTORS = {
+    "duplicate-name": (TableFactor("f", ["a"], np.array([0.9, 0.1])), None,
+                       "duplicate factor 'f'"),
+    "variable-twice": (TableFactor("h", ["a", "a"], np.array([[1.0, 5.0], [2.0, 3.0]])),
+                       None, "factor 'h' lists a variable twice"),
+    "unknown-tag": (TableFactor("h", ["a", "b"], np.ones((2, 2))), {"b": "sp"},
+                    "factor 'h': discrete variable 'b' cannot sit on a 'sp'"),
+    "capitalized-tag": (TableFactor("h", ["a", "b"], np.ones((2, 2))), {"a": "MF"},
+                        "factor 'h': discrete variable 'a' cannot sit on a 'MF'"),
+    "tag-on-another-variable": (TableFactor("h", ["a", "b"], np.ones((2, 2))),
+                                {"a": MF, "c": BP}, "factor 'h' tags variables"),
+    "tag-on-no-variable": (TableFactor("h", ["a"], np.ones(2)), {"z": MF},
+                           "factor 'h' tags variables"),
+    "table-transposed": (TableFactor("h", ["a", "c"], np.ones((3, 2))), None,
+                         "factor 'h': table has shape"),
+    "table-broadcast": (TableFactor("h", ["a", "c"], np.ones(3)), None,
+                        "factor 'h': table has shape"),
+    "log-base": (_mix(log_base=np.zeros(3)), None, "factor 'h': log_base has shape"),
+    "exponent": (_mix(exponent=np.ones((3, 2))), None, "factor 'h': exponents has shape"),
+    "obs-sq": (_mix(obs_sq=np.ones((2, 1))), None, "factor 'h': obs_sq has shape"),
+    "succ": (_bern(succ=np.ones((3, 2))), None, "factor 'h': succ has shape"),
+    "fail": (_bern(fail=np.ones(3)), None, "factor 'h': fail has shape"),
+    "beta-as-gamma": (_mix(gammas=("q",)), None, "factor 'h' sends a gamma belief to beta"),
+    "discrete-as-gamma": (_mix(gammas=("b",)), None, "factor 'h' sends a gamma belief to discrete"),
+    "gamma-as-discrete": (TableFactor("h", ["a", "v"], np.ones((2, 2))), None,
+                          "factor 'h' sends a discrete belief to gamma"),
+    "zero-unary-table": (TableFactor("h", ["a"], np.zeros(2)), None, "factor 'h'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FACTORS)
+def test_malformed_factor_fails_when_added_and_leaves_the_graph_unchanged(case):
+    factor, tags, match = BAD_FACTORS[case]
+    g = _graph_with_one_factor()
+    factors, tag_map, messages = list(g.factors), dict(g._tags), dict(g._m)
+    with pytest.raises(ValueError, match=match):
+        g.add_factor(factor, tags=tags)
+    assert g.factors == factors and g._tags == tag_map
+    assert g._m.keys() == messages.keys() and all(g._m[k] is m for k, m in messages.items())
+    # the graph still runs as 'f' alone: its marginals are the table's sums
+    g.run()
+    assert np.allclose(g.belief("a").probs, [0.3, 0.7], rtol=0.0, atol=1e-15)
+    assert np.allclose(g.belief("b").probs, [0.4, 0.6], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _mix(gammas=("v", "w")),
+    lambda: BernoulliMixFactor("h", ["a"], ["q"], log_base=np.zeros(2),
+                               succ=[np.ones(2)] * 2, fail=[np.ones(2)]),
+    lambda: BernoulliMixFactor("h", ["a"], ["q", "r"], log_base=np.zeros(2),
+                               succ=[np.ones(2)] * 2, fail=[np.ones(2)]),
+], ids=["mixture", "bernoulli-succ", "bernoulli-fail"])
+def test_factor_needs_its_arrays_once_per_parametric_variable(build):
+    # zip would drop the extra arrays, or leave a variable without its own
+    with pytest.raises(ValueError, match="per (gamma|beta) variable"):
+        build()
 
 
 def test_exact_marginals_rejects_parametric_graphs():

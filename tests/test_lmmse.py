@@ -224,6 +224,95 @@ def test_extrinsic_clamps_when_uninformative():
     assert err == 0.0
 
 
+def test_gaussian_multiply_examples():
+    out = gaussian_multiply(GaussianMsg(0.0, 1.0), GaussianMsg(0.0, 1.0))
+    assert out.mean == 0.0 and out.variance == pytest.approx(0.5)
+    out = gaussian_multiply(GaussianMsg(1.0, 1.0), GaussianMsg(1.0, 1.0))
+    assert out.mean == pytest.approx(1.0) and out.variance == pytest.approx(0.5)
+    out = gaussian_multiply(GaussianMsg(2.0, 1.0), GaussianMsg(0.0, 1.0))
+    assert out.mean == pytest.approx(1.0) and out.variance == pytest.approx(0.5)
+
+
+def test_gaussian_multiply_commutative_associative():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        msgs = [
+            GaussianMsg(
+                complex(rng.standard_normal(), rng.standard_normal()),
+                float(rng.uniform(0.05, 5.0)),
+            )
+            for _ in range(3)
+        ]
+        ab = gaussian_multiply(msgs[0], msgs[1])
+        ba = gaussian_multiply(msgs[1], msgs[0])
+        assert abs(ab.mean - ba.mean) <= 1e-12 * max(1.0, abs(ab.mean))
+        assert abs(ab.variance - ba.variance) <= 1e-12 * ab.variance
+        left = gaussian_multiply(ab, msgs[2])
+        right = gaussian_multiply(msgs[0], gaussian_multiply(msgs[1], msgs[2]))
+        assert abs(left.mean - right.mean) <= 1e-12 * max(1.0, abs(left.mean))
+        assert abs(left.variance - right.variance) <= 1e-12 * left.variance
+
+
+def _extrinsic(post, pri):
+    # the scalar case of the extrinsic division post / pri, through the one
+    # implementation of it (lmmse.extrinsic_split on one (1, 1) column)
+    h_ext, v_ext, clamped, _ = extrinsic_split(
+        np.array([[post.mean]], dtype=complex), np.array([post.variance]),
+        np.array([[pri.mean]], dtype=complex), np.array([pri.variance]),
+    )
+    return GaussianMsg(complex(h_ext[0, 0]), float(v_ext[0])), bool(clamped[0])
+
+
+def test_extrinsic_examples():
+    out, clamped = _extrinsic(GaussianMsg(1.0, 0.5), GaussianMsg(0.0, 1.0))
+    assert out.mean == pytest.approx(2.0) and out.variance == pytest.approx(1.0)
+    assert not clamped
+    out, clamped = _extrinsic(GaussianMsg(0.7 + 0.1j, 0.3), GaussianMsg(0.7 + 0.1j, 0.6))
+    assert out.mean == pytest.approx(0.7 + 0.1j) and out.variance == pytest.approx(0.6)
+    assert not clamped
+    # a posterior no narrower than the prior has no proper extrinsic: it clamps
+    for post in (GaussianMsg(1.0, 1.0), GaussianMsg(1.0, 2.0)):
+        out, clamped = _extrinsic(post, GaussianMsg(0.0, 1.0))
+        assert clamped and out.variance == 1e8 and np.isfinite(out.mean)
+
+
+def test_extrinsic_roundtrip():
+    # the extrinsic division inverts the Gaussian product
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        v_pri = float(rng.uniform(0.1, 4.0))
+        v_post = float(rng.uniform(0.01, 0.99)) * v_pri
+        pri = GaussianMsg(complex(rng.standard_normal(), rng.standard_normal()), v_pri)
+        post = GaussianMsg(complex(rng.standard_normal(), rng.standard_normal()), v_post)
+        ext, clamped = _extrinsic(post, pri)
+        assert not clamped
+        back = gaussian_multiply(ext, pri)
+        assert abs(back.mean - post.mean) <= 1e-10 * max(1.0, abs(post.mean))
+        assert abs(back.variance - post.variance) <= 1e-10 * post.variance
+
+
+def test_extrinsic_clamped():
+    # barely informative posterior hits the cap and sets the flag
+    msg, clamped = _extrinsic(GaussianMsg(1.0, 0.999999999), GaussianMsg(0.0, 1.0))
+    assert clamped and msg.variance == 1e8
+    # clearly informative posterior matches the exact division
+    msg, clamped = _extrinsic(GaussianMsg(1.0, 0.5), GaussianMsg(0.0, 1.0))
+    assert not clamped
+    assert msg.mean == pytest.approx(2.0) and msg.variance == pytest.approx(1.0)
+    # equal variances (invalid division) also clamp rather than raise
+    _, clamped = _extrinsic(GaussianMsg(1.0, 1.0), GaussianMsg(0.0, 1.0))
+    assert clamped
+
+
+def test_gaussian_msg_validation():
+    with pytest.raises(ValueError):
+        GaussianMsg(0.0, 0.0)
+    with pytest.raises(ValueError):
+        GaussianMsg(0.0, -1.0)
+    with pytest.raises(ValueError):
+        GaussianMsg(float("nan"), 1.0)
+
+
 def test_extrinsic_split_columns_with_clamped_columns():
     N, P, cap = 16, 6, 1e8
     rng = np.random.default_rng(12)

@@ -32,7 +32,7 @@ import pytest
 
 import hmpce
 from hmpce.channels import ChannelRealization, save_channel
-from hmpce.messages import digamma_approx, digamma_exact
+from hmpce.priors import digamma_approx, digamma_exact
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hmpce.__file__)))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -151,6 +151,29 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def test_psi_hat_values():
+    assert digamma_approx(1.0) == pytest.approx(-0.5, abs=1e-15)
+    assert digamma_approx(2.0) == pytest.approx(math.log(2.0) - 0.25, abs=1e-15)
+    assert digamma_approx(0.5) == pytest.approx(math.log(0.5) - 1.0, abs=1e-15)
+
+
+def test_psi_hat_domain():
+    for bad in (0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError):
+            digamma_approx(bad)
+        with pytest.raises(ValueError):
+            digamma_exact(bad)
+    for psi in (digamma_approx, digamma_exact):
+        with pytest.raises(ValueError):
+            psi(np.array([1.0, 0.0]))
+
+
+def test_psi_hat_approaches_digamma():
+    # the approximation error decays like 1/(12 x^2)
+    for x in (5.0, 20.0, 100.0):
+        assert abs(digamma_approx(x) - digamma_exact(x)) < 1.0 / (10.0 * x * x)
+
+
 def test_digamma_matches_scipy():
     special = pytest.importorskip("scipy.special")
     x = np.logspace(-3.0, 8.0, 100_001)
@@ -162,7 +185,7 @@ def test_digamma_matches_scipy():
 
 
 def test_digamma_edge_inputs():
-    # x <= 0 raises: test_messages.py::test_psi_hat_domain
+    # x <= 0 raises: test_psi_hat_domain
     assert math.isnan(digamma_exact(math.nan))
     assert digamma_exact(math.inf) == math.inf
     assert type(digamma_exact(2.0)) is float

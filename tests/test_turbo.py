@@ -875,6 +875,20 @@ def test_state_evolution_rejects_nan_snr():
         run_state_evolution(ScalarPrior(), math.nan, 64, 51, num_samples=1000)
 
 
+@pytest.mark.parametrize("N, M, match", [
+    (8, 0, "M=0, N=8"),      # ended in ZeroDivisionError
+    (8, -1, "M=-1, N=8"),
+    (8, 9, "M=9, N=8"),      # blamed the map: "SE map undefined at the linear stage"
+    (0, 0, "N=0"),
+    (0, 1, "N=0"),
+    (-2, 1, "N=-2"),
+])
+def test_state_evolution_rejects_sizes_outside_one_to_n(N, M, match):
+    # M = N stays valid input: test_se_map_undefined's noiseless case
+    with pytest.raises(ValueError, match=match):
+        run_state_evolution(ScalarPrior(), 10.0, N, M, num_samples=1000)
+
+
 def test_state_evolution_rejects_minus_inf_snr():
     prior = ScalarPrior(variant=VARIANT_LVD)
     with pytest.raises(ValueError, match="-inf"):
