@@ -5,12 +5,12 @@ one full pass of the support-chain / precision-learning message schedule:
 
   1. per-(element, subcarrier) support likelihoods from the current
      Gamma beliefs over the active and near-zero precisions,
-  2. a forward sweep along the support chain,
-  3. a backward sweep,
-  4. first/pair support beliefs and Beta belief updates for the chain
-     transition probabilities (steps 2-4 execute a second time with the
+  2. one chain round: the forward and the backward sweep along the support
+     chain, run together as one sweep over 2B rows,
+  3. first/pair support beliefs and Beta belief updates for the chain
+     transition probabilities (steps 2-3 execute a second time with the
      refreshed beliefs),
-  5. leave-one-subcarrier-out extrinsic support messages, Gamma belief
+  4. leave-one-subcarrier-out extrinsic support messages, Gamma belief
      updates, and the posterior mixture moments.
 
 One pass runs B independent denoisers, called members, at once.  Every
@@ -21,10 +21,15 @@ C-contiguous, with the memory layout of a one-member pass, so each member's
 output is bit for bit that pass's: numpy sums each block as it sums the
 block alone.  The first element's belief loops over the members, and the
 backward odds are taken row by row, as exp rounds a 2-D reversed view
-differently.  The chain sweeps loop over the members in scalar Python on
-short chains; a direction of at least LANE_MIN_ELEMENTS chain elements
-(B N) runs in lanes of LANE elements, one numpy step for every lane of
-every member, with the scalar loop's bits (`_lane_sweeps`).  `denoise`
+differently.
+
+A chain round sweeps 2B rows, rows 0 to B-1 each member's forward chain
+and rows B to 2B-1 its reversed chain (`evidence_odds`, `forward_pass`).
+The rows loop in scalar Python on short chains; members of at least
+LANE_MIN_ELEMENTS chain elements (B N) run in lanes of LANE elements, one
+numpy step for every lane of every row, with the scalar loop's bits
+(`_lane_sweeps`).  `backward_pass` is only an alias of `forward_pass`, the
+name of a second chain target of the benchmark's tracer.  `denoise`
 takes (B, P) prior variances and hands the steps the same values on the
 means' axes, v_pri of shape (B, 1, P).  `select_members` drops members
 from a state.
@@ -55,7 +60,7 @@ computes each of them once and passes it in:
     beliefs;
   - (like_logit, llr) of `pooled_evidence`, once per pass after the
     likelihood step;
-  - the forward and backward odds of `evidence_odds`, once per pass;
+  - the odds stack of `evidence_odds`, both directions, once per pass;
   - the log transition weights of `transition_log_expectations`, once per
     chain round;
   - ext_logit = logit(support_ext), once per pass after `support_extrinsic`.
@@ -317,28 +322,30 @@ def pooled_evidence(state):
 
 
 def evidence_odds(llr):
-    """Evidence odds e = exp(pooled LLR) for both sweeps, in visit order.
+    """Evidence odds e = exp(pooled LLR) of both sweep directions, in visit
+    order, as one (2B, N) stack.
 
-    llr is (B, N).  Returns (forward, backward): the forward odds exp(llr)
-    and the backward odds exp(llr[b, ::-1]) of each member b, each as a pair
-    (odds, sweep input) of the (B, N) array and what the sweeps step
-    through: the odds in the (LANE, B, K) layout of `_lane_sweeps` when the
-    direction has at least LANE_MIN_ELEMENTS chain elements (B N), one list
-    of floats per member for the scalar loops otherwise.  The backward odds
-    are exp of the reversed LLR, not the reversed forward odds, and are taken
-    row by row: numpy's exp rounds a negative-stride view differently from a
+    llr is (B, N).  Row b of the stack is member b's forward odds
+    exp(llr[b]), row B + b its backward odds exp(llr[b, ::-1]).  Returns the
+    pair (odds, sweep input) of the stack and what the sweeps step through:
+    the stack in the (LANE, 2B, K) layout of `_lane_sweeps` when the members
+    have at least LANE_MIN_ELEMENTS chain elements (B N), one list of floats
+    per row for the scalar loops otherwise.  The backward odds are exp of
+    the reversed LLR, not the reversed forward odds, and are taken row by
+    row: numpy's exp rounds a negative-stride view differently from a
     contiguous array, and a 2-D reversed view differently again, and the
     sweeps keep the bits of one member's 1-D exp.  inf and 0 from overflow
     and underflow are left to the sweep's clamp.  `denoise` computes them
     once per pass for both chain rounds.
     """
-    e_rev = np.empty_like(llr)
+    B = len(llr)
+    e = np.empty((2 * B, llr.shape[1]))
     with np.errstate(over="ignore", under="ignore"):
-        e = np.exp(llr)
-        for row, out in zip(llr, e_rev):
+        np.exp(llr, out=e[:B])
+        for row, out in zip(llr, e[B:]):
             np.exp(row[::-1], out=out)
     layout = _lane_layout if llr.size >= LANE_MIN_ELEMENTS else np.ndarray.tolist
-    return (e, layout(e)), (e_rev, layout(e_rev))
+    return e, layout(e)
 
 
 def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, lo, hi):
@@ -350,8 +357,7 @@ def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, lo, hi):
     q = (x stay + enter) / (x leave + stay_out).  The start value and both of
     these are clamped to the odds bounds [lo, hi], which also absorb e = inf
     or 0.  Returns the predicted odds only, as a list in visit order;
-    `_chain_messages` computes the filtered odds from them in one array
-    pass.
+    `forward_pass` computes the filtered odds from them in one array pass.
     """
     q = min(max(q, lo), hi)
     pred = []
@@ -372,7 +378,7 @@ def _odds_sweep(q, evidence_odds, stay, enter, leave, stay_out, lo, hi):
 
 
 # The lane path of the sweeps: lanes of LANE elements, at most LANE_ROUNDS
-# fix-up rounds, for directions of at least LANE_MIN_ELEMENTS chain elements
+# fix-up rounds, for B members of at least LANE_MIN_ELEMENTS chain elements
 # (B N): on fewer, the numpy calls of a lane pass cost more than the loop
 LANE = 8
 LANE_ROUNDS = 3
@@ -380,17 +386,17 @@ LANE_MIN_ELEMENTS = 1024
 
 
 def _lane_layout(e):
-    """The (B, N) odds e as (LANE, B, K) lanes, K = ceil(N / LANE): entry
-    [j, b, k] is e[b, k LANE + j], and the last lane is padded with ones."""
-    B, N = e.shape
+    """The (R, N) odds e as (LANE, R, K) lanes, K = ceil(N / LANE): entry
+    [j, r, k] is e[r, k LANE + j], and the last lane is padded with ones."""
+    R, N = e.shape
     K = -(-N // LANE)
-    padded = np.ones((B, K * LANE))
+    padded = np.ones((R, K * LANE))
     padded[:, :N] = e
-    return np.ascontiguousarray(padded.reshape(B, K, LANE).transpose(2, 0, 1))
+    return np.ascontiguousarray(padded.reshape(R, K, LANE).transpose(2, 0, 1))
 
 
 def _lane_steps(q, lanes, pred, coef, lo, hi, check):
-    """Run every lane through its LANE elements from the odds q, (B, K),
+    """Run every lane through its LANE elements from the odds q, (R, K),
     the way `_odds_sweep` steps, writing the odds into element j to pred[j]
     and, at the end, the odds out of the lane to pred[LANE].  q is
     overwritten.
@@ -420,28 +426,28 @@ def _lane_steps(q, lanes, pred, coef, lo, hi, check):
 
 
 def _lane_sweeps(members, lanes, e, lo, hi):
-    """The predicted odds of `_odds_sweep` for every member at once, (B, N),
+    """The predicted odds of `_odds_sweep` for every row at once, (R, N),
     bit for bit.
 
-    members holds one (start, stay, enter, leave, stay_out) per member,
-    lanes the odds e (B, N) in the layout of `_lane_layout`.  Each member's
-    chain is cut into K lanes of LANE elements, and one numpy step advances
-    every lane of every member, with the IEEE products, sums, quotient and
-    clamps of `_odds_sweep`, so that a lane run from the right start gives
-    that loop's values.  The first lane of each chain starts from its true
-    start, every other lane from odds 1.  A lane is confirmed when it
-    starts where its predecessor ends, bit for bit (compared as int64, so
-    that NaN equals itself); once every lane is, all are exact, as the
-    first lanes are.  Each fix-up round re-runs every lane from its
+    members holds one (start, stay, enter, leave, stay_out) per row of the
+    odds e (R, N), lanes the odds in the layout of `_lane_layout`.  Each
+    row's chain is cut into K lanes of LANE elements, and one numpy step
+    advances every lane of every row, with the IEEE products, sums,
+    quotient and clamps of `_odds_sweep`, so that a lane run from the right
+    start gives that loop's values.  The first lane of each chain starts
+    from its true start, every other lane from odds 1.  A lane is confirmed
+    when it starts where its predecessor ends, bit for bit (compared as
+    int64, so that NaN equals itself); once every lane is, all are exact,
+    as the first lanes are.  Each fix-up round re-runs every lane from its
     predecessor's end, until every lane meets its record (`_lane_steps`; a
     confirmed lane only repeats it).  After LANE_ROUNDS rounds, or after any
     round that leaves most lanes unconfirmed, `_odds_sweep` finishes each
     chain from its first unconfirmed lane, whose start is exact.
     """
-    L, B, K = lanes.shape
+    L, R, K = lanes.shape
     start, *coef = (np.array(c)[:, None] for c in zip(*members))
-    pred = np.empty((L + 1, B, K))
-    q = np.ones((B, K))
+    pred = np.empty((L + 1, R, K))
+    q = np.ones((R, K))
     q[:, :1] = np.minimum(np.maximum(start, lo), hi)
     with np.errstate(over="ignore"):
         _lane_steps(q, lanes, pred, coef, lo, hi, check=False)
@@ -454,12 +460,12 @@ def _lane_sweeps(members, lanes, e, lo, hi):
             if not count or fixups == LANE_ROUNDS or (fixups and 2 * count > unconfirmed.size):
                 break
             _lane_steps(q, lanes, pred, coef, lo, hi, check=True)
-    out = np.ascontiguousarray(pred[:L].transpose(1, 2, 0).reshape(B, K * L)[:, :e.shape[1]])
+    out = np.ascontiguousarray(pred[:L].transpose(1, 2, 0).reshape(R, K * L)[:, :e.shape[1]])
     if count:
-        for b in np.flatnonzero(unconfirmed.any(axis=1)):
-            k = int(unconfirmed[b].argmax())
-            out[b, k * L:] = _odds_sweep(
-                float(pred[L, b, k - 1]), e[b, k * L:].tolist(), *members[b][1:], lo, hi)
+        for r in np.flatnonzero(unconfirmed.any(axis=1)):
+            k = int(unconfirmed[r].argmax())
+            out[r, k * L:] = _odds_sweep(
+                float(pred[L, r, k - 1]), e[r, k * L:].tolist(), *members[r][1:], lo, hi)
     return out
 
 
@@ -468,38 +474,42 @@ def _odds_bounds():
     return PROB_FLOOR / (1.0 - PROB_FLOOR), (1.0 - PROB_FLOOR) / PROB_FLOOR
 
 
-def _sweep_members(transitions, backward):
-    """One (start, stay, enter, leave, stay_out) per member for the sweeps of
-    `_odds_sweep` and `_lane_sweeps`: the linear weights math.exp(log
-    weight) of `transition_log_expectations`, from the first element's odds
-    turn_on / stay_quiet, or, backward, from 1 with the entering and leaving
-    weights swapped."""
-    members = []
+def _sweep_members(transitions):
+    """One (start, stay, enter, leave, stay_out) per row of the odds stack of
+    `evidence_odds`, for the sweeps of `_odds_sweep` and `_lane_sweeps`: the
+    linear weights math.exp(log weight) of `transition_log_expectations`.
+    Member b's forward row b starts from the first element's odds
+    turn_on / stay_quiet, its backward row B + b from 1 with the entering
+    and leaving weights swapped."""
+    forward, backward = [], []
     for logs in transitions:
         stay_active, turn_on, stay_quiet, turn_off = [math.exp(v) for v in logs]
-        if backward:
-            members.append((1.0, stay_active, turn_off, turn_on, stay_quiet))
-        else:
-            members.append((turn_on / stay_quiet, stay_active, turn_on, turn_off, stay_quiet))
-    return members
+        forward.append((turn_on / stay_quiet, stay_active, turn_on, turn_off, stay_quiet))
+        backward.append((1.0, stay_active, turn_off, turn_on, stay_quiet))
+    return forward + backward
 
 
-def _chain_messages(transitions, odds, backward):
-    """Predicted and filtered messages of one sweep, as (B, N) probabilities
-    in visit order, one row per member.
+def forward_pass(state, transitions, odds):
+    """One chain round: the forward sweep of the support chain (predict,
+    then fold in evidence) from the first element, and the backward sweep
+    from the last element down, whose terminal message is uninformative
+    (1/2), as one sweep over the 2B rows of the odds stack.
 
     transitions are the log weights of `transition_log_expectations`, odds
-    one direction's pair of `evidence_odds`.  The members' chains run from
-    the starts and on the weights of `_sweep_members`: through
-    `_lane_sweeps` when `evidence_odds` laid the odds out in lanes, through
-    one `_odds_sweep` per member otherwise, with the same bits either way.
-    The filtered odds are clip(pred e, lo, hi) in one array pass: the same
-    IEEE product and clamp as the sweep's loop, so the same bits (an
-    overflow to inf is clamped to hi).
+    the pair of `evidence_odds`.  Each row runs from the start and on the
+    weights of `_sweep_members`: through one `_lane_sweeps` call when
+    `evidence_odds` laid the stack out in lanes, through one `_odds_sweep`
+    per row otherwise, with the same bits either way, and the bits of each
+    direction swept alone.  The filtered odds are clip(pred e, lo, hi) in
+    one array pass: the same IEEE product and clamp as the sweep's loop, so
+    the same bits (an overflow to inf is clamped to hi).  Writes fwd_pred,
+    fwd_filt, bwd_pred and bwd_filt as (B, N) probabilities in element
+    order; the backward messages are stored as contiguous arrays, not as
+    reversed views, whose later `np.log` would round differently.
     """
     e, sweep_odds = odds
     lo, hi = _odds_bounds()
-    members = _sweep_members(transitions, backward)
+    members = _sweep_members(transitions)
     if isinstance(sweep_odds, np.ndarray):
         pred = _lane_sweeps(members, sweep_odds, e, lo, hi)
     else:
@@ -507,24 +517,16 @@ def _chain_messages(transitions, odds, backward):
                          for m, e_list in zip(members, sweep_odds)], dtype=float)
     with np.errstate(over="ignore"):
         filt = np.clip(pred * e, lo, hi)
-    return pred / (1.0 + pred), filt / (1.0 + filt)
+    pred /= 1.0 + pred
+    filt /= 1.0 + filt
+    B = len(transitions)
+    state.fwd_pred, state.fwd_filt = pred[:B], filt[:B]
+    state.bwd_pred, state.bwd_filt = pred[B:, ::-1].copy(), filt[B:, ::-1].copy()
 
 
-def forward_pass(state, transitions, odds):
-    """Forward sweep of the support chain (predict, then fold in evidence)
-    on the forward odds, from the first element (`_chain_messages`)."""
-    state.fwd_pred, state.fwd_filt = _chain_messages(transitions, odds, backward=False)
-
-
-def backward_pass(state, transitions, odds):
-    """Backward sweep on the backward odds, exp(llr[b, ::-1]), from the last
-    element down; the terminal message is uninformative (1/2).
-
-    The messages are stored as contiguous arrays in element order, not as
-    reversed views, whose later `np.log` would round differently.
-    """
-    pred, filt = _chain_messages(transitions, odds, backward=True)
-    state.bwd_pred, state.bwd_filt = pred[:, ::-1].copy(), filt[:, ::-1].copy()
+# The name that the benchmark's tracer wraps as its second chain target,
+# until ROADMAP item 7 retargets the span to the one round above.
+backward_pass = forward_pass
 
 
 def update_transition_beliefs(state, transitions, llr):
@@ -704,11 +706,10 @@ def denoise(h_pri, v_pri, cfg, state=None):
     r2 = _squared_magnitude(h_pri)
     s_large = support_likelihood(r2, v_pri, state, cfg)
     like_logit, llr = pooled_evidence(state)
-    forward_odds, backward_odds = evidence_odds(llr)
+    odds = evidence_odds(llr)
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
-        forward_pass(state, transitions, forward_odds)
-        backward_pass(state, transitions, backward_odds)
+        forward_pass(state, transitions, odds)
         update_transition_beliefs(state, transitions, llr)
     support_extrinsic(state, like_logit, llr)
     ext_logit = _logit(state.support_ext)

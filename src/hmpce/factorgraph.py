@@ -311,7 +311,12 @@ class MixtureObservationFactor(_DiscreteCoreFactor):
 
     def current_log_table(self, param_beliefs):
         LT = self.log_base.astype(float).copy()
-        for e, q, b in zip(self.exponents, self.obs_sq, param_beliefs):
+        for v, e, q, b in zip(self.param_vars, self.exponents, self.obs_sq, param_beliefs):
+            if not b.rate > 0.0:
+                raise UnsupportedGraphError(
+                    f"factor '{self.name}': gamma variable '{v}' has a rate-0 belief, "
+                    "which has no expected log"
+                )
             LT = LT + e * (digamma_exact(b.shape) - math.log(b.rate) - math.log(math.pi))
             LT = LT - b.mean() * e * q
         return LT

@@ -66,7 +66,6 @@ from hmpce.denoiser import (
     SMALL_SHAPE,
     _gain,
     _squared_magnitude,
-    backward_pass,
     denoise,
     evidence_odds,
     forward_pass,
@@ -735,7 +734,7 @@ def step_inputs(state, cfg, h_pri=None, v_pri=None):
 
     Attributes: r2 = |h_pri|^2; s_large = v_pri + (active variance) of the
     current beliefs, as `support_likelihood` returns it; like_logit and llr
-    of `pooled_evidence`; forward_odds and backward_odds of `evidence_odds`;
+    of `pooled_evidence`; odds, the pair of `evidence_odds`;
     transitions of `transition_log_expectations`;
     ext_logit = logit(support_ext).  A value whose source is not there yet
     (no h_pri, no v_pri, no support_like or no support_ext) is None.
@@ -743,13 +742,13 @@ def step_inputs(state, cfg, h_pri=None, v_pri=None):
     x = SimpleNamespace(
         r2=None if h_pri is None else _squared_magnitude(h_pri),
         s_large=None if v_pri is None else v_pri + _active_variance(state, cfg),
-        like_logit=None, llr=None, forward_odds=None, backward_odds=None,
+        like_logit=None, llr=None, odds=None,
         transitions=transition_log_expectations(state, cfg),
         ext_logit=None if state.support_ext is None else _logit(state.support_ext),
     )
     if state.support_like is not None:
         x.like_logit, x.llr = pooled_evidence(state)
-        x.forward_odds, x.backward_odds = evidence_odds(x.llr)
+        x.odds = evidence_odds(x.llr)
     return x
 
 
@@ -880,11 +879,10 @@ def denoise_complex(h_pri, v_pri, cfg, state=None):
         state = init_state(N, P, cfg, B)
     support_likelihood_complex(h_pri, v_pri, state, cfg)
     like_logit, llr = pooled_evidence(state)
-    forward_odds, backward_odds = evidence_odds(llr)
+    odds = evidence_odds(llr)
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
-        forward_pass(state, transitions, forward_odds)
-        backward_pass(state, transitions, backward_odds)
+        forward_pass(state, transitions, odds)
         update_transition_beliefs(state, transitions, llr)
     support_extrinsic(state, like_logit, llr)
     update_precision_beliefs_complex(h_pri, v_pri, state, cfg)

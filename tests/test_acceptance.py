@@ -32,7 +32,6 @@ from hmpce.channels import (
 from hmpce.cli import main as cli_main
 from hmpce.denoiser import (
     PriorConfig,
-    backward_pass,
     forward_pass,
     init_state,
     update_transition_beliefs,
@@ -113,8 +112,7 @@ def test_criterion_1_markov_smoothing_exactness():
             axis=1,
         )
         x = step_inputs(state, cfg)
-        forward_pass(state, x.transitions, x.forward_odds)
-        backward_pass(state, x.transitions, x.backward_odds)
+        forward_pass(state, x.transitions, x.odds)
         update_transition_beliefs(state, x.transitions, x.llr)
         ref = chain_enumeration(first_w, trans_w, loglike)
         pair_cols = np.stack(

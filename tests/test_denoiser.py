@@ -39,7 +39,6 @@ from hmpce.denoiser import (
     _logit,
     _probability,
     _squared_magnitude,
-    backward_pass,
     denoise,
     evidence_odds,
     forward_pass,
@@ -266,8 +265,7 @@ def test_chain_quantities_match_enumeration():
         loglike = loglike_from_pi(state.support_like)
         llr = logit(state.support_like[0]).sum(axis=1)
         x = step_inputs(state, cfg)
-        forward_pass(state, x.transitions, x.forward_odds)
-        backward_pass(state, x.transitions, x.backward_odds)
+        forward_pass(state, x.transitions, x.odds)
         update_transition_beliefs(state, x.transitions, x.llr)
         ref = chain_enumeration(first_w, trans_w, loglike)
         assert np.max(np.abs(state.fwd_filt[0] - ref["prefix_filt"][:, 1])) < 1e-10
@@ -297,8 +295,7 @@ def test_support_extrinsic_matches_leave_one_out_enumeration():
     first_w, trans_w = chain_weights(state)
     loglike = loglike_from_pi(state.support_like)
     x = step_inputs(state, cfg)
-    forward_pass(state, x.transitions, x.forward_odds)
-    backward_pass(state, x.transitions, x.backward_odds)
+    forward_pass(state, x.transitions, x.odds)
     support_extrinsic(state, x.like_logit, x.llr)
     for n in range(N):
         for p in range(P):
@@ -361,8 +358,7 @@ def test_odds_sweeps_match_probability_sweeps(N, kind, monkeypatch):
         llr = logit(state.support_like[0]).sum(axis=1)
         floor = denoiser.PROB_FLOOR
         ref = chain_sweeps_probability(weights, llr, floor)
-        forward_pass(state, x.transitions, x.forward_odds)
-        backward_pass(state, x.transitions, x.backward_odds)
+        forward_pass(state, x.transitions, x.odds)
         got = (state.fwd_pred, state.fwd_filt, state.bwd_pred, state.bwd_filt)
         for g, r in zip(got, ref):
             assert g.shape == (1, N)
@@ -384,6 +380,7 @@ CHAIN_FIELDS = (
     "fwd_pred", "fwd_filt", "bwd_pred", "bwd_filt", "pair_belief",
     "first_active_belief", "p10_a", "p10_b", "p01_a", "p01_b",
 )
+CHAIN_MESSAGES = CHAIN_FIELDS[:4]
 
 
 def _chain_round_case(rng, N, kind, cfg):
@@ -438,14 +435,13 @@ def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(
     state = _stack_members(refs)
     evidence = pooled_evidence(state)
     llr = evidence[1]
-    forward_odds, backward_odds = evidence_odds(llr)
+    odds = evidence_odds(llr)
     ref_evidence = [pooled_evidence(ref) for ref in refs]
     if kind == "saturate":
         assert np.abs(llr).max() > 745.0
     for _ in range(2):
         transitions = transition_log_expectations(state, cfg)
-        forward_pass(state, transitions, forward_odds)
-        backward_pass(state, transitions, backward_odds)
+        forward_pass(state, transitions, odds)
         update_transition_beliefs(state, transitions, llr)
         for b, (ref, evidence) in enumerate(zip(refs, ref_evidence)):
             transitions = transition_log_expectations(ref, cfg)
@@ -468,14 +464,21 @@ def test_chain_round_equals_the_two_list_stacked_form_bit_for_bit(
 # the lane path of the chain sweeps
 
 
-def _lane_members(rng, B, backward, p10=((0.5, 30.0),) * 2, p01=((0.5, 30.0),) * 2):
-    """`_sweep_members` of B members, each with its own Beta beliefs: the
-    pseudo-counts a and b of p10 and of p01 drawn from the given ranges."""
+def _lane_transitions(rng, B, p10=((0.5, 30.0),) * 2, p01=((0.5, 30.0),) * 2):
+    """`transition_log_expectations` of B members, each with its own Beta
+    beliefs: the pseudo-counts a and b of p10 and of p01 drawn from the
+    given ranges."""
     state = init_state(1, 1, PriorConfig(), B)
     state.p10_a, state.p10_b = (rng.uniform(*bounds, B) for bounds in p10)
     state.p01_a, state.p01_b = (rng.uniform(*bounds, B) for bounds in p01)
-    transitions = transition_log_expectations(state, PriorConfig())
-    return denoiser._sweep_members(transitions, backward)
+    return transition_log_expectations(state, PriorConfig())
+
+
+def _lane_members(rng, B, backward, **beliefs):
+    """One direction's rows of `_sweep_members` for B members of
+    `_lane_transitions`: the forward rows, or the backward ones."""
+    members = denoiser._sweep_members(_lane_transitions(rng, B, **beliefs))
+    return members[B:] if backward else members[:B]
 
 
 def _lanes_against_scalar_loop(members, e, monkeypatch):
@@ -576,11 +579,11 @@ def test_lane_sweeps_finish_slowly_mixing_chains_with_the_scalar_loop(kind, monk
 
 
 def _takes_lanes(llr):
-    """Whether both directions' sweeps over the (B, N) llr take the lane
-    path, that is, get their odds in a lane layout from `evidence_odds`."""
-    kinds = {type(sweep_odds) for _, sweep_odds in evidence_odds(llr)}
-    assert len(kinds) == 1
-    return kinds == {np.ndarray}
+    """Whether the chain rounds over the (B, N) llr take the lane path, that
+    is, get their odds in a lane layout from `evidence_odds`."""
+    e, sweep_odds = evidence_odds(llr)
+    assert e.shape == (2 * llr.shape[0], llr.shape[1])
+    return isinstance(sweep_odds, np.ndarray)
 
 
 def test_the_lane_path_starts_at_1024_chain_elements():
@@ -600,7 +603,7 @@ def test_the_lane_path_starts_at_1024_chain_elements():
 def test_long_chains_run_the_scalar_loop_only_as_the_fallback(monkeypatch):
     # at chain-long's N = 2048: a guard that the lane path is on where it
     # should be, and that the slowly mixing fallback input finishes each
-    # direction with one scalar loop
+    # direction's row with one scalar loop, in the round's one lane call
     calls = []
     sweep = denoiser._odds_sweep
     monkeypatch.setattr(denoiser, "_odds_sweep", lambda *args: calls.append(1) or sweep(*args))
@@ -611,11 +614,99 @@ def test_long_chains_run_the_scalar_loop_only_as_the_fallback(monkeypatch):
     transitions = transition_log_expectations(state, cfg)
     for scale, want in ((20.0, 0), (1.0, 2)):
         calls.clear()
-        forward_odds, backward_odds = evidence_odds(scale * rng.standard_normal((1, 2048)))
-        assert isinstance(forward_odds[1], np.ndarray), scale
-        forward_pass(state, transitions, forward_odds)
-        backward_pass(state, transitions, backward_odds)
+        odds = evidence_odds(scale * rng.standard_normal((1, 2048)))
+        assert isinstance(odds[1], np.ndarray), scale
+        forward_pass(state, transitions, odds)
         assert len(calls) == want, scale
+
+
+def _round_against_two_loops(transitions, llr, monkeypatch):
+    """One chain round of `forward_pass` on the (B, N) llr, asserted equal
+    bit for bit (NaN payloads included) to a forward and a backward
+    `_odds_sweep` loop per member, each on its own direction's 1-D exp and
+    weights; returns the round's `_odds_sweep` calls, as (chain length,
+    whether the row is a backward one)."""
+    B, N = llr.shape
+    lo, hi = denoiser._odds_bounds()
+    sweep = denoiser._odds_sweep
+    want = {name: np.empty((B, N)) for name in CHAIN_MESSAGES}
+    for b, logs in enumerate(transitions):
+        stay_active, turn_on, stay_quiet, turn_off = [math.exp(v) for v in logs]
+        directions = (
+            ("fwd", llr[b], (turn_on / stay_quiet, stay_active, turn_on, turn_off, stay_quiet)),
+            ("bwd", llr[b, ::-1], (1.0, stay_active, turn_off, turn_on, stay_quiet)),
+        )
+        for name, row, (start, *weights) in directions:
+            e = _odds(row)
+            pred = np.array(sweep(start, e.tolist(), *weights, lo, hi))
+            with np.errstate(over="ignore"):
+                filt = np.clip(pred * e, lo, hi)
+            order = slice(None, None, -1 if name == "bwd" else 1)
+            want[name + "_pred"][b] = (pred / (1.0 + pred))[order]
+            want[name + "_filt"][b] = (filt / (1.0 + filt))[order]
+    calls = []
+    backward = {tuple(math.exp(logs[j]) for j in (0, 3, 1)) for logs in transitions}
+
+    def counted(q, e_list, stay, enter, leave, stay_out, lo, hi):
+        calls.append((len(e_list), (stay, enter, leave) in backward))
+        return sweep(q, e_list, stay, enter, leave, stay_out, lo, hi)
+
+    monkeypatch.setattr(denoiser, "_odds_sweep", counted)
+    state = init_state(N, 1, PriorConfig(), B)
+    forward_pass(state, transitions, evidence_odds(llr))
+    monkeypatch.setattr(denoiser, "_odds_sweep", sweep)
+    for name in CHAIN_MESSAGES:
+        got = getattr(state, name)
+        assert got.shape == (B, N) and got.flags.c_contiguous, name
+        np.testing.assert_array_equal(got.view(np.int64), want[name].view(np.int64),
+                                      err_msg=name)
+    return calls
+
+
+# each kind: the (B, N) llr, the Beta belief ranges and the floor
+ROUND_CASES = {
+    "strong": (20.0, {}, None),
+    "weak": (1.0, {}, None),
+    "slowly mixing": (1.0, {"p10": ((4.0, 6.0), (76.0, 80.0)),
+                            "p01": ((16.0, 18.0), (64.0, 66.0))}, None),
+    "nan": (20.0, {}, None),
+    "floor": (20.0, {"p10": ((0.02, 0.05), (2.0, 4.0)),
+                     "p01": ((0.02, 0.05), (200.0, 400.0))}, 1e-3),
+}
+
+
+@pytest.mark.parametrize("N", [511, 512, 1023, 2048, 2051])
+@pytest.mark.parametrize("B", [1, 2, 3])
+@pytest.mark.parametrize("kind", ROUND_CASES)
+def test_one_round_equals_two_single_direction_loops_bit_for_bit(kind, B, N, monkeypatch):
+    # both routings: B N below LANE_MIN_ELEMENTS runs one loop per row, at or
+    # above it one lane call over the 2B rows
+    scale, beliefs, floor = ROUND_CASES[kind]
+    if floor is not None:
+        monkeypatch.setattr(denoiser, "PROB_FLOOR", floor)
+    rng = np.random.default_rng([N, B, len(kind)])
+    transitions = _lane_transitions(rng, B, **beliefs)
+    llr = scale * rng.standard_normal((B, N))
+    if kind == "nan":
+        llr[-1, N // 3] = math.nan
+    calls = _round_against_two_loops(transitions, llr, monkeypatch)
+    if B * N < denoiser.LANE_MIN_ELEMENTS:
+        assert [length for length, _ in calls] == [N] * (2 * B)
+
+
+@pytest.mark.parametrize("B", [1, 2])
+def test_one_direction_falls_back_while_the_other_confirms_in_one_round(B, monkeypatch):
+    # a NaN that starts the forward chain's last lane is confirmed by the
+    # lanes, while backward it starts the second lane, and each fix-up round
+    # confirms one more lane of NaN; so only the backward rows reach the
+    # loop, after the last round, while the forward rows need none
+    rng = np.random.default_rng([B, 8])
+    transitions = _lane_transitions(rng, B)
+    llr = 20.0 * rng.standard_normal((B, 2048))
+    llr[:, 2047 - denoiser.LANE] = math.nan
+    calls = _round_against_two_loops(transitions, llr, monkeypatch)
+    end = 2048 - (denoiser.LANE_ROUNDS + 2) * denoiser.LANE
+    assert calls == [(end, True)] * B
 
 
 def test_symmetric_beta_gives_half_first_prediction():
@@ -623,7 +714,7 @@ def test_symmetric_beta_gives_half_first_prediction():
     state = frozen_chain_state(np.random.default_rng(7), 5, 2, cfg)
     state.p10_a = state.p10_b = one(1.7)
     x = step_inputs(state, cfg)
-    forward_pass(state, x.transitions, x.forward_odds)
+    forward_pass(state, x.transitions, x.odds)
     assert state.fwd_pred[0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
@@ -632,7 +723,7 @@ def test_balanced_likelihoods_make_filtered_equal_predicted():
     state = frozen_chain_state(np.random.default_rng(9), 6, 2, cfg)
     state.support_like = np.full((1, 6, 2), 0.5)
     x = step_inputs(state, cfg)
-    forward_pass(state, x.transitions, x.forward_odds)
+    forward_pass(state, x.transitions, x.odds)
     assert np.allclose(state.fwd_filt, state.fwd_pred, atol=1e-14)
 
 
@@ -642,8 +733,7 @@ def test_symmetric_weights_keep_backward_half():
     state.p10_a = state.p10_b = state.p01_a = state.p01_b = one(2.0)
     state.support_like = np.full((1, 6, 2), 0.5)
     x = step_inputs(state, cfg)
-    forward_pass(state, x.transitions, x.forward_odds)
-    backward_pass(state, x.transitions, x.backward_odds)
+    forward_pass(state, x.transitions, x.odds)
     assert np.allclose(state.bwd_pred, 0.5, atol=1e-14)
     assert np.allclose(state.bwd_filt, 0.5, atol=1e-14)
 
@@ -669,8 +759,7 @@ def test_symmetric_case_pair_beliefs_quarter():
     state = init_state(N, 2, cfg)
     state.support_like = np.full((1, N, 2), 0.5)
     x = step_inputs(state, cfg)
-    forward_pass(state, x.transitions, x.forward_odds)
-    backward_pass(state, x.transitions, x.backward_odds)
+    forward_pass(state, x.transitions, x.odds)
     update_transition_beliefs(state, x.transitions, x.llr)
     assert np.allclose(state.pair_belief, 0.25, atol=1e-12)
     assert state.first_active_belief == pytest.approx(0.5, abs=1e-12)
@@ -696,8 +785,7 @@ def test_single_pair_hand_case():
     first_w, trans_w = chain_weights(state)
     loglike = loglike_from_pi(state.support_like)
     x = step_inputs(state, cfg)
-    forward_pass(state, x.transitions, x.forward_odds)
-    backward_pass(state, x.transitions, x.backward_odds)
+    forward_pass(state, x.transitions, x.odds)
     update_transition_beliefs(state, x.transitions, x.llr)
     ref = chain_enumeration(first_w, trans_w, loglike)
     b1 = ref["full"][0, 1]
@@ -716,8 +804,7 @@ def test_extrinsic_single_subcarrier_formula():
     cfg = PriorConfig()
     state = frozen_chain_state(np.random.default_rng(19), 6, 1, cfg)
     x = step_inputs(state, cfg)
-    forward_pass(state, x.transitions, x.forward_odds)
-    backward_pass(state, x.transitions, x.backward_odds)
+    forward_pass(state, x.transitions, x.odds)
     support_extrinsic(state, x.like_logit, x.llr)
     up, dn = state.bwd_pred[0], state.fwd_pred[0]
     expect = up * dn / (up * dn + (1.0 - up) * (1.0 - dn))
@@ -730,8 +817,7 @@ def test_extrinsic_symmetric_everything_half():
     state.p10_a = state.p10_b = state.p01_a = state.p01_b = one(1.0)
     state.support_like = np.full((1, 5, 3), 0.5)
     x = step_inputs(state, cfg)
-    forward_pass(state, x.transitions, x.forward_odds)
-    backward_pass(state, x.transitions, x.backward_odds)
+    forward_pass(state, x.transitions, x.odds)
     support_extrinsic(state, x.like_logit, x.llr)
     assert np.allclose(state.support_ext, 0.5, atol=1e-12)
 
@@ -740,8 +826,7 @@ def test_extrinsic_three_subcarrier_direct_products():
     cfg = PriorConfig()
     state = frozen_chain_state(np.random.default_rng(21), 5, 3, cfg)
     x = step_inputs(state, cfg)
-    forward_pass(state, x.transitions, x.forward_odds)
-    backward_pass(state, x.transitions, x.backward_odds)
+    forward_pass(state, x.transitions, x.odds)
     support_extrinsic(state, x.like_logit, x.llr)
     (pi,) = state.support_like
     for n in range(5):
@@ -949,8 +1034,7 @@ def test_bg_full_posterior_matches_enumeration():
         loglike[n, 1] = sum(cn_logpdf(h[n, p], v[p] + 1.0) for p in range(P))
         loglike[n, 0] = sum(cn_logpdf(h[n, p], v[p]) for p in range(P))
     x = step_inputs(state, cfg)
-    forward_pass(state, x.transitions, x.forward_odds)
-    backward_pass(state, x.transitions, x.backward_odds)
+    forward_pass(state, x.transitions, x.odds)
     support_extrinsic(state, x.like_logit, x.llr)
     x = step_inputs(state, cfg, h[None], v[None, None])
     update_precision_beliefs(x.r2, v[None, None], state, cfg, x.like_logit, x.ext_logit,
@@ -1107,11 +1191,10 @@ def test_denoise_equals_manual_schedule(variant):
         r2 = _squared_magnitude(h)
         s_large = support_likelihood(r2, v_steps, ref, cfg)
         like_logit, llr = pooled_evidence(ref)
-        forward_odds, backward_odds = evidence_odds(llr)
+        odds = evidence_odds(llr)
         for _ in range(2):
             transitions = transition_log_expectations(ref, cfg)
-            forward_pass(ref, transitions, forward_odds)
-            backward_pass(ref, transitions, backward_odds)
+            forward_pass(ref, transitions, odds)
             update_transition_beliefs(ref, transitions, llr)
         support_extrinsic(ref, like_logit, llr)
         ext_logit = _logit(ref.support_ext)
@@ -1347,20 +1430,54 @@ def test_denoise_computes_transition_weights_once_per_round(monkeypatch):
 
 
 def test_denoise_computes_evidence_odds_once_per_pass(monkeypatch):
-    calls = []
+    # one (2B, N) stack of both directions' odds per pass, which both chain
+    # rounds sweep
+    made, swept = [], []
 
     def counted(llr):
-        calls.append(1)
-        return evidence_odds(llr)
+        made.append(evidence_odds(llr))
+        return made[-1]
+
+    def spy(state, transitions, odds):
+        swept.append(odds)
+        forward_pass(state, transitions, odds)
 
     monkeypatch.setattr(denoiser, "evidence_odds", counted)
+    monkeypatch.setattr(denoiser, "forward_pass", spy)
     rng = np.random.default_rng(35)
-    h = rng.standard_normal((1, 12, 3)) + 1j * rng.standard_normal((1, 12, 3))
-    v = rng.uniform(0.2, 0.6, (1, 3))
+    h = rng.standard_normal((2, 12, 3)) + 1j * rng.standard_normal((2, 12, 3))
+    v = rng.uniform(0.2, 0.6, (2, 3))
     _, _, state = denoise(h, v, PriorConfig())
-    assert len(calls) == 1
+    assert len(made) == 1 and made[0][0].shape == (4, 12)
     denoise(h, v, PriorConfig(), state)
-    assert len(calls) == 2
+    assert len(made) == 2
+    assert [id(odds) for odds in swept] == [id(odds) for odds in made for _ in range(2)]
+
+
+@pytest.mark.parametrize("N, members", [(12, 1), (2048, 2)], ids=["loop", "lanes"])
+def test_denoise_runs_each_chain_round_through_forward_pass(N, members, monkeypatch):
+    # perfbench's tracer times the chain span by rebinding the module's
+    # `forward_pass` and `backward_pass`, so `denoise` looks the round up by
+    # that name, and one call writes both directions' messages
+    calls = []
+
+    def spy(state, transitions, odds):
+        for name in CHAIN_MESSAGES:
+            setattr(state, name, None)
+        forward_pass(state, transitions, odds)
+        calls.append([getattr(state, name).shape for name in CHAIN_MESSAGES])
+
+    def not_called(*args):
+        raise AssertionError("the round runs through forward_pass")
+
+    monkeypatch.setattr(denoiser, "forward_pass", spy)
+    monkeypatch.setattr(denoiser, "backward_pass", not_called)
+    rng = np.random.default_rng([N, members])
+    h, v = _pass_inputs(rng, rng.random(N) < 0.3, 3, members)
+    _, _, state = denoise(h, v, PriorConfig())
+    assert calls == [[(members, N)] * 4] * 2
+    denoise(h, v, PriorConfig(), state)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])

@@ -351,6 +351,21 @@ def test_parametric_edges_must_be_mf():
         g.add_factor(factor, tags={"v": BP})
 
 
+def test_rate_0_belief_on_a_mixture_factor_names_the_factor_and_variable():
+    # a rate-0 Gamma prior builds (it is the flat-in-rate message), but it
+    # has no E[ln v], so the mixture factor that reads it cannot sweep
+    g = FactorGraph()
+    g.add_variable("x", "discrete", 2)
+    g.add_variable("v", "gamma")
+    g.add_factor(PriorFactor("pv", "v", GammaBelief(1.0, 0.0)))
+    g.add_factor(MixtureObservationFactor(
+        "mix", ["x"], ["v"],
+        log_base=np.zeros(2), exponents=[np.ones(2)], obs_sq=[np.ones(2)],
+    ))
+    with pytest.raises(UnsupportedGraphError, match="factor 'mix': gamma variable 'v'"):
+        g.sweep()
+
+
 @pytest.mark.parametrize("kind", ["cgauss", "Gamma", ""], ids=["cgauss", "capitalized", "empty"])
 def test_unknown_variable_kind_fails_when_added(kind):
     g = FactorGraph()

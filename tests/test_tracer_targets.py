@@ -3,10 +3,10 @@
 `perfbench/tracing.py` patches the package's functions and methods by name
 from outside, and skips a name that it does not find, so that span's
 metrics read 0 with no error.  A package change that renames or removes
-one of those names (a shim such as `channels.PilotMatrix` or
-`turbo.posterior_moments_mixture` among them) fails here instead.  The
-tracer is loaded from its file, read-only, and resolved the way
-`Tracer.install` resolves it.
+one of those names (a shim such as `channels.PilotMatrix`,
+`denoiser.backward_pass` or `turbo.posterior_moments_mixture` among
+them) fails here instead.  The tracer is loaded from its file, read-only,
+and resolved the way `Tracer.install` resolves it.
 """
 
 import importlib.util
@@ -54,3 +54,8 @@ def test_every_tracer_target_resolves(owner, attr, span):
 
 def test_the_pilot_spans_wrap_the_operator_the_estimator_calls():
     assert hmpce.channels.PilotMatrix is hmpce.channels.PilotSet
+
+
+def test_the_chain_spans_wrap_the_round_the_estimator_calls():
+    # `denoise` runs each chain round through `forward_pass` alone
+    assert hmpce.denoiser.backward_pass is hmpce.denoiser.forward_pass
