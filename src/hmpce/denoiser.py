@@ -14,12 +14,13 @@ one full pass of the support-chain / precision-learning message schedule:
      updates, and the posterior mixture moments.
 
 One pass runs B independent denoisers, called members, at once.  Every
-array carries the member axis first: means (B, N, P), the state's wide
-fields (B, N, P), its per-subcarrier fields (B, 1, P), its chain fields
-(B, N) and its Beta counts (B,).  Member b's block [b] of each array is
-C-contiguous, with the memory layout of a one-member pass, so each member's
-output is bit for bit that pass's: numpy sums each block as it sums the
-block alone.  The first element's belief loops over the members, and the
+array carries the member axis first: means (B, N, P), the state's
+activity fields (B, N, P), each Gamma belief on the axes it is learned
+over (`_belief_shapes`: (B, N, P) for tsgm-lvd's active precisions,
+(B, 1, P) for the others), its chain fields (B, N) and its Beta counts
+(B,).  Member b's block [b] of each array is C-contiguous, with the memory
+layout of a one-member pass, so each member's output is bit for bit that
+pass's: numpy sums each block as it sums the block alone.  The first element's belief loops over the members, and the
 backward odds are taken row by row, as exp rounds a 2-D reversed view
 differently.
 
@@ -135,8 +136,8 @@ class DenoiserState:
     fwd_filt: np.ndarray = None       # (B, N) forward message combined with evidence
     bwd_pred: np.ndarray = None       # (B, N) backward chain message
     bwd_filt: np.ndarray = None       # (B, N) backward message combined with evidence
-    large_shape: np.ndarray = None    # (B, N, P) Gamma belief on active precisions
-    large_rate: np.ndarray = None
+    large_shape: np.ndarray = None    # Gamma belief on active precisions: (B, N, P)
+    large_rate: np.ndarray = None     # for tsgm-lvd, (B, 1, P) for tsgm and bg
     small_shape: np.ndarray = None    # (B, 1, P) Gamma belief on near-zero precision
     small_rate: np.ndarray = None
     p10_a: np.ndarray = None          # (B,) Beta beliefs on the transition probabilities
@@ -155,14 +156,27 @@ class DenoiserState:
         return len(self.p10_a)
 
 
+def _belief_shapes(N, P, cfg, members):
+    """(active, near-zero) shapes of the Gamma beliefs of `members` members.
+
+    tsgm-lvd learns one active precision per element and subcarrier,
+    (B, N, P), and tsgm one per subcarrier, pooled over the N elements,
+    (B, 1, P); bg learns none and keeps its prior at (B, 1, P).  Every
+    variant has one near-zero precision per subcarrier, (B, 1, P).
+    """
+    per_subcarrier = (members, 1, P)
+    return (members, N, P) if cfg.variant == VARIANT_LVD else per_subcarrier, per_subcarrier
+
+
 def init_state(N, P, cfg, members=1):
     """Prior beliefs for `members` members of N elements and P subcarriers
-    each."""
+    each, the Gamma beliefs at the shapes of `_belief_shapes`."""
+    large, small = _belief_shapes(N, P, cfg, members)
     state = DenoiserState()
-    state.large_shape = np.full((members, N, P), LARGE_SHAPE)
-    state.large_rate = np.full((members, N, P), cfg.large_rate)
-    state.small_shape = np.full((members, 1, P), SMALL_SHAPE)
-    state.small_rate = np.full((members, 1, P), cfg.small_rate)
+    state.large_shape = np.full(large, LARGE_SHAPE)
+    state.large_rate = np.full(large, cfg.large_rate)
+    state.small_shape = np.full(small, SMALL_SHAPE)
+    state.small_rate = np.full(small, cfg.small_rate)
     state.p10_a, state.p10_b = np.full(members, P10_A), np.full(members, P10_B)
     state.p01_a, state.p01_b = np.full(members, P01_A), np.full(members, P01_B)
     return state
@@ -287,9 +301,10 @@ def _activity_likelihood(r2, v_pri, s_large, state, cfg):
     A CN(0, s) component has log density -log(pi s) - r2 / s; pi cancels in
     the odds.  s_large is the variance of the active component seen through
     v_pri: v_pri + bg_variance for bg, v_pri + rate/shape otherwise.  The
-    log-odds are built in one (B, N, P) array, with a second for
-    log(den s_large), by the same IEEE operations in the same order as the
-    expression they evaluate.
+    log-odds are built in one (B, N, P) array, by the same IEEE operations
+    in the same order as the expression they evaluate; log(den s_large) is
+    a second array on the beliefs' axes, which broadcasts over the elements
+    for tsgm as the near-zero terms do for every variant.
     """
     if cfg.variant == VARIANT_BG:
         log_odds = r2 * (1.0 / v_pri - 1.0 / s_large)
@@ -300,7 +315,7 @@ def _activity_likelihood(r2, v_pri, s_large, state, cfg):
         _, psi_large = _active_beliefs(state, cfg)
         den_large = state.large_rate if cfg.std_gamma_weight else state.large_shape
         den_small = state.small_rate if cfg.std_gamma_weight else state.small_shape
-        log_odds = np.divide(1.0, s_large)
+        log_odds = np.divide(1.0, np.broadcast_to(s_large, r2.shape))
         np.subtract(1.0 / s_small, log_odds, out=log_odds)
         log_odds *= r2
         log_odds += psi_large
@@ -601,8 +616,10 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_lar
     Gamma parameters anchored at their priors.  s_large = v_pri + rate/shape
     of those beliefs, as `support_likelihood` returned it, so the active gain
     is g = (rate/shape) / s_large.  Each component's statistic
-    E|h|^2 = g^2 r2 + g v_pri needs only r2 = |h_pri|^2.  The bg variant has
-    no precision beliefs to learn.
+    E|h|^2 = g^2 r2 + g v_pri needs only r2 = |h_pri|^2.  tsgm-lvd keeps one
+    active belief per element and subcarrier, (B, N, P); tsgm stores the
+    sums over the N elements once per subcarrier, (B, 1, P).  The bg variant
+    has no precision beliefs to learn.
     """
     state.support_post = _probability(like_logit + ext_logit)
     if cfg.variant == VARIANT_BG:
@@ -617,10 +634,8 @@ def update_precision_beliefs(r2, v_pri, state, cfg, like_logit, ext_logit, s_lar
     large_stat *= gain_large
     large_stat *= w
     if cfg.variant == VARIANT_TSGM:
-        N = w.shape[1]
-        state.large_shape = np.repeat(LARGE_SHAPE + w.sum(axis=1, keepdims=True), N, axis=1)
-        state.large_rate = np.repeat(
-            cfg.large_rate + large_stat.sum(axis=1, keepdims=True), N, axis=1)
+        state.large_shape = LARGE_SHAPE + w.sum(axis=1, keepdims=True)
+        state.large_rate = cfg.large_rate + large_stat.sum(axis=1, keepdims=True)
     else:
         state.large_shape = LARGE_SHAPE + w
         large_stat += cfg.large_rate
@@ -685,7 +700,8 @@ def denoise(h_pri, v_pri, cfg, state=None):
     same shapes.  Passing the returned state back in warm-starts the
     Gamma/Beta beliefs on the next turbo iteration; passing state=None, or
     a fresh `init_state`, resets them.  Raises ValueError unless every v_pri
-    is positive and finite and the state holds B members; h_pri is not
+    is positive and finite, B >= 1, and the state holds B members whose
+    Gamma beliefs have the shapes of `_belief_shapes`; h_pri is not
     checked, so a non-finite h_pri comes back as a non-finite h_post and
     v_post.
     """
@@ -702,6 +718,13 @@ def denoise(h_pri, v_pri, cfg, state=None):
             f"need (B, N, P) means, (B, P) variances and a state of B members; "
             f"got {h_pri.shape}, {v_pri.shape} and {state.members}"
         )
+    large, small = _belief_shapes(N, P, cfg, B)
+    expected = {"large_shape": large, "large_rate": large, "small_shape": small,
+                "small_rate": small}
+    given = {name: np.shape(getattr(state, name)) for name in expected}
+    if B < 1 or given != expected:
+        raise ValueError(
+            f"need B >= 1 and {cfg.variant} Gamma beliefs of shapes {expected}; got {given}")
     v_pri = v_pri[:, None]    # on the means' axes, (B, 1, P)
     r2 = _squared_magnitude(h_pri)
     s_large = support_likelihood(r2, v_pri, state, cfg)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -893,14 +894,20 @@ def test_single_element_hand_update():
 
 
 def test_pooled_variant_shares_parameters_across_elements():
+    # tsgm learns one active belief per subcarrier, stored once, (B, 1, P);
+    # tsgm-lvd one per element and subcarrier
     rng = np.random.default_rng(27)
     h = rng.standard_normal((1, 8, 3)) + 1j * rng.standard_normal((1, 8, 3))
     v = np.full((1, 3), 0.4)
     _, _, state = denoise(h, v, PriorConfig(variant=VARIANT_TSGM))
-    assert np.allclose(state.large_shape, state.large_shape[:, 0:1, :])
-    assert np.allclose(state.large_rate, state.large_rate[:, 0:1, :])
+    assert state.large_shape.shape == state.large_rate.shape == (1, 1, 3)
     _, _, state_lvd = denoise(h, v, PriorConfig(variant=VARIANT_LVD))
+    assert state_lvd.large_shape.shape == state_lvd.large_rate.shape == (1, 8, 3)
     assert not np.allclose(state_lvd.large_shape, state_lvd.large_shape[:, 0:1, :])
+    # from the same prior both see the same support posterior, and the
+    # pooled shape sums the per-element ones' counts over the elements
+    assert np.allclose(state.large_shape - LARGE_SHAPE,
+                       (state_lvd.large_shape - LARGE_SHAPE).sum(axis=1, keepdims=True))
 
 
 def test_bg_variant_keeps_precision_beliefs():
@@ -1063,8 +1070,8 @@ def _oracle_case(case, variant, std_weight, exact):
         v[:] = 1e-12
     cfg = PriorConfig(variant=variant, std_gamma_weight=std_weight, exact_digamma=exact)
     state = init_state(N, P, cfg)
-    state.large_shape = rng.uniform(0.5, 4.0, (1, N, P))
-    state.large_rate = rng.uniform(0.2, 3.0, (1, N, P))
+    state.large_shape = rng.uniform(0.5, 4.0, state.large_shape.shape)
+    state.large_rate = rng.uniform(0.2, 3.0, state.large_rate.shape)
     state.small_shape = rng.uniform(0.5, 4.0, (1, 1, P))
     state.small_rate = rng.uniform(0.005, 0.1, (1, 1, P))
     state.support_ext = rng.uniform(0.05, 0.95, (1, N, P))
@@ -1137,15 +1144,21 @@ def test_prior_config_fields_and_hyperprior_constants():
     # the values every run used while they were fields
     assert LARGE_SHAPE == SMALL_SHAPE == P10_A == P10_B == P01_A == P01_B == 1.0
     assert PROB_FLOOR == 1e-12
-    state = init_state(3, 2, PriorConfig(large_rate=0.5, small_rate=0.25), members=2)
-    expected = {
-        "large_shape": (LARGE_SHAPE, (2, 3, 2)), "large_rate": (0.5, (2, 3, 2)),
-        "small_shape": (SMALL_SHAPE, (2, 1, 2)), "small_rate": (0.25, (2, 1, 2)),
-        "p10_a": (P10_A, (2,)), "p10_b": (P10_B, (2,)),
-        "p01_a": (P01_A, (2,)), "p01_b": (P01_B, (2,)),
-    }
-    for name, (value, shape) in expected.items():
-        assert np.array_equal(getattr(state, name), np.full(shape, value)), name
+    # each Gamma belief on the axes it is learned over: tsgm-lvd's active
+    # precisions per element and subcarrier, tsgm's pooled over the
+    # elements, and bg's, never learned, at the near-zero belief's shape
+    for variant, large in [(VARIANT_LVD, (2, 3, 2)), (VARIANT_TSGM, (2, 1, 2)),
+                           (VARIANT_BG, (2, 1, 2))]:
+        cfg = PriorConfig(variant=variant, large_rate=0.5, small_rate=0.25)
+        state = init_state(3, 2, cfg, members=2)
+        expected = {
+            "large_shape": (LARGE_SHAPE, large), "large_rate": (0.5, large),
+            "small_shape": (SMALL_SHAPE, (2, 1, 2)), "small_rate": (0.25, (2, 1, 2)),
+            "p10_a": (P10_A, (2,)), "p10_b": (P10_B, (2,)),
+            "p01_a": (P01_A, (2,)), "p01_b": (P01_B, (2,)),
+        }
+        for name, (value, shape) in expected.items():
+            assert np.array_equal(getattr(state, name), np.full(shape, value)), (variant, name)
 
 
 def test_prior_config_takes_no_probability_floor():
@@ -1175,31 +1188,37 @@ STATE_FIELDS = CHAIN_FIELDS + (
 )
 
 
+def _manual_pass(h, v, state, cfg):
+    """The schedule of `denoise` written out on `state`, with no check of
+    its shapes: each hand-in computed once per pass, the transition weights
+    once per chain round; returns (h_post, v_post)."""
+    v_steps = v[:, None]
+    r2 = _squared_magnitude(h)
+    s_large = support_likelihood(r2, v_steps, state, cfg)
+    like_logit, llr = pooled_evidence(state)
+    odds = evidence_odds(llr)
+    for _ in range(2):
+        transitions = transition_log_expectations(state, cfg)
+        forward_pass(state, transitions, odds)
+        update_transition_beliefs(state, transitions, llr)
+    support_extrinsic(state, like_logit, llr)
+    ext_logit = _logit(state.support_ext)
+    update_precision_beliefs(r2, v_steps, state, cfg, like_logit, ext_logit, s_large)
+    return posterior_moments(h, v_steps, state, cfg, r2, ext_logit)
+
+
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])
 def test_denoise_equals_manual_schedule(variant):
-    # the schedule written out: each hand-in computed once per pass, the
-    # transition weights once per chain round, over two warm-started passes
+    # over two warm-started passes
     cfg = PriorConfig(variant=variant)
     rng = np.random.default_rng(33)
     v = rng.uniform(0.2, 0.6, (1, 3))
-    v_steps = v[:, None]
     got = ref = None
     for _ in range(2):
         h = rng.standard_normal((1, 12, 3)) + 1j * rng.standard_normal((1, 12, 3))
         h_post, v_post, got = denoise(h, v, cfg, got)
         ref = init_state(12, 3, cfg) if ref is None else ref
-        r2 = _squared_magnitude(h)
-        s_large = support_likelihood(r2, v_steps, ref, cfg)
-        like_logit, llr = pooled_evidence(ref)
-        odds = evidence_odds(llr)
-        for _ in range(2):
-            transitions = transition_log_expectations(ref, cfg)
-            forward_pass(ref, transitions, odds)
-            update_transition_beliefs(ref, transitions, llr)
-        support_extrinsic(ref, like_logit, llr)
-        ext_logit = _logit(ref.support_ext)
-        update_precision_beliefs(r2, v_steps, ref, cfg, like_logit, ext_logit, s_large)
-        h_ref, v_ref = posterior_moments(h, v_steps, ref, cfg, r2, ext_logit)
+        h_ref, v_ref = _manual_pass(h, v, ref, cfg)
         assert np.array_equal(h_post, h_ref)
         assert np.array_equal(v_post, v_ref)
         for name in STATE_FIELDS:
@@ -1240,8 +1259,38 @@ def test_denoise_passes_equal_the_allocating_oracle_bit_for_bit(variant, exact, 
         assert h_post.tobytes() == h_ref.tobytes()
         assert v_post.tobytes() == v_ref.tobytes()
         for name in BELIEF_FIELDS:
-            assert (np.asarray(getattr(got, name)).tobytes()
-                    == np.asarray(getattr(ref, name)).tobytes()), name
+            # tsgm's pooled beliefs are stored once per subcarrier, (1, 1, P),
+            # and the oracle copies them over the N elements: every element
+            # is still compared as bytes
+            want = np.asarray(getattr(ref, name))
+            assert (np.broadcast_to(getattr(got, name), want.shape).tobytes()
+                    == want.tobytes()), name
+
+
+@pytest.mark.parametrize("exact", (False, True))
+@pytest.mark.parametrize("std_weight", (False, True))
+@pytest.mark.parametrize("N, P, members", [(64, 8, 1), (33, 3, 3), (2, 1, 2)])
+def test_tsgm_pass_on_pooled_beliefs_equals_the_pass_on_copied_ones_bit_for_bit(
+        exact, std_weight, N, P, members):
+    # tsgm's active beliefs stored once per subcarrier, (B, 1, P), against
+    # the same values copied over the N elements, (B, N, P), as the state
+    # held them before, over 4 warm-started passes
+    cfg = PriorConfig(variant=VARIANT_TSGM, exact_digamma=exact, std_gamma_weight=std_weight)
+    rng = np.random.default_rng([N, P, members])
+    active = rng.random(N) < 0.2
+    state = init_state(N, P, cfg, members)
+    for _ in range(4):
+        copied = copy.deepcopy(state)
+        copied.large_shape = np.repeat(state.large_shape, N, axis=1)
+        copied.large_rate = np.repeat(state.large_rate, N, axis=1)
+        h, v = _pass_inputs(rng, active, P, members)
+        h_post, v_post, state = denoise(h, v, cfg, state)
+        h_ref, v_ref = _manual_pass(h, v, copied, cfg)
+        assert h_post.tobytes() == h_ref.tobytes()
+        assert v_post.tobytes() == v_ref.tobytes()
+        for name in BELIEF_FIELDS:
+            assert getattr(state, name).shape == getattr(copied, name).shape, name
+            assert getattr(state, name).tobytes() == getattr(copied, name).tobytes(), name
 
 
 def _arrays(state):
@@ -1330,13 +1379,65 @@ def test_select_members_keeps_the_given_members_in_every_array():
         assert value.flags.c_contiguous, name
 
 
-def test_denoise_rejects_a_state_of_other_members():
-    cfg = PriorConfig()
-    h, v = np.ones((3, 8, 2), complex), np.full((3, 2), 0.5)
-    with pytest.raises(ValueError, match="and a state of B members; got .* and 2"):
-        denoise(h, v, cfg, init_state(8, 2, cfg, 2))
-    with pytest.raises(ValueError, match=r"\(B, P\) variances"):
-        denoise(h, v[:, :1], cfg)
+def _belief_error(variant, expected, given):
+    """The pattern of the error that `denoise` raises for Gamma beliefs of
+    the `given` (large, small) shapes where it needs the `expected` ones."""
+    def named(large, small):
+        return {"large_shape": large, "large_rate": large,
+                "small_shape": small, "small_rate": small}
+    return re.escape(f"need B >= 1 and {variant} Gamma beliefs of shapes "
+                     f"{named(*expected)}; got {named(*given)}")
+
+
+LVD_WIDE, PER_SUBCARRIER = (1, 32, 4), (1, 1, 4)
+
+
+# (variant, means, variances, init_state's (N, P, members) or None for a
+# fresh state, the error).  On (1, 32, 4) means, tsgm-lvd needs active
+# beliefs of that N and P, tsgm and bg only of that P; before the shape
+# check, a P = 1 state was broadcast over the subcarriers, bg ran on any
+# state, tsgm-lvd and tsgm died in a bare numpy broadcast error, and so
+# did B = 0 in forward_pass
+REJECTED_STATES = [
+    pytest.param(VARIANT_LVD, (3, 8, 2), (3, 2), (8, 2, 2),
+                 "and a state of B members; got .* and 2", id="members"),
+    pytest.param(VARIANT_LVD, (3, 8, 2), (3, 1), None, r"\(B, P\) variances", id="variances"),
+] + [
+    pytest.param(VARIANT_LVD, (1, 32, 4), (1, 4), (N, P, 1),
+                 _belief_error(VARIANT_LVD, (LVD_WIDE, PER_SUBCARRIER), ((1, N, P), (1, 1, P))),
+                 id=f"{VARIANT_LVD}-N{N}-P{P}")
+    for N, P in [(32, 1), (64, 4), (1, 4), (32, 8)]
+] + [
+    pytest.param(variant, (1, 32, 4), (1, 4), (32, P, 1),
+                 _belief_error(variant, (PER_SUBCARRIER,) * 2, ((1, 1, P),) * 2),
+                 id=f"{variant}-N32-P{P}")
+    for variant in (VARIANT_TSGM, VARIANT_BG) for P in (1, 8)
+] + [
+    pytest.param(variant, (0, 32, 4), (0, 4), None,
+                 _belief_error(variant, (wide, (0, 1, 4)), (wide, (0, 1, 4))), id=f"{variant}-B0")
+    for variant, wide in [(VARIANT_LVD, (0, 32, 4)), (VARIANT_TSGM, (0, 1, 4)),
+                          (VARIANT_BG, (0, 1, 4))]
+]
+
+
+@pytest.mark.parametrize("variant, means, variances, state_args, error", REJECTED_STATES)
+def test_denoise_rejects_a_state_of_other_members(variant, means, variances, state_args, error):
+    cfg = PriorConfig(variant=variant)
+    state = None if state_args is None else init_state(*state_args[:2], cfg, state_args[2])
+    with pytest.raises(ValueError, match=error):
+        denoise(np.ones(means, complex), np.full(variances, 0.5), cfg, state)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_TSGM, VARIANT_BG])
+def test_a_per_subcarrier_state_runs_for_any_element_count(variant):
+    # tsgm's and bg's beliefs carry no element axis: the prior of another N
+    # is the same state, and a pass on it is the same pass
+    cfg = PriorConfig(variant=variant)
+    h, v = _pass_inputs(np.random.default_rng(9), np.arange(32) < 5, 4)
+    want = denoise(h, v, cfg)
+    for N in (1, 64):
+        got = denoise(h, v, cfg, init_state(N, 4, cfg))
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM])
