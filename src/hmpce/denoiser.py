@@ -62,8 +62,9 @@ computes each of them once and passes it in:
   - (like_logit, llr) of `pooled_evidence`, once per pass after the
     likelihood step;
   - the odds stack of `evidence_odds`, both directions, once per pass;
-  - the log transition weights of `transition_log_expectations`, once per
-    chain round;
+  - the (B, 4) log transition weights of `transition_log_expectations`,
+    columns (stay_active, turn_on, stay_quiet, turn_off), once per chain
+    round, read by the sweeps and the Beta update;
   - ext_logit = logit(support_ext), once per pass after `support_extrinsic`.
 
 The state also carries the arrays derived from the Gamma beliefs on the
@@ -222,20 +223,19 @@ def _probability(z):
 def transition_log_expectations(state, cfg):
     """Expected log transition weights under the current Beta beliefs.
 
-    Returns one tuple (stay_active, turn_on, stay_quiet, turn_off) of floats
-    per member, in the log domain: E[ln(1-p01)], E[ln p10], E[ln(1-p10)],
-    E[ln p01].  `denoise` computes them once per chain round for the sweeps
-    and the Beta update.  The six digammas of every member, psi(a + b),
-    psi(a) and psi(b) of each Beta belief, go through one array call, with
-    the bits of six scalar calls; NaN pseudo-counts give NaN.
+    Returns a (B, 4) array, one row per member, with the columns
+    stay_active, turn_on, stay_quiet and turn_off: E[ln(1-p01)], E[ln p10],
+    E[ln(1-p10)], E[ln p01].  `denoise` computes it once per chain round for
+    the sweeps and the Beta update.  The six digammas of every member,
+    psi(a + b), psi(a) and psi(b) of each Beta belief, go through one array
+    call, with the bits of six scalar calls; NaN pseudo-counts give NaN.
     """
     p10_a, p10_b, p01_a, p01_b = state.p10_a, state.p10_b, state.p01_a, state.p01_b
     psi = digamma_fn(cfg.exact_digamma)
-    rows = psi(np.concatenate((p10_a + p10_b, p10_a, p10_b, p01_a + p01_b, p01_a, p01_b)))
-    return [
-        (psi01_b - tot01, psi10_a - tot10, psi10_b - tot10, psi01_a - tot01)
-        for tot10, psi10_a, psi10_b, tot01, psi01_a, psi01_b in rows.reshape(6, -1).T.tolist()
-    ]
+    tot10, psi10_a, psi10_b, tot01, psi01_a, psi01_b = psi(np.concatenate(
+        (p10_a + p10_b, p10_a, p10_b, p01_a + p01_b, p01_a, p01_b))).reshape(6, -1)
+    return np.stack((psi01_b - tot01, psi10_a - tot10, psi10_b - tot10, psi01_a - tot01),
+                    axis=1)
 
 
 def _squared_magnitude(h):
@@ -492,12 +492,12 @@ def _odds_bounds():
 def _sweep_members(transitions):
     """One (start, stay, enter, leave, stay_out) per row of the odds stack of
     `evidence_odds`, for the sweeps of `_odds_sweep` and `_lane_sweeps`: the
-    linear weights math.exp(log weight) of `transition_log_expectations`.
-    Member b's forward row b starts from the first element's odds
-    turn_on / stay_quiet, its backward row B + b from 1 with the entering
-    and leaving weights swapped."""
+    linear weights math.exp(log weight) of the (B, 4) columns of
+    `transition_log_expectations`.  Member b's forward row b starts from the
+    first element's odds turn_on / stay_quiet, its backward row B + b from 1
+    with the entering and leaving weights swapped."""
     forward, backward = [], []
-    for logs in transitions:
+    for logs in transitions.tolist():
         stay_active, turn_on, stay_quiet, turn_off = [math.exp(v) for v in logs]
         forward.append((turn_on / stay_quiet, stay_active, turn_on, turn_off, stay_quiet))
         backward.append((1.0, stay_active, turn_off, turn_on, stay_quiet))
@@ -510,8 +510,8 @@ def forward_pass(state, transitions, odds):
     from the last element down, whose terminal message is uninformative
     (1/2), as one sweep over the 2B rows of the odds stack.
 
-    transitions are the log weights of `transition_log_expectations`, odds
-    the pair of `evidence_odds`.  Each row runs from the start and on the
+    transitions are the (B, 4) log weights of `transition_log_expectations`,
+    odds the pair of `evidence_odds`.  Each row runs from the start and on the
     weights of `_sweep_members`: through one `_lane_sweeps` call when
     `evidence_odds` laid the stack out in lanes, through one `_odds_sweep`
     per row otherwise, with the same bits either way, and the bits of each
@@ -547,16 +547,13 @@ backward_pass = forward_pass
 def update_transition_beliefs(state, transitions, llr):
     """First/pair support beliefs and the Beta pseudo-count refresh.
 
-    transitions are the log weights the sweeps ran on, llr the pooled
+    transitions are the (B, 4) log weights the sweeps ran on, llr the pooled
     evidence of `pooled_evidence`.  The first element's belief is taken
-    member by member on numpy scalars.  The four pair log-weights are
-    separate (B, N-1) arrays, normalized by their elementwise maximum and
-    summed left to right, ((w00 + w01) + w10) + w11, the order of numpy's
-    sum over the 4-wide axis of their stack; `pair_belief` is written pair
-    by pair, and each pseudo-count sums one contiguous row.
+    member by member on numpy scalars.  The pair weights are built in place
+    in `pair_belief`, (B, 4, N-1) with rows (00, 01, 10, 11), and normalized
+    over the rows: numpy sums that 4-wide axis left to right,
+    ((w00 + w01) + w10) + w11.  Each pseudo-count sums one contiguous row.
     """
-    log_weights = np.array(transitions).T[:, :, None]
-    log_stay_active, log_turn_on, log_stay_quiet, log_turn_off = log_weights
     floor = PROB_FLOOR
     # clamp(sigmoid(logit(fwd) + logit(bwd) + llr)) at the first element, on
     # numpy scalars: the operations of `_logit` and `_probability`.  A loop
@@ -572,24 +569,19 @@ def update_transition_beliefs(state, transitions, llr):
     dn = state.fwd_filt[:, :-1]
     up_off = 1.0 - up
     dn_off = 1.0 - dn
+    w = state.pair_belief = np.empty((up.shape[0], 4, up.shape[1]))
+    np.multiply(up_off, dn_off, out=w[:, 0])    # (0, 0)
+    np.multiply(up_off, dn, out=w[:, 1])        # prev 1 -> 0
+    np.multiply(up, dn_off, out=w[:, 2])        # prev 0 -> 1
+    np.multiply(up, dn, out=w[:, 3])            # (1, 1)
     with np.errstate(divide="ignore"):
-        w = [
-            np.log(up_off * dn_off) + log_stay_quiet,   # (0, 0)
-            np.log(up_off * dn) + log_turn_off,         # prev 1 -> 0
-            np.log(up * dn_off) + log_turn_on,          # prev 0 -> 1
-            np.log(up * dn) + log_stay_active,          # (1, 1)
-        ]
-    peak = np.maximum(np.maximum(np.maximum(w[0], w[1]), w[2]), w[3])
-    for wj in w:
-        wj -= peak
-        np.exp(wj, out=wj)
-    total = w[0] + w[1]
-    total += w[2]
-    total += w[3]
-    state.pair_belief = np.empty((up.shape[0], 4, up.shape[1]))
-    for j, wj in enumerate(w):
-        np.divide(wj, total, out=state.pair_belief[:, j])
-    pair_00, pair_01, pair_10, pair_11 = state.pair_belief.sum(axis=2).T
+        np.log(w, out=w)
+    # stay_quiet, turn_off, turn_on, stay_active: the rows' log weights
+    w += transitions[:, [2, 3, 1, 0], None]
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    pair_00, pair_01, pair_10, pair_11 = w.sum(axis=2).T
     state.p10_a = first + P10_A + pair_10
     state.p10_b = (1.0 - first) + P10_B + pair_00
     state.p01_a = P01_A + pair_01

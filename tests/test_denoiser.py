@@ -195,14 +195,12 @@ def test_transition_log_expectations_equal_two_beta_calls_bit_for_bit(exact):
     for p10_a, p10_b, p01_a, p01_b in counts:
         state = DenoiserState(p10_a=one(p10_a), p10_b=one(p10_b), p01_a=one(p01_a),
                               p01_b=one(p01_b))
-        (got,) = transition_log_expectations(state, cfg)
+        got = transition_log_expectations(state, cfg)
         turn_on, stay_quiet = beta_logs(p10_a, p10_b)
         turn_off, stay_active = beta_logs(p01_a, p01_b)
         want = (stay_active, turn_on, stay_quiet, turn_off)
-        assert all(type(x) is float for x in got)
-        np.testing.assert_array_equal(
-            np.array(got).view(np.uint64), np.array(want).view(np.uint64)
-        )
+        assert got.shape == (1, 4) and got.dtype == np.float64
+        np.testing.assert_array_equal(got[0].view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_cgauss_values():
@@ -1335,6 +1333,34 @@ def test_member_major_sums_equal_each_blocks_own_sums_bit_for_bit(N):
                 assert over_n[b].tobytes() == block.sum(axis=0).tobytes(), (P, B, b)
                 assert over_n_kept[b, 0].tobytes() == block.sum(axis=0).tobytes(), (P, B, b)
                 assert over_p[b].tobytes() == block.sum(axis=1).tobytes(), (P, B, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2047])
+@pytest.mark.parametrize("B", [1, 3])
+def test_four_row_sums_and_maxima_run_left_to_right_bit_for_bit(B, n):
+    # the property `update_transition_beliefs` relies on: over the 4-wide
+    # axis of a C-contiguous (B, 4, n) stack, numpy's sum adds the rows left
+    # to right and its max is the nested np.maximum.  n = 1 is N = 2, where
+    # numpy drops the unit axis and reduces the contiguous one; values over
+    # fifteen decades make the order show, and rows of NaN and of +-inf
+    # check the special values (compared as int64, so NaN payloads count)
+    for draw in range(50):
+        rng = np.random.default_rng([B, n, draw])
+        w = rng.standard_normal((B, 4, n)) * 10.0 ** rng.integers(-8, 8, (B, 4, n))
+        if draw % 4 == 1:
+            w[rng.integers(B), rng.integers(4)] = math.nan
+        elif draw % 4 == 2:
+            w[rng.integers(B), rng.integers(4)] = math.inf
+            w[rng.integers(B), rng.integers(4)] = -math.inf
+        elif draw % 4 == 3:
+            w[rng.integers(B), rng.integers(4)] = -math.inf
+        with np.errstate(invalid="ignore"):
+            want_sum = ((w[:, 0] + w[:, 1]) + w[:, 2]) + w[:, 3]
+            got_sum = w.sum(axis=1)
+        want_max = np.maximum(np.maximum(np.maximum(w[:, 0], w[:, 1]), w[:, 2]), w[:, 3])
+        got_max = w.max(axis=1)
+        np.testing.assert_array_equal(got_sum.view(np.int64), want_sum.view(np.int64))
+        np.testing.assert_array_equal(got_max.view(np.int64), want_max.view(np.int64))
 
 
 @pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM, VARIANT_BG])

@@ -398,6 +398,54 @@ def test_reset_beliefs_changes_trace():
     assert warm.nmse != cold.nmse
 
 
+def _drawn_transitions(support):
+    """The support chain's own transition frequencies (0 -> 1, 1 -> 0)."""
+    prev, nxt = support[:-1], support[1:]
+    return (np.sum((prev == 0) & (nxt == 1)) / np.sum(prev == 0),
+            np.sum((prev == 1) & (nxt == 0)) / np.sum(prev == 1))
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 30.0])
+@pytest.mark.parametrize("variant", [VARIANT_LVD, VARIANT_TSGM])
+def test_the_learning_recovers_the_generators_values(monkeypatch, variant, snr_db):
+    # the generator is the oracle of the learned hyperparameters: the final
+    # state's Beta means against the drawn support's transition frequencies,
+    # its near-zero variance against the generator's 1 / vS = 0.01, and its
+    # support posterior against the drawn support.  Measured on seeds 0-5:
+    # E[p10] - drawn +0.0038 to +0.0041, E[p01] - drawn +0.0093 to +0.0187,
+    # the variance ratio 0.68 to 1.38 per subcarrier and 0.94 to 1.02 in the
+    # mean over the 32, and no support error
+    states = []
+    denoise = turbo.denoise
+
+    def spy(*args):
+        out = denoise(*args)
+        states.append(out[2])
+        return out
+
+    for seed in range(6):
+        meas, pilots, truth = make_sim(256, 103, 32, snr_db, seed=seed)
+        # make_sim's support, drawn again from the first child of its seed
+        support = sample_support(256, 0.05, 0.20,
+                                 rng_seed=np.random.SeedSequence(seed).spawn(1)[0])
+        states.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(turbo, "denoise", spy)
+            run_turbo(meas, pilots, algo(variant, max_iters=12, early_stop=False), truth=truth)
+        assert len(states) == 12
+        state = states[-1]
+        drawn_p10, drawn_p01 = _drawn_transitions(support)
+        learned_p10 = state.p10_a[0] / (state.p10_a[0] + state.p10_b[0])
+        learned_p01 = state.p01_a[0] / (state.p01_a[0] + state.p01_b[0])
+        assert abs(learned_p10 - drawn_p10) <= 0.01, seed
+        assert abs(learned_p01 - drawn_p01) <= 0.04, seed
+        ratio = (state.small_rate / state.small_shape)[0, 0] / 0.01
+        assert 0.9 <= ratio.mean() <= 1.1, seed
+        assert 0.5 <= ratio.min() and ratio.max() <= 2.0, seed
+        support_error = np.mean((state.support_post[0] > 0.5) != (support[:, None] == 1))
+        assert support_error <= 0.01, seed
+
+
 @pytest.mark.parametrize("field, bad", [
     ("init_variance", math.nan),    # was a RuntimeError at iteration 1
     ("init_variance", math.inf),    # also warned in the linear stage
